@@ -22,9 +22,9 @@ eval::DetectionCounts run_all_cases(sim::LanlScenario& scenario,
   for (util::Day day = scenario.challenge_begin(); day <= scenario.challenge_end();
        ++day) {
     const auto events = scenario.simulator().reduced_day(day);
+    const core::DayAnalysis analysis = runner.analyze_events(events, day);
     for (const auto& challenge : scenario.cases()) {
       if (challenge.day != day) continue;
-      const core::DayAnalysis analysis = runner.analyze_events(events, day);
       // Re-run BP manually to control the variant flags.
       static const profile::UaHistory kNoUaHistory{};
       const core::DayState state{analysis.graph,
@@ -60,7 +60,7 @@ eval::DetectionCounts run_all_cases(sim::LanlScenario& scenario,
       }
       total += eval::score_detections(detected, challenge.answer_domains);
     }
-    runner.update_history_events(events);
+    runner.detector().update_histories(analysis);
   }
   return total;
 }

@@ -27,7 +27,7 @@ int main() {
                 stats.domains_after_internal_filter,
                 stats.domains_after_server_filter, analysis.new_domains,
                 analysis.rare.size());
-    runner.update_history_events(events);
+    runner.detector().update_histories(analysis);
   }
   bench::print_note(
       "paper (Fig. 2): ~400k domains/day reduce to ~31.5k rare destinations "

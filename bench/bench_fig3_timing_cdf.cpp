@@ -28,8 +28,8 @@ int main() {
     for (const auto& challenge : scenario.cases()) {
       if (challenge.day == day && challenge.training) today_case = &challenge;
     }
+    const core::DayAnalysis analysis = runner.analyze_events(events, day);
     if (today_case != nullptr) {
-      const core::DayAnalysis analysis = runner.analyze_events(events, day);
       const std::unordered_set<std::string> answers(
           today_case->answer_domains.begin(), today_case->answer_domains.end());
       for (const std::string& victim : today_case->victim_hosts) {
@@ -59,7 +59,7 @@ int main() {
         }
       }
     }
-    runner.update_history_events(events);
+    runner.detector().update_histories(analysis);
   }
 
   const std::vector<double> grid = {10,    40,    160,   640,   2560,

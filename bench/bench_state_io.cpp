@@ -1,7 +1,7 @@
-// State-persistence benchmark: the legacy line-oriented text formats
-// versus the binary container (storage/state.h) on a month-scale profile
-// corpus — bytes on disk and save/load wall time for the domain history,
-// the UA history, and the combined detector state. The paper's system
+// State-persistence benchmark: the binary container (storage/state.h) on
+// a month-scale profile corpus — bytes on disk and save/load wall time for
+// the domain history, the UA history, the combined detector state and one
+// day's delta frame. The paper's system
 // carries months of accumulated histories between daily batches (§III-E);
 // at enterprise scale that file is rewritten and re-read every day, so
 // both size and load latency are operational costs.
@@ -25,7 +25,6 @@
 #include <vector>
 
 #include "bench_common.h"
-#include "profile/persistence.h"
 #include "storage/delta.h"
 #include "storage/state.h"
 #include "util/crc32.h"
@@ -154,7 +153,7 @@ int main(int argc, char** argv) {
   const std::string json_path =
       eid::bench::take_json_flag(argc, argv, "BENCH_perf.json");
 
-  bench::print_header("STATE-IO", "profile persistence: text vs binary container");
+  bench::print_header("STATE-IO", "profile persistence: binary container");
   std::printf("building corpus...\n");
   const Corpus corpus = build_corpus();
   std::printf("corpus: %zu domains, %zu UAs (host pool %zu)\n",
@@ -163,26 +162,11 @@ int main(int argc, char** argv) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "eid-bench-state-io";
   std::filesystem::create_directories(dir);
-  const auto dom_text = dir / "domains.txt.hist";
-  const auto ua_text = dir / "uas.txt.hist";
   const auto dom_bin = dir / "domains.bin.hist";
   const auto ua_bin = dir / "uas.bin.hist";
   const auto state_bin = dir / "detector.state";
 
-  FormatResult text;
   FormatResult binary;
-
-  // Saves run best-of-5: the save-speedup floor asserted below needs
-  // stable minima on a loaded machine.
-  text.save_seconds = seconds_of(
-      [&] {
-        abort_on(!profile::save_domain_history(corpus.domains, dom_text),
-                 "text domain save");
-        abort_on(!profile::save_ua_history(corpus.uas, ua_text), "text ua save");
-      },
-      5);
-  text.bytes = file_bytes(dom_text) + file_bytes(ua_text);
-
   binary.save_seconds = seconds_of(
       [&] {
         abort_on(!storage::save_domain_history(corpus.domains, dom_bin),
@@ -192,37 +176,28 @@ int main(int argc, char** argv) {
       5);
   binary.bytes = file_bytes(dom_bin) + file_bytes(ua_bin);
 
-  // Loads go through the same auto-detecting profile entry points for both
-  // formats — the migration contract this bench guards. The previously
-  // loaded copy is destroyed outside the timed region (both formats
-  // restore into identical structures, so teardown is format-independent).
+  // The previously loaded copy is destroyed outside the timed region.
   std::optional<profile::DomainHistory> loaded_domains;
   std::optional<profile::UaHistory> loaded_uas;
-  const auto time_load = [&](const std::filesystem::path& dom,
-                             const std::filesystem::path& ua) {
-    double best = 1e300;
-    for (int r = 0; r < 3; ++r) {
-      loaded_domains.reset();
-      loaded_uas.reset();
-      const double s = seconds_of(
-          [&] {
-            loaded_domains = profile::load_domain_history(dom);
-            loaded_uas = profile::load_ua_history(ua);
-          },
-          1);
-      abort_on(!loaded_domains.has_value() || !loaded_uas.has_value(), "load");
-      abort_on(loaded_domains->size() != corpus.n_domains ||
-                   loaded_uas->distinct_uas() != corpus.n_uas,
-               "load consistency check");
-      if (s < best) best = s;
-    }
-    return best;
-  };
-  text.load_seconds = time_load(dom_text, ua_text);
-  binary.load_seconds = time_load(dom_bin, ua_bin);
+  binary.load_seconds = 1e300;
+  for (int r = 0; r < 3; ++r) {
+    loaded_domains.reset();
+    loaded_uas.reset();
+    const double s = seconds_of(
+        [&] {
+          loaded_domains = storage::load_domain_history(dom_bin);
+          loaded_uas = storage::load_ua_history(ua_bin);
+        },
+        1);
+    abort_on(!loaded_domains.has_value() || !loaded_uas.has_value(), "load");
+    abort_on(loaded_domains->size() != corpus.n_domains ||
+                 loaded_uas->distinct_uas() != corpus.n_uas,
+             "load consistency check");
+    if (s < binary.load_seconds) binary.load_seconds = s;
+  }
 
-  // Full detector-state checkpoint (no text equivalent): absolute cost of
-  // the daily save a durable deployment pays.
+  // Full detector-state checkpoint: absolute cost of the daily save a
+  // durable deployment pays.
   storage::DetectorState state;
   state.domain_history = corpus.domains;
   state.ua_history = corpus.uas;
@@ -314,46 +289,13 @@ int main(int argc, char** argv) {
   const double delta_vs_full_speedup =
       delta_save_seconds > 0 ? state_save_seconds / delta_save_seconds : 0.0;
 
-  const double size_ratio =
-      binary.bytes > 0 ? static_cast<double>(text.bytes) /
-                             static_cast<double>(binary.bytes)
-                       : 0.0;
-  const double load_speedup =
-      binary.load_seconds > 0 ? text.load_seconds / binary.load_seconds : 0.0;
-  const double save_speedup =
-      binary.save_seconds > 0 ? text.save_seconds / binary.save_seconds : 0.0;
-
-  std::printf("\n%-22s %14s %14s\n", "", "text", "binary");
-  std::printf("%-22s %14zu %14zu\n", "bytes on disk", text.bytes, binary.bytes);
-  std::printf("%-22s %14.3f %14.3f\n", "save seconds", text.save_seconds,
-              binary.save_seconds);
-  std::printf("%-22s %14.3f %14.3f\n", "load seconds", text.load_seconds,
-              binary.load_seconds);
-  std::printf("\nbinary is %.2fx smaller, loads %.2fx faster, saves %.2fx faster\n",
-              size_ratio, load_speedup, save_speedup);
+  std::printf("\nhistories: %zu bytes, save %.3fs, load %.3fs\n", binary.bytes,
+              binary.save_seconds, binary.load_seconds);
   std::printf("full detector state: %zu bytes, save %.3fs, load %.3fs\n",
               state_bytes, state_save_seconds, state_load_seconds);
   std::printf("delta frame (one day): %zu bytes, save %.5fs — %.1fx faster "
               "than the full rewrite\n",
               delta_frame_bytes, delta_save_seconds, delta_vs_full_speedup);
-
-  // Regression floor for the binary save path. Before the hashed table
-  // index, the id sorts and the writer reserves, binary save ran at a
-  // 0.42x "speedup" (2.4x slower than text); it now lands at ~0.45-0.50x
-  // on one core. Fail the bench if the encode regresses back toward the
-  // per-string binary-search behavior. (Text save is a raw sequential
-  // dump — no sort, no dedup, no checksum, no fsync — so parity is not
-  // the bar; not regressing the gap is.)
-  constexpr double kMinSaveSpeedup = 0.42;
-  if (save_speedup < kMinSaveSpeedup) {
-    std::fprintf(stderr,
-                 "bench_state_io: binary save regressed: %.3fx speedup vs "
-                 "text (floor %.2fx)\n",
-                 save_speedup, kMinSaveSpeedup);
-    return 1;
-  }
-  std::printf("binary save speedup %.2fx >= %.2fx floor: ok\n", save_speedup,
-              kMinSaveSpeedup);
 
   // The whole point of the delta chain is that daily saves stop paying
   // for the month: a day frame must beat the full rewrite by a wide
@@ -379,9 +321,6 @@ int main(int argc, char** argv) {
          << "    \"corpus\": {\"domains\": " << corpus.n_domains
          << ", \"uas\": " << corpus.n_uas << ", \"hosts\": " << corpus.n_hosts
          << "},\n"
-         << "    \"text\": {\"bytes\": " << text.bytes
-         << ", \"save_seconds\": " << text.save_seconds
-         << ", \"load_seconds\": " << text.load_seconds << "},\n"
          << "    \"binary\": {\"bytes\": " << binary.bytes
          << ", \"save_seconds\": " << binary.save_seconds
          << ", \"load_seconds\": " << binary.load_seconds << "},\n"
@@ -391,10 +330,7 @@ int main(int argc, char** argv) {
          << "    \"delta_frame_bytes\": " << delta_frame_bytes << ",\n"
          << "    \"delta_save_seconds\": " << delta_save_seconds << ",\n"
          << "    \"delta_vs_full_speedup\": " << delta_vs_full_speedup
-         << ",\n"
-         << "    \"size_ratio\": " << size_ratio
-         << ",\n    \"load_speedup\": " << load_speedup
-         << ",\n    \"save_speedup\": " << save_speedup << "\n  }";
+         << "\n  }";
     if (eid::bench::write_json_section(json_path, "state_io", body.str())) {
       std::printf("recorded state_io section of %s\n", json_path.c_str());
     } else {

@@ -56,7 +56,7 @@ int main() {
         pairs.push_back(std::move(pair));
       }
     }
-    runner.update_history_events(events);
+    runner.detector().update_histories(analysis);
   }
 
   std::size_t total_malicious_training = 0;

@@ -19,6 +19,9 @@
 // 1:1,2:2,4:4,8:8,8:8:2 (the trailing config adds depth-2 day
 // pipelining: day N's finalize/score/commit overlaps day N+1's ingest).
 //
+// Stage times are the run's growth in the pipeline's eid_pipeline_*_seconds
+// histograms (obs/metrics.h), read through Detector::metrics_snapshot() —
+// the same measurements the observability exports carry.
 // analysis_seconds is wall time minus the measured score+BP stage — the
 // day-analysis engine's share of the run, comparable across depths (with
 // depth > 1 the stage sums exceed wall because they overlap; wall is what
@@ -33,6 +36,7 @@
 #include <iomanip>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -41,6 +45,7 @@
 #include "bench_common.h"
 #include "core/pipeline.h"
 #include "core/report_json.h"
+#include "obs/metrics.h"
 #include "sim/enterprise.h"
 
 namespace {
@@ -55,7 +60,7 @@ double seconds_since(clock_type::time_point start) {
 struct ConfigResult {
   core::Parallelism parallelism;
   double wall = 0.0;      ///< the full analyze_days run
-  double finalize = 0.0;  ///< CSR finalize (from DayAnalysis stage clocks)
+  double finalize = 0.0;  ///< CSR finalize (eid_pipeline_finalize_seconds)
   double rare = 0.0;
   double automation = 0.0;
   double score_bp = 0.0;  ///< report_day (thresholds + both BP modes)
@@ -72,6 +77,28 @@ struct ConfigResult {
     return std::max(0.0, wall - finalize - rare - automation - score_bp);
   }
 };
+
+/// Running totals of the pipeline's stage histograms.
+struct StageSums {
+  double finalize = 0.0;
+  double rare = 0.0;
+  double automation = 0.0;
+  double report = 0.0;
+};
+
+StageSums stage_sums(const api::Detector& detector) {
+  const obs::MetricsSnapshot snapshot = detector.metrics_snapshot();
+  const auto sum = [&snapshot](std::string_view name) {
+    for (const obs::HistogramSnapshot& histogram : snapshot.histograms) {
+      if (histogram.name == name) return histogram.sum;
+    }
+    return 0.0;
+  };
+  return {sum("eid_pipeline_finalize_seconds"),
+          sum("eid_pipeline_rare_seconds"),
+          sum("eid_pipeline_automation_seconds"),
+          sum("eid_pipeline_report_seconds")};
+}
 
 sim::SimConfig workload_config() {
   // Analysis-heavy enterprise day: a large browse tail (rare-destination
@@ -104,20 +131,21 @@ ConfigResult run_config(const core::Parallelism& parallelism,
   result.parallelism = parallelism;
   core::Pipeline& pipeline = detector.pipeline();
   api::MultiDaySource source(day0 + 1, &days);
+  const StageSums before = stage_sums(detector);
   const auto start = clock_type::now();
   const api::IngestReport ingest = detector.analyze_days(
       source, [&](util::Day, const core::DayAnalysis& analysis) {
-        result.finalize += analysis.stage_seconds.finalize;
-        result.rare += analysis.stage_seconds.rare;
-        result.automation += analysis.stage_seconds.automation;
-        const auto score_start = clock_type::now();
         const core::DayReport report = pipeline.report_day(analysis, {});
-        result.score_bp += seconds_since(score_start);
         result.detections +=
             report.automated_scores.size() + report.nohint.domains.size();
         result.report_digest += core::day_report_to_json(report);
       });
   result.wall = seconds_since(start);
+  const StageSums after = stage_sums(detector);
+  result.finalize = after.finalize - before.finalize;
+  result.rare = after.rare - before.rare;
+  result.automation = after.automation - before.automation;
+  result.score_bp = after.report - before.report;
   result.events = ingest.events;
   return result;
 }

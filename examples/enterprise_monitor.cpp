@@ -35,7 +35,7 @@
 // provisional incidents live as they cross the detection thresholds —
 // with the authoritative (batch-identical) day report at day close. Tick
 // evaluations merge cached per-bucket partial graphs (O(new events) per
-// tick); --rt-rebuild falls back to replaying the window's raw events.
+// tick).
 //
 // --metrics-out <path> keeps a Prometheus text-exposition snapshot of the
 // process metrics registry at <path> (atomic tmp + rename; point the
@@ -98,9 +98,6 @@ void print_usage(const char* argv0) {
       "                      the 86400 s day)\n"
       "  --rt-window <sec>   sliding evidence window (default 86400; whole\n"
       "                      number of ticks)\n"
-      "  --rt-rebuild        re-ingest the window's raw events every tick\n"
-      "                      instead of merging cached per-bucket partials\n"
-      "                      (escape hatch; same results, O(window) ticks)\n"
       "  --idle-exit <n>     exit after n consecutive empty polls\n"
       "                      (default 0 = follow forever)\n"
       "  --poll-ms <ms>      sleep between empty polls (default 200)\n"
@@ -176,7 +173,6 @@ struct FollowSetup {
   int window_seconds = 86400;
   int idle_exit = 0;
   int poll_ms = 200;
-  bool rt_rebuild = false;
   std::size_t delta_every = 7;
   /// Takeover: the failed primary's incident store to adopt (may be null).
   core::IncidentStore* adopt_incidents = nullptr;
@@ -193,7 +189,6 @@ int run_follow(api::Detector& detector, const core::SocSeeds& seeds,
   rt::EngineConfig engine_config;
   engine_config.window.tick_seconds = setup.tick_seconds;
   engine_config.window.window_seconds = setup.window_seconds;
-  engine_config.window.incremental = !setup.rt_rebuild;
   engine_config.seeds = seeds;
   if (!engine_config.window.valid()) {
     std::fprintf(stderr,
@@ -255,10 +250,9 @@ int run_follow(api::Detector& detector, const core::SocSeeds& seeds,
     return true;
   };
 
-  std::printf("following %s (day %s, tick %ds, window %ds, %s ticks)...\n",
+  std::printf("following %s (day %s, tick %ds, window %ds)...\n",
               setup.follow_path.c_str(), util::format_day(setup.day).c_str(),
-              setup.tick_seconds, setup.window_seconds,
-              setup.rt_rebuild ? "rebuild" : "incremental");
+              setup.tick_seconds, setup.window_seconds);
   int idle = 0;
   auto last_flush = std::chrono::steady_clock::now();
   while (setup.idle_exit == 0 || idle < setup.idle_exit) {
@@ -292,14 +286,11 @@ int run_follow(api::Detector& detector, const core::SocSeeds& seeds,
               stats.peak_buffered_events,
               static_cast<unsigned long long>(source.stats().byte_offset),
               source.stats().rotations, source.stats().transient_errors);
-  if (!setup.rt_rebuild) {
-    std::printf("window cache: %zu buckets sealed, %zu partial absorbs, "
-                "%zu merge extends, %zu rebuilds, %zu cached events at "
-                "exit\n",
-                stats.buckets_sealed, stats.partial_absorbs,
-                stats.window_merge_extends, stats.window_merge_rebuilds,
-                stats.cached_partial_events);
-  }
+  std::printf("window cache: %zu buckets sealed, %zu partial absorbs, "
+              "%zu merge extends, %zu rebuilds, %zu cached events at exit\n",
+              stats.buckets_sealed, stats.partial_absorbs,
+              stats.window_merge_extends, stats.window_merge_rebuilds,
+              stats.cached_partial_events);
   if (!setup.state_path.empty()) {
     if (save_checkpoint()) {
       std::printf("[checkpoint] state saved to %s\n",
@@ -328,7 +319,6 @@ int main(int argc, char** argv) {
   int window_seconds = 86400;
   int idle_exit = 0;
   int poll_ms = 200;
-  bool rt_rebuild = false;
   bool standby = false;
   int delta_every = 7;
   int stale_after = 10;
@@ -356,10 +346,6 @@ int main(int argc, char** argv) {
         return 1;
       }
       follow_path = argv[++i];
-      continue;
-    }
-    if (std::strcmp(arg, "--rt-rebuild") == 0) {
-      rt_rebuild = true;
       continue;
     }
     if (std::strcmp(arg, "--standby") == 0) {
@@ -523,7 +509,6 @@ int main(int argc, char** argv) {
         setup.window_seconds = window_seconds;
         setup.idle_exit = idle_exit;
         setup.poll_ms = poll_ms;
-        setup.rt_rebuild = rt_rebuild;
         setup.delta_every = static_cast<std::size_t>(delta_every);
         setup.adopt_incidents = adopted ? &incidents : nullptr;
         return run_follow(detector, seeds, setup, flush_observability);
@@ -613,7 +598,6 @@ int main(int argc, char** argv) {
     setup.window_seconds = window_seconds;
     setup.idle_exit = idle_exit;
     setup.poll_ms = poll_ms;
-    setup.rt_rebuild = rt_rebuild;
     setup.delta_every = static_cast<std::size_t>(delta_every);
     return run_follow(detector, seeds, setup, flush_observability);
   }

@@ -1,16 +1,14 @@
 // Operator tooling for eid state files: inspect what a checkpoint or
-// history file contains, verify its integrity (magic, structure, per-
-// section CRC32), and convert profile histories between the legacy text
-// formats and the compact binary container — the migration path a
-// deployment walks once and the debugging tool it keeps.
+// history file contains and verify its integrity (magic, structure, per-
+// section CRC32).
 //
 // Usage:
 //   state_tool inspect <file>
 //   state_tool verify [--deep] <file>
-//   state_tool convert <input> <output> [--text|--binary]
 //
-// All input formats are auto-detected by magic — including delta-chain
-// files ("EIDDELT1" frames, storage/delta.h); inspecting a full
+// The input is either an EIDSTOR1 container (storage/container.h) or a
+// delta-chain file ("EIDDELT1" frames, storage/delta.h), told apart by
+// magic; anything else fails with bad-magic. Inspecting a full
 // checkpoint also summarizes its companion <file>.delta chain.
 // verify --deep prints a per-section CRC/size/decode report (and a
 // per-frame report for delta chains) and exits nonzero on the first
@@ -20,7 +18,6 @@
 #include <cstring>
 #include <string>
 
-#include "profile/persistence.h"
 #include "storage/container.h"
 #include "storage/delta.h"
 #include "storage/encoding.h"
@@ -34,15 +31,13 @@ int usage(const char* argv0) {
   std::fprintf(stderr,
                "usage: %s inspect <file>\n"
                "       %s verify [--deep] <file>\n"
-               "       %s convert <input> <output> [--text|--binary]\n"
                "\n"
                "inspect  describe a state/history/delta file (format, sections,\n"
                "         counts; full checkpoints include their .delta chain)\n"
                "verify   check integrity (magic, structure, section CRC32s);\n"
                "         --deep adds a per-section (and per-delta-frame)\n"
-               "         CRC/size/decode report, nonzero exit on first failure\n"
-               "convert  rewrite a domain/UA history between text and binary\n",
-               argv0, argv0, argv0);
+               "         CRC/size/decode report, nonzero exit on first failure\n",
+               argv0, argv0);
   return 1;
 }
 
@@ -78,14 +73,6 @@ void print_failure(const char* what, const storage::LoadStatus& status) {
   std::fprintf(stderr, "%s: %s%s%s\n", what,
                storage::load_error_name(status.error),
                status.detail.empty() ? "" : " — ", status.detail.c_str());
-}
-
-/// First text line of a buffer (for magic detection on legacy formats).
-std::string first_line(const std::string& bytes) {
-  const auto eol = bytes.find('\n');
-  std::string line = bytes.substr(0, eol == std::string::npos ? bytes.size() : eol);
-  if (!line.empty() && line.back() == '\r') line.pop_back();
-  return line;
 }
 
 /// Summarize a delta chain file: frame count, seq/day spans, tail state.
@@ -319,43 +306,6 @@ int inspect_container(const std::string& bytes) {
   return 0;
 }
 
-int inspect_text(const std::filesystem::path& path, const std::string& bytes) {
-  const std::string magic = first_line(bytes);
-  storage::LoadStatus status;
-  if (magic == "eid-domain-history 1") {
-    const auto history = profile::load_domain_history(path, &status);
-    if (!history) {
-      print_failure("inspect", status);
-      return 2;
-    }
-    std::printf("format: eid-domain-history 1 (legacy text)\n");
-    std::printf("size: %zu bytes\n", bytes.size());
-    std::printf("domain history: %zu domain(s), %zu day(s) ingested\n",
-                history->size(), history->days_ingested());
-    return 0;
-  }
-  if (magic == "eid-ua-history 1") {
-    const auto history = profile::load_ua_history(path, &status);
-    if (!history) {
-      print_failure("inspect", status);
-      return 2;
-    }
-    std::printf("format: eid-ua-history 1 (legacy text)\n");
-    std::printf("size: %zu bytes\n", bytes.size());
-    std::printf("ua history: %zu distinct UA(s), rare threshold %zu\n",
-                history->distinct_uas(), history->rare_threshold());
-    return 0;
-  }
-  if (magic == "eid-scored-model 1") {
-    std::printf("format: eid-scored-model 1 (legacy text, core/model_io.h)\n");
-    std::printf("size: %zu bytes\n", bytes.size());
-    return 0;
-  }
-  std::fprintf(stderr, "inspect: unrecognized format (first line: \"%.60s\")\n",
-               magic.c_str());
-  return 2;
-}
-
 int cmd_inspect(const std::filesystem::path& path) {
   storage::LoadStatus status;
   const auto bytes = storage::read_file(path, &status);
@@ -367,22 +317,19 @@ int cmd_inspect(const std::filesystem::path& path) {
     std::printf("format: eid delta chain (EIDDELT1 frames)\n");
     return inspect_chain(path, -1);
   }
-  if (storage::looks_like_container(*bytes)) {
-    const int rc = inspect_container(*bytes);
-    if (rc != 0) return rc;
-    // A full checkpoint's companion chain, when present.
-    const std::filesystem::path chain_path = storage::delta_chain_path(path);
-    std::error_code ec;
-    if (std::filesystem::exists(chain_path, ec)) {
-      long long base_day = -1;
-      if (const auto state = storage::decode_detector_state(*bytes)) {
-        base_day = static_cast<long long>(state->counters.days_operated);
-      }
-      return inspect_chain(chain_path, base_day);
+  const int rc = inspect_container(*bytes);
+  if (rc != 0) return rc;
+  // A full checkpoint's companion chain, when present.
+  const std::filesystem::path chain_path = storage::delta_chain_path(path);
+  std::error_code ec;
+  if (std::filesystem::exists(chain_path, ec)) {
+    long long base_day = -1;
+    if (const auto state = storage::decode_detector_state(*bytes)) {
+      base_day = static_cast<long long>(state->counters.days_operated);
     }
-    return 0;
+    return inspect_chain(chain_path, base_day);
   }
-  return inspect_text(path, *bytes);
+  return 0;
 }
 
 int cmd_verify(const std::filesystem::path& path, bool deep) {
@@ -418,7 +365,7 @@ int cmd_verify(const std::filesystem::path& path, bool deep) {
     }
     return 0;
   }
-  if (deep && storage::looks_like_container(*bytes)) {
+  if (deep) {
     std::printf("deep verify %s:\n", path.string().c_str());
     const int rc = deep_verify_container(*bytes, "verify");
     if (rc != 0) return rc;
@@ -433,149 +380,34 @@ int cmd_verify(const std::filesystem::path& path, bool deep) {
     std::printf("OK: deep verify passed\n");
     return 0;
   }
-  if (storage::looks_like_container(*bytes)) {
-    const auto reader = storage::ContainerReader::parse(*bytes, &status);
-    if (!reader) {
-      print_failure("verify", status);
-      return 2;
-    }
-    // Structure + CRCs are good; decode every section we understand so
-    // semantic corruption (bad ids, inconsistent dimensions) fails too.
-    const bool full_state = reader->find(storage::SectionId::Config) != nullptr;
-    if (full_state) {
-      if (!storage::decode_detector_state(*bytes, &status)) {
-        print_failure("verify", status);
-        return 2;
-      }
-    } else {
-      if (reader->find(storage::SectionId::DomainHistory) != nullptr &&
-          !storage::decode_domain_history(*bytes, &status)) {
-        print_failure("verify", status);
-        return 2;
-      }
-      if (reader->find(storage::SectionId::UaHistory) != nullptr &&
-          !storage::decode_ua_history(*bytes, &status)) {
-        print_failure("verify", status);
-        return 2;
-      }
-    }
-    std::printf("OK: container verified (%zu section(s), all checksums good)\n",
-                reader->sections().size());
-    return 0;
+  const auto reader = storage::ContainerReader::parse(*bytes, &status);
+  if (!reader) {
+    print_failure("verify", status);
+    return 2;
   }
-  const std::string magic = first_line(*bytes);
-  if (magic == "eid-domain-history 1") {
-    if (!profile::load_domain_history(path, &status)) {
-      print_failure("verify", status);
-      return 2;
-    }
-  } else if (magic == "eid-ua-history 1") {
-    if (!profile::load_ua_history(path, &status)) {
+  // Structure + CRCs are good; decode every section we understand so
+  // semantic corruption (bad ids, inconsistent dimensions) fails too.
+  const bool full_state = reader->find(storage::SectionId::Config) != nullptr;
+  if (full_state) {
+    if (!storage::decode_detector_state(*bytes, &status)) {
       print_failure("verify", status);
       return 2;
     }
   } else {
-    std::fprintf(stderr, "verify: unrecognized format\n");
-    return 2;
+    if (reader->find(storage::SectionId::DomainHistory) != nullptr &&
+        !storage::decode_domain_history(*bytes, &status)) {
+      print_failure("verify", status);
+      return 2;
+    }
+    if (reader->find(storage::SectionId::UaHistory) != nullptr &&
+        !storage::decode_ua_history(*bytes, &status)) {
+      print_failure("verify", status);
+      return 2;
+    }
   }
-  std::printf("OK: text file parsed cleanly\n");
+  std::printf("OK: container verified (%zu section(s), all checksums good)\n",
+              reader->sections().size());
   return 0;
-}
-
-int cmd_convert(const std::filesystem::path& input,
-                const std::filesystem::path& output, bool to_binary) {
-  storage::LoadStatus status;
-  const auto bytes = storage::read_file(input, &status);
-  if (!bytes) {
-    print_failure("convert", status);
-    return 2;
-  }
-  // Kind detection: container section ids, or the text magic line.
-  bool is_domain = false;
-  bool is_ua = false;
-  if (storage::looks_like_container(*bytes)) {
-    const auto reader = storage::ContainerReader::parse(*bytes, &status);
-    if (!reader) {
-      print_failure("convert", status);
-      return 2;
-    }
-    is_domain = reader->find(storage::SectionId::DomainHistory) != nullptr;
-    is_ua = reader->find(storage::SectionId::UaHistory) != nullptr;
-    if (is_domain && is_ua) {
-      std::fprintf(stderr,
-                   "convert: full detector states have no text equivalent; "
-                   "use api::Detector::load_state\n");
-      return 1;
-    }
-  } else {
-    const std::string magic = first_line(*bytes);
-    is_domain = magic == "eid-domain-history 1";
-    is_ua = magic == "eid-ua-history 1";
-  }
-  if (is_domain) {
-    const auto history = profile::load_domain_history(input, &status);
-    if (!history) {
-      print_failure("convert", status);
-      return 2;
-    }
-    std::size_t skipped = 0;
-    if (to_binary) {
-      status = {};
-      if (!storage::save_domain_history(*history, output, 1, &status)) {
-        print_failure("convert", status);
-        return 2;
-      }
-    } else if (!profile::save_domain_history(*history, output, &skipped)) {
-      // The text savers have no status channel; report the write failure
-      // directly instead of echoing the (successful) load status.
-      std::fprintf(stderr, "convert: cannot write %s\n",
-                   output.string().c_str());
-      return 2;
-    }
-    std::printf("converted domain history (%zu domain(s)) to %s %s\n",
-                history->size() - skipped, to_binary ? "binary" : "text",
-                output.string().c_str());
-    if (skipped > 0) {
-      std::fprintf(stderr,
-                   "warning: %zu domain(s) contain characters the text "
-                   "format cannot carry — dropped (keep the binary file if "
-                   "you need them)\n",
-                   skipped);
-    }
-    return 0;
-  }
-  if (is_ua) {
-    const auto history = profile::load_ua_history(input, &status);
-    if (!history) {
-      print_failure("convert", status);
-      return 2;
-    }
-    std::size_t skipped = 0;
-    if (to_binary) {
-      status = {};
-      if (!storage::save_ua_history(*history, output, 1, &status)) {
-        print_failure("convert", status);
-        return 2;
-      }
-    } else if (!profile::save_ua_history(*history, output, &skipped)) {
-      std::fprintf(stderr, "convert: cannot write %s\n",
-                   output.string().c_str());
-      return 2;
-    }
-    std::printf("converted ua history (%zu UA(s)) to %s %s\n",
-                history->distinct_uas() - skipped,
-                to_binary ? "binary" : "text", output.string().c_str());
-    if (skipped > 0) {
-      std::fprintf(stderr,
-                   "warning: %zu UA(s) contain tab/newline characters the "
-                   "text format cannot carry — dropped (keep the binary "
-                   "file if you need them)\n",
-                   skipped);
-    }
-    return 0;
-  }
-  std::fprintf(stderr, "convert: input is neither a domain nor a UA history\n");
-  return 2;
 }
 
 }  // namespace
@@ -588,17 +420,6 @@ int main(int argc, char** argv) {
   if (command == "verify" && argc == 4 &&
       std::strcmp(argv[2], "--deep") == 0) {
     return cmd_verify(argv[3], true);
-  }
-  if (command == "convert" && (argc == 4 || argc == 5)) {
-    bool to_binary = true;
-    if (argc == 5) {
-      if (std::strcmp(argv[4], "--text") == 0) {
-        to_binary = false;
-      } else if (std::strcmp(argv[4], "--binary") != 0) {
-        return usage(argv[0]);
-      }
-    }
-    return cmd_convert(argv[2], argv[3], to_binary);
   }
   return usage(argv[0]);
 }

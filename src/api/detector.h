@@ -12,9 +12,8 @@
 //   detector.finalize_training();
 //   DayReport report = detector.run_day(day_source, day, seeds);
 //
-// Results are bit-identical to the legacy core::Pipeline vector entry
-// points for any chunking of the same event sequence (see
-// tests/api_equivalence_test.cpp).
+// Results are bit-identical for any chunking of the same event sequence
+// (see tests/api_equivalence_test.cpp).
 #pragma once
 
 #include <filesystem>
@@ -119,7 +118,7 @@ class Detector {
     return pipeline_.finalize_training();
   }
 
-  /// Install externally-fit models (core/model_io.h persistence).
+  /// Install externally-fit models (e.g. storage::load_scored_model).
   void set_models(core::ScoredModel cc, core::ScoredModel sim) {
     pipeline_.set_models(std::move(cc), std::move(sim));
   }

@@ -34,7 +34,7 @@ struct EventChunk {
 /// one day's chunks are contiguous, so consumers can detect day boundaries
 /// without buffering. A day the source covers but that produced no events
 /// is still announced with one empty chunk (day-boundary marker), so
-/// ingestion commits it exactly like the legacy per-day loop did. Chunk
+/// ingestion commits it like any other day. Chunk
 /// granularity is a source choice; consumers must produce identical
 /// results for any chunking of the same event sequence (the DayAccumulator
 /// contract).
@@ -60,8 +60,7 @@ class EventSource {
   virtual bool concurrent_pull_safe() const { return true; }
 };
 
-/// Adapter for an in-memory day of events — the bridge from the legacy
-/// vector API. Owns its events (move them in) or borrows them (pointer
+/// Adapter for an in-memory day of events. Owns its events (move them in) or borrows them (pointer
 /// form; the vector must outlive the source). Non-copyable/movable: the
 /// owning form keeps an internal pointer into itself.
 class VectorSource final : public EventSource {
@@ -84,7 +83,7 @@ class VectorSource final : public EventSource {
     const std::size_t size = events_->size();
     if (pos_ >= size) {
       // An empty day still announces its boundary once, so ingest()
-      // commits it to the histories exactly like profile_day({}) does.
+      // commits it to the histories as a day.
       if (size == 0 && !delivered_empty_) {
         delivered_empty_ = true;
         return EventChunk{day_, {}};

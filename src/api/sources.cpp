@@ -249,7 +249,7 @@ std::optional<EventChunk> TsvFileSource::next_chunk() {
   }
   publish_stats();
   // Day-boundary marker: a readable file whose lines all reduced away is
-  // still an (empty) day, exactly like the legacy read-then-profile loop.
+  // still an (empty) day, committed like any other.
   // Not in tail mode — there the stream has no end, only "nothing yet".
   if (!tail_ && stats_.opened && stats_.events == 0 && !empty_marker_sent_) {
     empty_marker_sent_ = true;

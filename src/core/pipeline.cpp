@@ -10,10 +10,8 @@
 namespace eid::core {
 namespace {
 
-/// Stage timing on the process registry. DayStageSeconds already measures
-/// finalize/rare/automation per day for DayAnalysis consumers; these
-/// histograms generalize that to a fleet view across every day any
-/// Pipeline in the process analyzes.
+/// Stage timing on the process registry, across every day any Pipeline in
+/// the process analyzes — the one source stage timings are read from.
 struct PipelineMetrics {
   obs::Counter& days = obs::metrics().counter("eid_pipeline_days_finished_total");
   obs::Counter& events = obs::metrics().counter("eid_pipeline_day_events_total");
@@ -82,10 +80,6 @@ void Pipeline::rebuild_executor() {
   executor_ = std::make_shared<util::Executor>(workers);
 }
 
-void Pipeline::profile_day(const std::vector<logs::ConnEvent>& events) {
-  update_histories(events);
-}
-
 void Pipeline::finish_profile(ProfileAccumulator&& accumulator) {
   const obs::TraceSpan span("profile_commit");
   domain_history_.update(
@@ -93,13 +87,6 @@ void Pipeline::finish_profile(ProfileAccumulator&& accumulator) {
   for (const auto& [ua, hosts] : accumulator.ua_hosts_) {
     for (const auto& host : hosts) ua_history_.observe(ua, host);
   }
-}
-
-void Pipeline::update_histories(const std::vector<logs::ConnEvent>& events) {
-  std::unordered_set<std::string> domains;
-  for (const auto& event : events) domains.insert(event.domain);
-  domain_history_.update({domains.begin(), domains.end()});
-  ua_history_.observe_day(events);
 }
 
 void Pipeline::update_histories(const graph::DayGraph& graph) {
@@ -117,13 +104,6 @@ void Pipeline::update_histories(const graph::DayGraph& graph) {
   pipeline_metrics().history.observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count());
-}
-
-DayAnalysis Pipeline::analyze_day(const std::vector<logs::ConnEvent>& events,
-                                  util::Day day) const {
-  DayAccumulator accumulator = begin_day(day);
-  accumulator.add_chunk(events);
-  return finish_day(std::move(accumulator));
 }
 
 DayAnalysis Pipeline::finish_day(DayAccumulator&& accumulator) const {
@@ -150,8 +130,7 @@ DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
     const obs::TraceSpan span("csr_finalize");
     analysis.graph.finalize(threads);
   }
-  analysis.stage_seconds.finalize = seconds_since(stage_start);
-  metrics.finalize.observe(analysis.stage_seconds.finalize);
+  metrics.finalize.observe(seconds_since(stage_start));
 
   stage_start = clock::now();
   profile::RareExtraction rare;
@@ -169,8 +148,7 @@ DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
   analysis.rare.insert(rare.rare_domains.begin(), rare.rare_domains.end());
   analysis.new_domains = rare.new_domains;
   analysis.total_domains = rare.total_domains;
-  analysis.stage_seconds.rare = seconds_since(stage_start);
-  metrics.rare.observe(analysis.stage_seconds.rare);
+  metrics.rare.observe(seconds_since(stage_start));
 
   stage_start = clock::now();
   const timing::PeriodicityDetector detector(config_.periodicity);
@@ -179,8 +157,7 @@ DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
     analysis.automation = features::AutomationAnalysis::analyze(
         analysis.graph, rare.rare_domains, detector, threads, executor_.get());
   }
-  analysis.stage_seconds.automation = seconds_since(stage_start);
-  metrics.automation.observe(analysis.stage_seconds.automation);
+  metrics.automation.observe(seconds_since(stage_start));
   metrics.days.add(1);
   metrics.events.add(analysis.event_count);
   if (whois_samples_ > 0) {
@@ -196,12 +173,6 @@ DayState Pipeline::make_state(const DayAnalysis& analysis) const {
   return DayState{analysis.graph, analysis.rare,     analysis.automation,
                   ua_history_,    whois_,            analysis.day,
                   analysis.whois_defaults};
-}
-
-void Pipeline::train_day(const std::vector<logs::ConnEvent>& events, util::Day day,
-                         const LabelFn& intel) {
-  train_from_analysis(analyze_day(events, day), intel);
-  update_histories(events);
 }
 
 void Pipeline::train_from_analysis(const DayAnalysis& analysis,
@@ -438,14 +409,6 @@ DayReport Pipeline::report_day(const DayAnalysis& analysis,
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     report_start)
           .count());
-  return report;
-}
-
-DayReport Pipeline::run_day(const std::vector<logs::ConnEvent>& events,
-                            util::Day day, const SocSeeds& seeds) {
-  const DayAnalysis analysis = analyze_day(events, day);
-  DayReport report = report_day(analysis, seeds);
-  update_histories(events);
   return report;
 }
 

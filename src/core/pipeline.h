@@ -12,17 +12,14 @@
 //   (1) reduction; (2) profile comparison/update (rare destinations, rare
 //   UAs); (3) C&C detector; (4) belief propagation in both modes.
 //
-// analyze_day() is separated from run_day() so benchmarks can sweep
-// thresholds over one day's analysis without recomputing it, and so
-// history updates stay explicit.
-//
 // Ingestion is incremental: a day is built chunk-by-chunk through
 // DayAccumulator (begin_day / add_chunk / finish_day), so callers never
-// need a fully materialized per-day event vector. The vector entry points
-// (analyze_day, train_day, run_day, profile_day) are thin adapters over
-// the incremental path and produce bit-identical results for any chunking
-// of the same event sequence. api::Detector exposes this as a streaming
-// EventSource API.
+// need a fully materialized per-day event vector, and results are
+// bit-identical for any chunking of the same event sequence. finish_day()
+// is separated from report_day() and update_histories() so benchmarks can
+// sweep thresholds over one day's analysis without recomputing it, and so
+// history updates stay explicit. api::Detector is the public surface: it
+// drives these stages from a streaming EventSource.
 #pragma once
 
 #include <functional>
@@ -78,14 +75,6 @@ struct PipelineConfig {
   Parallelism parallelism{};   ///< day-path threads + ingest shards
 };
 
-/// Wall-clock seconds per finish_day stage — perf diagnostics for the
-/// throughput bench; not part of the result contract.
-struct DayStageSeconds {
-  double finalize = 0.0;    ///< shard merge + CSR build + timestamp sort
-  double rare = 0.0;        ///< rare-destination extraction
-  double automation = 0.0;  ///< per-edge periodicity scan
-};
-
 /// Everything computed about one day before any thresholding.
 struct DayAnalysis {
   util::Day day = 0;
@@ -96,7 +85,6 @@ struct DayAnalysis {
   std::size_t event_count = 0;
   std::size_t new_domains = 0;    ///< new regardless of popularity
   std::size_t total_domains = 0;
-  DayStageSeconds stage_seconds{};
 };
 
 /// A detected domain with its provenance, reported by name so results
@@ -233,30 +221,23 @@ class Pipeline {
 
   // ---- Training ----
 
-  /// Stage 2 (bootstrap month): update histories only.
-  void profile_day(const std::vector<logs::ConnEvent>& events);
-
-  /// Streaming profiling: begin a day, feed chunks, commit at day end.
+  /// Stage 2 (bootstrap month), streaming profiling: begin a day, feed
+  /// chunks, commit the histories at day end.
   ProfileAccumulator begin_profile() const {
     return ProfileAccumulator(config_.ua_rare_threshold);
   }
   void finish_profile(ProfileAccumulator&& accumulator);
 
-  /// Stages 3-4: accumulate labeled regression rows for one day, then
-  /// update histories.
-  void train_day(const std::vector<logs::ConnEvent>& events, util::Day day,
-                 const LabelFn& intel);
-
   /// Stages 3-4 for an already-computed analysis: accumulate labeled
   /// regression rows only. The caller owns the end-of-day history update
-  /// (update_histories() with the day's events or graph).
+  /// (update_histories() with the day's graph).
   void train_from_analysis(const DayAnalysis& analysis, const LabelFn& intel);
 
   /// Fit the C&C and similarity regressions from the accumulated rows.
   TrainingReport finalize_training();
 
   /// Install externally-fit models (tests, ablations, or models persisted
-  /// with core/model_io.h).
+  /// with storage::save_scored_model).
   void set_models(ScoredModel cc, ScoredModel sim);
 
   /// Install a global-popularity whitelist (§II-A): rare destinations on
@@ -376,11 +357,6 @@ class Pipeline {
 
   // ---- Operation ----
 
-  /// Steps 1-2 + feature analysis, no thresholding, no history update.
-  /// Adapter over begin_day/finish_day for callers with a materialized day.
-  DayAnalysis analyze_day(const std::vector<logs::ConnEvent>& events,
-                          util::Day day) const;
-
   /// Start incremental analysis of one day (streaming ingestion). The
   /// accumulator shards by host hash per config().parallelism.shards and
   /// shares the pipeline's worker pool (it keeps the pool alive, so a
@@ -403,9 +379,10 @@ class Pipeline {
   /// all 1), where every fan-out degrades to an inline loop.
   util::Executor* executor() const { return executor_.get(); }
 
-  /// Finalize an incremental day: graph views, rare extraction, automation
-  /// analysis, WHOIS defaults. Identical to analyze_day() over the
-  /// concatenation of every chunk fed to the accumulator.
+  /// Finalize an incremental day (steps 1-2 + feature analysis, no
+  /// thresholding, no history update): graph views, rare extraction,
+  /// automation analysis, WHOIS defaults. Identical for any chunking of the
+  /// events fed to the accumulator.
   DayAnalysis finish_day(DayAccumulator&& accumulator) const;
 
   /// finish_day for callers that assembled the day graph themselves — the
@@ -444,21 +421,14 @@ class Pipeline {
   BpRunReport run_bp_sochints(const DayAnalysis& analysis, const SocSeeds& seeds,
                               std::optional<double> ts = std::nullopt) const;
 
-  /// End-of-day profile update (operation step 2, "histories are updated").
-  void update_histories(const std::vector<logs::ConnEvent>& events);
-
-  /// End-of-day profile update from a finalized day graph — the streaming
-  /// path, where the raw events are gone but the graph holds the day's
-  /// distinct domains and (host, UA) pairs. Equivalent to the event form.
+  /// End-of-day profile update (operation step 2, "histories are updated")
+  /// from a finalized day graph: the raw events are gone, but the graph
+  /// holds the day's distinct domains and (host, UA) pairs.
   void update_histories(const graph::DayGraph& graph);
 
   /// Thresholding + both BP modes over an already-computed analysis, no
   /// history update.
   DayReport report_day(const DayAnalysis& analysis, const SocSeeds& seeds) const;
-
-  /// Convenience: analyze + detect + both BP modes + history update.
-  DayReport run_day(const std::vector<logs::ConnEvent>& events, util::Day day,
-                    const SocSeeds& seeds);
 
   const PipelineConfig& config() const { return config_; }
   const profile::DomainHistory& domain_history() const { return domain_history_; }

@@ -27,11 +27,6 @@ void LanlRunner::bootstrap() {
   detector_.ingest(source);
 }
 
-void LanlRunner::update_history_events(
-    const std::vector<logs::ConnEvent>& events) {
-  detector_.pipeline().update_histories(events);
-}
-
 core::DayAnalysis LanlRunner::analyze_day(util::Day day) {
   api::SimSource source(scenario_.simulator(), day, day);
   return detector_.analyze_stream(source, day);

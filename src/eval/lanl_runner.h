@@ -66,15 +66,16 @@ class LanlRunner {
   /// Update the history with a day's traffic (call after analysis).
   void finish_day(util::Day day);
 
-  /// Update the history from an already-reduced event stream.
-  void update_history_events(const std::vector<logs::ConnEvent>& events);
-
   /// Bootstrap + walk all of March + score every case.
   LanlChallengeResult run_challenge();
 
   const profile::DomainHistory& history() const {
     return detector_.pipeline().domain_history();
   }
+
+  /// The streaming facade, for callers that commit a day they analyzed
+  /// with analyze_events (detector().update_histories(analysis)).
+  api::Detector& detector() { return detector_; }
 
  private:
   sim::LanlScenario& scenario_;

@@ -47,12 +47,6 @@ void UaHistory::journal_touch(const std::string& ua) {
   if (journal_seen_.insert(ua).second) journal_.push_back(ua);
 }
 
-void UaHistory::observe_day(const std::vector<logs::ConnEvent>& events) {
-  for (const auto& event : events) {
-    if (event.has_http_context) observe(event.user_agent, event.host);
-  }
-}
-
 bool UaHistory::is_rare(std::string_view ua) const {
   const auto it = uas_.find(ua);
   if (it == uas_.end()) return true;

@@ -20,7 +20,6 @@
 #include <string_view>
 #include <vector>
 
-#include "logs/records.h"
 #include "util/interner.h"
 
 namespace eid::profile {
@@ -33,9 +32,6 @@ class UaHistory {
   /// Record that `host` used `ua`. Empty UA strings are ignored (tracked
   /// separately as the NoUA signal by the feature layer).
   void observe(std::string_view ua, std::string_view host);
-
-  /// Convenience: ingest every UA-bearing event of a day.
-  void observe_day(const std::vector<logs::ConnEvent>& events);
 
   /// True when the UA has been used by fewer than the threshold of hosts.
   /// Unknown UAs are rare by definition.

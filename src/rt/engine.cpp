@@ -101,17 +101,15 @@ ContinuousEngine::ContinuousEngine(api::Detector& detector, SimClock& clock,
       config_(std::move(config)),
       window_(config_.window) {
   assert(config_.window.valid());
-  if (config_.window.incremental) {
-    // Pin the partial shard count now: partials absorb into each other, so
-    // they must all share one geometry even if set_parallelism retunes the
-    // pipeline mid-run (finalized bytes are shard-count-invariant, so a
-    // pinned count is a pure performance choice, never a drift).
-    core::Pipeline& pipeline = detector_.pipeline();
-    const std::size_t shards =
-        std::max<std::size_t>(pipeline.config().parallelism.shards, 1);
-    window_.set_partial_factory(
-        [&pipeline, shards] { return pipeline.make_ingest_graph(shards); });
-  }
+  // Pin the partial shard count now: partials absorb into each other, so
+  // they must all share one geometry even if set_parallelism retunes the
+  // pipeline mid-run (finalized bytes are shard-count-invariant, so a
+  // pinned count is a pure performance choice, never a drift).
+  core::Pipeline& pipeline = detector_.pipeline();
+  const std::size_t shards =
+      std::max<std::size_t>(pipeline.config().parallelism.shards, 1);
+  window_.set_partial_factory(
+      [&pipeline, shards] { return pipeline.make_ingest_graph(shards); });
 }
 
 ContinuousEngine::~ContinuousEngine() {
@@ -226,32 +224,20 @@ void ContinuousEngine::evaluate_tick(std::int64_t tick) {
 
   // Re-score the sliding window through the exact batch stages, then C&C
   // detection and (optionally) no-hint BP for community expansion. The
-  // window's evidence graph comes from one of two bit-identical paths:
-  // incremental — merge the cached per-bucket partials (only newly sealed
-  // buckets absorb when the window front is unchanged) and snapshot-
-  // finalize, O(new events) per tick; rebuild — replay the live buckets'
-  // raw events (arrival order) into a DayAccumulator, O(window).
+  // window's evidence graph merges the cached per-bucket partials (only
+  // newly sealed buckets absorb when the window front is unchanged) and
+  // snapshot-finalizes, O(new events) per tick.
   core::Pipeline& pipeline = detector_.pipeline();
   const util::TimePoint close = config_.window.tick_end(tick);
   const util::Day day = util::day_of(close - 1);
-  core::DayAnalysis analysis;
-  if (config_.window.incremental) {
-    const WindowAccumulator::MergeView view = window_.merge_window(tick);
-    assert(view.graph != nullptr);  // window_events(tick) > 0 above
-    view.graph->finalize_snapshot_into(snapshot_scratch_,
-                                       pipeline.config().parallelism.threads,
-                                       view.snapshot_cache);
-    analysis = pipeline.finish_day_graph(day, std::move(snapshot_scratch_),
-                                         view.events);
-    sync_cache_stats();
-  } else {
-    core::DayAccumulator accumulator = pipeline.begin_day(day);
-    window_.for_each_window_chunk(
-        tick, [&accumulator](std::span<const logs::ConnEvent> events) {
-          accumulator.add_chunk(events);
-        });
-    analysis = pipeline.finish_day(std::move(accumulator));
-  }
+  const WindowAccumulator::MergeView view = window_.merge_window(tick);
+  assert(view.graph != nullptr);  // window_events(tick) > 0 above
+  view.graph->finalize_snapshot_into(snapshot_scratch_,
+                                     pipeline.config().parallelism.threads,
+                                     view.snapshot_cache);
+  core::DayAnalysis analysis = pipeline.finish_day_graph(
+      day, std::move(snapshot_scratch_), view.events);
+  sync_cache_stats();
 
   const std::vector<core::ScoredDomain> cc = pipeline.detect_cc(analysis);
   std::vector<std::string> domains;
@@ -264,11 +250,9 @@ void ContinuousEngine::evaluate_tick(std::int64_t tick) {
     hosts = bp.hosts;
   }
   emit(analysis, domains, hosts, /*provisional=*/true, close, day);
-  if (config_.window.incremental) {
-    // Reclaim the snapshot's allocations for the next tick (`analysis` is
-    // done — nothing below reads it).
-    snapshot_scratch_ = std::move(analysis.graph);
-  }
+  // Reclaim the snapshot's allocations for the next tick (`analysis` is
+  // done — nothing below reads it).
+  snapshot_scratch_ = std::move(analysis.graph);
   dirty_ = false;
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -306,44 +290,28 @@ void ContinuousEngine::close_day() {
   const util::Day day = *open_day_;
   core::Pipeline& pipeline = detector_.pipeline();
 
-  // Assemble the day's evidence in arrival order — the same event sequence
-  // the batch path would consume, so by the chunking-independence contract
-  // the report and history update are bit-identical to run_day. The
-  // assembly stays synchronous (it reads the window buckets, released just
-  // below; the incremental merge owns absorbed copies, so expiry cannot
-  // pull state out from under the task); the expensive finalize + report
-  // compute may run on the worker pool.
+  // Merge the day's sealed partials in arrival order (sealing the tail
+  // bucket no evaluation covered yet) — the same event sequence the batch
+  // path would consume, so by the chunking-independence contract the
+  // report and history update are bit-identical to run_day. The merge
+  // stays synchronous (it reads the window buckets, released just below;
+  // the merged graph owns absorbed copies, so expiry cannot pull state out
+  // from under the task); the expensive finalize + report compute may run
+  // on the worker pool.
   PendingClose close;
   close.day = day;
   close.analysis = std::make_shared<core::DayAnalysis>();
   close.report = std::make_shared<core::DayReport>();
-  std::function<void()> task;
-  if (config_.window.incremental) {
-    // Merge the day's sealed partials (sealing the tail bucket no
-    // evaluation covered yet) instead of re-ingesting the day's events.
-    std::size_t day_events = 0;
-    auto merged = std::make_shared<graph::DayGraph>(
-        window_.merge_day(day, day_events));
-    sync_cache_stats();
-    task = [&pipeline, seeds = &config_.seeds, merged, day, day_events,
-            analysis = close.analysis, report = close.report] {
-      *analysis =
-          pipeline.finish_day_graph(day, std::move(*merged), day_events);
-      *report = pipeline.report_day(*analysis, *seeds);
-    };
-  } else {
-    core::DayAccumulator accumulator = pipeline.begin_day(day);
-    window_.for_each_day_chunk(
-        day, [&accumulator](std::span<const logs::ConnEvent> events) {
-          accumulator.add_chunk(events);
-        });
-    task = [&pipeline, seeds = &config_.seeds,
-            acc = std::make_shared<core::DayAccumulator>(std::move(accumulator)),
-            analysis = close.analysis, report = close.report] {
-      *analysis = pipeline.finish_day(std::move(*acc));
-      *report = pipeline.report_day(*analysis, *seeds);
-    };
-  }
+  std::size_t day_events = 0;
+  auto merged =
+      std::make_shared<graph::DayGraph>(window_.merge_day(day, day_events));
+  sync_cache_stats();
+  std::function<void()> task = [&pipeline, seeds = &config_.seeds, merged, day,
+                                day_events, analysis = close.analysis,
+                                report = close.report] {
+    *analysis = pipeline.finish_day_graph(day, std::move(*merged), day_events);
+    *report = pipeline.report_day(*analysis, *seeds);
+  };
   util::Executor* executor = pipeline.executor();
   const bool pipelined = executor != nullptr && pull_overlap_safe_ &&
                          pipeline.config().parallelism.pipeline_depth > 1;
@@ -358,7 +326,7 @@ void ContinuousEngine::close_day() {
   open_day_.reset();
   // Histories change when the close commits, so the next tick must
   // re-score even if no new events arrive before it closes. "Held" means
-  // raw or sealed-partial events — incremental mode releases raw storage.
+  // raw or sealed-partial events — sealing releases raw storage.
   dirty_ = window_.buffered_events() + window_.cached_events() > 0;
   // Sequential configurations commit right here — identical observable
   // order to the pre-pipelined engine. Pipelined ones commit at the next

@@ -12,18 +12,17 @@
 //     crosses a tick boundary, the sliding window (rt/window.h) is
 //     re-scored: rare-destination + automation analysis, C&C detection
 //     and no-hint belief propagation over the window's events, all
-//     through the same core::Pipeline stages the batch path uses. In the
-//     default incremental mode the window's evidence comes from cached
-//     per-bucket partial graphs merged in O(new events) per tick
-//     (DayGraph::absorb + finalize_snapshot); WindowConfig::incremental =
-//     false re-ingests the window's raw events instead — both paths are
-//     bit-identical (tests/rt_incremental_test.cpp);
+//     through the same core::Pipeline stages the batch path uses. The
+//     window's evidence comes from cached per-bucket partial graphs merged
+//     in O(new events) per tick (DayGraph::absorb + finalize_snapshot),
+//     bit-identical to batch ingest of the window's events
+//     (tests/rt_incremental_test.cpp);
 //   * domains never emitted before are announced immediately as
 //     provisional IncidentEmissions carrying event-time → emission-time
 //     latency (bounded by detection lag + one tick), and merged into the
 //     cross-day core::IncidentStore;
-//   * at each day boundary the day's buckets are replayed through
-//     core::DayAccumulator in arrival order, so the day-close DayReport
+//   * at each day boundary the day's bucket partials are merged in
+//     arrival order, so the day-close DayReport
 //     and history updates are bit-identical to api::Detector::run_day on
 //     the same stream (tests/rt_continuous_test.cpp), and the day's
 //     detections are finalized.
@@ -86,15 +85,15 @@ struct EngineStats {
   std::size_t evaluations = 0;        ///< tick closes that re-scored the window
   std::size_t days_closed = 0;
   std::size_t expired_events = 0;     ///< dropped by window expiry
-  /// Raw events currently buffered. Incremental mode seals closed buckets
-  /// into partials and releases their raw events, so this (and the peak)
-  /// is the open-bucket backlog, not the whole window ∪ open day.
+  /// Raw events currently buffered. Closed buckets are sealed into
+  /// partials that release their raw events, so this (and the peak) is the
+  /// open-bucket backlog, not the whole window ∪ open day.
   std::size_t buffered_events = 0;
   std::size_t peak_buffered_events = 0;
   std::size_t cached_partial_events = 0;  ///< events inside sealed partials
   std::size_t provisional_emissions = 0;
   std::size_t finalized_emissions = 0;
-  // Incremental window-merge cache (zero in rebuild mode).
+  // Window-merge cache (rt/window.h CacheStats).
   std::size_t buckets_sealed = 0;
   std::size_t partial_absorbs = 0;
   std::size_t window_merge_extends = 0;
@@ -185,7 +184,7 @@ class ContinuousEngine {
 
  private:
   /// One in-flight day close (parallelism.pipeline_depth > 1): close_day
-  /// replays the day's buckets synchronously, then hands the expensive
+  /// merges the day's partials synchronously, then hands the expensive
   /// pure-compute half — finish_day + report_day, which only read the
   /// pipeline — to the detector's executor while the driving thread keeps
   /// ingesting the next day. Every mutation (history update, stats,
@@ -218,7 +217,7 @@ class ContinuousEngine {
   core::IncidentStore incidents_;
   std::set<std::string> emitted_domains_;
 
-  /// Recycled snapshot container (incremental mode): each tick's finalized
+  /// Recycled snapshot container: each tick's finalized
   /// window snapshot is reclaimed from the consumed DayAnalysis after
   /// emission, so the next snapshot reuses its per-edge allocations
   /// (DayGraph::finalize_snapshot_into) instead of re-mallocing the window.

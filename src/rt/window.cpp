@@ -46,7 +46,7 @@ void WindowAccumulator::close_day(util::Day day) {
 
 void WindowAccumulator::seal(Bucket& bucket) {
   if (bucket.sealed()) return;
-  assert(factory_ && "seal requires a partial factory (incremental mode)");
+  assert(factory_ && "seal requires a partial factory");
   bucket.partial = std::make_unique<graph::DayGraph>(factory_());
   bucket.partial->add_events(bucket.events);
   // Pre-sorting lets every later absorb keep the times sorted with an
@@ -91,7 +91,6 @@ std::size_t WindowAccumulator::expire(std::int64_t tick) {
 
 WindowAccumulator::MergeView WindowAccumulator::merge_window(
     std::int64_t tick) {
-  assert(config_.incremental);
   const std::int64_t first_live = tick - config_.window_ticks() + 1;
   // Locate the in-window bucket range and seal it. Bucket ids are assigned
   // at creation and buckets are never reordered, so the deque holds a
@@ -139,7 +138,6 @@ WindowAccumulator::MergeView WindowAccumulator::merge_window(
 
 graph::DayGraph WindowAccumulator::merge_day(util::Day day,
                                              std::size_t& events_out) {
-  assert(config_.incremental);
   graph::DayGraph merged = factory_();
   events_out = 0;
   for (Bucket& bucket : buckets_) {

@@ -12,8 +12,7 @@
 //     seen, so the result reproduces run_day() bit for bit (the
 //     chunking-independence contract).
 //
-// In the default *incremental* mode a bucket is sealed the first time an
-// evaluation covers it: its events are ingested once into a cached
+// A bucket is sealed the first time an evaluation covers it: its events are ingested once into a cached
 // pre-finalize graph::DayGraph partial (per-shard builders + shard
 // interners, timestamps pre-sorted) and the raw events are released — so
 // window memory is bounded by the open bucket plus O(distinct) partial
@@ -23,9 +22,7 @@
 // newly sealed buckets are absorbed — tick cost O(new events), not
 // O(window). The merge is rebuilt from the cached partials (never from
 // raw events) when the front moves or a sealed bucket is mutated by a
-// late append (mutation epoch). With `WindowConfig::incremental = false`
-// buckets keep their raw events and the engine re-scores from them — the
-// escape hatch the equivalence suites compare against.
+// late append (mutation epoch).
 //
 // A bucket is dropped only when it has slid out of the window AND its day
 // has been closed; the window never truncates an open day. Memory is
@@ -38,7 +35,6 @@
 #include <deque>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 #include "graph/day_graph.h"
@@ -53,11 +49,6 @@ namespace eid::rt {
 struct WindowConfig {
   std::int64_t tick_seconds = 300;                      ///< micro-batch size
   std::int64_t window_seconds = util::kSecondsPerDay;   ///< evidence horizon
-  /// Cache per-bucket partials and merge them per tick (O(new events))
-  /// instead of replaying the window's raw events (O(window)). Results are
-  /// bit-identical either way (tests/rt_incremental_test.cpp); false is
-  /// the escape hatch and the equivalence baseline.
-  bool incremental = true;
 
   bool valid() const {
     return tick_seconds > 0 && util::kSecondsPerDay % tick_seconds == 0 &&
@@ -79,8 +70,8 @@ struct WindowConfig {
   }
 };
 
-/// Arrival-ordered micro-batch buckets with window expiry, per-day replay
-/// and (incremental mode) the sealed-partial cache + running window merge.
+/// Arrival-ordered micro-batch buckets with window expiry, the sealed-
+/// partial cache and the running window merge.
 /// Not thread-safe: owned and driven by one engine.
 class WindowAccumulator {
  public:
@@ -90,7 +81,7 @@ class WindowAccumulator {
 
   /// Factory for empty pre-finalize partial graphs (pipeline-wired shard
   /// builders; see core::Pipeline::make_ingest_graph). Must be installed
-  /// before the first seal in incremental mode; every partial of this
+  /// before the first seal; every partial of this
   /// window must come from the same factory (matching shard counts).
   using PartialFactory = std::function<graph::DayGraph()>;
   void set_partial_factory(PartialFactory factory) {
@@ -114,29 +105,6 @@ class WindowAccumulator {
   /// number of events dropped (raw or cached).
   std::size_t expire(std::int64_t tick);
 
-  /// Visit the events of every bucket inside the window ending at `tick`,
-  /// oldest bucket first (arrival order). fn(std::span<const ConnEvent>).
-  /// Rebuild-mode evaluation path: requires raw events (no sealing).
-  template <typename Fn>
-  void for_each_window_chunk(std::int64_t tick, Fn&& fn) const {
-    const std::int64_t first_live = tick - config_.window_ticks() + 1;
-    for (const Bucket& bucket : buckets_) {
-      if (bucket.tick < first_live || bucket.tick > tick) continue;
-      if (!bucket.events.empty()) fn(std::span<const logs::ConnEvent>(bucket.events));
-    }
-  }
-
-  /// Visit the events of every bucket tagged `day`, oldest first — the
-  /// day's full arrival-ordered sequence for the authoritative close
-  /// (rebuild mode).
-  template <typename Fn>
-  void for_each_day_chunk(util::Day day, Fn&& fn) const {
-    for (const Bucket& bucket : buckets_) {
-      if (bucket.day != day) continue;
-      if (!bucket.events.empty()) fn(std::span<const logs::ConnEvent>(bucket.events));
-    }
-  }
-
   /// Borrowed view of the running window merge (valid until the next
   /// mutating call on this accumulator). `snapshot_cache` is the merge's
   /// paired finalize_snapshot scratch — pass it to finalize_snapshot so
@@ -148,7 +116,7 @@ class WindowAccumulator {
     graph::DayGraph::SnapshotCache* snapshot_cache = nullptr;
   };
 
-  /// Incremental evaluation entry: seal every bucket up to and including
+  /// Evaluation entry: seal every bucket up to and including
   /// `tick`, then bring the running window merge up to date — extending it
   /// with only the newly sealed buckets when the window front and the
   /// sealed contents are unchanged, rebuilding it from the cached partials
@@ -157,13 +125,13 @@ class WindowAccumulator {
   /// contract). graph == nullptr when the window is empty.
   MergeView merge_window(std::int64_t tick);
 
-  /// Incremental day close: seal every bucket tagged `day` and merge their
+  /// Day close: seal every bucket tagged `day` and merge their
   /// partials, in arrival order, into a fresh graph (the caller owns it —
   /// typically handed to a pipelined finalize task). `events_out` gets the
   /// day's event count.
   graph::DayGraph merge_day(util::Day day, std::size_t& events_out);
 
-  /// Incremental-mode bookkeeping, for engine stats / obs counters.
+  /// Partial-cache bookkeeping, for engine stats / obs counters.
   struct CacheStats {
     std::size_t buckets_sealed = 0;    ///< partials built (events dropped)
     std::size_t partial_absorbs = 0;   ///< bucket -> merge absorb operations
@@ -176,10 +144,9 @@ class WindowAccumulator {
   /// Events inside the window ending at `tick` (raw or cached).
   std::size_t window_events(std::int64_t tick) const;
 
-  /// Raw events currently buffered. In incremental mode sealed buckets
-  /// have released their raw storage, so this is the open-bucket backlog —
-  /// the memory the window actually pins beyond O(distinct) partial state;
-  /// in rebuild mode it is everything held (window ∪ open days).
+  /// Raw events currently buffered. Sealed buckets have released their raw
+  /// storage, so this is the open-bucket backlog — the memory the window
+  /// actually pins beyond O(distinct) partial state.
   std::size_t buffered_events() const { return buffered_events_; }
 
   /// Events represented by sealed partials still in the deque.

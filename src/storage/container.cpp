@@ -121,11 +121,6 @@ const Section* ContainerReader::find(SectionId id) const {
   return nullptr;
 }
 
-bool looks_like_container(std::string_view bytes) {
-  return bytes.size() >= kContainerMagic.size() &&
-         bytes.substr(0, kContainerMagic.size()) == kContainerMagic;
-}
-
 std::optional<std::string> read_file(const std::filesystem::path& path,
                                      LoadStatus* status) {
   util::FaultInjector& faults = util::FaultInjector::instance();

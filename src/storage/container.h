@@ -86,11 +86,6 @@ class ContainerReader {
   std::vector<Section> sections_;
 };
 
-/// True when the bytes begin with the binary container magic — the
-/// format auto-detection hook for entry points that also accept the
-/// legacy text formats.
-bool looks_like_container(std::string_view bytes);
-
 /// Read a whole file (binary mode). nullopt + status on failure.
 std::optional<std::string> read_file(const std::filesystem::path& path,
                                      LoadStatus* status = nullptr);

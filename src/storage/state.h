@@ -13,10 +13,7 @@
 // histories the ROADMAP calls for.
 //
 // Per-component save/load free functions write the same container with a
-// subset of sections, so a deployment can checkpoint just a history. The
-// legacy line-oriented text formats remain loadable through the
-// profile/persistence.h entry points, which auto-detect the container
-// magic and dispatch here.
+// subset of sections, so a deployment can checkpoint just a history.
 #pragma once
 
 #include <cstdint>

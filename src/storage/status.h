@@ -1,5 +1,5 @@
-// Load-failure reporting for every persistence path (binary containers and
-// the legacy text formats alike). Loaders return std::optional for the
+// Load-failure reporting for every persistence path (full checkpoints,
+// per-component files and delta chains). Loaders return std::optional for the
 // value and, through an optional out-param, a machine-checkable reason plus
 // a human-oriented detail string — a SOC deployment restoring month-scale
 // state at 6am needs "ua history: section checksum mismatch", not a bare
@@ -16,7 +16,7 @@ enum class LoadError : std::uint8_t {
   None = 0,            ///< load succeeded
   FileNotFound,        ///< path missing or unreadable
   IoError,             ///< read/write syscall failure
-  BadMagic,            ///< neither a known binary nor text format
+  BadMagic,            ///< not an EIDSTOR1 container
   UnsupportedVersion,  ///< container from a newer format revision
   Truncated,           ///< file ends mid-structure
   ChecksumMismatch,    ///< section CRC32 does not match its payload

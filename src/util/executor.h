@@ -1,16 +1,13 @@
 // Persistent worker pool behind the day-analysis engine.
 //
-// util::parallel_ranges spawns fresh std::threads for every stage of every
-// day, so at enterprise volume the spawn/join cost is paid hundreds of
-// times per day and swamps the parallel win (BENCH_perf.json recorded
-// 8-thread analysis at 0.86x of 1-thread before this existed). The
-// Executor keeps a fixed set of long-lived workers — spawned once, parked
-// on a condition variable when idle, fed through per-worker single-
-// consumer ring queues — and exposes the same deterministic range-fan-out
-// contract: partitions come from util::detail::partition_ranges, i.e. they
-// depend only on (n, n_threads) and never on scheduling or worker
-// availability, so per-range slot writers stay bit-identical to the
-// spawning path for every pool size.
+// Spawning threads per stage would pay the spawn/join cost hundreds of
+// times per day at enterprise volume. The Executor keeps a fixed set of
+// long-lived workers — spawned once, parked on a condition variable when
+// idle, fed through per-worker single-consumer ring queues — and exposes a
+// deterministic range-fan-out contract: partitions come from
+// util::detail::partition_ranges, i.e. they depend only on (n, n_threads)
+// and never on scheduling or worker availability, so per-range slot
+// writers are bit-identical for every pool size, including none.
 //
 // Two entry points:
 //
@@ -106,8 +103,8 @@ class Executor {
   bool on_worker_thread() const;
 
   /// Run fn(range_index, begin, end) over [0, n) split into up to
-  /// n_threads contiguous ranges — the exact partition of
-  /// util::parallel_ranges (size slots with util::range_count). fn must
+  /// n_threads contiguous ranges — the partition of util::for_each_range
+  /// (size slots with util::range_count). fn must
   /// only touch state owned by its range. Blocks until all ranges are
   /// done; the first exception thrown by any range is rethrown here.
   template <typename Fn>
@@ -117,10 +114,7 @@ class Executor {
     if (ranges == 1 || workers_.empty() || on_worker_thread()) {
       // Inline (and for nested worker-side calls: sequential, ascending) —
       // identical ranges, identical results.
-      for (std::size_t w = 0; w < ranges; ++w) {
-        const std::size_t begin = w * chunk;
-        fn(w, begin, std::min(begin + chunk, n));
-      }
+      for_each_range(n, n_threads, fn);
       return;
     }
     const obs::TraceSpan span("executor_fan_out", "executor");
@@ -204,15 +198,15 @@ class Executor {
 };
 
 /// Dispatch helper for call sites with an optional pool: fan out on
-/// `executor` when one is wired up, otherwise fall back to the spawning
-/// util::parallel_ranges. Same partition, same results, either way.
+/// `executor` when one is wired up, otherwise run the same ranges inline
+/// in ascending order. Same partition, same results, either way.
 template <typename Fn>
 void parallel_ranges(Executor* executor, std::size_t n, std::size_t n_threads,
                      Fn&& fn) {
   if (executor != nullptr) {
     executor->parallel_ranges(n, n_threads, std::forward<Fn>(fn));
   } else {
-    parallel_ranges(n, n_threads, std::forward<Fn>(fn));
+    for_each_range(n, n_threads, std::forward<Fn>(fn));
   }
 }
 

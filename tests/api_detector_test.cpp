@@ -86,9 +86,8 @@ TEST(DetectorTest, IngestOfEmptySourceDoesNothing) {
   EXPECT_EQ(detector.pipeline().domain_history().days_ingested(), 0u);
 }
 
-// A day with zero events is still a day: the legacy loop called
-// profile_day({}) for it, which bumps days_ingested. Sources announce such
-// days with one empty chunk and ingest() must commit them.
+// A day with zero events is still a day: it bumps days_ingested. Sources
+// announce such days with one empty chunk and ingest() must commit them.
 TEST(DetectorTest, IngestCountsEmptyDays) {
   MapWhois whois;
   Detector detector(core::PipelineConfig{}, whois);
@@ -101,14 +100,14 @@ TEST(DetectorTest, IngestCountsEmptyDays) {
   EXPECT_EQ(report.days, 3u);
   EXPECT_EQ(detector.pipeline().domain_history().days_ingested(), 3u);
 
-  // Parity with the legacy per-day loop over the same sequence.
-  core::Pipeline legacy(core::PipelineConfig{}, whois);
-  legacy.profile_day(small_day(kDay, 0));
-  legacy.profile_day({});
-  legacy.profile_day(small_day(kDay + 2, 2));
-  EXPECT_EQ(legacy.domain_history().days_ingested(),
+  // Parity with one ingest() per day over the same sequence.
+  Detector per_day(core::PipelineConfig{}, whois);
+  test::profile_events(per_day, small_day(kDay, 0), kDay);
+  test::profile_events(per_day, {}, kDay + 1);
+  test::profile_events(per_day, small_day(kDay + 2, 2), kDay + 2);
+  EXPECT_EQ(per_day.pipeline().domain_history().days_ingested(),
             detector.pipeline().domain_history().days_ingested());
-  EXPECT_EQ(legacy.domain_history().size(),
+  EXPECT_EQ(per_day.pipeline().domain_history().size(),
             detector.pipeline().domain_history().size());
 }
 

@@ -1,8 +1,7 @@
-// Streaming-vs-batch equivalence: the chunked EventSource path through
-// api::Detector must produce results identical to the legacy vector entry
-// points of core::Pipeline for ANY chunking of the same event sequence —
-// chunk sizes 1, 7 and 4096 here (acceptance criterion of the streaming
-// ingestion redesign).
+// Chunk invariance: the chunked EventSource path through api::Detector
+// must produce results identical for ANY chunking of the same event
+// sequence — chunk sizes 1, 7 and 4096 here, each compared against the
+// whole day handed over as one chunk.
 #include "api/detector.h"
 
 #include <gtest/gtest.h>
@@ -23,6 +22,7 @@ using test::MapWhois;
 
 constexpr util::Day kDay = 16100;
 constexpr std::size_t kChunkSizes[] = {1, 7, 4096};
+constexpr std::size_t kWholeDay = 0;  ///< VectorSource: the day as one chunk
 
 std::vector<logs::ConnEvent> browsing_day(util::Day day) {
   DayBuilder builder;
@@ -156,101 +156,101 @@ void expect_same_report(const core::DayReport& a, const core::DayReport& b) {
 
 // ---- tests ----
 
-TEST(ApiEquivalenceTest, AccumulatorMatchesAnalyzeDayAtEveryChunkSize) {
+TEST(ApiEquivalenceTest, AnalysisIsChunkInvariant) {
   MapWhois whois;
-  core::Pipeline pipeline(test_config(), whois);
-  pipeline.profile_day(browsing_day(kDay - 2));
+  Detector detector(test_config(), whois);
+  VectorSource profile(kDay - 2, browsing_day(kDay - 2));
+  detector.ingest(profile);
 
   auto events = campaign_day(kDay, whois);
-  const core::DayAnalysis batch = pipeline.analyze_day(events, kDay);
-  ASSERT_GT(batch.rare.size(), 0u);
-  ASSERT_GT(batch.automation.pair_count(), 0u);
+  VectorSource whole(kDay, &events, kWholeDay);
+  const core::DayAnalysis reference = detector.analyze_stream(whole, kDay);
+  ASSERT_GT(reference.rare.size(), 0u);
+  ASSERT_GT(reference.automation.pair_count(), 0u);
 
   for (const std::size_t chunk_size : kChunkSizes) {
-    core::DayAccumulator accumulator = pipeline.begin_day(kDay);
-    VectorSource source(kDay, &events, chunk_size);
-    while (auto chunk = source.next_chunk()) accumulator.add_chunk(chunk->events);
-    const core::DayAnalysis streamed =
-        pipeline.finish_day(std::move(accumulator));
     SCOPED_TRACE("chunk size " + std::to_string(chunk_size));
-    expect_same_analysis(batch, streamed);
+    VectorSource source(kDay, &events, chunk_size);
+    expect_same_analysis(reference, detector.analyze_stream(source, kDay));
   }
 }
 
-// Full lifecycle parity: two instances, one fed materialized day vectors
-// through core::Pipeline, the other fed the same sequence through the
-// streaming facade — profile, labeled training, operation day. Reports
-// must be identical at every chunk size.
-TEST(ApiEquivalenceTest, RunDayMatchesLegacyPipelineAtEveryChunkSize) {
+/// Everything one full lifecycle (profile, labeled training, operation
+/// day, next-day analysis) produces when every day arrives in
+/// `chunk_size` chunks.
+struct Lifecycle {
+  core::TrainingReport training;
+  core::DayReport report;
+  core::DayAnalysis next;
+  std::size_t domains = 0;
+  std::size_t uas = 0;
+};
+
+Lifecycle run_lifecycle(std::size_t chunk_size) {
+  MapWhois whois;
+  std::set<std::string> reported;
+  const auto train = training_days(whois, reported);
+  const core::LabelFn intel = [&reported](const std::string& domain) {
+    return reported.contains(domain);
+  };
+  Detector detector(test_config(), whois);
+  for (const util::Day day : {kDay - 4, kDay - 3}) {
+    VectorSource source(day, browsing_day(day), chunk_size);
+    detector.ingest(source);
+  }
+  for (const auto& day : train) {
+    VectorSource source(day.day, &day.events, chunk_size);
+    detector.ingest(source, intel);
+  }
+  Lifecycle out;
+  out.training = detector.finalize_training();
+
+  // Operation day with SOC seeds so both BP modes fire.
+  auto events = campaign_day(kDay, whois);
+  core::SocSeeds seeds;
+  seeds.domains = {"ioc-domain.ru"};
+  VectorSource source(kDay, &events, chunk_size);
+  out.report = detector.run_day(source, kDay, seeds);
+
+  // The end-of-day history update shows in the next day's analysis.
+  const auto tomorrow = browsing_day(kDay + 1);
+  VectorSource next_source(kDay + 1, &tomorrow, chunk_size);
+  out.next = detector.analyze_stream(next_source, kDay + 1);
+  out.domains = detector.pipeline().domain_history().size();
+  out.uas = detector.pipeline().ua_history().distinct_uas();
+  return out;
+}
+
+// Full lifecycle parity: profile, labeled training and an operation day
+// fed in small chunks must match the same days fed whole.
+TEST(ApiEquivalenceTest, LifecycleIsChunkInvariant) {
+  const Lifecycle reference = run_lifecycle(kWholeDay);
+  ASSERT_FALSE(reference.report.cc_domains.empty());
   for (const std::size_t chunk_size : kChunkSizes) {
     SCOPED_TRACE("chunk size " + std::to_string(chunk_size));
-    MapWhois whois;
-    std::set<std::string> reported;
-    const auto train = training_days(whois, reported);
-    const core::LabelFn intel = [&reported](const std::string& domain) {
-      return reported.contains(domain);
-    };
-
-    // Legacy batch path.
-    core::Pipeline pipeline(test_config(), whois);
-    pipeline.profile_day(browsing_day(kDay - 4));
-    pipeline.profile_day(browsing_day(kDay - 3));
-    for (const auto& day : train) pipeline.train_day(day.events, day.day, intel);
-    const core::TrainingReport batch_training = pipeline.finalize_training();
-
-    // Streaming facade, same event sequence in `chunk_size` chunks.
-    Detector detector(test_config(), whois);
-    for (const util::Day day : {kDay - 4, kDay - 3}) {
-      VectorSource source(day, browsing_day(day), chunk_size);
-      detector.ingest(source);
+    const Lifecycle streamed = run_lifecycle(chunk_size);
+    EXPECT_EQ(reference.training.cc_rows, streamed.training.cc_rows);
+    EXPECT_EQ(reference.training.cc_positive, streamed.training.cc_positive);
+    EXPECT_EQ(reference.training.sim_rows, streamed.training.sim_rows);
+    EXPECT_EQ(reference.training.sim_positive, streamed.training.sim_positive);
+    ASSERT_EQ(reference.training.cc_training_scores.size(),
+              streamed.training.cc_training_scores.size());
+    for (std::size_t i = 0; i < reference.training.cc_training_scores.size();
+         ++i) {
+      EXPECT_DOUBLE_EQ(reference.training.cc_training_scores[i].first,
+                       streamed.training.cc_training_scores[i].first);
     }
-    for (const auto& day : train) {
-      VectorSource source(day.day, &day.events, chunk_size);
-      detector.ingest(source, intel);
-    }
-    const core::TrainingReport stream_training = detector.finalize_training();
-
-    EXPECT_EQ(batch_training.cc_rows, stream_training.cc_rows);
-    EXPECT_EQ(batch_training.cc_positive, stream_training.cc_positive);
-    EXPECT_EQ(batch_training.sim_rows, stream_training.sim_rows);
-    EXPECT_EQ(batch_training.sim_positive, stream_training.sim_positive);
-    ASSERT_EQ(batch_training.cc_training_scores.size(),
-              stream_training.cc_training_scores.size());
-    for (std::size_t i = 0; i < batch_training.cc_training_scores.size(); ++i) {
-      EXPECT_DOUBLE_EQ(batch_training.cc_training_scores[i].first,
-                       stream_training.cc_training_scores[i].first);
-    }
-
-    // Operation day with SOC seeds; both BP modes must fire identically.
-    auto events = campaign_day(kDay, whois);
-    core::SocSeeds seeds;
-    seeds.domains = {"ioc-domain.ru"};
-    const core::DayReport batch_report = pipeline.run_day(events, kDay, seeds);
-    ASSERT_FALSE(batch_report.cc_domains.empty());
-
-    VectorSource source(kDay, &events, chunk_size);
-    const core::DayReport stream_report = detector.run_day(source, kDay, seeds);
-    expect_same_report(batch_report, stream_report);
-
-    // End-of-day history updates must leave both instances in the same
-    // state: the day after, nothing is new on either path.
-    const auto tomorrow = browsing_day(kDay + 1);
-    const core::DayAnalysis batch_next = pipeline.analyze_day(tomorrow, kDay + 1);
-    VectorSource next_source(kDay + 1, &tomorrow, chunk_size);
-    const core::DayAnalysis stream_next =
-        detector.analyze_stream(next_source, kDay + 1);
-    expect_same_analysis(batch_next, stream_next);
-    EXPECT_EQ(pipeline.domain_history().size(),
-              detector.pipeline().domain_history().size());
-    EXPECT_EQ(pipeline.ua_history().distinct_uas(),
-              detector.pipeline().ua_history().distinct_uas());
+    expect_same_report(reference.report, streamed.report);
+    expect_same_analysis(reference.next, streamed.next);
+    EXPECT_EQ(reference.domains, streamed.domains);
+    EXPECT_EQ(reference.uas, streamed.uas);
   }
 }
 
 // The sharded parallel engine contract: a fully trained detector must emit
 // a bit-identical DayReport for every combination of analysis threads,
-// ingest shard count and chunk size — the same guarantee PR 1 established
-// for chunking, extended to the parallel knobs.
+// ingest shard count and chunk size — the chunking guarantee, extended to
+// the parallel knobs.
 TEST(ApiEquivalenceTest, ParallelConfigsBitIdenticalAtEveryChunkSize) {
   std::string baseline;
   for (const std::size_t threads : {1u, 2u, 8u}) {
@@ -297,13 +297,15 @@ TEST(ApiEquivalenceTest, ParallelConfigsBitIdenticalAtEveryChunkSize) {
 }
 
 // The profiling accumulator (O(distinct) memory, no graph) must leave the
-// histories exactly as the batch profile_day() does.
-TEST(ApiEquivalenceTest, StreamingProfilingMatchesProfileDay) {
+// histories identical for any chunking of the day.
+TEST(ApiEquivalenceTest, ProfilingIsChunkInvariant) {
   MapWhois whois;
   auto events = campaign_day(kDay - 2, whois);
 
-  core::Pipeline batch(test_config(), whois);
-  batch.profile_day(events);
+  Detector reference(test_config(), whois);
+  VectorSource whole(kDay - 2, &events, kWholeDay);
+  reference.ingest(whole);
+  const core::Pipeline& batch = reference.pipeline();
 
   for (const std::size_t chunk_size : kChunkSizes) {
     SCOPED_TRACE("chunk size " + std::to_string(chunk_size));
@@ -328,8 +330,9 @@ TEST(ApiEquivalenceTest, StreamingProfilingMatchesProfileDay) {
         });
     // Same rare extraction on the next day on both histories.
     auto next = browsing_day(kDay - 1);
+    VectorSource reference_next(kDay - 1, &next);
     VectorSource next_source(kDay - 1, &next);
-    expect_same_analysis(batch.analyze_day(next, kDay - 1),
+    expect_same_analysis(reference.analyze_stream(reference_next, kDay - 1),
                          detector.analyze_stream(next_source, kDay - 1));
   }
 }

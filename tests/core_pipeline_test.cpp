@@ -10,8 +10,10 @@
 namespace eid::core {
 namespace {
 
+using test::analyze_events;
 using test::DayBuilder;
 using test::MapWhois;
+using test::profile_events;
 
 constexpr util::Day kDay = 16100;
 
@@ -30,34 +32,36 @@ std::vector<logs::ConnEvent> browsing_day(util::Day day) {
 
 TEST(PipelineTest, ProfileDaysSuppressKnownDomains) {
   MapWhois whois;
-  Pipeline pipeline(PipelineConfig{}, whois);
-  pipeline.profile_day(browsing_day(kDay - 2));
-  const DayAnalysis analysis = pipeline.analyze_day(browsing_day(kDay), kDay);
+  api::Detector detector(PipelineConfig{}, whois);
+  profile_events(detector, browsing_day(kDay - 2), kDay - 2);
+  const DayAnalysis analysis =
+      analyze_events(detector, browsing_day(kDay), kDay);
   EXPECT_EQ(analysis.rare.size(), 0u);  // everything already in history
   EXPECT_EQ(analysis.new_domains, 0u);
 }
 
 TEST(PipelineTest, FreshDomainsAreRare) {
   MapWhois whois;
-  Pipeline pipeline(PipelineConfig{}, whois);
-  pipeline.profile_day(browsing_day(kDay - 2));
+  api::Detector detector(PipelineConfig{}, whois);
+  profile_events(detector, browsing_day(kDay - 2), kDay - 2);
   auto events = browsing_day(kDay);
   DayBuilder extra;
   extra.visit("h1", "never-seen.com", util::day_start(kDay) + 5000);
   events.push_back(extra.events().front());
-  const DayAnalysis analysis = pipeline.analyze_day(events, kDay);
+  const DayAnalysis analysis = analyze_events(detector, events, kDay);
   EXPECT_EQ(analysis.rare.size(), 1u);
 }
 
 TEST(PipelineTest, UpdateHistoriesMakesTodayOld) {
   MapWhois whois;
-  Pipeline pipeline(PipelineConfig{}, whois);
+  api::Detector detector(PipelineConfig{}, whois);
   auto events = browsing_day(kDay);
   // The fixture's domains are visited by 12 hosts (popular), so check the
   // new-domain count rather than the rare set.
-  EXPECT_GT(pipeline.analyze_day(events, kDay).new_domains, 0u);
-  pipeline.update_histories(events);
-  EXPECT_EQ(pipeline.analyze_day(events, kDay + 1).new_domains, 0u);
+  const DayAnalysis today = analyze_events(detector, events, kDay);
+  EXPECT_GT(today.new_domains, 0u);
+  detector.update_histories(today);
+  EXPECT_EQ(analyze_events(detector, events, kDay + 1).new_domains, 0u);
 }
 
 // A small but complete world: popular browsing + a labeled beaconing
@@ -65,18 +69,18 @@ TEST(PipelineTest, UpdateHistoriesMakesTodayOld) {
 // regressions to find separating weights.
 struct TrainedFixture {
   MapWhois whois;
-  std::unique_ptr<Pipeline> pipeline;
+  std::unique_ptr<api::Detector> detector;
   std::set<std::string> reported;
 
   TrainedFixture() {
     PipelineConfig config;
     config.ua_rare_threshold = 3;
-    pipeline = std::make_unique<Pipeline>(config, whois);
+    detector = std::make_unique<api::Detector>(config, whois);
 
     // Bootstrap: two profile days teach the UA history that CommonUA is
     // popular and register the popular domains.
-    pipeline->profile_day(browsing_day(kDay - 4));
-    pipeline->profile_day(browsing_day(kDay - 3));
+    profile_events(*detector, browsing_day(kDay - 4), kDay - 4);
+    profile_events(*detector, browsing_day(kDay - 3), kDay - 3);
 
     const LabelFn intel = [this](const std::string& domain) {
       return reported.contains(domain);
@@ -113,14 +117,15 @@ struct TrainedFixture {
       extra.visit("h1", blog, base + 30000,
                   util::Ipv4::from_octets(9, 9, 9, 9), "CommonUA", true);
       for (const auto& ev : extra.events()) events.push_back(ev);
-      pipeline->train_day(events, day, intel);
+      api::VectorSource source(day, &events);
+      detector->ingest(source, intel);
     }
   }
 };
 
 TEST(PipelineTest, TrainingSeparatesReportedFromLegitimate) {
   TrainedFixture fx;
-  const TrainingReport report = fx.pipeline->finalize_training();
+  const TrainingReport report = fx.detector->finalize_training();
   EXPECT_EQ(report.cc_rows, 20u);
   EXPECT_EQ(report.cc_positive, 10u);
   ASSERT_FALSE(report.cc_training_scores.empty());
@@ -134,7 +139,7 @@ TEST(PipelineTest, TrainingSeparatesReportedFromLegitimate) {
 
 TEST(PipelineTest, OperationDetectsFreshCampaign) {
   TrainedFixture fx;
-  fx.pipeline->finalize_training();
+  fx.detector->finalize_training();
 
   // Operation day: a new campaign with a beaconing C&C plus a delivery
   // domain visited seconds before the first beacon, same /24.
@@ -150,7 +155,7 @@ TEST(PipelineTest, OperationDetectsFreshCampaign) {
                util::Ipv4::from_octets(198, 51, 100, 9), "");
   for (const auto& ev : extra.events()) events.push_back(ev);
 
-  const DayReport report = fx.pipeline->run_day(events, day, SocSeeds{});
+  const DayReport report = test::run_events(*fx.detector, events, day);
   ASSERT_FALSE(report.cc_domains.empty());
   EXPECT_EQ(report.cc_domains[0].name, "evil-cc.ru");
   // Belief propagation should pull in the delivery domain.
@@ -163,7 +168,7 @@ TEST(PipelineTest, OperationDetectsFreshCampaign) {
 
 TEST(PipelineTest, SocHintsModeExpandsFromSeeds) {
   TrainedFixture fx;
-  fx.pipeline->finalize_training();
+  fx.detector->finalize_training();
 
   const util::Day day = kDay;
   const util::TimePoint base = util::day_start(day);
@@ -177,10 +182,11 @@ TEST(PipelineTest, SocHintsModeExpandsFromSeeds) {
               util::Ipv4::from_octets(198, 51, 100, 21), "", false);
   for (const auto& ev : extra.events()) events.push_back(ev);
 
-  const DayAnalysis analysis = fx.pipeline->analyze_day(events, day);
+  const DayAnalysis analysis = analyze_events(*fx.detector, events, day);
   SocSeeds seeds;
   seeds.domains = {"ioc-domain.ru"};
-  const BpRunReport report = fx.pipeline->run_bp_sochints(analysis, seeds, 0.3);
+  const BpRunReport report =
+      fx.detector->pipeline().run_bp_sochints(analysis, seeds, 0.3);
   bool found = false;
   for (const auto& det : report.domains) {
     if (det.name == "related.ru") found = true;

@@ -10,7 +10,7 @@
 #include "eval/lanl_runner.h"
 #include "sim/ac.h"
 #include "test_helpers.h"
-#include "util/parallel.h"
+#include "util/executor.h"
 
 namespace eid {
 namespace {
@@ -40,10 +40,9 @@ TEST(DeterminismTest, PipelineDayReportIsBitStable) {
   const auto events = synthetic_day(100);
 
   const auto run = [&] {
-    core::Pipeline pipeline(core::PipelineConfig{}, whois);
-    pipeline.profile_day(synthetic_day(99));
-    return core::day_report_to_json(
-        pipeline.run_day(events, 100, core::SocSeeds{}));
+    api::Detector detector(core::PipelineConfig{}, whois);
+    test::profile_events(detector, synthetic_day(99), 99);
+    return core::day_report_to_json(test::run_events(detector, events, 100));
   };
   const std::string a = run();
   const std::string b = run();
@@ -61,10 +60,10 @@ TEST(DeterminismTest, ParallelismDoesNotChangeReports) {
     for (const std::size_t shards : {1u, 4u}) {
       core::PipelineConfig config;
       config.parallelism = core::Parallelism{threads, shards};
-      core::Pipeline pipeline(config, whois);
-      pipeline.profile_day(synthetic_day(99));
-      const std::string json = core::day_report_to_json(
-          pipeline.run_day(events, 100, core::SocSeeds{}));
+      api::Detector detector(config, whois);
+      test::profile_events(detector, synthetic_day(99), 99);
+      const std::string json =
+          core::day_report_to_json(test::run_events(detector, events, 100));
       if (baseline.empty()) {
         baseline = json;
       } else {
@@ -167,10 +166,10 @@ TEST(DeterminismTest, ObservabilityDoesNotPerturbReports) {
   obs::metrics().set_enabled(true);
 }
 
-TEST(DeterminismTest, SteadyStateSpawnsNoThreads) {
+TEST(DeterminismTest, SteadyStateKeepsOneExecutor) {
   // The persistent-executor contract: after the pool is built, multi-day
-  // operation constructs zero further threads — every fan-out and day
-  // commit rides the same workers.
+  // operation keeps the same pool — every fan-out and day commit rides the
+  // same workers.
   test::MapWhois whois;
   whois.add("beacon.ru", 95, 400);
   std::vector<std::vector<logs::ConnEvent>> warmup_days{synthetic_day(100)};
@@ -185,12 +184,15 @@ TEST(DeterminismTest, SteadyStateSpawnsNoThreads) {
   api::MultiDaySource warmup(100, &warmup_days);
   detector.run_days(warmup);
 
-  const std::uint64_t spawned = util::thread_spawn_count();
+  const util::Executor* executor = detector.pipeline().executor();
+  ASSERT_NE(executor, nullptr);
+  const std::size_t workers = executor->worker_count();
   api::MultiDaySource source(101, &more_days);
   const auto reports = detector.run_days(source);
   EXPECT_EQ(reports.size(), more_days.size());
-  EXPECT_EQ(util::thread_spawn_count(), spawned)
-      << "steady-state days must not construct threads";
+  EXPECT_EQ(detector.pipeline().executor(), executor)
+      << "steady-state days must not rebuild the pool";
+  EXPECT_EQ(executor->worker_count(), workers);
 }
 
 TEST(DeterminismTest, AcScenarioReducedDaysAreStable) {

@@ -15,34 +15,37 @@
 namespace eid {
 namespace {
 
+using test::analyze_events;
 using test::DayBuilder;
 using test::MapWhois;
 
 TEST(EdgeCaseTest, EmptyDayThroughPipeline) {
   MapWhois whois;
-  core::Pipeline pipeline(core::PipelineConfig{}, whois);
-  const core::DayAnalysis analysis = pipeline.analyze_day({}, 100);
+  api::Detector detector(core::PipelineConfig{}, whois);
+  const core::Pipeline& pipeline = detector.pipeline();
+  const core::DayAnalysis analysis = analyze_events(detector, {}, 100);
   EXPECT_EQ(analysis.graph.host_count(), 0u);
   EXPECT_TRUE(analysis.rare.empty());
   EXPECT_TRUE(pipeline.detect_cc(analysis).empty());
   const core::BpRunReport nohint = pipeline.run_bp_nohint(analysis, {});
   EXPECT_TRUE(nohint.domains.empty());
   EXPECT_TRUE(nohint.hosts.empty());
-  const core::DayReport report = pipeline.run_day({}, 100, core::SocSeeds{});
+  const core::DayReport report = test::run_events(detector, {}, 100);
   EXPECT_EQ(report.events, 0u);
 }
 
 TEST(EdgeCaseTest, SeedsAbsentFromTodayAreIgnored) {
   MapWhois whois;
-  core::Pipeline pipeline(core::PipelineConfig{}, whois);
+  api::Detector detector(core::PipelineConfig{}, whois);
   DayBuilder builder;
   builder.visit("h1", "present.com", 1000);
-  const auto events = builder.events();
-  const core::DayAnalysis analysis = pipeline.analyze_day(events, 100);
+  const core::DayAnalysis analysis =
+      analyze_events(detector, builder.events(), 100);
   core::SocSeeds seeds;
   seeds.hosts = {"ghost-host"};
   seeds.domains = {"ghost-domain.com"};
-  const core::BpRunReport report = pipeline.run_bp_sochints(analysis, seeds);
+  const core::BpRunReport report =
+      detector.pipeline().run_bp_sochints(analysis, seeds);
   EXPECT_TRUE(report.domains.empty());
   EXPECT_TRUE(report.hosts.empty());
 }
@@ -101,36 +104,39 @@ TEST(EdgeCaseTest, PipelineWithoutTrainingStillRuns) {
   // thresholds, but nothing crashes either — a deployment that skipped
   // finalize_training degrades to "no detections", not UB.
   MapWhois whois;
-  core::Pipeline pipeline(core::PipelineConfig{}, whois);
+  api::Detector detector(core::PipelineConfig{}, whois);
   DayBuilder builder;
   builder.beacon("h1", "beacon.com", 1000, 600, 50);
-  const core::DayAnalysis analysis = pipeline.analyze_day(builder.events(), 100);
+  const core::DayAnalysis analysis =
+      analyze_events(detector, builder.events(), 100);
   EXPECT_EQ(analysis.automation.pair_count(), 1u);
-  EXPECT_TRUE(pipeline.detect_cc(analysis).empty());
+  EXPECT_TRUE(detector.pipeline().detect_cc(analysis).empty());
 }
 
 TEST(EdgeCaseTest, TrainingWithTooFewRowsKeepsEmptyModel) {
   MapWhois whois;
-  core::Pipeline pipeline(core::PipelineConfig{}, whois);
+  api::Detector detector(core::PipelineConfig{}, whois);
   DayBuilder builder;
   builder.beacon("h1", "only-one.com", 1000, 600, 50);
-  pipeline.train_day(builder.events(), 100,
-                     [](const std::string&) { return true; });
-  const core::TrainingReport report = pipeline.finalize_training();
+  api::VectorSource source(100, &builder.events());
+  detector.ingest(source, [](const std::string&) { return true; });
+  const core::TrainingReport report = detector.finalize_training();
   EXPECT_LE(report.cc_rows, 1u);
   EXPECT_TRUE(report.cc_model.weights.empty());  // n <= p: no fit attempted
 }
 
 TEST(EdgeCaseTest, DuplicateSeedDomainsHandledOnce) {
   MapWhois whois;
-  core::Pipeline pipeline(core::PipelineConfig{}, whois);
+  api::Detector detector(core::PipelineConfig{}, whois);
   DayBuilder builder;
   builder.visit("h1", "seed.com", 1000);
   builder.visit("h1", "other.com", 1010);
-  const core::DayAnalysis analysis = pipeline.analyze_day(builder.events(), 100);
+  const core::DayAnalysis analysis =
+      analyze_events(detector, builder.events(), 100);
   core::SocSeeds seeds;
   seeds.domains = {"seed.com", "seed.com", "seed.com"};
-  const core::BpRunReport report = pipeline.run_bp_sochints(analysis, seeds);
+  const core::BpRunReport report =
+      detector.pipeline().run_bp_sochints(analysis, seeds);
   // The seed must never be reported as a detection, however many times it
   // was passed in.
   for (const auto& det : report.domains) EXPECT_NE(det.name, "seed.com");

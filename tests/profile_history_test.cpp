@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "test_helpers.h"
+
 namespace eid::profile {
 namespace {
 
@@ -119,20 +121,25 @@ TEST(UaHistoryTest, EmptyUaIgnored) {
   EXPECT_EQ(history.distinct_uas(), 0u);
 }
 
-TEST(UaHistoryTest, ObserveDayIngestsHttpEventsOnly) {
-  UaHistory history(2);
+TEST(UaHistoryTest, DayCommitIngestsHttpEventsOnly) {
+  test::MapWhois whois;
+  core::PipelineConfig config;
+  config.ua_rare_threshold = 3;  // a third host would flip UA-x popular
+  api::Detector detector(config, whois);
   std::vector<logs::ConnEvent> events = {
       http_event("h1", "a.com", "UA-x"),
       http_event("h2", "a.com", "UA-x"),
   };
   logs::ConnEvent dns_event;
   dns_event.host = "h3";
+  dns_event.domain = "a.com";
   dns_event.user_agent = "UA-x";  // bogus: DNS events carry no UA context
   dns_event.has_http_context = false;
   events.push_back(dns_event);
-  history.observe_day(events);
+  test::run_events(detector, events, 100);
+  const UaHistory& history = detector.pipeline().ua_history();
   EXPECT_EQ(history.host_count("UA-x"), 2u);
-  EXPECT_FALSE(history.is_rare("UA-x"));
+  EXPECT_TRUE(history.is_rare("UA-x"));
 }
 
 TEST(UaHistoryTest, PopularStaysPopular) {

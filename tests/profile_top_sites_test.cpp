@@ -64,25 +64,25 @@ TEST(TopSitesTest, FilterPreservesOrderOfSurvivors) {
 
 TEST(TopSitesTest, PipelineExcludesWhitelistedRareDomains) {
   test::MapWhois whois;
-  core::Pipeline pipeline(core::PipelineConfig{}, whois);
+  api::Detector detector(core::PipelineConfig{}, whois);
   test::DayBuilder builder;
   builder.visit("h1", "fresh-cdn.com", 1000);
   builder.visit("h1", "fresh-evil.ru", 1010);
-  const auto events = builder.events();
+  const auto& events = builder.events();
 
   // Without the whitelist both fresh domains are rare.
-  EXPECT_EQ(pipeline.analyze_day(events, 100).rare.size(), 2u);
+  EXPECT_EQ(test::analyze_events(detector, events, 100).rare.size(), 2u);
 
   TopSitesList list;
   list.add("fresh-cdn.com");  // globally popular, new to this enterprise
-  pipeline.set_top_sites(&list);
-  const core::DayAnalysis filtered = pipeline.analyze_day(events, 100);
+  detector.set_top_sites(&list);
+  const core::DayAnalysis filtered = test::analyze_events(detector, events, 100);
   ASSERT_EQ(filtered.rare.size(), 1u);
   EXPECT_TRUE(
       filtered.rare.contains(filtered.graph.find_domain("fresh-evil.ru")));
 
-  pipeline.set_top_sites(nullptr);
-  EXPECT_EQ(pipeline.analyze_day(events, 100).rare.size(), 2u);
+  detector.set_top_sites(nullptr);
+  EXPECT_EQ(test::analyze_events(detector, events, 100).rare.size(), 2u);
 }
 
 }  // namespace

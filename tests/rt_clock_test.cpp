@@ -1,12 +1,14 @@
 // Unit coverage for the real-time building blocks: the SimClock drivers
 // (monotonicity contracts), the tick/window geometry of WindowConfig, and
-// the WindowAccumulator's bucket lifecycle (arrival-order replay, day
+// the WindowAccumulator's bucket lifecycle (arrival-order merge, day
 // close, window expiry, memory bound). The end-to-end batch/continuous
 // equivalence lives in rt_continuous_test.cpp.
 #include "rt/clock.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "rt/window.h"
@@ -14,13 +16,16 @@
 namespace eid::rt {
 namespace {
 
-logs::ConnEvent event_at(util::TimePoint ts) {
+logs::ConnEvent event_at(util::TimePoint ts,
+                         std::string domain = "example.com") {
   logs::ConnEvent event;
   event.ts = ts;
   event.host = "h1";
-  event.domain = "example.com";
+  event.domain = std::move(domain);
   return event;
 }
+
+graph::DayGraph empty_partial() { return graph::DayGraph(); }
 
 TEST(RtClockTest, ManualClockClampsBackwardsSets) {
   ManualClock clock(100);
@@ -83,27 +88,29 @@ TEST(RtWindowTest, TickGeometryFloorsNegativeTime) {
   EXPECT_EQ(config.tick_end(-1), 0);
 }
 
-TEST(RtWindowTest, BucketsReplayInArrivalOrder) {
+TEST(RtWindowTest, BucketsMergeInArrivalOrder) {
   WindowConfig config{300, 900};  // 3-tick window
   WindowAccumulator window(config);
-  window.append(event_at(10), 0, 100);
-  window.append(event_at(5), 0, 100);  // out-of-order arrival, same bucket
-  window.append(event_at(310), 1, 100);
+  window.set_partial_factory(empty_partial);
+  window.append(event_at(10, "b.com"), 0, 100);
+  // Out-of-order arrival, same bucket.
+  window.append(event_at(5, "a.com"), 0, 100);
+  window.append(event_at(310, "c.com"), 1, 100);
   ASSERT_EQ(window.bucket_count(), 2u);
   EXPECT_EQ(window.buffered_events(), 3u);
   EXPECT_EQ(window.window_events(1), 3u);
 
-  std::vector<util::TimePoint> seen;
-  window.for_each_window_chunk(1, [&](std::span<const logs::ConnEvent> chunk) {
-    for (const auto& event : chunk) seen.push_back(event.ts);
-  });
-  EXPECT_EQ(seen, (std::vector<util::TimePoint>{10, 5, 310}));
-
-  seen.clear();
-  window.for_each_day_chunk(100, [&](std::span<const logs::ConnEvent> chunk) {
-    for (const auto& event : chunk) seen.push_back(event.ts);
-  });
-  EXPECT_EQ(seen, (std::vector<util::TimePoint>{10, 5, 310}));
+  // The merged day interns domains in arrival order, not timestamp order.
+  std::size_t events = 0;
+  graph::DayGraph day = window.merge_day(100, events);
+  EXPECT_EQ(events, 3u);
+  EXPECT_EQ(window.buffered_events(), 0u);  // sealed: raw events released
+  EXPECT_EQ(window.cached_events(), 3u);
+  day.finalize();
+  ASSERT_EQ(day.domain_count(), 3u);
+  EXPECT_EQ(day.domain_name(0), "b.com");
+  EXPECT_EQ(day.domain_name(1), "a.com");
+  EXPECT_EQ(day.domain_name(2), "c.com");
 }
 
 TEST(RtWindowTest, WindowSlidesButNeverTruncatesAnOpenDay) {
@@ -134,9 +141,10 @@ TEST(RtWindowTest, WindowSlidesButNeverTruncatesAnOpenDay) {
 
 TEST(RtWindowTest, DayBoundaryInsideOneTickSplitsBuckets) {
   // Chunks tagged with a new day must never share a bucket with the old
-  // day, even at the same tick — day replay is keyed by bucket day tags.
+  // day, even at the same tick — day merge is keyed by bucket day tags.
   WindowConfig config{86400, 86400};
   WindowAccumulator window(config);
+  window.set_partial_factory(empty_partial);
   window.append(event_at(86'390), 0, 100);
   window.append(event_at(86'401), 1, 101);
   window.append(event_at(86'410), 1, 101);
@@ -144,10 +152,8 @@ TEST(RtWindowTest, DayBoundaryInsideOneTickSplitsBuckets) {
 
   std::size_t day0 = 0;
   std::size_t day1 = 0;
-  window.for_each_day_chunk(
-      100, [&](std::span<const logs::ConnEvent> chunk) { day0 += chunk.size(); });
-  window.for_each_day_chunk(
-      101, [&](std::span<const logs::ConnEvent> chunk) { day1 += chunk.size(); });
+  window.merge_day(100, day0);
+  window.merge_day(101, day1);
   EXPECT_EQ(day0, 1u);
   EXPECT_EQ(day1, 2u);
 }

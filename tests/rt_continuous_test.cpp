@@ -160,20 +160,15 @@ TEST(RtContinuousTest, DayCloseBitIdenticalToRunDayAcrossTicksThreadsShards) {
         // Depth 2 drives the pipelined close: finish_day/report_day run on
         // a worker and the history commit lands at the next join point —
         // the report must still match the batch baseline byte for byte.
-        // Both window modes are swept: incremental (cached partial merge,
-        // the default) and the raw-replay rebuild escape hatch.
         for (const std::size_t depth : {1u, 2u}) {
-        for (const bool incremental : {true, false}) {
           SCOPED_TRACE("tick " + std::to_string(tick) + ", threads " +
                        std::to_string(threads) + ", shards " +
                        std::to_string(shards) + ", depth " +
-                       std::to_string(depth) + ", incremental " +
-                       std::to_string(incremental));
+                       std::to_string(depth));
           api::Detector detector =
               trained_detector(whois, intel, train, threads, shards, depth);
           EngineConfig config;
           config.window.tick_seconds = tick;
-          config.window.incremental = incremental;
           config.seeds = soc_seeds();
           api::VectorSource source(kDay, &events);
           const ContinuousReport report =
@@ -196,7 +191,6 @@ TEST(RtContinuousTest, DayCloseBitIdenticalToRunDayAcrossTicksThreadsShards) {
             EXPECT_EQ(emission.emission_time - emission.event_time,
                       emission.latency_seconds);
           }
-        }
         }
       }
     }

@@ -7,23 +7,26 @@
 //     sequential ingest of the same event sequence, across sealing,
 //     merge extension, window slide, empty-tick gaps and out-of-order
 //     appends into already-sealed buckets (the invalidation path);
-//   * engine-level — a full continuous run with incremental = true
-//     produces the same day reports AND the same provisional/finalized
-//     emission sequence, field for field, as the rebuild escape hatch
-//     (incremental = false), for every tick size × thread count × shard
-//     count × pipeline depth, and regardless of how chunks straddle tick
-//     boundaries.
+//   * engine-level — a full continuous run produces the same day reports
+//     AND the same provisional/finalized emission sequence, field for
+//     field, as a batch reference that re-analyzes the arrival prefix with
+//     the pipeline's day verbs at every evaluated tick, for every tick
+//     size × thread count × shard count × pipeline depth, and regardless
+//     of how chunks straddle tick boundaries.
 #include "rt/window.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "api/detector.h"
 #include "api/event_source.h"
+#include "core/incidents.h"
 #include "core/report_json.h"
 #include "rt/engine.h"
 #include "test_helpers.h"
@@ -232,7 +235,7 @@ TEST(RtIncrementalTest, LateAppendIntoSealedBucketInvalidates) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine-level equivalence: incremental vs the rebuild escape hatch.
+// Engine-level equivalence: the engine vs a batch reference.
 // ---------------------------------------------------------------------------
 
 std::vector<logs::ConnEvent> browsing_day(util::Day day) {
@@ -349,11 +352,131 @@ std::string report_fingerprint(const ContinuousReport& report) {
   return out.str();
 }
 
+/// Earliest first contact with any of `names` in the analyzed graph (0 when
+/// none appear) — the evidence time the engine stamps on an emission.
+util::TimePoint earliest_contact(const core::DayAnalysis& analysis,
+                                 std::span<const std::string> names) {
+  util::TimePoint earliest = 0;
+  for (const auto& name : names) {
+    const graph::DomainId domain = analysis.graph.find_domain(name);
+    if (domain == graph::kNoId) continue;
+    for (const graph::HostId host : analysis.graph.domain_hosts(domain)) {
+      const auto contact = analysis.graph.first_contact(host, domain);
+      if (contact && (earliest == 0 || *contact < earliest)) earliest = *contact;
+    }
+  }
+  return earliest;
+}
+
+/// The engine's emission rule, applied to batch results: provisional
+/// evaluations announce only never-emitted domains; the day close always
+/// refreshes the incident store but announces only novelty.
+class NoveltyFilter {
+ public:
+  void emit(const core::DayAnalysis& analysis,
+            const std::vector<std::string>& domains,
+            const std::vector<std::string>& hosts, bool provisional,
+            util::TimePoint emission_time, util::Day day,
+            std::vector<IncidentEmission>& out) {
+    if (domains.empty() && hosts.empty()) return;
+    std::vector<std::string> fresh;
+    for (const auto& name : domains) {
+      if (!emitted_.contains(name)) fresh.push_back(name);
+    }
+    std::sort(fresh.begin(), fresh.end());
+    fresh.erase(std::unique(fresh.begin(), fresh.end()), fresh.end());
+    if (provisional && fresh.empty()) return;
+    const util::TimePoint event_time =
+        earliest_contact(analysis, fresh.empty() ? domains : fresh);
+    const bool grew = incidents_.touches(domains, hosts);
+    const int id = incidents_.ingest_community(day, domains, hosts, event_time);
+    emitted_.insert(fresh.begin(), fresh.end());
+    if (fresh.empty()) return;
+    IncidentEmission emission;
+    emission.incident_id = id;
+    emission.provisional = provisional;
+    emission.new_incident = !grew;
+    emission.day = day;
+    emission.event_time = event_time;
+    emission.emission_time = emission_time;
+    emission.latency_seconds = event_time == 0 ? 0 : emission_time - event_time;
+    emission.domains = std::move(fresh);
+    emission.hosts = hosts;
+    out.push_back(std::move(emission));
+  }
+
+ private:
+  core::IncidentStore incidents_;
+  std::set<std::string> emitted_;
+};
+
+/// What the continuous engine must produce for one day replayed through a
+/// ReplayClock at `tick` seconds: walk the events in arrival order, and
+/// whenever the high-water tick advances past a tick holding new events,
+/// analyze the arrival prefix from scratch with the batch day verbs
+/// (begin_day / add_chunk / finish_day → detect_cc → run_bp_nohint). The
+/// day-long window always covers the whole prefix. The day closes with
+/// batch run_day.
+ContinuousReport batch_reference(api::Detector& detector,
+                                 const std::vector<logs::ConnEvent>& events,
+                                 util::Day day, std::int64_t tick) {
+  WindowConfig window;
+  window.tick_seconds = tick;
+  const core::Pipeline& pipeline = detector.pipeline();
+  NoveltyFilter filter;
+  ContinuousReport out;
+  util::TimePoint high_water = 0;
+  std::int64_t current = 0;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    high_water = std::max(high_water, events[i].ts);
+    const std::int64_t now = window.tick_of(high_water);
+    if (i > 0 && now > current) {
+      const util::TimePoint close = window.tick_end(current);
+      const util::Day tick_day = util::day_of(close - 1);
+      core::DayAccumulator accumulator = pipeline.begin_day(tick_day);
+      accumulator.add_chunk(std::span(events.data(), i));
+      const core::DayAnalysis analysis =
+          pipeline.finish_day(std::move(accumulator));
+      const std::vector<core::ScoredDomain> cc = pipeline.detect_cc(analysis);
+      std::vector<std::string> domains;
+      for (const auto& scored : cc) domains.push_back(scored.name);
+      std::vector<std::string> hosts;
+      if (!cc.empty()) {
+        const core::BpRunReport bp = pipeline.run_bp_nohint(analysis, cc);
+        for (const auto& detected : bp.domains) domains.push_back(detected.name);
+        hosts = bp.hosts;
+      }
+      filter.emit(analysis, domains, hosts, /*provisional=*/true, close,
+                  tick_day, out.emissions);
+    }
+    if (i == 0 || now > current) current = now;
+  }
+
+  api::VectorSource whole(day, &events);
+  const core::DayAnalysis closing = detector.analyze_stream(whole, day);
+  whole.reset();
+  const core::DayReport report = detector.run_day(whole, day, soc_seeds());
+  std::vector<std::string> domains;
+  for (const auto& scored : report.cc_domains) domains.push_back(scored.name);
+  for (const auto& detected : report.nohint.domains)
+    domains.push_back(detected.name);
+  for (const auto& detected : report.sochints.domains)
+    domains.push_back(detected.name);
+  std::set<std::string> host_set(report.nohint.hosts.begin(),
+                                 report.nohint.hosts.end());
+  host_set.insert(report.sochints.hosts.begin(), report.sochints.hosts.end());
+  filter.emit(closing, domains, {host_set.begin(), host_set.end()},
+              /*provisional=*/false, util::day_start(day + 1), day,
+              out.emissions);
+  out.days.push_back(report);
+  return out;
+}
+
 // The tentpole contract: across the full tick × threads × shards × depth
-// sweep, the incremental engine must reproduce the rebuild engine's entire
-// observable output — day reports and the provisional emission sequence —
-// byte for byte.
-TEST(RtIncrementalTest, MatchesRebuildAcrossTicksThreadsShardsDepth) {
+// sweep, the engine's cached-partial window merge must reproduce the batch
+// reference's entire observable output — day reports and the provisional
+// emission sequence — byte for byte.
+TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicksThreadsShardsDepth) {
   MapWhois whois;
   std::set<std::string> reported;
   const auto train = training_days(whois, reported);
@@ -364,6 +487,16 @@ TEST(RtIncrementalTest, MatchesRebuildAcrossTicksThreadsShardsDepth) {
 
   for (const std::int64_t tick : {std::int64_t{300}, std::int64_t{3600},
                                   std::int64_t{86400}}) {
+    api::Detector reference_detector =
+        trained_detector(whois, intel, train, 1, 1);
+    const ContinuousReport expected =
+        batch_reference(reference_detector, events, kDay, tick);
+    const std::string reference = report_fingerprint(expected);
+    ASSERT_NE(reference.find("evil-cc.ru"), std::string::npos);
+    // Sub-day ticks must exercise the provisional path.
+    EXPECT_EQ(std::any_of(expected.emissions.begin(), expected.emissions.end(),
+                          [](const IncidentEmission& e) { return e.provisional; }),
+              tick < 86400);
     for (const std::size_t threads : {1u, 8u}) {
       for (const std::size_t shards : {1u, 4u}) {
         for (const std::size_t depth : {1u, 2u}) {
@@ -371,29 +504,21 @@ TEST(RtIncrementalTest, MatchesRebuildAcrossTicksThreadsShardsDepth) {
                        std::to_string(threads) + ", shards " +
                        std::to_string(shards) + ", depth " +
                        std::to_string(depth));
-          const auto run = [&](bool incremental) {
-            api::Detector detector =
-                trained_detector(whois, intel, train, threads, shards, depth);
-            EngineConfig config;
-            config.window.tick_seconds = tick;
-            config.window.incremental = incremental;
-            config.seeds = soc_seeds();
-            api::VectorSource source(kDay, &events);
-            return detector.run_continuous(source, config);
-          };
-          const ContinuousReport incremental = run(true);
-          const ContinuousReport rebuild = run(false);
-          EXPECT_EQ(report_fingerprint(incremental),
-                    report_fingerprint(rebuild));
-          // The cache actually carried the evaluations (no silent fallback
-          // to raw replay) whenever a tick boundary fell inside the day...
+          api::Detector detector =
+              trained_detector(whois, intel, train, threads, shards, depth);
+          EngineConfig config;
+          config.window.tick_seconds = tick;
+          config.seeds = soc_seeds();
+          api::VectorSource source(kDay, &events);
+          const ContinuousReport report =
+              detector.run_continuous(source, config);
+          EXPECT_EQ(report_fingerprint(report), reference);
+          // The cache actually carried the evaluations whenever a tick
+          // boundary fell inside the day.
           if (tick < 86400) {
-            EXPECT_GT(incremental.stats.buckets_sealed, 0u);
-            EXPECT_GT(incremental.stats.partial_absorbs, 0u);
+            EXPECT_GT(report.stats.buckets_sealed, 0u);
+            EXPECT_GT(report.stats.partial_absorbs, 0u);
           }
-          // ...and the rebuild path never touched it.
-          EXPECT_EQ(rebuild.stats.buckets_sealed, 0u);
-          EXPECT_EQ(rebuild.stats.partial_absorbs, 0u);
         }
       }
     }

@@ -1,16 +1,17 @@
-// Round-trip, corruption and migration coverage for the storage subsystem:
-// every DetectorState component survives a binary round trip bit-exactly,
-// every corruption mode fails cleanly with the right LoadError, and legacy
-// text profiles load through the unchanged profile entry points.
+// Round-trip and corruption coverage for the storage subsystem: every
+// DetectorState component survives a binary round trip bit-exactly, and
+// every corruption mode — including a file in some other format — fails
+// cleanly with the right LoadError.
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
+
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
 
-#include "core/model_io.h"
-#include "profile/persistence.h"
 #include "storage/container.h"
 #include "storage/state.h"
 #include "util/binary.h"
@@ -90,15 +91,37 @@ TEST_F(StorageStateTest, DomainHistoryRoundTripLargeSet) {
   }
 }
 
-TEST_F(StorageStateTest, LegacyEntryPointAutoDetectsBinary) {
-  profile::DomainHistory history;
-  history.update({"seen.example"});
-  ASSERT_TRUE(storage::save_domain_history(history, path("d.bin")));
-  // The profile:: loader (text entry point) must detect the container.
-  LoadStatus status;
-  const auto loaded = profile::load_domain_history(path("d.bin"), &status);
-  ASSERT_TRUE(loaded.has_value()) << status.detail;
-  EXPECT_FALSE(loaded->is_new("seen.example"));
+TEST_F(StorageStateTest, DailyRestartContinuesAccumulating) {
+  // Day 1 process: bootstrap, save.
+  {
+    profile::DomainHistory domains;
+    domains.update({"seen-day1.com"});
+    profile::UaHistory uas(2);
+    uas.observe("UA", "h1");
+    ASSERT_TRUE(storage::save_domain_history(domains, path("d.bin")));
+    ASSERT_TRUE(storage::save_ua_history(uas, path("u.bin")));
+  }
+  // Day 2 process: load, verify continuity, extend, save again.
+  {
+    auto domains = storage::load_domain_history(path("d.bin"));
+    auto uas = storage::load_ua_history(path("u.bin"));
+    ASSERT_TRUE(domains && uas);
+    EXPECT_FALSE(domains->is_new("seen-day1.com"));
+    EXPECT_TRUE(uas->is_rare("UA"));
+    domains->update({"seen-day2.com"});
+    uas->observe("UA", "h2");  // second distinct host crosses the threshold
+    EXPECT_FALSE(uas->is_rare("UA"));
+    ASSERT_TRUE(storage::save_domain_history(*domains, path("d.bin")));
+    ASSERT_TRUE(storage::save_ua_history(*uas, path("u.bin")));
+  }
+  // Day 3 process: both days visible.
+  const auto domains = storage::load_domain_history(path("d.bin"));
+  const auto uas = storage::load_ua_history(path("u.bin"));
+  ASSERT_TRUE(domains && uas);
+  EXPECT_FALSE(domains->is_new("seen-day1.com"));
+  EXPECT_FALSE(domains->is_new("seen-day2.com"));
+  EXPECT_EQ(domains->days_ingested(), 2u);
+  EXPECT_FALSE(uas->is_rare("UA"));
 }
 
 // ---- UA history ----
@@ -127,15 +150,29 @@ TEST_F(StorageStateTest, UaHistoryRoundTripPreservesRarityAndHosts) {
   EXPECT_FALSE(continued.is_rare("Rare/2.0"));
 }
 
-TEST_F(StorageStateTest, UaHistoryCarriesTabsAndNewlinesBinaryOnly) {
-  // The text format skips UAs with control characters; the container
-  // carries them exactly.
+TEST_F(StorageStateTest, UaHistoryCarriesTabsAndNewlines) {
   profile::UaHistory history(5);
   history.observe("Weird\tUA\nwith\rcontrols", "h1");
   ASSERT_TRUE(storage::save_ua_history(history, path("u.bin")));
   const auto loaded = storage::load_ua_history(path("u.bin"));
   ASSERT_TRUE(loaded.has_value());
   EXPECT_EQ(loaded->host_count("Weird\tUA\nwith\rcontrols"), 1u);
+}
+
+TEST_F(StorageStateTest, OverThresholdRareEntryNormalizesToPopular) {
+  // A restored rare entry listing >= threshold hosts becomes popular — the
+  // invariant observe() enforces — so it survives a save/load round trip
+  // (the decoder rejects a rare entry at or above the threshold).
+  profile::UaHistory history(3);
+  const std::vector<std::string_view> hosts = {"h1", "h2", "h3", "h4"};
+  history.restore_entry("Big/1.0", false, hosts);
+  EXPECT_FALSE(history.is_rare("Big/1.0"));
+  EXPECT_EQ(history.host_count("Big/1.0"), 3u);  // saturated at threshold
+  ASSERT_TRUE(storage::save_ua_history(history, path("u.bin")));
+  LoadStatus status;
+  const auto loaded = storage::load_ua_history(path("u.bin"), &status);
+  ASSERT_TRUE(loaded.has_value()) << status.detail;
+  EXPECT_FALSE(loaded->is_rare("Big/1.0"));
 }
 
 TEST_F(StorageStateTest, UaHistoryRoundTripLargeSharedHosts) {
@@ -344,12 +381,55 @@ TEST_F(StorageStateTest, TrailingGarbageIsMalformed) {
   EXPECT_EQ(status.error, LoadError::Malformed);
 }
 
+#ifdef EID_STATE_TOOL
+/// Exit status of `state_tool <args>` (-1 when it did not exit normally,
+/// e.g. crashed on a signal).
+int state_tool_status(const std::string& args) {
+  const std::string command =
+      std::string(EID_STATE_TOOL) + " " + args + " >/dev/null 2>&1";
+  const int raw = std::system(command.c_str());
+  return raw != -1 && WIFEXITED(raw) ? WEXITSTATUS(raw) : -1;
+}
+#endif
+
 TEST_F(StorageStateTest, BadMagicAndMissingFileReported) {
   write_bytes(path("junk.bin"), "NOTASTATEFILE....");
+  // Files in the line-oriented text formats older tools wrote: only the
+  // binary container loads.
+  write_bytes(path("d.txt"), "eid-domain-history 1\ndays 2\na.com\n");
+  write_bytes(path("u.txt"), "eid-ua-history 1\nthreshold 3\nP\tCommon/1.0\n");
+  write_bytes(path("m.txt"),
+              "eid-scored-model 1\nthreshold 0x1p-1\nscore 0x0p+0 0x1p+0\n");
   LoadStatus status;
   EXPECT_FALSE(storage::load_detector_state(path("junk.bin"), &status).has_value());
   EXPECT_EQ(status.error, LoadError::BadMagic);
+  for (const char* text : {"d.txt", "u.txt", "m.txt"}) {
+    SCOPED_TRACE(text);
+    status = {};
+    EXPECT_FALSE(storage::load_domain_history(path(text), &status).has_value());
+    EXPECT_EQ(status.error, LoadError::BadMagic);
+    status = {};
+    EXPECT_FALSE(storage::load_ua_history(path(text), &status).has_value());
+    EXPECT_EQ(status.error, LoadError::BadMagic);
+    status = {};
+    EXPECT_FALSE(storage::load_scored_model(path(text), &status).has_value());
+    EXPECT_EQ(status.error, LoadError::BadMagic);
+#ifdef EID_STATE_TOOL
+    const std::string file = path(text).string();
+    for (const char* command : {"inspect ", "verify ", "verify --deep "}) {
+      SCOPED_TRACE(command);
+      // Exit 2 is a reported load failure; a crash is not an exit at all.
+      EXPECT_EQ(state_tool_status(command + file), 2);
+    }
+#endif
+  }
   EXPECT_FALSE(storage::load_detector_state(path("missing.bin"), &status).has_value());
+  EXPECT_EQ(status.error, LoadError::FileNotFound);
+  EXPECT_FALSE(storage::load_domain_history(path("missing.bin"), &status).has_value());
+  EXPECT_EQ(status.error, LoadError::FileNotFound);
+  EXPECT_FALSE(storage::load_ua_history(path("missing.bin"), &status).has_value());
+  EXPECT_EQ(status.error, LoadError::FileNotFound);
+  EXPECT_FALSE(storage::load_scored_model(path("missing.bin"), &status).has_value());
   EXPECT_EQ(status.error, LoadError::FileNotFound);
 }
 
@@ -377,40 +457,6 @@ TEST_F(StorageStateTest, MissingSectionReported) {
   ASSERT_TRUE(storage::save_ua_history(profile::UaHistory(5), path("u.bin")));
   EXPECT_FALSE(storage::load_domain_history(path("u.bin"), &status).has_value());
   EXPECT_EQ(status.error, LoadError::MissingSection);
-}
-
-// ---- Text migration ----
-
-TEST_F(StorageStateTest, TextToBinaryMigrationPreservesHistories) {
-  profile::DomainHistory domains;
-  domains.update({"alpha.example", "beta.example"});
-  domains.update({"gamma.example"});
-  profile::UaHistory uas(3);
-  uas.observe("UA-pop", "h1");
-  uas.observe("UA-pop", "h2");
-  uas.observe("UA-pop", "h3");
-  uas.observe("UA-rare", "h2");
-
-  // Save legacy text, load through the shared entry points.
-  ASSERT_TRUE(profile::save_domain_history(domains, path("d.txt")));
-  ASSERT_TRUE(profile::save_ua_history(uas, path("u.txt")));
-  const auto text_domains = profile::load_domain_history(path("d.txt"));
-  const auto text_uas = profile::load_ua_history(path("u.txt"));
-  ASSERT_TRUE(text_domains && text_uas);
-
-  // Convert to binary and load again through the same entry points.
-  ASSERT_TRUE(storage::save_domain_history(*text_domains, path("d.bin")));
-  ASSERT_TRUE(storage::save_ua_history(*text_uas, path("u.bin")));
-  const auto bin_domains = profile::load_domain_history(path("d.bin"));
-  const auto bin_uas = profile::load_ua_history(path("u.bin"));
-  ASSERT_TRUE(bin_domains && bin_uas);
-
-  EXPECT_EQ(bin_domains->size(), domains.size());
-  EXPECT_EQ(bin_domains->days_ingested(), domains.days_ingested());
-  EXPECT_FALSE(bin_domains->is_new("gamma.example"));
-  EXPECT_EQ(bin_uas->rare_threshold(), 3u);
-  EXPECT_FALSE(bin_uas->is_rare("UA-pop"));
-  EXPECT_EQ(bin_uas->host_count("UA-rare"), 1u);
 }
 
 }  // namespace

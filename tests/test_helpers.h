@@ -1,11 +1,14 @@
 // Shared builders for feature/core tests: hand-crafted days with beacons,
-// browsing, and an in-memory WHOIS source.
+// browsing, an in-memory WHOIS source, and one-call wrappers that feed an
+// in-memory day through api::Detector.
 #pragma once
 
 #include <map>
 #include <string>
 #include <vector>
 
+#include "api/detector.h"
+#include "api/event_source.h"
 #include "features/whois_source.h"
 #include "graph/day_graph.h"
 #include "logs/records.h"
@@ -70,6 +73,31 @@ class DayBuilder {
  private:
   std::vector<logs::ConnEvent> events_;
 };
+
+/// Profile one in-memory day (histories only).
+inline void profile_events(api::Detector& detector,
+                        const std::vector<logs::ConnEvent>& events,
+                        util::Day day) {
+  api::VectorSource source(day, &events);
+  detector.ingest(source);
+}
+
+/// One in-memory day's pre-threshold analysis, without a history commit.
+inline core::DayAnalysis analyze_events(const api::Detector& detector,
+                                     const std::vector<logs::ConnEvent>& events,
+                                     util::Day day) {
+  api::VectorSource source(day, &events);
+  return detector.analyze_stream(source, day);
+}
+
+/// Full operation day: report plus end-of-day history update.
+inline core::DayReport run_events(api::Detector& detector,
+                               const std::vector<logs::ConnEvent>& events,
+                               util::Day day,
+                               const core::SocSeeds& seeds = {}) {
+  api::VectorSource source(day, &events);
+  return detector.run_day(source, day, seeds);
+}
 
 /// Structural JSON validator: balanced brackets outside strings, escape-
 /// aware string scanning, exactly one top-level value. Not a full parser
