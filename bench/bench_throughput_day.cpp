@@ -1,13 +1,13 @@
 // Multi-day throughput benchmark for the persistent-executor day-analysis
 // engine: replays a simulated enterprise proxy workload through
 // api::Detector::analyze_days — the pipelined multi-day path every
-// deployment verb rides — at a sweep of (analysis threads, ingest shards,
-// pipeline depth) configurations, and reports events/sec with a per-stage
+// deployment verb rides — at a sweep of (analysis threads, pipeline
+// depth) configurations, and reports events/sec with a per-stage
 // breakdown. Results are bit-identical across configurations (the
 // determinism tests enforce it; this bench byte-compares the reports
 // again), so the sweep measures pure performance.
 //
-//   bench_throughput_day [--days N] [--configs t[:s[:d]],...] [--repeat N]
+//   bench_throughput_day [--days N] [--configs t[:d],...] [--repeat N]
 //                        [--json[=path]]
 //
 // --repeat runs each configuration N times and reports the median run (by
@@ -16,8 +16,8 @@
 // (bench_perf_pipeline writes the "micro" section of the same file),
 // including the day-analysis speedup of the last config vs the first —
 // the cross-PR perf trajectory. Defaults: 3 days, one repeat, configs
-// 1:1,2:2,4:4,8:8,8:8:2 (the trailing config adds depth-2 day
-// pipelining: day N's finalize/score/commit overlaps day N+1's ingest).
+// 1,2,4,8,8:2 (the trailing config adds depth-2 day pipelining: day N's
+// finalize/score/commit overlaps day N+1's ingest).
 //
 // Stage times are the run's growth in the pipeline's eid_pipeline_*_seconds
 // histograms (obs/metrics.h), read through Detector::metrics_snapshot() —
@@ -150,7 +150,7 @@ ConfigResult run_config(const core::Parallelism& parallelism,
   return result;
 }
 
-/// t[:s[:d]] — shards default to the thread count, depth to 1.
+/// t[:d] — depth defaults to 1.
 std::vector<core::Parallelism> parse_configs(const std::string& spec) {
   std::vector<core::Parallelism> configs;
   std::stringstream in(spec);
@@ -165,10 +165,8 @@ std::vector<core::Parallelism> parse_configs(const std::string& spec) {
     if (values.empty()) continue;
     core::Parallelism p;
     p.threads = std::max<std::size_t>(values[0], 1);
-    p.shards = values.size() > 1 ? std::max<std::size_t>(values[1], 1)
-                                 : p.threads;
     p.pipeline_depth =
-        values.size() > 2 ? std::max<std::size_t>(values[2], 1) : 1;
+        values.size() > 1 ? std::max<std::size_t>(values[1], 1) : 1;
     configs.push_back(p);
   }
   return configs;
@@ -181,7 +179,7 @@ int main(int argc, char** argv) {
       eid::bench::take_json_flag(argc, argv, "BENCH_perf.json");
   std::size_t n_days = 3;
   std::size_t repeats = 1;
-  std::string config_spec = "1:1,2:2,4:4,8:8,8:8:2";
+  std::string config_spec = "1,2,4,8,8:2";
   bool non_default_run = false;  // --json only records the default sweep
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--days") == 0 && i + 1 < argc) {
@@ -198,7 +196,7 @@ int main(int argc, char** argv) {
       repeats = n > 0 ? static_cast<std::size_t>(n) : 1;
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--days N] [--configs t[:s[:d]],...] "
+                   "usage: %s [--days N] [--configs t[:d],...] "
                    "[--repeat N] [--json[=path]]\n",
                    argv[0]);
       return 1;
@@ -255,11 +253,10 @@ int main(int argc, char** argv) {
     results.push_back(std::move(runs[runs.size() / 2]));  // median by wall
     const ConfigResult& r = results.back();
     std::printf(
-        "threads=%zu shards=%zu depth=%zu  %10.0f events/s  wall=%.3fs "
+        "threads=%zu depth=%zu  %10.0f events/s  wall=%.3fs "
         "analysis=%.3fs (ingest=%.3f finalize=%.3f rare=%.3f "
         "automation=%.3f) score+bp=%.3fs  detections=%zu\n",
-        r.parallelism.threads, r.parallelism.shards,
-        r.parallelism.pipeline_depth,
+        r.parallelism.threads, r.parallelism.pipeline_depth,
         static_cast<double>(r.events) / r.wall, r.wall, r.analysis(),
         r.ingest(), r.finalize, r.rare, r.automation, r.score_bp,
         r.detections);
@@ -297,7 +294,6 @@ int main(int argc, char** argv) {
     const ConfigResult& r = results[i];
     body << (i == 0 ? "\n" : ",\n");
     body << "      {\"threads\": " << r.parallelism.threads
-         << ", \"shards\": " << r.parallelism.shards
          << ", \"pipeline_depth\": " << r.parallelism.pipeline_depth
          << ", \"events_per_second\": "
          << static_cast<double>(r.events) / r.wall

@@ -3,12 +3,12 @@
 // month — potential C&C domains, the no-hint community expansion, and the
 // IOC-seeded expansion — ordered by suspiciousness for analyst review.
 //
-// Usage: enterprise_monitor [days=7] [tc=0.4] [ts=0.33] [threads=1] [shards=1]
-//                           [depth=1] [--state <path>] [--help]
+// Usage: enterprise_monitor [days=7] [tc=0.4] [ts=0.33] [threads=1] [depth=1]
+//                           [--state <path>] [--help]
 //
-// threads/shards/depth drive the parallel day-analysis engine (worker
-// threads, ingest shards, multi-day pipeline depth); reports are
-// bit-identical for any values, so they are safe to size to the host.
+// threads/depth drive the parallel day-analysis engine (worker threads,
+// multi-day pipeline depth); reports are bit-identical for any values, so
+// they are safe to size to the host.
 //
 // --state <path> makes the monitor durable: the detector state
 // (histories, trained models, counters) is checkpointed to <path> after
@@ -68,13 +68,12 @@ using namespace eid;
 
 void print_usage(const char* argv0) {
   std::printf(
-      "usage: %s [days] [tc] [ts] [threads] [shards] [depth] [--state <path>]\n"
+      "usage: %s [days] [tc] [ts] [threads] [depth] [--state <path>]\n"
       "\n"
       "  days     operation days to monitor (default 7, >= 1)\n"
       "  tc       C&C detection threshold Tc (default 0.4)\n"
       "  ts       similarity threshold Ts (default 0.33)\n"
       "  threads  day-analysis worker threads (default 1, >= 1)\n"
-      "  shards   ingest shards (default 1, >= 1)\n"
       "  depth    multi-day pipeline depth: 2 overlaps a day's close with\n"
       "           the next day's ingest (default 1, >= 1)\n"
       "  --state <path>  checkpoint the detector to <path> after each day\n"
@@ -308,7 +307,6 @@ int main(int argc, char** argv) {
   double tc = 0.4;
   double ts = 0.33;
   int threads = 1;
-  int shards = 1;
   int depth = 1;
   std::string state_path;
   std::string follow_path;
@@ -397,8 +395,7 @@ int main(int argc, char** argv) {
       case 1: ok = parse_double_arg(arg, tc); break;
       case 2: ok = parse_double_arg(arg, ts); break;
       case 3: ok = parse_int_arg(arg, 1, threads); break;
-      case 4: ok = parse_int_arg(arg, 1, shards); break;
-      case 5: ok = parse_int_arg(arg, 1, depth); break;
+      case 4: ok = parse_int_arg(arg, 1, depth); break;
       default: ok = false; break;
     }
     if (!ok) {
@@ -435,16 +432,13 @@ int main(int argc, char** argv) {
   eval::AcRunnerConfig runner_config;
   runner_config.pipeline.cc_threshold = tc;
   runner_config.pipeline.sim_threshold = ts;
-  runner_config.pipeline.parallelism =
-      core::Parallelism{static_cast<std::size_t>(threads),
-                        static_cast<std::size_t>(shards),
-                        static_cast<std::size_t>(depth)};
+  runner_config.pipeline.parallelism = core::Parallelism{
+      .threads = static_cast<std::size_t>(threads),
+      .pipeline_depth = static_cast<std::size_t>(depth)};
   eval::AcRunner runner(scenario, runner_config);
   api::Detector& detector = runner.detector();
-  std::printf(
-      "day-analysis engine: %d thread(s), %d ingest shard(s), pipeline "
-      "depth %d\n",
-      threads, shards, depth);
+  std::printf("day-analysis engine: %d thread(s), pipeline depth %d\n",
+              threads, depth);
 
   if (standby) {
     if (state_path.empty() || follow_path.empty()) {

@@ -140,7 +140,7 @@ class Detector {
   }
   core::LabelFn intel_fn() const;
 
-  /// Retune day-path parallelism (worker threads + ingest shards). Pure
+  /// Retune day-path parallelism (worker threads + day pipeline depth). Pure
   /// performance knobs: every report stays bit-identical for any values,
   /// so deployments size this to the hardware with no revalidation.
   void set_parallelism(core::Parallelism parallelism) {

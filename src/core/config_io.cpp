@@ -1,6 +1,7 @@
 #include "core/config_io.h"
 
 #include <charconv>
+#include <cmath>
 #include <sstream>
 
 #include "util/strings.h"
@@ -8,10 +9,12 @@
 namespace eid::core {
 namespace {
 
+/// Finite doubles only: from_chars also accepts "nan" and "inf", and a
+/// NaN threshold would silently disable every comparison against it.
 bool parse_double(std::string_view text, double& out) {
   const auto* end = text.data() + text.size();
   auto [ptr, ec] = std::from_chars(text.data(), end, out);
-  return ec == std::errc() && ptr == end;
+  return ec == std::errc() && ptr == end && std::isfinite(out);
 }
 
 bool parse_count(std::string_view text, std::size_t& out) {
@@ -83,8 +86,6 @@ ConfigParseResult parse_pipeline_config(const std::string& text) {
       parse_count(value, cfg.bp_max_iterations) || (bad_value(), false);
     } else if (key == "analysis_threads") {
       parse_count(value, cfg.parallelism.threads) || (bad_value(), false);
-    } else if (key == "shard_count") {
-      parse_count(value, cfg.parallelism.shards) || (bad_value(), false);
     } else if (key == "pipeline_depth") {
       parse_count(value, cfg.parallelism.pipeline_depth) || (bad_value(), false);
     } else {
@@ -106,7 +107,6 @@ std::string format_pipeline_config(const PipelineConfig& config) {
   out << "sim_threshold = " << config.sim_threshold << "\n";
   out << "bp_max_iterations = " << config.bp_max_iterations << "\n";
   out << "analysis_threads = " << config.parallelism.threads << "\n";
-  out << "shard_count = " << config.parallelism.shards << "\n";
   out << "pipeline_depth = " << config.parallelism.pipeline_depth << "\n";
   return out.str();
 }

@@ -67,10 +67,10 @@ Pipeline::Pipeline(PipelineConfig config, const features::WhoisSource& whois)
 
 void Pipeline::rebuild_executor() {
   const Parallelism& p = config_.parallelism;
-  // The widest fan-out is max(threads, shards) ranges, one of which the
-  // calling thread runs itself; day pipelining needs one more worker to
-  // carry the in-flight commit while the caller ingests.
-  std::size_t workers = std::max({p.threads, p.shards, std::size_t{1}}) - 1;
+  // The widest fan-out is `threads` ranges, one of which the calling
+  // thread runs itself; day pipelining needs one more worker to carry the
+  // in-flight commit while the caller ingests.
+  std::size_t workers = std::max<std::size_t>(p.threads, 1) - 1;
   if (p.pipeline_depth > 1) ++workers;
   if (workers == 0) {
     executor_.reset();

@@ -51,8 +51,9 @@ struct Parallelism {
   /// in DayGraph::finalize, rare-domain extraction, and the per-edge
   /// automation scan (the hot loop at enterprise volume, §II-C).
   std::size_t threads = 1;
-  /// Host-hash ingest shards inside DayAccumulator (independent builders,
-  /// no locks; merged deterministically in finish_day).
+  /// Unused. The benchmark in bench/e2e still writes it in
+  /// {threads, shards, pipeline_depth} initializers; nothing reads, parses
+  /// or persists it, and it is removed with the next benchmark change.
   std::size_t shards = 1;
   /// Day-pipelining depth for the multi-day streaming verbs
   /// (api::Detector::ingest / analyze_days / run_continuous). 1 runs each
@@ -72,7 +73,7 @@ struct PipelineConfig {
   double cc_threshold = 0.4;   ///< Tc (Fig. 6a sweeps 0.40..0.48)
   double sim_threshold = 0.33; ///< Ts (Fig. 6b sweeps 0.33..0.85)
   std::size_t bp_max_iterations = 10;
-  Parallelism parallelism{};   ///< day-path threads + ingest shards
+  Parallelism parallelism{};   ///< day-path threads + pipeline depth
 };
 
 /// Everything computed about one day before any thresholding.
@@ -136,10 +137,9 @@ using LabelFn = std::function<bool(const std::string& domain)>;
 /// Incremental builder for one day's analysis. Obtain from
 /// Pipeline::begin_day(), feed events in any number of chunks, then hand
 /// back to Pipeline::finish_day(). Only the day graph grows while chunks
-/// arrive — events route lock-free into host-hash shard builders — so the
-/// result is identical for any chunking of the same event sequence AND any
-/// shard count: finalize (deterministic shard merge), rare extraction and
-/// automation all run in finish_day().
+/// arrive, so the result is identical for any chunking of the same event
+/// sequence: finalize, rare extraction and automation all run in
+/// finish_day().
 class DayAccumulator {
  public:
   void add(const logs::ConnEvent& event) {
@@ -147,9 +147,8 @@ class DayAccumulator {
     ++events_;
   }
 
-  /// Ingest one chunk: sharded interning/aggregation runs in parallel
-  /// across the shard builders (see DayGraph::add_events); the span only
-  /// needs to outlive this call.
+  /// Ingest one chunk (see DayGraph::add_events); the span only needs to
+  /// outlive this call.
   void add_chunk(std::span<const logs::ConnEvent> events) {
     graph_.add_events(events);
     events_ += events.size();
@@ -160,9 +159,8 @@ class DayAccumulator {
 
  private:
   friend class Pipeline;
-  DayAccumulator(util::Day day, std::size_t shards,
-                 std::shared_ptr<util::Executor> executor)
-      : day_(day), graph_(shards, std::move(executor)) {}
+  DayAccumulator(util::Day day, std::shared_ptr<util::Executor> executor)
+      : day_(day), graph_(std::move(executor)) {}
 
   util::Day day_;
   graph::DayGraph graph_;
@@ -358,12 +356,11 @@ class Pipeline {
   // ---- Operation ----
 
   /// Start incremental analysis of one day (streaming ingestion). The
-  /// accumulator shards by host hash per config().parallelism.shards and
-  /// shares the pipeline's worker pool (it keeps the pool alive, so a
-  /// concurrent set_parallelism cannot pull it out from under a day in
-  /// flight).
+  /// accumulator shares the pipeline's worker pool (it keeps the pool
+  /// alive, so a concurrent set_parallelism cannot pull it out from under
+  /// a day in flight).
   DayAccumulator begin_day(util::Day day) const {
-    return DayAccumulator(day, config_.parallelism.shards, executor_);
+    return DayAccumulator(day, executor_);
   }
 
   /// Retune the parallel knobs without rebuilding the pipeline (results
@@ -375,8 +372,8 @@ class Pipeline {
   }
 
   /// The persistent worker pool behind every parallel stage — nullptr for
-  /// a fully sequential configuration (threads, shards and pipeline_depth
-  /// all 1), where every fan-out degrades to an inline loop.
+  /// a fully sequential configuration (threads and pipeline_depth both 1),
+  /// where every fan-out degrades to an inline loop.
   util::Executor* executor() const { return executor_.get(); }
 
   /// Finalize an incremental day (steps 1-2 + feature analysis, no
@@ -396,11 +393,9 @@ class Pipeline {
 
   /// A bare un-finalized ingest graph wired to the pipeline's worker pool,
   /// for callers that maintain their own partial graphs (the rt bucket
-  /// cache). `shards` is pinned by the caller: partials that will be
-  /// absorbed into each other must share one shard count, so the rt engine
-  /// captures it once rather than chasing set_parallelism.
-  graph::DayGraph make_ingest_graph(std::size_t shards) const {
-    return graph::DayGraph(shards, executor_);
+  /// cache).
+  graph::DayGraph make_ingest_graph() const {
+    return graph::DayGraph(executor_);
   }
 
   /// All automated rare domains of the day with their scores, unthresholded
@@ -444,7 +439,7 @@ class Pipeline {
 
   PipelineConfig config_;
   /// Shared with live DayAccumulators (begin_day) so reconfiguration never
-  /// destroys a pool that still has a day's shards wired to it.
+  /// destroys a pool that still has a day's graph wired to it.
   std::shared_ptr<util::Executor> executor_;
   const features::WhoisSource& whois_;
   const profile::TopSitesList* top_sites_ = nullptr;

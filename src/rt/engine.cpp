@@ -101,15 +101,9 @@ ContinuousEngine::ContinuousEngine(api::Detector& detector, SimClock& clock,
       config_(std::move(config)),
       window_(config_.window) {
   assert(config_.window.valid());
-  // Pin the partial shard count now: partials absorb into each other, so
-  // they must all share one geometry even if set_parallelism retunes the
-  // pipeline mid-run (finalized bytes are shard-count-invariant, so a
-  // pinned count is a pure performance choice, never a drift).
   core::Pipeline& pipeline = detector_.pipeline();
-  const std::size_t shards =
-      std::max<std::size_t>(pipeline.config().parallelism.shards, 1);
   window_.set_partial_factory(
-      [&pipeline, shards] { return pipeline.make_ingest_graph(shards); });
+      [&pipeline] { return pipeline.make_ingest_graph(); });
 }
 
 ContinuousEngine::~ContinuousEngine() {

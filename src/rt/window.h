@@ -12,17 +12,17 @@
 //     seen, so the result reproduces run_day() bit for bit (the
 //     chunking-independence contract).
 //
-// A bucket is sealed the first time an evaluation covers it: its events are ingested once into a cached
-// pre-finalize graph::DayGraph partial (per-shard builders + shard
-// interners, timestamps pre-sorted) and the raw events are released — so
-// window memory is bounded by the open bucket plus O(distinct) partial
-// state, and a tick evaluation merges cached partials (DayGraph::absorb)
-// instead of re-interning the window's raw events. A running window merge
-// is kept across ticks: when the window front is unchanged, only the
-// newly sealed buckets are absorbed — tick cost O(new events), not
-// O(window). The merge is rebuilt from the cached partials (never from
-// raw events) when the front moves or a sealed bucket is mutated by a
-// late append (mutation epoch).
+// A bucket is sealed the first time an evaluation covers it: its events
+// are ingested once into a cached pre-finalize graph::DayGraph partial
+// (interners + edge table, timestamps pre-sorted) and the raw events are
+// released — so window memory is bounded by the open bucket plus
+// O(distinct) partial state, and a tick evaluation merges cached partials
+// (DayGraph::absorb) instead of re-interning the window's raw events. A
+// running window merge is kept across ticks: when the window front is
+// unchanged, only the newly sealed buckets are absorbed — tick cost
+// O(new events), not O(window). The merge is rebuilt from the cached
+// partials (never from raw events) when the front moves or a sealed bucket
+// is mutated by a late append (mutation epoch).
 //
 // A bucket is dropped only when it has slid out of the window AND its day
 // has been closed; the window never truncates an open day. Memory is
@@ -79,10 +79,9 @@ class WindowAccumulator {
 
   const WindowConfig& config() const { return config_; }
 
-  /// Factory for empty pre-finalize partial graphs (pipeline-wired shard
-  /// builders; see core::Pipeline::make_ingest_graph). Must be installed
-  /// before the first seal; every partial of this
-  /// window must come from the same factory (matching shard counts).
+  /// Factory for empty pre-finalize partial graphs wired to the
+  /// pipeline's worker pool (see core::Pipeline::make_ingest_graph). Must
+  /// be installed before the first seal.
   using PartialFactory = std::function<graph::DayGraph()>;
   void set_partial_factory(PartialFactory factory) {
     factory_ = std::move(factory);

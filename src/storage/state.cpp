@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -430,7 +431,7 @@ std::string encode_config_section(const core::PipelineConfig& config) {
   out.f64(config.sim_threshold);
   out.varint(config.bp_max_iterations);
   out.varint(config.parallelism.threads);
-  out.varint(config.parallelism.shards);
+  out.varint(1);  // reserved slot (once an ingest shard count)
   return out.take();
 }
 
@@ -443,22 +444,28 @@ bool decode_config_section(std::string_view payload,
   std::uint8_t metric = 0;
   std::uint64_t bp_iter = 0;
   std::uint64_t threads = 0;
-  std::uint64_t shards = 0;
+  std::uint64_t reserved = 0;
   if (!in.varint(popularity) || !in.varint(ua_rare) ||
       !in.f64(config.periodicity.bin_width_seconds) ||
       !in.f64(config.periodicity.jeffrey_threshold) ||
       !in.varint(min_intervals) || !in.u8(metric) ||
       !in.f64(config.cc_threshold) || !in.f64(config.sim_threshold) ||
-      !in.varint(bp_iter) || !in.varint(threads) || !in.varint(shards) ||
+      !in.varint(bp_iter) || !in.varint(threads) || !in.varint(reserved) ||
       !in.at_end()) {
     set_status(status, LoadError::Truncated, "config: section cut short");
     return false;
   }
-  // The same validity bounds core::parse_pipeline_config enforces.
+  // The same validity bounds core::parse_pipeline_config enforces. The
+  // reserved slot must be >= 1 and is otherwise ignored, so checkpoints
+  // written with any shard count still load.
+  const double bin_width = config.periodicity.bin_width_seconds;
+  const double jeffrey = config.periodicity.jeffrey_threshold;
   if (popularity == 0 || ua_rare == 0 || min_intervals == 0 || bp_iter == 0 ||
-      threads == 0 || shards == 0 || metric > 1 ||
-      !(config.periodicity.bin_width_seconds > 0) ||
-      !(config.periodicity.jeffrey_threshold >= 0)) {
+      threads == 0 || reserved == 0 || metric > 1 ||
+      !std::isfinite(bin_width) || !(bin_width > 0) ||
+      !std::isfinite(jeffrey) || !(jeffrey >= 0) ||
+      !std::isfinite(config.cc_threshold) ||
+      !std::isfinite(config.sim_threshold)) {
     set_status(status, LoadError::Malformed, "config: value out of range");
     return false;
   }
@@ -469,7 +476,6 @@ bool decode_config_section(std::string_view payload,
                                           : timing::HistogramMetric::Jeffrey;
   config.bp_max_iterations = static_cast<std::size_t>(bp_iter);
   config.parallelism.threads = static_cast<std::size_t>(threads);
-  config.parallelism.shards = static_cast<std::size_t>(shards);
   return true;
 }
 

@@ -2,14 +2,11 @@
 // for hosts and domains; strings only live at the log/simulator boundary.
 // Lookups are heterogeneous (string_view probes an owned-string table
 // without materializing a temporary std::string), so the per-event hot
-// path never allocates for already-seen names. ShardInterner + the merge
-// path let independently built shards reproduce, bit for bit, the id
-// assignment one sequential Interner would have produced.
+// path never allocates for already-seen names.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -47,7 +44,7 @@ using TransparentStringSet =
     std::unordered_set<std::string, TransparentStringHash, std::equal_to<>>;
 
 /// Bidirectional string <-> dense-id map. Not thread-safe; one day path
-/// builds on one thread (or on independent shards — see ShardInterner).
+/// builds on one thread.
 class Interner {
  public:
   Interner() = default;
@@ -99,70 +96,6 @@ class Interner {
 
   TransparentStringMap<InternId> ids_;
   std::vector<const std::string*> names_;  ///< id -> key in ids_
-};
-
-/// One shard of a sharded interner: interns locally while recording the
-/// global arrival sequence of every string's first appearance, so
-/// independently built shards can later be merged into exactly the id
-/// assignment a single sequential Interner scanning the whole stream
-/// would have produced. `seq` must be non-decreasing per shard (it is the
-/// position of the event in the global stream).
-class ShardInterner {
- public:
-  /// Local id for the string, inserting it (tagged with `seq`) if new.
-  InternId intern(std::string_view text, std::uint64_t seq) {
-    const InternId id = interner_.intern(text);
-    // Ids are dense, so a fresh insertion is exactly the id one past the
-    // seqs recorded so far.
-    if (id == first_seq_.size()) first_seq_.push_back(seq);
-    return id;
-  }
-
-  /// Local id if present, kInvalidInternId otherwise. Allocation-free.
-  InternId find(std::string_view text) const { return interner_.find(text); }
-
-  const std::string& name(InternId id) const { return interner_.name(id); }
-
-  /// Global stream position of the string's first appearance in this shard.
-  std::uint64_t first_seq(InternId id) const { return first_seq_[id]; }
-
-  std::size_t size() const { return interner_.size(); }
-
- private:
-  Interner interner_;  ///< owns copy-safety of the id -> name table
-  std::vector<std::uint64_t> first_seq_;  ///< by local id
-};
-
-/// Result of merging shard interners: the global interner plus, per shard,
-/// the local-id -> global-id remap table.
-struct InternerMerge {
-  Interner interner;
-  std::vector<std::vector<InternId>> to_global;  ///< [shard][local id]
-};
-
-/// Merge shard interners into a global id space ordered by first global
-/// appearance (ascending first_seq): bit-identical to interning the
-/// original stream sequentially, for any shard count or routing.
-InternerMerge merge_interners(std::span<const ShardInterner* const> shards);
-
-/// N independent shard interners plus the deterministic merge — the
-/// convenience owner for builders that shard a stream by key hash. Each
-/// shard may be filled from its own thread (shards share no state); the
-/// merge runs after all shards are complete.
-class ShardedInterner {
- public:
-  explicit ShardedInterner(std::size_t n_shards)
-      : shards_(n_shards == 0 ? 1 : n_shards) {}
-
-  std::size_t shard_count() const { return shards_.size(); }
-  ShardInterner& shard(std::size_t i) { return shards_[i]; }
-  const ShardInterner& shard(std::size_t i) const { return shards_[i]; }
-
-  /// Merge all shards (see merge_interners).
-  InternerMerge merge() const;
-
- private:
-  std::vector<ShardInterner> shards_;
 };
 
 }  // namespace eid::util

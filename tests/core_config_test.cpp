@@ -52,9 +52,14 @@ TEST(ConfigIoTest, MalformedValuesAreErrors) {
       "cc_threshold = not-a-number\n"
       "bin_width_seconds = -5\n"
       "min_intervals = 0\n"
-      "line without equals\n");
+      "line without equals\n"
+      // from_chars accepts these spellings; thresholds must be finite.
+      "cc_threshold = nan\n"
+      "sim_threshold = inf\n"
+      "jeffrey_threshold = inf\n"
+      "bin_width_seconds = inf\n");
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(result.errors.size(), 4u);
+  EXPECT_EQ(result.errors.size(), 8u);
 }
 
 TEST(ConfigIoTest, WhitespaceAndCommentsTolerated) {

@@ -50,34 +50,31 @@ TEST(DeterminismTest, PipelineDayReportIsBitStable) {
 }
 
 TEST(DeterminismTest, ParallelismDoesNotChangeReports) {
-  // The parallel engine contract: analysis_threads and ingest shard count
-  // are pure performance knobs — bit-identical DayReports for any values.
+  // The parallel engine contract: analysis_threads is a pure performance
+  // knob — bit-identical DayReports for any value.
   test::MapWhois whois;
   whois.add("beacon.ru", 95, 400);
   const auto events = synthetic_day(100);
   std::string baseline;
   for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t shards : {1u, 4u}) {
-      core::PipelineConfig config;
-      config.parallelism = core::Parallelism{threads, shards};
-      api::Detector detector(config, whois);
-      test::profile_events(detector, synthetic_day(99), 99);
-      const std::string json =
-          core::day_report_to_json(test::run_events(detector, events, 100));
-      if (baseline.empty()) {
-        baseline = json;
-      } else {
-        EXPECT_EQ(json, baseline)
-            << threads << " threads, " << shards << " shards";
-      }
+    core::PipelineConfig config;
+    config.parallelism.threads = threads;
+    api::Detector detector(config, whois);
+    test::profile_events(detector, synthetic_day(99), 99);
+    const std::string json =
+        core::day_report_to_json(test::run_events(detector, events, 100));
+    if (baseline.empty()) {
+      baseline = json;
+    } else {
+      EXPECT_EQ(json, baseline) << threads << " threads";
     }
   }
 }
 
 TEST(DeterminismTest, DayPipelinedMultiDayRunsAreBitIdentical) {
-  // The full parallelism surface — worker threads, ingest shards and the
-  // multi-day pipeline depth — is pure performance: every DayReport of a
-  // multi-day run must be bit-identical across all of it.
+  // The full parallelism surface — worker threads and the multi-day
+  // pipeline depth — is pure performance: every DayReport of a multi-day
+  // run must be bit-identical across all of it.
   test::MapWhois whois;
   whois.add("beacon.ru", 95, 400);
   std::vector<std::vector<logs::ConnEvent>> days;
@@ -88,26 +85,24 @@ TEST(DeterminismTest, DayPipelinedMultiDayRunsAreBitIdentical) {
   std::string baseline;
   for (const std::size_t depth : {1u, 2u}) {
     for (const std::size_t threads : {1u, 2u, 8u}) {
-      for (const std::size_t shards : {1u, 4u}) {
-        core::PipelineConfig config;
-        config.parallelism = core::Parallelism{threads, shards, depth};
-        api::Detector detector(config, whois);
-        auto profile = synthetic_day(99);
-        api::VectorSource bootstrap(99, &profile);
-        detector.ingest(bootstrap);
-        api::MultiDaySource source(100, &days);
-        const std::vector<core::DayReport> reports = detector.run_days(source);
-        ASSERT_EQ(reports.size(), days.size());
-        std::string all;
-        for (const core::DayReport& report : reports) {
-          all += core::day_report_to_json(report);
-        }
-        if (baseline.empty()) {
-          baseline = all;
-        } else {
-          EXPECT_EQ(all, baseline) << threads << " threads, " << shards
-                                   << " shards, depth " << depth;
-        }
+      core::PipelineConfig config;
+      config.parallelism.threads = threads;
+      config.parallelism.pipeline_depth = depth;
+      api::Detector detector(config, whois);
+      auto profile = synthetic_day(99);
+      api::VectorSource bootstrap(99, &profile);
+      detector.ingest(bootstrap);
+      api::MultiDaySource source(100, &days);
+      const std::vector<core::DayReport> reports = detector.run_days(source);
+      ASSERT_EQ(reports.size(), days.size());
+      std::string all;
+      for (const core::DayReport& report : reports) {
+        all += core::day_report_to_json(report);
+      }
+      if (baseline.empty()) {
+        baseline = all;
+      } else {
+        EXPECT_EQ(all, baseline) << threads << " threads, depth " << depth;
       }
     }
   }
@@ -124,10 +119,10 @@ TEST(DeterminismTest, ObservabilityDoesNotPerturbReports) {
     days.push_back(synthetic_day(day));
   }
 
-  const auto run = [&](std::size_t threads, std::size_t shards,
-                       std::size_t depth) {
+  const auto run = [&](std::size_t threads, std::size_t depth) {
     core::PipelineConfig config;
-    config.parallelism = core::Parallelism{threads, shards, depth};
+    config.parallelism.threads = threads;
+    config.parallelism.pipeline_depth = depth;
     api::Detector detector(config, whois);
     auto profile = synthetic_day(99);
     api::VectorSource bootstrap(99, &profile);
@@ -145,12 +140,12 @@ TEST(DeterminismTest, ObservabilityDoesNotPerturbReports) {
   for (const std::size_t depth : {1u, 2u}) {
     for (const std::size_t threads : {1u, 8u}) {
       obs::metrics().set_enabled(false);
-      const std::string off = run(threads, 4, depth);
+      const std::string off = run(threads, depth);
 
       obs::TraceSink sink;
       api::Detector::set_trace_sink(&sink);
       obs::metrics().set_enabled(true);
-      const std::string on = run(threads, 4, depth);
+      const std::string on = run(threads, depth);
       api::Detector::set_trace_sink(nullptr);
 
       EXPECT_EQ(on, off) << threads << " threads, depth " << depth;
@@ -179,7 +174,7 @@ TEST(DeterminismTest, SteadyStateKeepsOneExecutor) {
   }
 
   core::PipelineConfig config;
-  config.parallelism = core::Parallelism{8, 4, 2};
+  config.parallelism = core::Parallelism{.threads = 8, .pipeline_depth = 2};
   api::Detector detector(config, whois);
   api::MultiDaySource warmup(100, &warmup_days);
   detector.run_days(warmup);

@@ -138,66 +138,99 @@ TEST(DayGraphTest, ForEachEdgeVisitsInSortedOrder) {
   EXPECT_TRUE(std::is_sorted(visited.begin(), visited.end()));
 }
 
-// The sharded-ingest contract: any shard count yields a finalized graph
-// bit-identical to the sequential (one-shard) build — same ids, same
-// adjacency, same edge aggregates, same IP order.
-TEST(DayGraphTest, ShardedBuildMatchesSequential) {
-  const auto feed = [](DayGraph& graph) {
-    // Interleaved hosts/domains so ids depend on global arrival order and
-    // every shard sees traffic; shared domains span shards.
-    for (int i = 0; i < 40; ++i) {
-      auto ev = event(1000 - i, "host" + std::to_string(i % 7),
-                      "dom" + std::to_string(i % 5) + ".com",
-                      i % 3 == 0 ? "UA-" + std::to_string(i % 4) : "",
-                      i % 2 == 0);
-      ev.dest_ip = util::Ipv4::from_octets(10, 0, static_cast<uint8_t>(i % 3),
-                                           static_cast<uint8_t>(i % 2));
-      graph.add_event(ev);
-    }
+// Ids, IP lists and per-edge UA lists follow first appearance in the
+// event stream, whether the graph is built event by event or by absorbing
+// independently built slices. Expected values are written out by hand.
+TEST(DayGraphTest, IdsIpsAndUasFollowFirstAppearance) {
+  const auto ip = [](std::uint8_t last) {
+    return util::Ipv4::from_octets(10, 0, 0, last);
   };
-  DayGraph sequential(1);
-  feed(sequential);
-  sequential.finalize();
-
-  for (const std::size_t shards : {2u, 4u, 9u}) {
-    SCOPED_TRACE(std::to_string(shards) + " shards");
-    DayGraph sharded(shards);
-    feed(sharded);
-    sharded.finalize(3);
-
-    ASSERT_EQ(sharded.host_count(), sequential.host_count());
-    ASSERT_EQ(sharded.domain_count(), sequential.domain_count());
-    ASSERT_EQ(sharded.edge_count(), sequential.edge_count());
-    for (HostId h = 0; h < sequential.host_count(); ++h) {
-      EXPECT_EQ(sharded.host_name(h), sequential.host_name(h));
-      const auto a = sequential.host_domains(h);
-      const auto b = sharded.host_domains(h);
-      ASSERT_EQ(std::vector<DomainId>(a.begin(), a.end()),
-                std::vector<DomainId>(b.begin(), b.end()));
-    }
-    for (DomainId d = 0; d < sequential.domain_count(); ++d) {
-      EXPECT_EQ(sharded.domain_name(d), sequential.domain_name(d));
-      const auto a = sequential.domain_hosts(d);
-      const auto b = sharded.domain_hosts(d);
-      ASSERT_EQ(std::vector<HostId>(a.begin(), a.end()),
-                std::vector<HostId>(b.begin(), b.end()));
-      const auto ips_a = sequential.domain_ips(d);
-      const auto ips_b = sharded.domain_ips(d);
-      ASSERT_EQ(std::vector<util::Ipv4>(ips_a.begin(), ips_a.end()),
-                std::vector<util::Ipv4>(ips_b.begin(), ips_b.end()));
-    }
-    sequential.for_each_edge([&](HostId h, DomainId d, const EdgeData& a) {
-      const EdgeData* b = sharded.edge(h, d);
-      ASSERT_NE(b, nullptr);
-      EXPECT_EQ(a.times, b->times);
-      EXPECT_EQ(a.user_agents, b->user_agents);
-      for (const UaId ua : a.user_agents) {
-        EXPECT_EQ(sharded.ua_name(ua), sequential.ua_name(ua));
-      }
-      EXPECT_EQ(a.any_referer, b->any_referer);
-      EXPECT_EQ(a.any_empty_ua, b->any_empty_ua);
-    });
+  std::vector<logs::ConnEvent> stream = {
+      event(50, "hB", "y.com", "UA-2"), event(40, "hA", "x.com", "UA-1"),
+      event(30, "hB", "x.com", "UA-1"), event(20, "hC", "z.com", ""),
+      event(10, "hA", "y.com", "UA-3"), event(60, "hB", "y.com", "UA-1"),
+      event(70, "hA", "x.com", "UA-3"), event(5, "hB", "x.com", "UA-2"),
+      event(80, "hC", "y.com", "UA-2"),
+  };
+  const std::uint8_t ips[] = {2, 1, 3, 9, 2, 5, 3, 1, 2};
+  for (std::size_t i = 0; i < stream.size(); ++i) {
+    stream[i].dest_ip = ip(ips[i]);
   }
+
+  const auto check = [&](const DayGraph& g) {
+    ASSERT_EQ(g.host_count(), 3u);
+    ASSERT_EQ(g.domain_count(), 3u);
+    ASSERT_EQ(g.edge_count(), 6u);
+    EXPECT_EQ(g.host_name(0), "hB");
+    EXPECT_EQ(g.host_name(1), "hA");
+    EXPECT_EQ(g.host_name(2), "hC");
+    EXPECT_EQ(g.domain_name(0), "y.com");
+    EXPECT_EQ(g.domain_name(1), "x.com");
+    EXPECT_EQ(g.domain_name(2), "z.com");
+    EXPECT_EQ(g.ua_name(0), "UA-2");
+    EXPECT_EQ(g.ua_name(1), "UA-1");
+    EXPECT_EQ(g.ua_name(2), "UA-3");
+
+    using Ips = std::vector<util::Ipv4>;
+    const auto ips_of = [&](DomainId d) {
+      const auto span = g.domain_ips(d);
+      return Ips(span.begin(), span.end());
+    };
+    EXPECT_EQ(ips_of(0), (Ips{ip(2), ip(5)}));
+    EXPECT_EQ(ips_of(1), (Ips{ip(1), ip(3)}));
+    EXPECT_EQ(ips_of(2), (Ips{ip(9)}));
+
+    using Ids = std::vector<util::InternId>;
+    const auto hosts_of = [&](DomainId d) {
+      const auto span = g.domain_hosts(d);
+      return Ids(span.begin(), span.end());
+    };
+    EXPECT_EQ(hosts_of(0), (Ids{0, 1, 2}));
+    EXPECT_EQ(hosts_of(1), (Ids{0, 1}));
+    EXPECT_EQ(hosts_of(2), (Ids{2}));
+
+    struct Expected {
+      HostId host;
+      DomainId domain;
+      std::vector<util::TimePoint> times;
+      Ids uas;
+      bool empty_ua;
+    };
+    const Expected edges[] = {
+        {0, 0, {50, 60}, {0, 1}, false}, {0, 1, {5, 30}, {1, 0}, false},
+        {1, 0, {10}, {2}, false},        {1, 1, {40, 70}, {1, 2}, false},
+        {2, 0, {80}, {0}, false},        {2, 2, {20}, {}, true},
+    };
+    std::size_t visited = 0;
+    g.for_each_edge([&](HostId h, DomainId d, const EdgeData& e) {
+      ASSERT_LT(visited, std::size(edges));
+      const Expected& want = edges[visited++];
+      EXPECT_EQ(h, want.host);
+      EXPECT_EQ(d, want.domain);
+      EXPECT_EQ(e.times, want.times);
+      EXPECT_EQ(e.user_agents, want.uas);
+      EXPECT_EQ(e.any_empty_ua, want.empty_ua);
+    });
+    EXPECT_EQ(visited, std::size(edges));
+  };
+
+  DayGraph sequential;
+  for (const auto& ev : stream) sequential.add_event(ev);
+  sequential.finalize();
+  {
+    SCOPED_TRACE("add_event");
+    check(sequential);
+  }
+
+  DayGraph merged;
+  for (const std::size_t begin : {0u, 3u, 6u}) {
+    DayGraph slice;
+    for (std::size_t i = begin; i < begin + 3; ++i) slice.add_event(stream[i]);
+    merged.absorb(slice);
+  }
+  merged.finalize();
+  SCOPED_TRACE("absorb");
+  check(merged);
 }
 
 /// Compare two finalized graphs field by field through the public API.
@@ -243,30 +276,27 @@ std::vector<logs::ConnEvent> slice_events(int begin, int end) {
 }
 
 // absorb() must be indistinguishable, after finalize, from replaying the
-// absorbed slice's events in order — for one and several shards, sorted
-// (sealed) and unsorted partials alike.
+// absorbed slice's events in order — sorted (sealed) and unsorted partials
+// alike.
 TEST(DayGraphTest, AbsorbMatchesSequentialReplay) {
-  for (const std::size_t shards : {1u, 4u}) {
-    for (const bool seal : {false, true}) {
-      SCOPED_TRACE(std::to_string(shards) + " shards, seal " +
-                   std::to_string(seal));
-      DayGraph sequential(1);
-      for (const auto& ev : slice_events(0, 60)) sequential.add_event(ev);
-      sequential.finalize();
+  for (const bool seal : {false, true}) {
+    SCOPED_TRACE("seal " + std::to_string(seal));
+    DayGraph sequential;
+    for (const auto& ev : slice_events(0, 60)) sequential.add_event(ev);
+    sequential.finalize();
 
-      // Three slices built independently, then chained with absorb.
-      DayGraph merged(shards);
-      for (const int begin : {0, 25, 40}) {
-        const int end = begin == 0 ? 25 : begin == 25 ? 40 : 60;
-        DayGraph slice(shards);
-        for (const auto& ev : slice_events(begin, end)) slice.add_event(ev);
-        if (seal) slice.sort_edge_times();
-        merged.absorb(slice);
-      }
-      EXPECT_EQ(merged.ingested_events(), 60u);
-      merged.finalize();
-      expect_identical(merged, sequential);
+    // Three slices built independently, then chained with absorb.
+    DayGraph merged;
+    for (const int begin : {0, 25, 40}) {
+      const int end = begin == 0 ? 25 : begin == 25 ? 40 : 60;
+      DayGraph slice;
+      for (const auto& ev : slice_events(begin, end)) slice.add_event(ev);
+      if (seal) slice.sort_edge_times();
+      merged.absorb(slice);
     }
+    EXPECT_EQ(merged.ingested_events(), 60u);
+    merged.finalize();
+    expect_identical(merged, sequential);
   }
 }
 
@@ -275,19 +305,19 @@ TEST(DayGraphTest, AbsorbMatchesSequentialReplay) {
 // carried across snapshots of the growing graph — stay bit-identical at
 // every step. The recycled finalize_snapshot_into() variant must too.
 TEST(DayGraphTest, SnapshotMatchesFinalizeAcrossGrowth) {
-  DayGraph growing(3);
+  DayGraph growing;
   DayGraph::SnapshotCache cache;
   DayGraph recycled;  // reused output container across snapshots
   for (const int end : {20, 35, 60}) {
     SCOPED_TRACE("events " + std::to_string(end));
     const int begin = end == 20 ? 0 : end == 35 ? 20 : 35;
-    DayGraph slice(3);
+    DayGraph slice;
     for (const auto& ev : slice_events(begin, end)) slice.add_event(ev);
     slice.sort_edge_times();
     growing.absorb(slice);
 
     // Reference: consuming finalize of an identically-built graph.
-    DayGraph reference(3);
+    DayGraph reference;
     for (const auto& ev : slice_events(0, end)) reference.add_event(ev);
     reference.finalize(2);
 
@@ -301,7 +331,7 @@ TEST(DayGraphTest, SnapshotMatchesFinalizeAcrossGrowth) {
   }
   // The source still finalizes normally after all the snapshots.
   growing.finalize();
-  DayGraph reference(1);
+  DayGraph reference;
   for (const auto& ev : slice_events(0, 60)) reference.add_event(ev);
   reference.finalize();
   expect_identical(growing, reference);

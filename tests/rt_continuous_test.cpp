@@ -1,7 +1,7 @@
 // Batch/continuous equivalence: a day streamed through rt::ContinuousEngine
 // must close with a DayReport bit-identical to api::Detector::run_day on
 // the same event sequence — for every tick size, window length, thread
-// count and ingest shard count — while additionally emitting provisional
+// count and pipeline depth — while additionally emitting provisional
 // incidents at sub-day latency. This is the acceptance criterion of the
 // real-time subsystem: continuous mode costs latency bounded by one tick,
 // never fidelity.
@@ -98,20 +98,19 @@ std::vector<TrainingDay> training_days(MapWhois& whois,
 }
 
 core::PipelineConfig test_config(std::size_t threads = 1,
-                                 std::size_t shards = 1,
                                  std::size_t depth = 1) {
   core::PipelineConfig config;
   config.ua_rare_threshold = 3;
-  config.parallelism = core::Parallelism{threads, shards, depth};
+  config.parallelism.threads = threads;
+  config.parallelism.pipeline_depth = depth;
   return config;
 }
 
 /// A detector profiled and trained on the shared fixture world.
 api::Detector trained_detector(MapWhois& whois, const core::LabelFn& intel,
                                const std::vector<TrainingDay>& train,
-                               std::size_t threads, std::size_t shards,
-                               std::size_t depth = 1) {
-  api::Detector detector(test_config(threads, shards, depth), whois);
+                               std::size_t threads, std::size_t depth = 1) {
+  api::Detector detector(test_config(threads, depth), whois);
   for (const util::Day day : {kDay - 4, kDay - 3}) {
     api::VectorSource source(day, browsing_day(day));
     detector.ingest(source);
@@ -133,7 +132,7 @@ core::SocSeeds soc_seeds() {
 // Continuous day close must be bit-identical to run_day for every tick
 // size, across the parallel knobs, with provisional emissions riding along
 // at sub-day tick sizes.
-TEST(RtContinuousTest, DayCloseBitIdenticalToRunDayAcrossTicksThreadsShards) {
+TEST(RtContinuousTest, DayCloseBitIdenticalToRunDayAcrossTicksThreadsDepth) {
   MapWhois whois;
   std::set<std::string> reported;
   const auto train = training_days(whois, reported);
@@ -142,11 +141,11 @@ TEST(RtContinuousTest, DayCloseBitIdenticalToRunDayAcrossTicksThreadsShards) {
   };
   auto events = campaign_day(kDay, whois);
 
-  // Batch baseline (threads 1, shards 1 — itself config-invariant per
+  // Batch baseline (one thread — itself config-invariant per
   // api_equivalence_test).
   std::string baseline;
   {
-    api::Detector batch = trained_detector(whois, intel, train, 1, 1);
+    api::Detector batch = trained_detector(whois, intel, train, 1);
     api::VectorSource source(kDay, &events);
     baseline =
         core::day_report_to_json(batch.run_day(source, kDay, soc_seeds()));
@@ -156,41 +155,37 @@ TEST(RtContinuousTest, DayCloseBitIdenticalToRunDayAcrossTicksThreadsShards) {
   for (const std::int64_t tick : {std::int64_t{300}, std::int64_t{3600},
                                   std::int64_t{86400}}) {
     for (const std::size_t threads : {1u, 8u}) {
-      for (const std::size_t shards : {1u, 4u}) {
-        // Depth 2 drives the pipelined close: finish_day/report_day run on
-        // a worker and the history commit lands at the next join point —
-        // the report must still match the batch baseline byte for byte.
-        for (const std::size_t depth : {1u, 2u}) {
-          SCOPED_TRACE("tick " + std::to_string(tick) + ", threads " +
-                       std::to_string(threads) + ", shards " +
-                       std::to_string(shards) + ", depth " +
-                       std::to_string(depth));
-          api::Detector detector =
-              trained_detector(whois, intel, train, threads, shards, depth);
-          EngineConfig config;
-          config.window.tick_seconds = tick;
-          config.seeds = soc_seeds();
-          api::VectorSource source(kDay, &events);
-          const ContinuousReport report =
-              detector.run_continuous(source, config);
+      // Depth 2 drives the pipelined close: finish_day/report_day run on
+      // a worker and the history commit lands at the next join point —
+      // the report must still match the batch baseline byte for byte.
+      for (const std::size_t depth : {1u, 2u}) {
+        SCOPED_TRACE("tick " + std::to_string(tick) + ", threads " +
+                     std::to_string(threads) + ", depth " +
+                     std::to_string(depth));
+        api::Detector detector =
+            trained_detector(whois, intel, train, threads, depth);
+        EngineConfig config;
+        config.window.tick_seconds = tick;
+        config.seeds = soc_seeds();
+        api::VectorSource source(kDay, &events);
+        const ContinuousReport report = detector.run_continuous(source, config);
 
-          ASSERT_EQ(report.days.size(), 1u);
-          EXPECT_EQ(core::day_report_to_json(report.days[0]), baseline);
-          EXPECT_EQ(report.stats.events, events.size());
-          EXPECT_EQ(report.stats.days_closed, 1u);
-          EXPECT_EQ(detector.days_operated(), 1u);
+        ASSERT_EQ(report.days.size(), 1u);
+        EXPECT_EQ(core::day_report_to_json(report.days[0]), baseline);
+        EXPECT_EQ(report.stats.events, events.size());
+        EXPECT_EQ(report.stats.days_closed, 1u);
+        EXPECT_EQ(detector.days_operated(), 1u);
 
-          // Finalized emissions always fire (fresh campaign); provisional
-          // ones require at least one tick boundary inside the day.
-          EXPECT_GT(report.emissions.size(), 0u);
-          if (tick < 86400) {
-            EXPECT_GT(report.stats.provisional_emissions, 0u);
-          }
-          for (const IncidentEmission& emission : report.emissions) {
-            EXPECT_GE(emission.latency_seconds, 0);
-            EXPECT_EQ(emission.emission_time - emission.event_time,
-                      emission.latency_seconds);
-          }
+        // Finalized emissions always fire (fresh campaign); provisional
+        // ones require at least one tick boundary inside the day.
+        EXPECT_GT(report.emissions.size(), 0u);
+        if (tick < 86400) {
+          EXPECT_GT(report.stats.provisional_emissions, 0u);
+        }
+        for (const IncidentEmission& emission : report.emissions) {
+          EXPECT_GE(emission.latency_seconds, 0);
+          EXPECT_EQ(emission.emission_time - emission.event_time,
+                    emission.latency_seconds);
         }
       }
     }
@@ -209,7 +204,7 @@ TEST(RtContinuousTest, ProvisionalEmissionPrecedesDayClose) {
   };
   auto events = campaign_day(kDay, whois);
 
-  api::Detector detector = trained_detector(whois, intel, train, 1, 1);
+  api::Detector detector = trained_detector(whois, intel, train, 1);
   EngineConfig config;
   config.window.tick_seconds = 300;
   config.seeds = soc_seeds();
@@ -256,7 +251,7 @@ TEST(RtContinuousTest, MultiDayMatchesSequentialRunDay) {
   auto day1 = campaign_day(kDay, whois);
   auto day2 = campaign_day(kDay + 1, whois);
 
-  api::Detector batch = trained_detector(whois, intel, train, 1, 1);
+  api::Detector batch = trained_detector(whois, intel, train, 1);
   std::vector<std::string> batch_json;
   for (auto* events : {&day1, &day2}) {
     const util::Day day = events == &day1 ? kDay : kDay + 1;
@@ -265,7 +260,7 @@ TEST(RtContinuousTest, MultiDayMatchesSequentialRunDay) {
         core::day_report_to_json(batch.run_day(source, day, soc_seeds())));
   }
 
-  api::Detector continuous = trained_detector(whois, intel, train, 1, 1);
+  api::Detector continuous = trained_detector(whois, intel, train, 1);
   ReplayClock clock;
   EngineConfig config;
   config.window.tick_seconds = 3600;
@@ -318,12 +313,12 @@ TEST(RtContinuousTest, EmptyDayClosesLikeBatch) {
     return reported.contains(domain);
   };
 
-  api::Detector batch = trained_detector(whois, intel, train, 1, 1);
+  api::Detector batch = trained_detector(whois, intel, train, 1);
   api::VectorSource empty_batch(kDay, std::vector<logs::ConnEvent>{});
   const std::string baseline =
       core::day_report_to_json(batch.run_day(empty_batch, kDay, {}));
 
-  api::Detector continuous = trained_detector(whois, intel, train, 1, 1);
+  api::Detector continuous = trained_detector(whois, intel, train, 1);
   EngineConfig config;
   config.window.tick_seconds = 300;
   api::VectorSource empty_stream(kDay, std::vector<logs::ConnEvent>{});
@@ -349,9 +344,8 @@ TEST(RtContinuousTest, TracingOnKeepsDayCloseBitIdentical) {
   };
   auto events = campaign_day(kDay, whois);
 
-  const auto run = [&](std::size_t threads, std::size_t shards) {
-    api::Detector detector =
-        trained_detector(whois, intel, train, threads, shards);
+  const auto run = [&](std::size_t threads) {
+    api::Detector detector = trained_detector(whois, intel, train, threads);
     EngineConfig config;
     config.window.tick_seconds = 3600;
     config.seeds = soc_seeds();
@@ -367,12 +361,12 @@ TEST(RtContinuousTest, TracingOnKeepsDayCloseBitIdentical) {
   for (const std::size_t threads : {1u, 8u}) {
     SCOPED_TRACE(std::to_string(threads) + " threads");
     obs::metrics().set_enabled(false);
-    const std::string dark = run(threads, 4);
+    const std::string dark = run(threads);
 
     obs::TraceSink sink;
     api::Detector::set_trace_sink(&sink);
     obs::metrics().set_enabled(true);
-    const std::string traced = run(threads, 4);
+    const std::string traced = run(threads);
     api::Detector::set_trace_sink(nullptr);
 
     EXPECT_EQ(traced, dark);

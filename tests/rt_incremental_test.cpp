@@ -11,7 +11,7 @@
 //     AND the same provisional/finalized emission sequence, field for
 //     field, as a batch reference that re-analyzes the arrival prefix with
 //     the pipeline's day verbs at every evaluated tick, for every tick
-//     size × thread count × shard count × pipeline depth, and regardless
+//     size × thread count × pipeline depth, and regardless
 //     of how chunks straddle tick boundaries.
 #include "rt/window.h"
 
@@ -73,10 +73,9 @@ std::string graph_signature(const graph::DayGraph& graph) {
   return out.str();
 }
 
-/// Sequential-ingest baseline over `events` in order (shard-invariant by
-/// the DayGraph merge contract, so one shard suffices).
+/// Sequential-ingest baseline over `events` in order.
 std::string sequential_signature(const std::vector<logs::ConnEvent>& events) {
-  graph::DayGraph graph(1);
+  graph::DayGraph graph;
   for (const auto& ev : events) graph.add_event(ev);
   graph.finalize();
   return graph_signature(graph);
@@ -105,11 +104,9 @@ WindowConfig small_window() {
   return config;
 }
 
-WindowAccumulator make_window(std::size_t shards,
-                              const WindowConfig& config = small_window()) {
+WindowAccumulator make_window(const WindowConfig& config = small_window()) {
   WindowAccumulator window(config);
-  window.set_partial_factory(
-      [shards] { return graph::DayGraph(shards); });
+  window.set_partial_factory([] { return graph::DayGraph(); });
   return window;
 }
 
@@ -124,7 +121,7 @@ void append_all(WindowAccumulator& window,
 // partial and releases the raw storage — the memory fix behind the
 // rt_peak_buffered_events bench assertion.
 TEST(RtIncrementalTest, SealReleasesRawEvents) {
-  WindowAccumulator window = make_window(1);
+  WindowAccumulator window = make_window();
   const auto events = tick_events(0, 1);
   append_all(window, events);
   EXPECT_EQ(window.buffered_events(), events.size());
@@ -143,49 +140,46 @@ TEST(RtIncrementalTest, SealReleasesRawEvents) {
 // running merge only absorbs the newly sealed bucket (extend); when the
 // window slides it rebuilds from the cached partials. Every tick's merged
 // snapshot must be bit-identical to sequentially ingesting the in-window
-// events — for one and several ingest shards.
-TEST(RtIncrementalTest, MergeMatchesSequentialAcrossSlideAndShards) {
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
-    WindowAccumulator window = make_window(shards);
-    std::vector<std::vector<logs::ConnEvent>> per_tick;
-    for (std::int64_t tick = 0; tick < 7; ++tick) {
-      per_tick.push_back(tick_events(tick, static_cast<int>(tick) + 1));
-      append_all(window, per_tick.back());
+// events.
+TEST(RtIncrementalTest, MergeMatchesSequentialAcrossSlide) {
+  WindowAccumulator window = make_window();
+  std::vector<std::vector<logs::ConnEvent>> per_tick;
+  for (std::int64_t tick = 0; tick < 7; ++tick) {
+    per_tick.push_back(tick_events(tick, static_cast<int>(tick) + 1));
+    append_all(window, per_tick.back());
 
-      const auto view = window.merge_window(tick);
-      ASSERT_NE(view.graph, nullptr);
-      const graph::DayGraph snap =
-          view.graph->finalize_snapshot(1, view.snapshot_cache);
+    const auto view = window.merge_window(tick);
+    ASSERT_NE(view.graph, nullptr);
+    const graph::DayGraph snap =
+        view.graph->finalize_snapshot(1, view.snapshot_cache);
 
-      std::vector<logs::ConnEvent> in_window;
-      const std::int64_t first_live =
-          tick - window.config().window_ticks() + 1;
-      std::size_t expected_events = 0;
-      for (std::int64_t t = std::max<std::int64_t>(0, first_live); t <= tick;
-           ++t) {
-        for (const auto& ev : per_tick[static_cast<std::size_t>(t)]) {
-          in_window.push_back(ev);
-          ++expected_events;
-        }
+    std::vector<logs::ConnEvent> in_window;
+    const std::int64_t first_live =
+        tick - window.config().window_ticks() + 1;
+    std::size_t expected_events = 0;
+    for (std::int64_t t = std::max<std::int64_t>(0, first_live); t <= tick;
+         ++t) {
+      for (const auto& ev : per_tick[static_cast<std::size_t>(t)]) {
+        in_window.push_back(ev);
+        ++expected_events;
       }
-      EXPECT_EQ(view.events, expected_events);
-      EXPECT_EQ(graph_signature(snap), sequential_signature(in_window));
-      window.expire(tick);
-      window.close_day(util::day_of(tick * 300));
     }
-    // 4-tick window over 7 ticks: the first 4 evaluations share one front
-    // (1 rebuild + 3 extends), each slide afterwards rebuilds.
-    EXPECT_EQ(window.cache_stats().merge_rebuilds, 4u);
-    EXPECT_EQ(window.cache_stats().merge_extends, 3u);
-    EXPECT_EQ(window.cache_stats().invalidations, 0u);
+    EXPECT_EQ(view.events, expected_events);
+    EXPECT_EQ(graph_signature(snap), sequential_signature(in_window));
+    window.expire(tick);
+    window.close_day(util::day_of(tick * 300));
   }
+  // 4-tick window over 7 ticks: the first 4 evaluations share one front
+  // (1 rebuild + 3 extends), each slide afterwards rebuilds.
+  EXPECT_EQ(window.cache_stats().merge_rebuilds, 4u);
+  EXPECT_EQ(window.cache_stats().merge_extends, 3u);
+  EXPECT_EQ(window.cache_stats().invalidations, 0u);
 }
 
 // Quiet ticks leave no bucket behind; the merge must skip the gap and the
 // result must still equal the sequential ingest of what exists.
 TEST(RtIncrementalTest, EmptyTickGapsAreSkipped) {
-  WindowAccumulator window = make_window(1);
+  WindowAccumulator window = make_window();
   const auto first = tick_events(0, 1);
   const auto later = tick_events(3, 2);  // ticks 1 and 2 stay empty
   append_all(window, first);
@@ -209,7 +203,7 @@ TEST(RtIncrementalTest, EmptyTickGapsAreSkipped) {
 // invalidates the running merge, which must rebuild from the cached
 // partials and match the sequential ingest of the effective order.
 TEST(RtIncrementalTest, LateAppendIntoSealedBucketInvalidates) {
-  WindowAccumulator window = make_window(1);
+  WindowAccumulator window = make_window();
   const auto batch = tick_events(2, 3);
   append_all(window, batch);
   ASSERT_NE(window.merge_window(2).graph, nullptr);
@@ -309,11 +303,11 @@ std::vector<TrainingDay> training_days(MapWhois& whois,
 
 api::Detector trained_detector(MapWhois& whois, const core::LabelFn& intel,
                                const std::vector<TrainingDay>& train,
-                               std::size_t threads, std::size_t shards,
-                               std::size_t depth = 1) {
+                               std::size_t threads, std::size_t depth = 1) {
   core::PipelineConfig config;
   config.ua_rare_threshold = 3;
-  config.parallelism = core::Parallelism{threads, shards, depth};
+  config.parallelism.threads = threads;
+  config.parallelism.pipeline_depth = depth;
   api::Detector detector(config, whois);
   for (const util::Day day : {kDay - 4, kDay - 3}) {
     api::VectorSource source(day, browsing_day(day));
@@ -472,11 +466,11 @@ ContinuousReport batch_reference(api::Detector& detector,
   return out;
 }
 
-// The tentpole contract: across the full tick × threads × shards × depth
-// sweep, the engine's cached-partial window merge must reproduce the batch
+// The core contract: across the full tick × threads × depth sweep, the
+// engine's cached-partial window merge must reproduce the batch
 // reference's entire observable output — day reports and the provisional
 // emission sequence — byte for byte.
-TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicksThreadsShardsDepth) {
+TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicksThreadsDepth) {
   MapWhois whois;
   std::set<std::string> reported;
   const auto train = training_days(whois, reported);
@@ -488,7 +482,7 @@ TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicksThreadsShardsDepth) {
   for (const std::int64_t tick : {std::int64_t{300}, std::int64_t{3600},
                                   std::int64_t{86400}}) {
     api::Detector reference_detector =
-        trained_detector(whois, intel, train, 1, 1);
+        trained_detector(whois, intel, train, 1);
     const ContinuousReport expected =
         batch_reference(reference_detector, events, kDay, tick);
     const std::string reference = report_fingerprint(expected);
@@ -498,27 +492,23 @@ TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicksThreadsShardsDepth) {
                           [](const IncidentEmission& e) { return e.provisional; }),
               tick < 86400);
     for (const std::size_t threads : {1u, 8u}) {
-      for (const std::size_t shards : {1u, 4u}) {
-        for (const std::size_t depth : {1u, 2u}) {
-          SCOPED_TRACE("tick " + std::to_string(tick) + ", threads " +
-                       std::to_string(threads) + ", shards " +
-                       std::to_string(shards) + ", depth " +
-                       std::to_string(depth));
-          api::Detector detector =
-              trained_detector(whois, intel, train, threads, shards, depth);
-          EngineConfig config;
-          config.window.tick_seconds = tick;
-          config.seeds = soc_seeds();
-          api::VectorSource source(kDay, &events);
-          const ContinuousReport report =
-              detector.run_continuous(source, config);
-          EXPECT_EQ(report_fingerprint(report), reference);
-          // The cache actually carried the evaluations whenever a tick
-          // boundary fell inside the day.
-          if (tick < 86400) {
-            EXPECT_GT(report.stats.buckets_sealed, 0u);
-            EXPECT_GT(report.stats.partial_absorbs, 0u);
-          }
+      for (const std::size_t depth : {1u, 2u}) {
+        SCOPED_TRACE("tick " + std::to_string(tick) + ", threads " +
+                     std::to_string(threads) + ", depth " +
+                     std::to_string(depth));
+        api::Detector detector =
+            trained_detector(whois, intel, train, threads, depth);
+        EngineConfig config;
+        config.window.tick_seconds = tick;
+        config.seeds = soc_seeds();
+        api::VectorSource source(kDay, &events);
+        const ContinuousReport report = detector.run_continuous(source, config);
+        EXPECT_EQ(report_fingerprint(report), reference);
+        // The cache actually carried the evaluations whenever a tick
+        // boundary fell inside the day.
+        if (tick < 86400) {
+          EXPECT_GT(report.stats.buckets_sealed, 0u);
+          EXPECT_GT(report.stats.partial_absorbs, 0u);
         }
       }
     }
@@ -541,7 +531,7 @@ TEST(RtIncrementalTest, ChunkStraddlingTickBoundariesIsInvisible) {
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                   std::size_t{1000000}}) {
     SCOPED_TRACE("chunk_events " + std::to_string(chunk));
-    api::Detector detector = trained_detector(whois, intel, train, 1, 1);
+    api::Detector detector = trained_detector(whois, intel, train, 1);
     EngineConfig config;
     config.window.tick_seconds = 300;
     config.seeds = soc_seeds();

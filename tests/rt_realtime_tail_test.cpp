@@ -45,7 +45,8 @@ TEST(RealTimeTailTest, FollowsALiveWriterAndClosesTheDay) {
   // an executor worker, history commit at the finish() join — the live-tail
   // deployment shape for the async close path.
   core::PipelineConfig pipeline_config;
-  pipeline_config.parallelism = core::Parallelism{2, 1, 2};
+  pipeline_config.parallelism =
+      core::Parallelism{.threads = 2, .pipeline_depth = 2};
   api::Detector detector(pipeline_config, whois);
 
   // Sim time = wall time, anchored at the start of the tailed day; 1 s

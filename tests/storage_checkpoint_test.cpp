@@ -1,8 +1,8 @@
 // The checkpoint contract (acceptance criterion of the storage subsystem):
 // a detector saved after N operation days and restored into a fresh
 // detector produces a bit-identical DayReport for day N+1 versus the
-// uninterrupted run — across the full parallelism matrix, because
-// threads/shards are config state the checkpoint carries too.
+// uninterrupted run — across thread counts, because the thread count is
+// config state the checkpoint carries too.
 #include <gtest/gtest.h>
 
 #include <filesystem>
@@ -102,51 +102,46 @@ class CheckpointTest : public ::testing::Test {
 
 TEST_F(CheckpointTest, RestoredDetectorReproducesDayNPlusOneBitExactly) {
   for (const std::size_t threads : {1u, 8u}) {
-    for (const std::size_t shards : {1u, 4u}) {
-      SCOPED_TRACE(std::to_string(threads) + " threads, " +
-                   std::to_string(shards) + " shards");
-      const auto state_path =
-          dir_ / ("state-" + std::to_string(threads) + "-" +
-                  std::to_string(shards) + ".bin");
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    const auto state_path =
+        dir_ / ("state-" + std::to_string(threads) + ".bin");
 
-      // Uninterrupted run: train, operate N days, checkpoint, day N+1.
-      api::Detector uninterrupted =
-          make_detector(core::Parallelism{threads, shards});
-      train(uninterrupted);
-      for (int d = 0; d < kOperationDays; ++d) {
-        run_operation_day(uninterrupted, d);
-      }
-      storage::LoadStatus status;
-      ASSERT_TRUE(uninterrupted.save_state(state_path, &status))
-          << status.detail;
-      const std::string baseline = core::day_report_to_json(
-          run_operation_day(uninterrupted, kOperationDays));
-
-      // Fresh detector (default config, no histories, no models): restore
-      // everything from the checkpoint, then run day N+1.
-      api::Detector restored = make_detector(core::Parallelism{});
-      ASSERT_TRUE(restored.load_state(state_path, &status)) << status.detail;
-      EXPECT_EQ(restored.pipeline().config().parallelism.threads, threads);
-      EXPECT_EQ(restored.pipeline().config().parallelism.shards, shards);
-      EXPECT_TRUE(restored.pipeline().models_ready());
-      EXPECT_EQ(restored.days_operated(),
-                static_cast<std::size_t>(kOperationDays));
-      const std::string resumed = core::day_report_to_json(
-          run_operation_day(restored, kOperationDays));
-
-      EXPECT_EQ(baseline, resumed);
+    // Uninterrupted run: train, operate N days, checkpoint, day N+1.
+    api::Detector uninterrupted =
+        make_detector(core::Parallelism{.threads = threads});
+    train(uninterrupted);
+    for (int d = 0; d < kOperationDays; ++d) {
+      run_operation_day(uninterrupted, d);
     }
+    storage::LoadStatus status;
+    ASSERT_TRUE(uninterrupted.save_state(state_path, &status))
+        << status.detail;
+    const std::string baseline = core::day_report_to_json(
+        run_operation_day(uninterrupted, kOperationDays));
+
+    // Fresh detector (default config, no histories, no models): restore
+    // everything from the checkpoint, then run day N+1.
+    api::Detector restored = make_detector(core::Parallelism{});
+    ASSERT_TRUE(restored.load_state(state_path, &status)) << status.detail;
+    EXPECT_EQ(restored.pipeline().config().parallelism.threads, threads);
+    EXPECT_TRUE(restored.pipeline().models_ready());
+    EXPECT_EQ(restored.days_operated(),
+              static_cast<std::size_t>(kOperationDays));
+    const std::string resumed = core::day_report_to_json(
+        run_operation_day(restored, kOperationDays));
+
+    EXPECT_EQ(baseline, resumed);
   }
 }
 
 TEST_F(CheckpointTest, CheckpointCarriesHistoriesAndIntel) {
-  api::Detector detector = make_detector(core::Parallelism{1, 1});
+  api::Detector detector = make_detector(core::Parallelism{});
   train(detector);
   run_operation_day(detector, 0);
   const auto state_path = dir_ / "state.bin";
   ASSERT_TRUE(detector.save_state(state_path));
 
-  api::Detector restored = make_detector(core::Parallelism{1, 1});
+  api::Detector restored = make_detector(core::Parallelism{});
   ASSERT_TRUE(restored.load_state(state_path));
   EXPECT_EQ(restored.pipeline().domain_history().size(),
             detector.pipeline().domain_history().size());
@@ -170,7 +165,7 @@ TEST_F(CheckpointTest, CheckpointCarriesHistoriesAndIntel) {
 }
 
 TEST_F(CheckpointTest, SaveStateIsAtomicOverExistingCheckpoint) {
-  api::Detector detector = make_detector(core::Parallelism{1, 1});
+  api::Detector detector = make_detector(core::Parallelism{});
   train(detector);
   const auto state_path = dir_ / "state.bin";
   ASSERT_TRUE(detector.save_state(state_path));
@@ -178,7 +173,7 @@ TEST_F(CheckpointTest, SaveStateIsAtomicOverExistingCheckpoint) {
   run_operation_day(detector, 0);
   ASSERT_TRUE(detector.save_state(state_path));
   EXPECT_FALSE(std::filesystem::exists(state_path.string() + ".tmp"));
-  api::Detector restored = make_detector(core::Parallelism{1, 1});
+  api::Detector restored = make_detector(core::Parallelism{});
   ASSERT_TRUE(restored.load_state(state_path));
   EXPECT_EQ(restored.days_operated(), 1u);
 }

@@ -9,10 +9,12 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
 #include "storage/container.h"
+#include "storage/encoding.h"
 #include "storage/state.h"
 #include "util/binary.h"
 #include "util/rng.h"
@@ -250,7 +252,7 @@ DetectorState sample_state() {
   state.config.periodicity.min_intervals = 5;
   state.config.periodicity.metric = timing::HistogramMetric::L1;
   state.config.bp_max_iterations = 8;
-  state.config.parallelism = {3, 2};
+  state.config.parallelism.threads = 3;
   state.domain_history.update({"a.com", "b.net", "c.org"});
   state.domain_history.update({"d.io"});
   state.ua_history = profile::UaHistory(4);
@@ -283,7 +285,6 @@ TEST_F(StorageStateTest, DetectorStateFullRoundTrip) {
   EXPECT_EQ(loaded->config.periodicity.metric, timing::HistogramMetric::L1);
   EXPECT_EQ(loaded->config.periodicity.min_intervals, 5u);
   EXPECT_EQ(loaded->config.parallelism.threads, 3u);
-  EXPECT_EQ(loaded->config.parallelism.shards, 2u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->config.cc_threshold),
             std::bit_cast<std::uint64_t>(0.44));
 
@@ -306,6 +307,65 @@ TEST_F(StorageStateTest, DetectorStateFullRoundTrip) {
   EXPECT_EQ(loaded->intel_domains,
             (std::vector<std::string>{"c2.example", "evil.example"}));
   EXPECT_EQ(loaded->counters.days_operated, 17u);
+}
+
+// The config section codec on its own: every strict prefix is Truncated,
+// non-finite thresholds are Malformed, and the reserved slot after the
+// thread count (once a shard count) must be >= 1 but is otherwise ignored,
+// so sections that carry any old shard count still decode.
+TEST(ConfigSectionCodecTest, TruncationNonFiniteAndReservedSlot) {
+  using detail::decode_config_section;
+  using detail::encode_config_section;
+  core::PipelineConfig config;
+  config.parallelism.threads = 3;
+  config.cc_threshold = 0.44;
+  const std::string encoded = encode_config_section(config);
+
+  for (std::size_t n = 0; n < encoded.size(); ++n) {
+    core::PipelineConfig decoded;
+    LoadStatus status;
+    EXPECT_FALSE(decode_config_section(encoded.substr(0, n), decoded, &status));
+    EXPECT_EQ(status.error, LoadError::Truncated) << "prefix " << n;
+  }
+
+  // The reserved slot is the last varint, written as the single byte 1.
+  ASSERT_EQ(encoded.back(), '\x01');
+  const auto with_slot = [&](char value) {
+    std::string bytes = encoded;
+    bytes.back() = value;
+    return bytes;
+  };
+  {
+    core::PipelineConfig decoded;
+    LoadStatus status;
+    EXPECT_FALSE(decode_config_section(with_slot('\x00'), decoded, &status));
+    EXPECT_EQ(status.error, LoadError::Malformed);
+  }
+  {
+    core::PipelineConfig decoded;
+    LoadStatus status;
+    ASSERT_TRUE(decode_config_section(with_slot('\x04'), decoded, &status))
+        << status.detail;
+    EXPECT_EQ(decoded.parallelism.threads, 3u);
+    EXPECT_EQ(decoded.cc_threshold, 0.44);
+  }
+
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    std::vector<core::PipelineConfig> configs(4);
+    configs[0].cc_threshold = bad;
+    configs[1].sim_threshold = bad;
+    configs[2].periodicity.bin_width_seconds = bad;
+    configs[3].periodicity.jeffrey_threshold = bad;
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+      SCOPED_TRACE("field " + std::to_string(i) + " = " + std::to_string(bad));
+      core::PipelineConfig decoded;
+      LoadStatus status;
+      EXPECT_FALSE(decode_config_section(encode_config_section(configs[i]),
+                                         decoded, &status));
+      EXPECT_EQ(status.error, LoadError::Malformed);
+    }
+  }
 }
 
 TEST_F(StorageStateTest, EncodeIsIdenticalForAnyThreadCount) {

@@ -48,47 +48,6 @@ TEST(InternerTest, CopyRebindsNameTable) {
   EXPECT_EQ(copy.find("beta"), 1u);
 }
 
-TEST(ShardInternerTest, RecordsFirstAppearanceSequence) {
-  ShardInterner shard;
-  EXPECT_EQ(shard.intern("a", 3), 0u);
-  EXPECT_EQ(shard.intern("b", 7), 1u);
-  EXPECT_EQ(shard.intern("a", 9), 0u);  // re-intern keeps the first seq
-  EXPECT_EQ(shard.first_seq(0), 3u);
-  EXPECT_EQ(shard.first_seq(1), 7u);
-  EXPECT_EQ(shard.find("b"), 1u);
-  EXPECT_EQ(shard.find("missing"), kInvalidInternId);
-}
-
-TEST(ShardedInternerTest, MergeReproducesSequentialIds) {
-  // Route a stream across shards by a key hash, then merge: global ids
-  // must equal what one sequential Interner over the stream assigns.
-  const std::vector<std::string> stream = {
-      "delta.com", "alpha.com", "delta.com", "zeta.com",  "alpha.com",
-      "beta.com",  "zeta.com",  "gamma.com", "delta.com", "epsilon.com"};
-  for (const std::size_t n_shards : {1u, 2u, 3u, 5u}) {
-    SCOPED_TRACE(std::to_string(n_shards) + " shards");
-    Interner sequential;
-    ShardedInterner sharded(n_shards);
-    std::vector<std::pair<std::size_t, InternId>> locals;  // (shard, local)
-    for (std::size_t seq = 0; seq < stream.size(); ++seq) {
-      sequential.intern(stream[seq]);
-      const std::size_t s =
-          std::hash<std::string>{}(stream[seq]) % sharded.shard_count();
-      locals.emplace_back(s, sharded.shard(s).intern(stream[seq], seq));
-    }
-    const InternerMerge merged = sharded.merge();
-    ASSERT_EQ(merged.interner.size(), sequential.size());
-    for (InternId id = 0; id < sequential.size(); ++id) {
-      EXPECT_EQ(merged.interner.name(id), sequential.name(id));
-    }
-    for (std::size_t i = 0; i < stream.size(); ++i) {
-      EXPECT_EQ(merged.to_global[locals[i].first][locals[i].second],
-                sequential.find(stream[i]))
-          << stream[i];
-    }
-  }
-}
-
 TEST(InternerTest, ManyStringsStayConsistent) {
   Interner interner;
   for (int i = 0; i < 5000; ++i) {
