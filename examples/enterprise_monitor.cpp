@@ -34,8 +34,8 @@
 // re-scoring a sliding window every --tick seconds and printing
 // provisional incidents live as they cross the detection thresholds —
 // with the authoritative (batch-identical) day report at day close. Tick
-// evaluations merge cached per-bucket partial graphs (O(new events) per
-// tick).
+// evaluations assemble the window graph from flat sealed bucket segments
+// (O(window state) per tick, growing or sliding).
 //
 // --metrics-out <path> keeps a Prometheus text-exposition snapshot of the
 // process metrics registry at <path> (atomic tmp + rename; point the
@@ -285,8 +285,9 @@ int run_follow(api::Detector& detector, const core::SocSeeds& seeds,
               stats.peak_buffered_events,
               static_cast<unsigned long long>(source.stats().byte_offset),
               source.stats().rotations, source.stats().transient_errors);
-  std::printf("window cache: %zu buckets sealed, %zu partial absorbs, "
-              "%zu merge extends, %zu rebuilds, %zu cached events at exit\n",
+  std::printf("window: %zu segments sealed, %zu segment reads, "
+              "%zu evaluations with the front kept, %zu moved, "
+              "%zu sealed events at exit\n",
               stats.buckets_sealed, stats.partial_absorbs,
               stats.window_merge_extends, stats.window_merge_rebuilds,
               stats.cached_partial_events);

@@ -383,20 +383,12 @@ class Pipeline {
   DayAnalysis finish_day(DayAccumulator&& accumulator) const;
 
   /// finish_day for callers that assembled the day graph themselves — the
-  /// rt engine's incremental window merge hands a graph built from cached
-  /// per-bucket partials (optionally already finalized via
-  /// finalize_snapshot; finalize here is idempotent). `events` is the
+  /// rt engine hands graphs assembled, already finalized, from its sealed
+  /// window segments (finalize here is idempotent). `events` is the
   /// ingested event count the graph represents. Identical to finish_day on
   /// an accumulator fed the same event sequence.
   DayAnalysis finish_day_graph(util::Day day, graph::DayGraph&& graph,
                                std::size_t events) const;
-
-  /// A bare un-finalized ingest graph wired to the pipeline's worker pool,
-  /// for callers that maintain their own partial graphs (the rt bucket
-  /// cache).
-  graph::DayGraph make_ingest_graph() const {
-    return graph::DayGraph(executor_);
-  }
 
   /// All automated rare domains of the day with their scores, unthresholded
   /// (the Fig. 5 / Fig. 6a series).

@@ -32,7 +32,6 @@ void DayGraph::add_event(const logs::ConnEvent& event) {
     assert(!finalized_ && "DayGraph::add_event after finalize()");
     std::abort();
   }
-  times_sorted_ = false;
   ++events_;
   const HostId host = hosts_.intern(event.host);
   const DomainId domain = domains_.intern(event.domain);
@@ -43,7 +42,7 @@ void DayGraph::add_event(const logs::ConnEvent& event) {
     edges_.emplace_back();
     edge_keys_.push_back(key);
   }
-  EdgeData& edge = edges_[slot->second];
+  IngestEdge& edge = edges_[slot->second];
   edge.times.push_back(event.ts);
   if (event.has_referer) edge.any_referer = true;
   if (event.has_http_context) {
@@ -75,221 +74,88 @@ void DayGraph::add_events(std::span<const logs::ConnEvent> events) {
   for (const logs::ConnEvent& event : events) add_event(event);
 }
 
-void DayGraph::absorb(const DayGraph& src) {
-  if (finalized_ || src.finalized_) {
-    assert(!finalized_ && !src.finalized_ && "DayGraph::absorb after finalize()");
-    std::abort();
-  }
-  // Interning src's names in id order is interning them in the slice's
-  // first-appearance order, so strings new to this graph get exactly the
-  // ids a sequential replay would give them.
-  const auto replay = [](util::Interner& dst, const util::Interner& from) {
-    std::vector<util::InternId> map(from.size());
-    for (util::InternId id = 0; id < from.size(); ++id) {
-      map[id] = dst.intern(from.name(id));
-    }
-    return map;
-  };
-  const std::vector<util::InternId> host_map = replay(hosts_, src.hosts_);
-  const std::vector<util::InternId> domain_map = replay(domains_, src.domains_);
-  const std::vector<util::InternId> ua_map = replay(uas_, src.uas_);
-
-  // Visit src edges in slot (creation) order so edges new to this graph
-  // take slots in concatenated first-appearance order, like add_event
-  // would have.
-  const bool merge_sorted = times_sorted_ && src.times_sorted_;
-  for (std::size_t src_slot = 0; src_slot < src.edge_keys_.size(); ++src_slot) {
-    const std::uint64_t src_key = src.edge_keys_[src_slot];
-    const std::uint64_t key = edge_key(host_map[src_key >> 32],
-                                       domain_map[src_key & 0xffffffffu]);
-    const EdgeData& from = src.edges_[src_slot];
-    const auto [slot, inserted] =
-        edge_slot_.try_emplace(key, static_cast<std::uint32_t>(edges_.size()));
-    if (inserted) {
-      edges_.emplace_back();
-      edge_keys_.push_back(key);
-    }
-    EdgeData& to = edges_[slot->second];
-    const std::size_t old_times = to.times.size();
-    to.times.insert(to.times.end(), from.times.begin(), from.times.end());
-    if (merge_sorted) {
-      std::inplace_merge(to.times.begin(),
-                         to.times.begin() + static_cast<std::ptrdiff_t>(old_times),
-                         to.times.end());
-    }
-    if (from.any_referer) to.any_referer = true;
-    if (from.any_empty_ua) to.any_empty_ua = true;
-    for (const UaId ua : from.user_agents) {
-      const UaId mapped = ua_map[ua];
-      if (std::find(to.user_agents.begin(), to.user_agents.end(), mapped) ==
-          to.user_agents.end()) {
-        to.user_agents.push_back(mapped);
-      }
-    }
-  }
-
-  // IP lists: first-seen dedup keeps this (earlier) side's order and
-  // appends the slice's new IPs in the slice's order.
-  for (std::size_t local = 0; local < src.ips_of_domain_.size(); ++local) {
-    const auto& from_ips = src.ips_of_domain_[local];
-    if (from_ips.empty()) continue;
-    const DomainId domain = domain_map[local];
-    if (ips_of_domain_.size() <= domain) ips_of_domain_.resize(domain + 1);
-    auto& to_ips = ips_of_domain_[domain];
-    for (const util::Ipv4 ip : from_ips) {
-      if (std::find(to_ips.begin(), to_ips.end(), ip) == to_ips.end()) {
-        to_ips.push_back(ip);
-      }
-    }
-  }
-  times_sorted_ = merge_sorted;
-  events_ += src.events_;
-}
-
-void DayGraph::sort_edge_times() {
-  if (finalized_) {
-    assert(!finalized_ && "DayGraph::sort_edge_times after finalize()");
-    std::abort();
-  }
-  if (times_sorted_) return;
-  for (EdgeData& edge : edges_) std::sort(edge.times.begin(), edge.times.end());
-  times_sorted_ = true;
-}
-
 void DayGraph::finalize(std::size_t n_threads) {
   if (finalized_) return;  // idempotent: the edge table is already laid out
-  build_csr(*this, n_threads, /*consume=*/true, /*cache=*/nullptr);
+  // 1. Stage every edge slot under its (host, domain) key and order by
+  // key. Keys are unique, so the sort is a total order.
+  struct StagedEdge {
+    std::uint64_t key = 0;
+    std::uint32_t slot = 0;
+  };
+  const std::size_t n_edges = edges_.size();
+  std::vector<StagedEdge> staged;
+  staged.reserve(n_edges);
+  for (std::size_t slot = 0; slot < n_edges; ++slot) {
+    staged.push_back(
+        StagedEdge{edge_keys_[slot], static_cast<std::uint32_t>(slot)});
+  }
+  std::sort(staged.begin(), staged.end(),
+            [](const StagedEdge& a, const StagedEdge& b) {
+              return a.key < b.key;
+            });
+
+  // 2. CSR forward layout: per-host offset rows over flat edge_index_ /
+  // edge_data_, each edge's payload copied into the flat time / UA arrays
+  // at its CSR position. The per-edge work (copy + timestamp sort) is the
+  // finalize hot loop; it parallelizes over contiguous edge ranges writing
+  // disjoint slices, so any thread count produces the same arrays.
+  host_offsets_.assign(hosts_.size() + 1, 0);
+  std::vector<std::size_t> time_begin(n_edges + 1, 0);
+  std::vector<std::size_t> ua_begin(n_edges + 1, 0);
+  for (std::size_t i = 0; i < n_edges; ++i) {
+    const StagedEdge& st = staged[i];
+    ++host_offsets_[(st.key >> 32) + 1];
+    time_begin[i + 1] = time_begin[i] + edges_[st.slot].times.size();
+    ua_begin[i + 1] = ua_begin[i] + edges_[st.slot].user_agents.size();
+  }
+  for (std::size_t h = 1; h < host_offsets_.size(); ++h) {
+    host_offsets_[h] += host_offsets_[h - 1];
+  }
+  edge_index_.resize(n_edges);
+  edge_data_.resize(n_edges);
+  edge_times_.resize(time_begin[n_edges]);
+  edge_uas_.resize(ua_begin[n_edges]);
+  util::parallel_ranges(
+      executor_.get(), n_edges, n_threads,
+      [&](std::size_t, std::size_t begin, std::size_t end) {
+        for (std::size_t i = begin; i < end; ++i) {
+          const StagedEdge& st = staged[i];
+          const IngestEdge& src = edges_[st.slot];
+          edge_index_[i] = static_cast<DomainId>(st.key & 0xffffffffu);
+          util::TimePoint* const times = edge_times_.data() + time_begin[i];
+          std::copy(src.times.begin(), src.times.end(), times);
+          std::sort(times, times + src.times.size());
+          UaId* const uas = edge_uas_.data() + ua_begin[i];
+          std::copy(src.user_agents.begin(), src.user_agents.end(), uas);
+          edge_data_[i] = EdgeData{{times, src.times.size()},
+                                   {uas, src.user_agents.size()},
+                                   src.any_referer,
+                                   src.any_empty_ua};
+        }
+      });
+  layout_domain_rows();
   edge_slot_ = {};
   edge_keys_ = {};
   edges_ = {};
+  finalized_ = true;
 }
 
-DayGraph DayGraph::finalize_snapshot(std::size_t n_threads,
-                                     SnapshotCache* cache) const {
-  DayGraph out(executor_);
-  finalize_snapshot_into(out, n_threads, cache);
-  return out;
-}
-
-void DayGraph::finalize_snapshot_into(DayGraph& out, std::size_t n_threads,
-                                      SnapshotCache* cache) const {
-  if (finalized_ || &out == this) {
-    assert(!finalized_ && "DayGraph::finalize_snapshot of a finalized graph");
-    assert(&out != this && "finalize_snapshot_into must not alias the source");
-    std::abort();
+void DayGraph::layout_domain_rows() {
+  // Counting sort; scanning edges in (host, domain) order emits each
+  // domain's hosts ascending.
+  domain_offsets_.assign(domains_.size() + 1, 0);
+  for (const DomainId domain : edge_index_) ++domain_offsets_[domain + 1];
+  for (std::size_t d = 1; d < domain_offsets_.size(); ++d) {
+    domain_offsets_[d] += domain_offsets_[d - 1];
   }
-  // Reset the recycled container to a clean un-finalized state; every
-  // finalized field is (re)assigned below or by build_csr, element storage
-  // reused.
-  out.finalized_ = false;
-  out.edge_slot_.clear();
-  out.edge_keys_.clear();
-  out.edges_.clear();
-  out.events_ = 0;
-  out.executor_ = executor_;
-  out.hosts_ = hosts_;
-  out.domains_ = domains_;
-  out.uas_ = uas_;
-  out.ips_of_domain_ = ips_of_domain_;
-  build_csr(out, n_threads, /*consume=*/false, cache);
-}
-
-void DayGraph::build_csr(DayGraph& out, std::size_t n_threads, bool consume,
-                         SnapshotCache* cache) const {
-  assert(!consume || &out == this);
-  // 1. Stage every edge under its (host, domain) key and order by key.
-  // Keys are unique, so the sort is a total order. Edge slots are visited
-  // in creation order, which lets a SnapshotCache pick up exactly where
-  // the previous snapshot stopped: only slots past its high-water mark are
-  // staged and sorted, then merged with the cached (already sorted, still
-  // id-exact — see the cache contract) bulk of the window.
-  const auto key_less = [](const StagedEdge& a, const StagedEdge& b) {
-    return a.key < b.key;
-  };
-  const auto stage = [&](std::size_t first_slot,
-                         std::vector<StagedEdge>& into) {
-    for (std::size_t slot = first_slot; slot < edge_keys_.size(); ++slot) {
-      into.push_back(
-          StagedEdge{edge_keys_[slot], static_cast<std::uint32_t>(slot)});
-    }
-    std::sort(into.begin(), into.end(), key_less);
-  };
-  const std::size_t n_edges = edges_.size();
-  std::vector<StagedEdge> staged_local;
-  const std::vector<StagedEdge>* staged_ptr = &staged_local;
-  if (cache != nullptr) {
-    std::vector<StagedEdge> fresh;
-    stage(cache->slots_done_, fresh);
-    cache->slots_done_ = n_edges;
-    if (!fresh.empty()) {
-      std::vector<StagedEdge> merged;
-      merged.reserve(cache->staged_.size() + fresh.size());
-      std::merge(cache->staged_.begin(), cache->staged_.end(), fresh.begin(),
-                 fresh.end(), std::back_inserter(merged), key_less);
-      cache->staged_ = std::move(merged);
-    }
-    assert(cache->staged_.size() == n_edges &&
-           "stale SnapshotCache: graph shrank or was replaced");
-    staged_ptr = &cache->staged_;
-  } else {
-    staged_local.reserve(n_edges);
-    stage(0, staged_local);
-  }
-  const std::vector<StagedEdge>& staged = *staged_ptr;
-
-  // 2. CSR forward layout: per-host offset rows over flat edge_index_ /
-  // edge_data_. The per-edge work (timestamp sort) is the finalize hot
-  // loop; it parallelizes over contiguous edge ranges with results written
-  // into per-edge slots, so any thread count produces the same arrays. The
-  // consuming path moves each edge's payload out of the edge table; a
-  // snapshot copies, leaving the table reusable. Pre-sorted times (sealed
-  // partials keep them sorted through absorbs) skip the sort — a sorted
-  // int64 sequence is unique, so the bytes are identical.
-  out.host_offsets_.assign(hosts_.size() + 1, 0);
-  for (const StagedEdge& st : staged) ++out.host_offsets_[(st.key >> 32) + 1];
-  for (std::size_t h = 1; h < out.host_offsets_.size(); ++h) {
-    out.host_offsets_[h] += out.host_offsets_[h - 1];
-  }
-  out.edge_index_.resize(n_edges);
-  out.edge_data_.resize(n_edges);
-  const bool sorted = times_sorted_;
-  util::parallel_ranges(
-      executor_.get(), n_edges, n_threads,
-      [&, consume, sorted](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const StagedEdge& st = staged[i];
-          EdgeData& dst = out.edge_data_[i];
-          out.edge_index_[i] = static_cast<DomainId>(st.key & 0xffffffffu);
-          if (consume) {
-            dst = std::move(const_cast<EdgeData&>(edges_[st.slot]));
-          } else {
-            dst = edges_[st.slot];
-          }
-          if (sorted) {
-            assert(std::is_sorted(dst.times.begin(), dst.times.end()));
-          } else {
-            std::sort(dst.times.begin(), dst.times.end());
-          }
-        }
-      });
-
-  // 3. Reverse CSR (dom_host of Algorithm 1) by counting sort; scanning
-  // edges in (host, domain) order emits each domain's hosts ascending.
-  out.domain_offsets_.assign(domains_.size() + 1, 0);
-  for (const DomainId domain : out.edge_index_) ++out.domain_offsets_[domain + 1];
-  for (std::size_t d = 1; d < out.domain_offsets_.size(); ++d) {
-    out.domain_offsets_[d] += out.domain_offsets_[d - 1];
-  }
-  out.domain_hosts_.resize(n_edges);
-  std::vector<std::uint32_t> cursor(out.domain_offsets_.begin(),
-                                    out.domain_offsets_.end() - 1);
-  for (std::size_t h = 0; h + 1 < out.host_offsets_.size(); ++h) {
-    for (std::uint32_t e = out.host_offsets_[h]; e < out.host_offsets_[h + 1];
-         ++e) {
-      out.domain_hosts_[cursor[out.edge_index_[e]]++] = static_cast<HostId>(h);
+  domain_hosts_.resize(edge_index_.size());
+  std::vector<std::uint32_t> cursor(domain_offsets_.begin(),
+                                    domain_offsets_.end() - 1);
+  for (std::size_t h = 0; h + 1 < host_offsets_.size(); ++h) {
+    for (std::uint32_t e = host_offsets_[h]; e < host_offsets_[h + 1]; ++e) {
+      domain_hosts_[cursor[edge_index_[e]]++] = static_cast<HostId>(h);
     }
   }
-  out.finalized_ = true;
 }
 
 // Row guards compare against size() - 1 (offsets hold count + 1 entries):

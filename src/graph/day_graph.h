@@ -4,7 +4,8 @@
 // first sight, edges aggregate in a (host, domain) key -> slot table, and
 // each domain keeps its distinct destination IPs in first-seen order.
 // finalize() lays the graph out as CSR (compressed sparse row): flat
-// edge_index_ / edge_data_ arrays with per-node offset spans, so day
+// edge_index_ / edge_data_ arrays with per-node offset spans, every edge's
+// timestamps and user agents in two flat arrays in the same order, so day
 // analysis streams cache-friendly arrays. Every id, span and edge depends
 // only on the event order, never on the thread count. Each edge stores the
 // connection timestamps and the HTTP context aggregates the feature layer
@@ -39,12 +40,14 @@ using UaId = util::InternId;
 
 inline constexpr util::InternId kNoId = util::kInvalidInternId;
 
-/// Aggregated state of one (host, domain) edge.
+/// Aggregated state of one (host, domain) edge of a finalized graph. The
+/// spans view the graph's flat per-edge arrays: valid while the graph
+/// lives (moving the graph keeps them valid).
 struct EdgeData {
-  std::vector<util::TimePoint> times;  ///< sorted after finalize()
-  std::vector<UaId> user_agents;       ///< distinct UAs, first-seen order
-  bool any_referer = false;            ///< any request carried a referer
-  bool any_empty_ua = false;           ///< any request carried no UA
+  std::span<const util::TimePoint> times;  ///< sorted
+  std::span<const UaId> user_agents;       ///< distinct UAs, first-seen order
+  bool any_referer = false;                ///< any request carried a referer
+  bool any_empty_ua = false;               ///< any request carried no UA
 };
 
 /// Build by streaming a day of reduced ConnEvents, then call finalize().
@@ -57,6 +60,12 @@ class DayGraph {
   explicit DayGraph(std::shared_ptr<util::Executor> executor)
       : executor_(std::move(executor)) {}
 
+  // Move-only: EdgeData spans point into this graph's own arrays.
+  DayGraph(DayGraph&&) = default;
+  DayGraph& operator=(DayGraph&&) = default;
+  DayGraph(const DayGraph&) = delete;
+  DayGraph& operator=(const DayGraph&) = delete;
+
   /// Ingest one event. Events may arrive in any order. Must not be called
   /// after finalize() — the edge table is consumed by the CSR layout, so
   /// this aborts (in every build type) rather than drop events.
@@ -67,21 +76,7 @@ class DayGraph {
   /// abort-after-finalize contract.
   void add_events(std::span<const logs::ConnEvent> events);
 
-  /// Merge another un-finalized graph — built from a later slice of the
-  /// same event stream — into this one, without touching the slice's raw
-  /// events again. Equivalent, bit for bit after finalize, to replaying
-  /// the slice's events here in order: its interners are replayed in id
-  /// (= first-appearance) order and its edges in creation order. This is
-  /// the rt engine's incremental window merge: sealed per-bucket partials
-  /// absorb in O(bucket state), never O(window events).
-  void absorb(const DayGraph& src);
-
-  /// Pre-sort every edge's timestamps (partial seal). finalize() and
-  /// absorb() then merge/skip instead of re-sorting; add_event after this
-  /// clears the property.
-  void sort_edge_times();
-
-  /// Events ingested so far (absorbed graphs included).
+  /// Events ingested so far.
   std::uint64_t ingested_events() const { return events_; }
 
   /// Sort edges by (host, domain) key, sort edge timestamps and build the
@@ -89,27 +84,6 @@ class DayGraph {
   /// edge ranges. Call after the last add_event (idempotent: repeat calls
   /// are no-ops). The adjacency queries below require a finalized graph.
   void finalize(std::size_t n_threads = 1);
-
-  class SnapshotCache;
-
-  /// Non-consuming finalize: build and return the finalized CSR graph this
-  /// graph would become, leaving the ingest state intact so absorbing and
-  /// snapshotting can continue (the rt engine snapshots its running window
-  /// merge every tick). The returned graph is bit-identical to calling
-  /// finalize() on a copy. An optional SnapshotCache makes repeated
-  /// snapshots of a growing graph incremental — see its contract.
-  DayGraph finalize_snapshot(std::size_t n_threads = 1,
-                             SnapshotCache* cache = nullptr) const;
-
-  /// finalize_snapshot writing into a caller-kept graph instead of a fresh
-  /// one, recycling `out`'s existing allocations (per-edge time/UA vectors,
-  /// offset rows) across repeated snapshots — the rt engine hands each
-  /// tick's consumed snapshot back as the next tick's `out`, turning the
-  /// per-edge copy step from malloc-bound into memcpy-bound. Any previous
-  /// content of `out` is discarded; the result is bit-identical to
-  /// finalize_snapshot(). `out` must not alias this graph.
-  void finalize_snapshot_into(DayGraph& out, std::size_t n_threads = 1,
-                              SnapshotCache* cache = nullptr) const;
 
   bool finalized() const { return finalized_; }
 
@@ -170,24 +144,15 @@ class DayGraph {
     return (static_cast<std::uint64_t>(host) << 32) | domain;
   }
 
-  /// One edge staged for CSR layout: its (host, domain) key plus its slot
-  /// in the ingest edge table.
-  struct StagedEdge {
-    std::uint64_t key = 0;
-    std::uint32_t slot = 0;
-  };
+  // The rt window assembles finalized graphs straight from sealed
+  // segments (graph/window_dictionary.h), writing the CSR state directly.
+  friend class WindowDictionary;
 
-  /// Shared CSR construction behind finalize()/finalize_snapshot(): reads
-  /// the ingest edge table and installs the finalized state into `out`
-  /// (which is *this for the consuming finalize — per-edge payloads are
-  /// then moved rather than copied). `cache` (snapshot path only) skips
-  /// re-staging edges already staged by a previous call.
-  void build_csr(DayGraph& out, std::size_t n_threads, bool consume,
-                 SnapshotCache* cache) const;
+  /// Reverse CSR (dom_host of Algorithm 1) from the forward rows.
+  void layout_domain_rows();
 
   std::shared_ptr<util::Executor> executor_;  ///< nullptr = inline loops
   std::uint64_t events_ = 0;
-  bool times_sorted_ = true;  ///< every edge's times sorted (trivially, when empty)
 
   // ---- ids and per-domain IPs (final on first sight) ----
   util::Interner hosts_;
@@ -196,43 +161,26 @@ class DayGraph {
   std::vector<std::vector<util::Ipv4>> ips_of_domain_;  ///< first-seen order
 
   // ---- ingest edge table (consumed by finalize) ----
+  /// One edge under ingest: growable payloads, flattened by finalize().
+  struct IngestEdge {
+    std::vector<util::TimePoint> times;  ///< arrival order
+    std::vector<UaId> user_agents;       ///< distinct, first-seen order
+    bool any_referer = false;
+    bool any_empty_ua = false;
+  };
   std::unordered_map<std::uint64_t, std::uint32_t> edge_slot_;  ///< key -> slot
   std::vector<std::uint64_t> edge_keys_;  ///< slot -> key (creation order)
-  std::vector<EdgeData> edges_;           ///< by slot
+  std::vector<IngestEdge> edges_;         ///< by slot
 
   // ---- finalized CSR state ----
   std::vector<std::uint32_t> host_offsets_;   ///< hosts + 1 row offsets
   std::vector<DomainId> edge_index_;          ///< flat, (host, domain) sorted
   std::vector<EdgeData> edge_data_;           ///< parallel to edge_index_
+  std::vector<util::TimePoint> edge_times_;   ///< every edge's times, CSR order
+  std::vector<UaId> edge_uas_;                ///< every edge's UAs, CSR order
   std::vector<std::uint32_t> domain_offsets_; ///< domains + 1 row offsets
   std::vector<HostId> domain_hosts_;          ///< flat, ascending per domain
   bool finalized_ = false;
-};
-
-/// Scratch state that makes repeated finalize_snapshot() calls on one
-/// *growing* graph incremental: the key-sorted edge staging — the dominant
-/// per-snapshot cost on large windows — is kept across calls, so each
-/// snapshot stages and sorts only the edges added since the last one and
-/// merges them into the cached order in O(total edges) flat copies.
-///
-/// Validity contract: reuse only with the same DayGraph object, and only
-/// while it strictly grows between snapshots (add_event / add_events /
-/// absorb — the rt window merge's extend path). Cached keys stay exact
-/// under growth because ids are assigned on first sight and never move.
-/// After replacing or rebuilding the graph, reset() (the rt window does
-/// this whenever it rebuilds its running merge).
-class DayGraph::SnapshotCache {
- public:
-  void reset() {
-    slots_done_ = 0;
-    staged_.clear();
-    staged_.shrink_to_fit();
-  }
-
- private:
-  friend class DayGraph;
-  std::size_t slots_done_ = 0;      ///< edge slots already staged
-  std::vector<StagedEdge> staged_;  ///< all staged edges, key-sorted
 };
 
 }  // namespace eid::graph

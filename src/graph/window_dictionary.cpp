@@ -1,0 +1,363 @@
+#include "graph/window_dictionary.h"
+
+#include <algorithm>
+#include <cassert>
+
+namespace eid::graph {
+
+namespace {
+
+std::uint32_t to_u32(std::size_t n) { return static_cast<std::uint32_t>(n); }
+
+/// Turn per-row counts (row r's count at counts[r + 1]) into offsets.
+void prefix_sum(std::vector<std::uint32_t>& counts) {
+  for (std::size_t i = 1; i < counts.size(); ++i) counts[i] += counts[i - 1];
+}
+
+template <typename T>
+void push_unique(std::vector<T>& list, T value) {
+  if (std::find(list.begin(), list.end(), value) == list.end()) {
+    list.push_back(value);
+  }
+}
+
+}  // namespace
+
+std::uint32_t WindowDictionary::next_epoch() {
+  if (++epoch_ == 0) {
+    // Wrapped: clear every stamp so none can equal a live epoch.
+    for (std::vector<Mark>* marks :
+         {&host_marks_, &domain_marks_, &ua_marks_, &edge_marks_}) {
+      for (Mark& mark : *marks) mark.stamp = 0;
+    }
+    epoch_ = 1;
+  }
+  return epoch_;
+}
+
+void WindowDictionary::retain(std::span<const std::uint32_t> ids,
+                              std::vector<std::uint32_t>& refs) {
+  for (const std::uint32_t id : ids) {
+    if (id >= refs.size()) refs.resize(id + 1, 0);
+    if (refs[id]++ == 0) ++live_;
+  }
+}
+
+void WindowDictionary::drop(std::span<const std::uint32_t> ids,
+                            std::vector<std::uint32_t>& refs) {
+  for (const std::uint32_t id : ids) {
+    assert(refs[id] > 0);
+    if (--refs[id] == 0) --live_;
+  }
+}
+
+SealedSegment WindowDictionary::seal(std::span<const logs::ConnEvent> events) {
+  // The one ingest builder aggregates the slice under local ids, which are
+  // its first-appearance order; the segment translates them once.
+  DayGraph local;
+  local.add_events(events);
+  SealedSegment seg;
+  seg.events_ = events.size();
+  const auto translate = [](util::Interner& dictionary,
+                            const util::Interner& names,
+                            std::vector<std::uint32_t>& ids) {
+    ids.reserve(names.size());
+    for (util::InternId id = 0; id < names.size(); ++id) {
+      ids.push_back(dictionary.intern(names.name(id)));
+    }
+  };
+  translate(hosts_, local.hosts_, seg.hosts_);
+  translate(domains_, local.domains_, seg.domains_);
+  translate(uas_, local.uas_, seg.uas_);
+
+  // Edges in slot (creation) order, each time run sorted.
+  const std::size_t n_edges = local.edges_.size();
+  seg.edges_.reserve(n_edges);
+  seg.flags_.reserve(n_edges);
+  seg.times_.reserve(events.size());
+  seg.time_offsets_.assign(1, 0);
+  seg.ua_offsets_.assign(1, 0);
+  for (std::size_t slot = 0; slot < n_edges; ++slot) {
+    const std::uint64_t local_key = local.edge_keys_[slot];
+    const std::uint64_t key = edge_key(seg.hosts_[local_key >> 32],
+                                       seg.domains_[local_key & 0xffffffffu]);
+    const auto [it, inserted] =
+        edge_ids_.try_emplace(key, to_u32(edge_keys_.size()));
+    if (inserted) edge_keys_.push_back(key);
+    seg.edges_.push_back(it->second);
+    const DayGraph::IngestEdge& edge = local.edges_[slot];
+    seg.flags_.push_back(static_cast<std::uint8_t>(
+        (edge.any_referer ? kReferer : 0) | (edge.any_empty_ua ? kEmptyUa : 0)));
+    const auto run = seg.times_.insert(seg.times_.end(), edge.times.begin(),
+                                       edge.times.end());
+    std::sort(run, seg.times_.end());
+    seg.time_offsets_.push_back(to_u32(seg.times_.size()));
+    for (const UaId ua : edge.user_agents) seg.edge_uas_.push_back(seg.uas_[ua]);
+    seg.ua_offsets_.push_back(to_u32(seg.edge_uas_.size()));
+  }
+  seg.ip_offsets_.assign(1, 0);
+  for (std::size_t d = 0; d < seg.domains_.size(); ++d) {
+    if (d < local.ips_of_domain_.size()) {
+      seg.ips_.insert(seg.ips_.end(), local.ips_of_domain_[d].begin(),
+                      local.ips_of_domain_[d].end());
+    }
+    seg.ip_offsets_.push_back(to_u32(seg.ips_.size()));
+  }
+
+  // Assembly scratch covers every dictionary id.
+  host_marks_.resize(hosts_.size());
+  domain_marks_.resize(domains_.size());
+  ua_marks_.resize(uas_.size());
+  edge_marks_.resize(edge_keys_.size());
+  retain(seg.hosts_, host_refs_);
+  retain(seg.domains_, domain_refs_);
+  retain(seg.uas_, ua_refs_);
+  retain(seg.edges_, edge_refs_);
+  return seg;
+}
+
+void WindowDictionary::release(const SealedSegment& segment) {
+  drop(segment.hosts_, host_refs_);
+  drop(segment.domains_, domain_refs_);
+  drop(segment.uas_, ua_refs_);
+  drop(segment.edges_, edge_refs_);
+}
+
+void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
+                                DayGraph& out) {
+  const std::uint32_t epoch = next_epoch();
+  // Window id of a dictionary id, numbered on first sight.
+  const auto number = [epoch](std::vector<Mark>& marks, std::uint32_t id,
+                              std::vector<std::uint32_t>& order) {
+    assert(id < marks.size());
+    Mark& mark = marks[id];
+    if (mark.stamp != epoch) {
+      mark = Mark{epoch, to_u32(order.size())};
+      order.push_back(id);
+    }
+    return mark.value;
+  };
+
+  // 1. Window ids in concatenation first-appearance order. A segment
+  // lists an edge's host and domain, so both are numbered by the time the
+  // edge is first seen; each window edge also totals its time count and
+  // an upper bound on its UA count. Per-domain IP lists deduplicate in
+  // first-seen order across segments as the domains are numbered.
+  window_hosts_.clear();
+  window_domains_.clear();
+  window_uas_.clear();
+  window_edges_.clear();
+  edge_sizes_.clear();
+  std::uint64_t events = 0;
+  for (const SealedSegment* seg : segments) {
+    events += seg->events_;
+    for (const HostId host : seg->hosts_) {
+      number(host_marks_, host, window_hosts_);
+    }
+    for (std::size_t j = 0; j < seg->domains_.size(); ++j) {
+      const std::size_t known = window_domains_.size();
+      const std::uint32_t domain =
+          number(domain_marks_, seg->domains_[j], window_domains_);
+      if (domain == known) {
+        if (out.ips_of_domain_.size() <= domain) {
+          out.ips_of_domain_.resize(domain + 1);
+        }
+        out.ips_of_domain_[domain].clear();
+      }
+      for (std::uint32_t k = seg->ip_offsets_[j]; k < seg->ip_offsets_[j + 1];
+           ++k) {
+        push_unique(out.ips_of_domain_[domain], seg->ips_[k]);
+      }
+    }
+    for (const UaId ua : seg->uas_) number(ua_marks_, ua, window_uas_);
+    for (std::size_t i = 0; i < seg->edges_.size(); ++i) {
+      const std::uint32_t e = seg->edges_[i];
+      const std::uint32_t w = number(edge_marks_, e, window_edges_);
+      if (w == edge_sizes_.size()) {
+        edge_sizes_.push_back(
+            WindowEdge{host_marks_[edge_keys_[e] >> 32].value,
+                       domain_marks_[edge_keys_[e] & 0xffffffffu].value, 0, 0});
+      }
+      edge_sizes_[w].times += seg->time_offsets_[i + 1] - seg->time_offsets_[i];
+      edge_sizes_[w].uas += seg->ua_offsets_[i + 1] - seg->ua_offsets_[i];
+    }
+  }
+  const std::size_t n_hosts = window_hosts_.size();
+  const std::size_t n_domains = window_domains_.size();
+  const std::size_t n_edges = window_edges_.size();
+  out.ips_of_domain_.resize(n_domains);
+
+  // 2. CSR rows: order the window edges by domain (counting pass), then
+  // place them stably into their host rows — (host, domain) order with no
+  // comparison sort. Each edge's output row is remembered in its mark, and
+  // each row gets its slices of the flat time / UA arrays.
+  out.host_offsets_.assign(n_hosts + 1, 0);
+  cursor_.assign(n_domains + 1, 0);
+  for (const WindowEdge& edge : edge_sizes_) {
+    ++out.host_offsets_[edge.host + 1];
+    ++cursor_[edge.domain + 1];
+  }
+  prefix_sum(out.host_offsets_);
+  prefix_sum(cursor_);
+  edge_order_.resize(n_edges);
+  for (std::uint32_t w = 0; w < n_edges; ++w) {
+    edge_order_[cursor_[edge_sizes_[w].domain]++] = w;
+  }
+  cursor_.assign(out.host_offsets_.begin(), out.host_offsets_.end() - 1);
+  out.edge_index_.resize(n_edges);
+  rows_.resize(n_edges);
+  for (const std::uint32_t w : edge_order_) {
+    const WindowEdge& edge = edge_sizes_[w];
+    const std::uint32_t row = cursor_[edge.host]++;
+    out.edge_index_[row] = edge.domain;
+    edge_marks_[window_edges_[w]].value = row;
+    rows_[row].time_end = edge.times;  // counts until the prefix pass
+    rows_[row].ua_end = edge.uas;
+  }
+  std::uint32_t n_times = 0;
+  std::uint32_t n_uas = 0;
+  for (RowFill& fill : rows_) {
+    fill.time_begin = n_times;
+    n_times += fill.time_end;
+    fill.time_end = fill.time_begin;
+    fill.ua_begin = n_uas;
+    n_uas += fill.ua_end;
+    fill.ua_end = fill.ua_begin;
+    fill.flags = 0;
+  }
+
+  // The flat arrays are recycled across assemblies; one that outgrew
+  // twice what this window needs is released rather than kept.
+  const auto fit = [](auto& flat, std::size_t need) {
+    if (flat.capacity() > 2 * need) flat = {};
+    flat.resize(need);
+  };
+  fit(out.edge_times_, n_times);
+  fit(out.edge_uas_, n_uas);
+
+  // 3. Per-edge payloads, written straight into their rows' slices.
+  unsorted_.clear();
+  util::TimePoint* const times = out.edge_times_.data();
+  UaId* const uas = out.edge_uas_.data();
+  for (const SealedSegment* seg : segments) {
+    for (std::size_t i = 0; i < seg->edges_.size(); ++i) {
+      const std::uint32_t row = edge_marks_[seg->edges_[i]].value;
+      RowFill& fill = rows_[row];
+      const util::TimePoint* first =
+          seg->times_.data() + seg->time_offsets_[i];
+      const util::TimePoint* const last =
+          seg->times_.data() + seg->time_offsets_[i + 1];
+      if (fill.time_end > fill.time_begin && *first < fill.last_time) {
+        unsorted_.push_back(row);
+      }
+      fill.last_time = last[-1];
+      for (; first != last; ++first) times[fill.time_end++] = *first;
+      fill.flags |= seg->flags_[i];
+      for (std::uint32_t u = seg->ua_offsets_[i]; u < seg->ua_offsets_[i + 1];
+           ++u) {
+        const UaId ua = ua_marks_[seg->edge_uas_[u]].value;
+        if (std::find(uas + fill.ua_begin, uas + fill.ua_end, ua) ==
+            uas + fill.ua_end) {
+          uas[fill.ua_end++] = ua;
+        }
+      }
+    }
+  }
+  // A run that started before its predecessor ended (a late timestamp
+  // sealed into a later segment): sort that edge once.
+  std::sort(unsorted_.begin(), unsorted_.end());
+  unsorted_.erase(std::unique(unsorted_.begin(), unsorted_.end()),
+                  unsorted_.end());
+  for (const std::uint32_t row : unsorted_) {
+    std::sort(times + rows_[row].time_begin, times + rows_[row].time_end);
+  }
+  out.edge_data_.resize(n_edges);
+  for (std::size_t row = 0; row < n_edges; ++row) {
+    const RowFill& fill = rows_[row];
+    out.edge_data_[row] = EdgeData{
+        {times + fill.time_begin, fill.time_end - fill.time_begin},
+        {uas + fill.ua_begin, fill.ua_end - fill.ua_begin},
+        (fill.flags & kReferer) != 0,
+        (fill.flags & kEmptyUa) != 0};
+  }
+
+  // 5. Names in window id order (renumbering the recycled interners in
+  // place), then the reverse CSR.
+  const auto names = [this](util::Interner& to, const util::Interner& from,
+                            const std::vector<std::uint32_t>& order) {
+    name_views_.clear();
+    for (const std::uint32_t id : order) name_views_.push_back(from.name(id));
+    to.assign(name_views_);
+  };
+  names(out.hosts_, hosts_, window_hosts_);
+  names(out.domains_, domains_, window_domains_);
+  names(out.uas_, uas_, window_uas_);
+  out.edge_slot_.clear();
+  out.edge_keys_.clear();
+  out.edges_.clear();
+  out.events_ = events;
+  out.layout_domain_rows();
+  out.finalized_ = true;
+}
+
+void WindowDictionary::compact(std::span<SealedSegment* const> segments) {
+  // Old id -> new id for every referenced entry, in old id order.
+  const auto keep = [](util::Interner& names, std::vector<std::uint32_t>& refs,
+                       std::vector<std::uint32_t>& remap) {
+    util::Interner kept;
+    std::vector<std::uint32_t> kept_refs;
+    remap.assign(names.size(), kNoId);
+    for (std::uint32_t id = 0; id < names.size(); ++id) {
+      if (id >= refs.size() || refs[id] == 0) continue;
+      remap[id] = kept.intern(names.name(id));
+      kept_refs.push_back(refs[id]);
+    }
+    names = std::move(kept);
+    refs = std::move(kept_refs);
+  };
+  std::vector<std::uint32_t> host_map;
+  std::vector<std::uint32_t> domain_map;
+  std::vector<std::uint32_t> ua_map;
+  keep(hosts_, host_refs_, host_map);
+  keep(domains_, domain_refs_, domain_map);
+  keep(uas_, ua_refs_, ua_map);
+
+  // A referenced edge's host and domain are referenced by the same
+  // segment, so both remap.
+  std::vector<std::uint32_t> edge_map(edge_keys_.size(), kNoId);
+  std::unordered_map<std::uint64_t, std::uint32_t> edge_ids;
+  std::vector<std::uint64_t> edge_keys;
+  std::vector<std::uint32_t> edge_refs;
+  for (std::uint32_t id = 0; id < edge_keys_.size(); ++id) {
+    if (id >= edge_refs_.size() || edge_refs_[id] == 0) continue;
+    const std::uint64_t key = edge_key(host_map[edge_keys_[id] >> 32],
+                                       domain_map[edge_keys_[id] & 0xffffffffu]);
+    edge_map[id] = to_u32(edge_keys.size());
+    edge_ids.emplace(key, edge_map[id]);
+    edge_keys.push_back(key);
+    edge_refs.push_back(edge_refs_[id]);
+  }
+  edge_ids_ = std::move(edge_ids);
+  edge_keys_ = std::move(edge_keys);
+  edge_refs_ = std::move(edge_refs);
+
+  const auto rewrite = [](std::vector<std::uint32_t>& ids,
+                          const std::vector<std::uint32_t>& map) {
+    for (std::uint32_t& id : ids) id = map[id];
+  };
+  for (SealedSegment* seg : segments) {
+    rewrite(seg->hosts_, host_map);
+    rewrite(seg->domains_, domain_map);
+    rewrite(seg->uas_, ua_map);
+    rewrite(seg->edge_uas_, ua_map);
+    rewrite(seg->edges_, edge_map);
+  }
+  host_marks_.assign(hosts_.size(), Mark{});
+  domain_marks_.assign(domains_.size(), Mark{});
+  ua_marks_.assign(uas_.size(), Mark{});
+  edge_marks_.assign(edge_keys_.size(), Mark{});
+  epoch_ = 0;
+  assert(size() == live_);
+}
+
+}  // namespace eid::graph

@@ -28,7 +28,7 @@ struct RtMetrics {
   obs::Gauge& backlog = obs::metrics().gauge("eid_rt_poll_backlog_events");
   obs::Gauge& window_buckets = obs::metrics().gauge("eid_rt_window_buckets");
   obs::Gauge& last_tick = obs::metrics().gauge("eid_rt_last_tick_seconds");
-  // Incremental window-merge cache health (rt/window.h CacheStats).
+  // Window assembly health (rt/window.h WindowAccumulator::Stats).
   obs::Counter& buckets_sealed =
       obs::metrics().counter("eid_rt_buckets_sealed_total");
   obs::Counter& partial_absorbs =
@@ -70,6 +70,15 @@ util::TimePoint earliest_contact(const core::DayAnalysis& analysis,
 
 }  // namespace
 
+double nearest_rank(std::vector<double> sample, double q) {
+  if (sample.empty()) return 0.0;
+  std::sort(sample.begin(), sample.end());
+  const double n = static_cast<double>(sample.size());
+  const auto idx =
+      static_cast<std::size_t>(std::max(0.0, std::ceil(q * n) - 1.0));
+  return sample[std::min(idx, sample.size() - 1)];
+}
+
 LatencySummary summarize_latency(std::span<const IncidentEmission> emissions,
                                  bool provisional_only) {
   std::vector<double> latencies;
@@ -81,16 +90,9 @@ LatencySummary summarize_latency(std::span<const IncidentEmission> emissions,
   LatencySummary summary;
   summary.count = latencies.size();
   if (latencies.empty()) return summary;
-  std::sort(latencies.begin(), latencies.end());
-  const auto rank = [&](double q) {
-    const double n = static_cast<double>(latencies.size());
-    const auto idx = static_cast<std::size_t>(
-        std::max(0.0, std::ceil(q * n) - 1.0));
-    return latencies[std::min(idx, latencies.size() - 1)];
-  };
-  summary.p50_seconds = rank(0.50);
-  summary.p99_seconds = rank(0.99);
-  summary.max_seconds = latencies.back();
+  summary.max_seconds = *std::max_element(latencies.begin(), latencies.end());
+  summary.p50_seconds = nearest_rank(latencies, 0.50);
+  summary.p99_seconds = nearest_rank(std::move(latencies), 0.99);
   return summary;
 }
 
@@ -101,9 +103,6 @@ ContinuousEngine::ContinuousEngine(api::Detector& detector, SimClock& clock,
       config_(std::move(config)),
       window_(config_.window) {
   assert(config_.window.valid());
-  core::Pipeline& pipeline = detector_.pipeline();
-  window_.set_partial_factory(
-      [&pipeline] { return pipeline.make_ingest_graph(); });
 }
 
 ContinuousEngine::~ContinuousEngine() {
@@ -171,10 +170,10 @@ ContinuousReport ContinuousEngine::take_report() {
   report.days = std::move(day_reports_);
   report.emissions = std::move(emissions_);
   report.stats = stats_;
-  report.tick_eval_seconds = std::move(tick_eval_seconds_);
+  report.tick_evaluations = std::move(tick_evaluations_);
   day_reports_.clear();
   emissions_.clear();
-  tick_eval_seconds_.clear();
+  tick_evaluations_.clear();
   return report;
 }
 
@@ -213,24 +212,21 @@ void ContinuousEngine::evaluate_tick(std::int64_t tick) {
   const obs::TraceSpan span("rt_tick_evaluate", "rt");
   // Always timed: the pair of clock reads is negligible next to the
   // evaluation and feeds the report's per-tick cost distribution
-  // (tick_eval_seconds); the metrics registry only sees it when enabled.
+  // (tick_evaluations); the metrics registry only sees it when enabled.
   const auto tick_start = std::chrono::steady_clock::now();
 
   // Re-score the sliding window through the exact batch stages, then C&C
   // detection and (optionally) no-hint BP for community expansion. The
-  // window's evidence graph merges the cached per-bucket partials (only
-  // newly sealed buckets absorb when the window front is unchanged) and
-  // snapshot-finalizes, O(new events) per tick.
+  // window's evidence graph is assembled, already finalized, from the
+  // in-window sealed segments into the recycled scratch graph.
   core::Pipeline& pipeline = detector_.pipeline();
   const util::TimePoint close = config_.window.tick_end(tick);
   const util::Day day = util::day_of(close - 1);
-  const WindowAccumulator::MergeView view = window_.merge_window(tick);
-  assert(view.graph != nullptr);  // window_events(tick) > 0 above
-  view.graph->finalize_snapshot_into(snapshot_scratch_,
-                                     pipeline.config().parallelism.threads,
-                                     view.snapshot_cache);
+  const std::size_t window_events =
+      window_.assemble_window(tick, window_graph_);
+  assert(window_events > 0);  // window_events(tick) > 0 above
   core::DayAnalysis analysis = pipeline.finish_day_graph(
-      day, std::move(snapshot_scratch_), view.events);
+      day, std::move(window_graph_), window_events);
   sync_cache_stats();
 
   const std::vector<core::ScoredDomain> cc = pipeline.detect_cc(analysis);
@@ -244,15 +240,15 @@ void ContinuousEngine::evaluate_tick(std::int64_t tick) {
     hosts = bp.hosts;
   }
   emit(analysis, domains, hosts, /*provisional=*/true, close, day);
-  // Reclaim the snapshot's allocations for the next tick (`analysis` is
-  // done — nothing below reads it).
-  snapshot_scratch_ = std::move(analysis.graph);
+  // Reclaim the window graph's allocations for the next tick
+  // (`analysis` is done — nothing below reads it).
+  window_graph_ = std::move(analysis.graph);
   dirty_ = false;
   const double seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     tick_start)
           .count();
-  tick_eval_seconds_.push_back(seconds);
+  tick_evaluations_.push_back(TickEvaluation{day, seconds});
   stats_.buffered_events = window_.buffered_events();
   stats_.cached_partial_events = window_.cached_events();
   if (obs::metrics().enabled()) {
@@ -264,17 +260,16 @@ void ContinuousEngine::evaluate_tick(std::int64_t tick) {
 }
 
 void ContinuousEngine::sync_cache_stats() {
-  const WindowAccumulator::CacheStats& cache = window_.cache_stats();
+  const WindowAccumulator::Stats& window = window_.stats();
   RtMetrics& metrics = rt_metrics();
-  metrics.buckets_sealed.add(cache.buckets_sealed - stats_.buckets_sealed);
-  metrics.partial_absorbs.add(cache.partial_absorbs - stats_.partial_absorbs);
-  metrics.merge_extends.add(cache.merge_extends - stats_.window_merge_extends);
-  metrics.merge_rebuilds.add(cache.merge_rebuilds -
-                             stats_.window_merge_rebuilds);
-  stats_.buckets_sealed = cache.buckets_sealed;
-  stats_.partial_absorbs = cache.partial_absorbs;
-  stats_.window_merge_extends = cache.merge_extends;
-  stats_.window_merge_rebuilds = cache.merge_rebuilds;
+  metrics.buckets_sealed.add(window.segments_sealed - stats_.buckets_sealed);
+  metrics.partial_absorbs.add(window.segments_read - stats_.partial_absorbs);
+  metrics.merge_extends.add(window.front_kept - stats_.window_merge_extends);
+  metrics.merge_rebuilds.add(window.front_moved - stats_.window_merge_rebuilds);
+  stats_.buckets_sealed = window.segments_sealed;
+  stats_.partial_absorbs = window.segments_read;
+  stats_.window_merge_extends = window.front_kept;
+  stats_.window_merge_rebuilds = window.front_moved;
 }
 
 void ContinuousEngine::close_day() {
@@ -284,21 +279,20 @@ void ContinuousEngine::close_day() {
   const util::Day day = *open_day_;
   core::Pipeline& pipeline = detector_.pipeline();
 
-  // Merge the day's sealed partials in arrival order (sealing the tail
+  // Assemble the day's sealed segments in arrival order (sealing the tail
   // bucket no evaluation covered yet) — the same event sequence the batch
   // path would consume, so by the chunking-independence contract the
-  // report and history update are bit-identical to run_day. The merge
+  // report and history update are bit-identical to run_day. The assembly
   // stays synchronous (it reads the window buckets, released just below;
-  // the merged graph owns absorbed copies, so expiry cannot pull state out
-  // from under the task); the expensive finalize + report compute may run
-  // on the worker pool.
+  // the assembled graph owns its names and payloads, so expiry cannot
+  // pull state out from under the task); the report compute may run on
+  // the worker pool.
   PendingClose close;
   close.day = day;
   close.analysis = std::make_shared<core::DayAnalysis>();
   close.report = std::make_shared<core::DayReport>();
-  std::size_t day_events = 0;
-  auto merged =
-      std::make_shared<graph::DayGraph>(window_.merge_day(day, day_events));
+  auto merged = std::make_shared<graph::DayGraph>();
+  const std::size_t day_events = window_.assemble_day(day, *merged);
   sync_cache_stats();
   std::function<void()> task = [&pipeline, seeds = &config_.seeds, merged, day,
                                 day_events, analysis = close.analysis,
@@ -320,7 +314,7 @@ void ContinuousEngine::close_day() {
   open_day_.reset();
   // Histories change when the close commits, so the next tick must
   // re-score even if no new events arrive before it closes. "Held" means
-  // raw or sealed-partial events — sealing releases raw storage.
+  // raw or sealed-segment events — sealing releases raw storage.
   dirty_ = window_.buffered_events() + window_.cached_events() > 0;
   // Sequential configurations commit right here — identical observable
   // order to the pre-pipelined engine. Pipelined ones commit at the next

@@ -12,17 +12,20 @@
 //     crosses a tick boundary, the sliding window (rt/window.h) is
 //     re-scored: rare-destination + automation analysis, C&C detection
 //     and no-hint belief propagation over the window's events, all
-//     through the same core::Pipeline stages the batch path uses. The
-//     window's evidence comes from cached per-bucket partial graphs merged
-//     in O(new events) per tick (DayGraph::absorb + finalize_snapshot),
-//     bit-identical to batch ingest of the window's events
-//     (tests/rt_incremental_test.cpp);
+//     through the same core::Pipeline stages the batch path uses. Each
+//     bucket's events are sealed once into flat segments; every tick
+//     assembles the window's finalized graph from them
+//     (graph::WindowDictionary::assemble), bit-identical to batch ingest
+//     of the window's events (tests/rt_incremental_test.cpp). A tick
+//     costs O(window state) — linear in the in-window segments, whether
+//     the window is still growing (the first day) or sliding — plus the
+//     scoring stages, which are linear in the window graph;
 //   * domains never emitted before are announced immediately as
 //     provisional IncidentEmissions carrying event-time → emission-time
 //     latency (bounded by detection lag + one tick), and merged into the
 //     cross-day core::IncidentStore;
-//   * at each day boundary the day's bucket partials are merged in
-//     arrival order, so the day-close DayReport
+//   * at each day boundary the day's segments are assembled in arrival
+//     order, so the day-close DayReport
 //     and history updates are bit-identical to api::Detector::run_day on
 //     the same stream (tests/rt_continuous_test.cpp), and the day's
 //     detections are finalized.
@@ -85,19 +88,30 @@ struct EngineStats {
   std::size_t evaluations = 0;        ///< tick closes that re-scored the window
   std::size_t days_closed = 0;
   std::size_t expired_events = 0;     ///< dropped by window expiry
-  /// Raw events currently buffered. Closed buckets are sealed into
-  /// partials that release their raw events, so this (and the peak) is the
-  /// open-bucket backlog, not the whole window ∪ open day.
+  /// Raw events currently buffered. Evaluated buckets are sealed into
+  /// flat segments that release their raw events, so this (and the peak)
+  /// is the unsealed backlog, not the whole window ∪ open day.
   std::size_t buffered_events = 0;
   std::size_t peak_buffered_events = 0;
-  std::size_t cached_partial_events = 0;  ///< events inside sealed partials
+  std::size_t cached_partial_events = 0;  ///< events inside sealed segments
   std::size_t provisional_emissions = 0;
   std::size_t finalized_emissions = 0;
-  // Window-merge cache (rt/window.h CacheStats).
-  std::size_t buckets_sealed = 0;
-  std::size_t partial_absorbs = 0;
+  // Window assembly (rt/window.h WindowAccumulator::Stats). The names
+  // predate the assembly and are kept for existing readers.
+  std::size_t buckets_sealed = 0;   ///< segments sealed
+  std::size_t partial_absorbs = 0;  ///< sealed segments read by assemblies
+  /// Evaluations whose window front (first in-window bucket) is unchanged
+  /// since the previous evaluation.
   std::size_t window_merge_extends = 0;
+  /// Evaluations whose front moved, the first one, and those that follow
+  /// an invalidation (a late append into a sealed bucket).
   std::size_t window_merge_rebuilds = 0;
+};
+
+/// Wall cost of one window evaluation.
+struct TickEvaluation {
+  util::Day day = 0;     ///< day tag of the evaluation
+  double seconds = 0.0;  ///< assembly + scoring + emission
 };
 
 /// Everything a finished continuous run produced.
@@ -105,11 +119,15 @@ struct ContinuousReport {
   std::vector<core::DayReport> days;      ///< one per closed day, in order
   std::vector<IncidentEmission> emissions;
   EngineStats stats{};
-  /// Wall seconds of every window evaluation, in tick order — the per-tick
-  /// cost distribution (bench_latency_rt's tick_p50/p99). Always recorded
-  /// (two clock reads per evaluation); pure side channel.
-  std::vector<double> tick_eval_seconds;
+  /// Every window evaluation, in tick order — the per-tick cost
+  /// distribution (bench_latency_rt's tick_p50/p99 per day). Always
+  /// recorded (two clock reads per evaluation); pure side channel.
+  std::vector<TickEvaluation> tick_evaluations;
 };
+
+/// Nearest-rank quantile of an unsorted sample: the element of rank
+/// ceil(q·n) − 1 in sorted order; 0 when the sample is empty.
+double nearest_rank(std::vector<double> sample, double q);
 
 /// Latency distribution over a set of emissions (nearest-rank quantiles).
 struct LatencySummary {
@@ -184,7 +202,7 @@ class ContinuousEngine {
 
  private:
   /// One in-flight day close (parallelism.pipeline_depth > 1): close_day
-  /// merges the day's partials synchronously, then hands the expensive
+  /// assembles the day's graph synchronously, then hands the expensive
   /// pure-compute half — finish_day + report_day, which only read the
   /// pipeline — to the detector's executor while the driving thread keeps
   /// ingesting the next day. Every mutation (history update, stats,
@@ -217,11 +235,10 @@ class ContinuousEngine {
   core::IncidentStore incidents_;
   std::set<std::string> emitted_domains_;
 
-  /// Recycled snapshot container: each tick's finalized
-  /// window snapshot is reclaimed from the consumed DayAnalysis after
-  /// emission, so the next snapshot reuses its per-edge allocations
-  /// (DayGraph::finalize_snapshot_into) instead of re-mallocing the window.
-  graph::DayGraph snapshot_scratch_;
+  /// Recycled window graph: each tick's assembled graph is reclaimed from
+  /// the consumed DayAnalysis after emission, so the next assembly reuses
+  /// its per-edge allocations instead of re-mallocing the window.
+  graph::DayGraph window_graph_;
 
   bool have_tick_ = false;
   std::int64_t current_tick_ = 0;
@@ -234,7 +251,7 @@ class ContinuousEngine {
 
   std::vector<core::DayReport> day_reports_;
   std::vector<IncidentEmission> emissions_;
-  std::vector<double> tick_eval_seconds_;
+  std::vector<TickEvaluation> tick_evaluations_;
   EngineStats stats_{};
   std::function<void(const IncidentEmission&)> emission_sink_;
   std::function<void(const core::DayReport&)> day_sink_;

@@ -12,32 +12,40 @@
 //     seen, so the result reproduces run_day() bit for bit (the
 //     chunking-independence contract).
 //
-// A bucket is sealed the first time an evaluation covers it: its events
-// are ingested once into a cached pre-finalize graph::DayGraph partial
-// (interners + edge table, timestamps pre-sorted) and the raw events are
-// released — so window memory is bounded by the open bucket plus
-// O(distinct) partial state, and a tick evaluation merges cached partials
-// (DayGraph::absorb) instead of re-interning the window's raw events. A
-// running window merge is kept across ticks: when the window front is
-// unchanged, only the newly sealed buckets are absorbed — tick cost
-// O(new events), not O(window). The merge is rebuilt from the cached
-// partials (never from raw events) when the front moves or a sealed bucket
-// is mutated by a late append (mutation epoch).
+// A bucket is sealed the first time an evaluation covers it: its raw
+// events are translated once into a flat graph::SealedSegment in the ids
+// of one graph::WindowDictionary, and released. An append that lands in
+// an already-sealed bucket (arrival behind an evaluated tick) starts a raw
+// tail that the next read seals as another segment, so a bucket is the
+// ordered list of its segments.
+//
+// Every evaluation assembles its window graph from scratch: the in-window
+// segments, walked in order, are laid out straight into a finalized
+// graph::DayGraph (WindowDictionary::assemble — no per-bucket graphs, no
+// running merge to extend or rebuild, no hash probe of a window name
+// except to build the output interners). A tick costs O(window state):
+// the sum over in-window segments of their distinct names, edges and
+// timestamps — linear in the window, with the events' hashing paid once
+// at seal time. One path serves the growing window (the first day), the
+// sliding one (every tick after it) and the day close, which assembles
+// the day's buckets.
 //
 // A bucket is dropped only when it has slid out of the window AND its day
-// has been closed; the window never truncates an open day. Memory is
-// therefore bounded by (window ∪ open day) — the continuous engine's
-// backpressure story is pull-based ingestion plus this bound, not an
-// unbounded queue.
+// has been closed; the window never truncates an open day. Dropping a
+// bucket releases its segments' dictionary references, and the dictionary
+// is compacted whenever it holds more than twice the entries its live
+// segments reference. Memory is therefore bounded by (window ∪ open day)
+// — the continuous engine's backpressure story is pull-based ingestion
+// plus this bound, not an unbounded queue.
 #pragma once
 
 #include <cstdint>
 #include <deque>
-#include <functional>
-#include <memory>
+#include <optional>
 #include <vector>
 
 #include "graph/day_graph.h"
+#include "graph/window_dictionary.h"
 #include "logs/records.h"
 #include "util/time.h"
 
@@ -70,8 +78,8 @@ struct WindowConfig {
   }
 };
 
-/// Arrival-ordered micro-batch buckets with window expiry, the sealed-
-/// partial cache and the running window merge.
+/// Arrival-ordered micro-batch buckets with window expiry, sealed
+/// segments and the window assembly.
 /// Not thread-safe: owned and driven by one engine.
 class WindowAccumulator {
  public:
@@ -79,20 +87,12 @@ class WindowAccumulator {
 
   const WindowConfig& config() const { return config_; }
 
-  /// Factory for empty pre-finalize partial graphs wired to the
-  /// pipeline's worker pool (see core::Pipeline::make_ingest_graph). Must
-  /// be installed before the first seal.
-  using PartialFactory = std::function<graph::DayGraph()>;
-  void set_partial_factory(PartialFactory factory) {
-    factory_ = std::move(factory);
-  }
-
   /// Append one event observed during `tick` while ingesting a chunk
   /// tagged `day`. Ticks must be non-decreasing (sim time is monotonic).
   /// An append that lands in an already-sealed bucket (out-of-order
-  /// arrival behind an evaluated tick) is ingested into that bucket's
-  /// partial — at its exact end-of-bucket arrival position — and bumps the
-  /// mutation epoch so the running window merge is rebuilt from partials.
+  /// arrival behind an evaluated tick) joins that bucket's raw tail — its
+  /// exact end-of-bucket arrival position — and marks the window
+  /// invalidated.
   void append(const logs::ConnEvent& event, std::int64_t tick, util::Day day);
 
   /// Mark every bucket tagged `day` as closed (eligible for expiry once
@@ -100,58 +100,51 @@ class WindowAccumulator {
   void close_day(util::Day day);
 
   /// Drop buckets that are both outside the window ending at `tick` (i.e.
-  /// older than tick - window_ticks + 1) and day-closed. Returns the
-  /// number of events dropped (raw or cached).
+  /// older than tick - window_ticks + 1) and day-closed, then compact the
+  /// dictionary if it holds more than twice what the live segments use.
+  /// Returns the number of events dropped (raw or sealed).
   std::size_t expire(std::int64_t tick);
 
-  /// Borrowed view of the running window merge (valid until the next
-  /// mutating call on this accumulator). `snapshot_cache` is the merge's
-  /// paired finalize_snapshot scratch — pass it to finalize_snapshot so
-  /// repeated per-tick snapshots of the growing merge stay incremental
-  /// too; the accumulator resets it whenever the merge is rebuilt.
-  struct MergeView {
-    const graph::DayGraph* graph = nullptr;  ///< pre-finalize merged graph
-    std::size_t events = 0;                  ///< events it represents
-    graph::DayGraph::SnapshotCache* snapshot_cache = nullptr;
+  /// Evaluation entry: seal every bucket up to and including `tick`, then
+  /// assemble the finalized graph of the window ending at `tick` into
+  /// `out` (recycling its allocations) — bit-identical to ingesting the
+  /// window's events sequentially and finalizing. Returns the number of
+  /// events it represents; 0 (and `out` untouched) when the window is
+  /// empty.
+  std::size_t assemble_window(std::int64_t tick, graph::DayGraph& out);
+
+  /// Day close: seal every bucket tagged `day` and assemble their
+  /// segments, in arrival order, into `out`. Returns the day's event
+  /// count.
+  std::size_t assemble_day(util::Day day, graph::DayGraph& out);
+
+  /// Bookkeeping for engine stats / obs counters.
+  struct Stats {
+    std::size_t segments_sealed = 0;  ///< seals (raw events released)
+    std::size_t segments_read = 0;    ///< segments walked by assemblies
+    std::size_t front_kept = 0;   ///< window evaluations, front unchanged
+    std::size_t front_moved = 0;  ///< ... front moved, first, or invalidated
+    std::size_t invalidations = 0;  ///< late appends into sealed buckets
   };
+  const Stats& stats() const { return stats_; }
 
-  /// Evaluation entry: seal every bucket up to and including
-  /// `tick`, then bring the running window merge up to date — extending it
-  /// with only the newly sealed buckets when the window front and the
-  /// sealed contents are unchanged, rebuilding it from the cached partials
-  /// otherwise. The merged graph's finalize output is bit-identical to
-  /// ingesting the window's events sequentially (DayGraph::absorb
-  /// contract). graph == nullptr when the window is empty.
-  MergeView merge_window(std::int64_t tick);
-
-  /// Day close: seal every bucket tagged `day` and merge their
-  /// partials, in arrival order, into a fresh graph (the caller owns it —
-  /// typically handed to a pipelined finalize task). `events_out` gets the
-  /// day's event count.
-  graph::DayGraph merge_day(util::Day day, std::size_t& events_out);
-
-  /// Partial-cache bookkeeping, for engine stats / obs counters.
-  struct CacheStats {
-    std::size_t buckets_sealed = 0;    ///< partials built (events dropped)
-    std::size_t partial_absorbs = 0;   ///< bucket -> merge absorb operations
-    std::size_t merge_extends = 0;     ///< window merges reusing the cache
-    std::size_t merge_rebuilds = 0;    ///< window merges rebuilt from partials
-    std::size_t invalidations = 0;     ///< late appends into sealed buckets
-  };
-  const CacheStats& cache_stats() const { return cache_stats_; }
-
-  /// Events inside the window ending at `tick` (raw or cached).
+  /// Events inside the window ending at `tick` (raw or sealed).
   std::size_t window_events(std::int64_t tick) const;
 
   /// Raw events currently buffered. Sealed buckets have released their raw
-  /// storage, so this is the open-bucket backlog — the memory the window
-  /// actually pins beyond O(distinct) partial state.
+  /// storage, so this is the unsealed backlog — the memory the window
+  /// pins beyond its flat segments.
   std::size_t buffered_events() const { return buffered_events_; }
 
-  /// Events represented by sealed partials still in the deque.
+  /// Events represented by sealed segments still in the deque.
   std::size_t cached_events() const { return cached_events_; }
 
   std::size_t bucket_count() const { return buckets_.size(); }
+
+  /// Window dictionary entries held / referenced by live segments (see
+  /// graph::WindowDictionary::size and live).
+  std::size_t dictionary_size() const { return dictionary_.size(); }
+  std::size_t dictionary_live() const { return dictionary_.live(); }
 
  private:
   struct Bucket {
@@ -159,32 +152,26 @@ class WindowAccumulator {
     std::int64_t tick = 0;
     util::Day day = 0;
     bool day_closed = false;
-    std::size_t event_count = 0;  ///< raw + cached (survives sealing)
-    std::vector<logs::ConnEvent> events;         ///< raw; cleared on seal
-    std::unique_ptr<graph::DayGraph> partial;    ///< sealed ingest state
+    std::size_t event_count = 0;  ///< raw + sealed
+    std::vector<logs::ConnEvent> events;  ///< raw tail; cleared on seal
+    std::vector<graph::SealedSegment> segments;  ///< sealed, arrival order
 
-    bool sealed() const { return partial != nullptr; }
+    bool sealed() const { return !segments.empty(); }
   };
 
   void seal(Bucket& bucket);
-  void reset_merge();
+  std::size_t assemble(graph::DayGraph& out);
 
   WindowConfig config_;
-  PartialFactory factory_;
+  graph::WindowDictionary dictionary_;
   std::deque<Bucket> buckets_;
   std::uint64_t next_bucket_id_ = 0;
   std::size_t buffered_events_ = 0;  ///< raw events held (see buffered_events)
-  std::size_t cached_events_ = 0;    ///< events inside sealed partials
-  std::uint64_t mutation_epoch_ = 0; ///< bumped when a sealed bucket changes
-
-  // Running window merge: absorbed buckets [merge_first_id_, merge_next_id_).
-  std::unique_ptr<graph::DayGraph> merge_;
-  std::uint64_t merge_first_id_ = 0;
-  std::uint64_t merge_next_id_ = 0;
-  std::size_t merge_events_ = 0;
-  std::uint64_t merge_epoch_ = 0;
-  graph::DayGraph::SnapshotCache snapshot_cache_;  ///< merge_'s snapshot scratch
-  CacheStats cache_stats_{};
+  std::size_t cached_events_ = 0;    ///< events inside sealed segments
+  std::optional<std::uint64_t> front_;  ///< first bucket of the last window
+  bool invalidated_ = false;  ///< late append since the last window
+  std::vector<const graph::SealedSegment*> reading_;  ///< assembly input
+  Stats stats_{};
 };
 
 }  // namespace eid::rt

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -81,6 +82,32 @@ class Interner {
   const std::string& name(InternId id) const { return *names_[id]; }
 
   std::size_t size() const { return names_.size(); }
+
+  /// Make name(i) == names[i] for every i (`names` distinct), reusing the
+  /// entries already held: a kept name is renumbered in place, a dropped
+  /// one erased, and only new names allocate. Same observable state as
+  /// interning `names` in order into an empty interner — the rt window
+  /// renumbers its output names every tick this way.
+  void assign(std::span<const std::string_view> names) {
+    std::vector<bool> kept(names_.size(), false);
+    std::vector<const std::string*> next(names.size());
+    for (std::size_t i = 0; i < names.size(); ++i) {
+      const auto id = static_cast<InternId>(i);
+      auto it = ids_.find(names[i]);
+      if (it != ids_.end()) {
+        // Names are distinct, so this is an entry held before the call.
+        kept[it->second] = true;
+        it->second = id;
+      } else {
+        it = ids_.emplace(std::string(names[i]), id).first;
+      }
+      next[i] = &it->first;
+    }
+    for (std::size_t old = 0; old < kept.size(); ++old) {
+      if (!kept[old]) ids_.erase(ids_.find(std::string_view(*names_[old])));
+    }
+    names_ = std::move(next);
+  }
 
   /// Pre-size for n strings (bulk restore paths).
   void reserve(std::size_t n) {

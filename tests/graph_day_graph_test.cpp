@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "graph/window_dictionary.h"
+
 namespace eid::graph {
 namespace {
 
@@ -16,6 +18,12 @@ logs::ConnEvent event(util::TimePoint ts, std::string host, std::string domain,
   ev.has_http_context = true;
   ev.dest_ip = util::Ipv4::from_octets(1, 2, 3, 4);
   return ev;
+}
+
+/// Owned copy of an edge payload span, for comparisons.
+template <typename T>
+std::vector<T> owned(std::span<const T> values) {
+  return {values.begin(), values.end()};
 }
 
 TEST(DayGraphTest, BasicAdjacency) {
@@ -139,8 +147,9 @@ TEST(DayGraphTest, ForEachEdgeVisitsInSortedOrder) {
 }
 
 // Ids, IP lists and per-edge UA lists follow first appearance in the
-// event stream, whether the graph is built event by event or by absorbing
-// independently built slices. Expected values are written out by hand.
+// event stream, whether the graph is built event by event or assembled
+// from independently sealed slices. Expected values are written out by
+// hand.
 TEST(DayGraphTest, IdsIpsAndUasFollowFirstAppearance) {
   const auto ip = [](std::uint8_t last) {
     return util::Ipv4::from_octets(10, 0, 0, last);
@@ -207,8 +216,8 @@ TEST(DayGraphTest, IdsIpsAndUasFollowFirstAppearance) {
       const Expected& want = edges[visited++];
       EXPECT_EQ(h, want.host);
       EXPECT_EQ(d, want.domain);
-      EXPECT_EQ(e.times, want.times);
-      EXPECT_EQ(e.user_agents, want.uas);
+      EXPECT_EQ(owned(e.times), want.times);
+      EXPECT_EQ(owned(e.user_agents), want.uas);
       EXPECT_EQ(e.any_empty_ua, want.empty_ua);
     });
     EXPECT_EQ(visited, std::size(edges));
@@ -222,15 +231,19 @@ TEST(DayGraphTest, IdsIpsAndUasFollowFirstAppearance) {
     check(sequential);
   }
 
-  DayGraph merged;
+  WindowDictionary dictionary;
+  std::vector<SealedSegment> segments;
   for (const std::size_t begin : {0u, 3u, 6u}) {
-    DayGraph slice;
-    for (std::size_t i = begin; i < begin + 3; ++i) slice.add_event(stream[i]);
-    merged.absorb(slice);
+    segments.push_back(
+        dictionary.seal(std::span(stream).subspan(begin, 3)));
   }
-  merged.finalize();
-  SCOPED_TRACE("absorb");
-  check(merged);
+  const SealedSegment* run[] = {&segments[0], &segments[1], &segments[2]};
+  DayGraph assembled;
+  dictionary.assemble(run, assembled);
+  EXPECT_TRUE(assembled.finalized());
+  EXPECT_EQ(assembled.ingested_events(), stream.size());
+  SCOPED_TRACE("assemble");
+  check(assembled);
 }
 
 /// Compare two finalized graphs field by field through the public API.
@@ -251,8 +264,8 @@ void expect_identical(const DayGraph& a, const DayGraph& b) {
   a.for_each_edge([&](HostId h, DomainId d, const EdgeData& ea) {
     const EdgeData* eb = b.edge(h, d);
     ASSERT_NE(eb, nullptr);
-    EXPECT_EQ(ea.times, eb->times);
-    EXPECT_EQ(ea.user_agents, eb->user_agents);
+    EXPECT_EQ(owned(ea.times), owned(eb->times));
+    EXPECT_EQ(owned(ea.user_agents), owned(eb->user_agents));
     for (const UaId ua : ea.user_agents) {
       EXPECT_EQ(a.ua_name(ua), b.ua_name(ua));
     }
@@ -275,66 +288,82 @@ std::vector<logs::ConnEvent> slice_events(int begin, int end) {
   return events;
 }
 
-// absorb() must be indistinguishable, after finalize, from replaying the
-// absorbed slice's events in order — sorted (sealed) and unsorted partials
-// alike.
-TEST(DayGraphTest, AbsorbMatchesSequentialReplay) {
-  for (const bool seal : {false, true}) {
-    SCOPED_TRACE("seal " + std::to_string(seal));
-    DayGraph sequential;
-    for (const auto& ev : slice_events(0, 60)) sequential.add_event(ev);
-    sequential.finalize();
+/// Sequential reference: add_event over `events` in order, finalized.
+DayGraph sequential_graph(const std::vector<logs::ConnEvent>& events) {
+  DayGraph graph;
+  for (const auto& ev : events) graph.add_event(ev);
+  graph.finalize();
+  return graph;
+}
 
-    // Three slices built independently, then chained with absorb.
-    DayGraph merged;
-    for (const int begin : {0, 25, 40}) {
-      const int end = begin == 0 ? 25 : begin == 25 ? 40 : 60;
-      DayGraph slice;
-      for (const auto& ev : slice_events(begin, end)) slice.add_event(ev);
-      if (seal) slice.sort_edge_times();
-      merged.absorb(slice);
+// Assembling any contiguous run of sealed segments must be
+// indistinguishable from replaying the run's events in order — growing
+// runs, sliding runs and one recycled output graph alike, with
+// timestamps running backwards across segment boundaries (slice_events
+// counts down) so every edge's runs arrive out of order.
+TEST(DayGraphTest, AssemblyMatchesSequentialReplay) {
+  const int bounds[] = {0, 25, 40, 60, 61, 90};
+  WindowDictionary dictionary;
+  std::vector<SealedSegment> segments;
+  for (std::size_t s = 0; s + 1 < std::size(bounds); ++s) {
+    segments.push_back(
+        dictionary.seal(slice_events(bounds[s], bounds[s + 1])));
+  }
+  DayGraph recycled;
+  for (std::size_t first = 0; first < segments.size(); ++first) {
+    for (std::size_t last = first + 1; last <= segments.size(); ++last) {
+      SCOPED_TRACE("segments [" + std::to_string(first) + ", " +
+                   std::to_string(last) + ")");
+      std::vector<const SealedSegment*> run;
+      for (std::size_t s = first; s < last; ++s) run.push_back(&segments[s]);
+      dictionary.assemble(run, recycled);
+      const DayGraph reference =
+          sequential_graph(slice_events(bounds[first], bounds[last]));
+      EXPECT_EQ(recycled.ingested_events(), reference.ingested_events());
+      expect_identical(recycled, reference);
+      // finalize() on an assembled graph is a no-op.
+      recycled.finalize(2);
+      expect_identical(recycled, reference);
     }
-    EXPECT_EQ(merged.ingested_events(), 60u);
-    merged.finalize();
-    expect_identical(merged, sequential);
   }
 }
 
-// finalize_snapshot() must equal finalize() of the same state, leave the
-// source graph usable for further growth, and — with a SnapshotCache
-// carried across snapshots of the growing graph — stay bit-identical at
-// every step. The recycled finalize_snapshot_into() variant must too.
-TEST(DayGraphTest, SnapshotMatchesFinalizeAcrossGrowth) {
-  DayGraph growing;
-  DayGraph::SnapshotCache cache;
-  DayGraph recycled;  // reused output container across snapshots
-  for (const int end : {20, 35, 60}) {
-    SCOPED_TRACE("events " + std::to_string(end));
-    const int begin = end == 20 ? 0 : end == 35 ? 20 : 35;
-    DayGraph slice;
-    for (const auto& ev : slice_events(begin, end)) slice.add_event(ev);
-    slice.sort_edge_times();
-    growing.absorb(slice);
-
-    // Reference: consuming finalize of an identically-built graph.
-    DayGraph reference;
-    for (const auto& ev : slice_events(0, end)) reference.add_event(ev);
-    reference.finalize(2);
-
-    const DayGraph plain = growing.finalize_snapshot(2);
-    const DayGraph cached = growing.finalize_snapshot(2, &cache);
-    growing.finalize_snapshot_into(recycled, 2, nullptr);
-    EXPECT_FALSE(growing.finalized());
-    expect_identical(plain, reference);
-    expect_identical(cached, reference);
-    expect_identical(recycled, reference);
+// Releasing segments and compacting keeps only the entries the remaining
+// segments reference, and assembly over the rewritten segments is
+// unchanged.
+TEST(DayGraphTest, CompactionKeepsLiveSegmentsIntact) {
+  WindowDictionary dictionary;
+  SealedSegment old_names = dictionary.seal(slice_events(0, 30));
+  std::vector<logs::ConnEvent> fresh;
+  for (int i = 0; i < 12; ++i) {
+    auto ev = event(100 + i, "fresh-host" + std::to_string(i % 4),
+                    "fresh" + std::to_string(i % 3) + ".com",
+                    "Fresh-UA" + std::to_string(i % 2));
+    fresh.push_back(std::move(ev));
   }
-  // The source still finalizes normally after all the snapshots.
-  growing.finalize();
-  DayGraph reference;
-  for (const auto& ev : slice_events(0, 60)) reference.add_event(ev);
-  reference.finalize();
-  expect_identical(growing, reference);
+  SealedSegment kept = dictionary.seal(fresh);
+  EXPECT_EQ(dictionary.size(), dictionary.live());
+
+  dictionary.release(old_names);
+  EXPECT_GT(dictionary.size(), dictionary.live());
+  SealedSegment* live[] = {&kept};
+  dictionary.compact(live);
+  // 4 hosts + 3 domains + 2 UAs + 12 distinct (host, domain) edges.
+  EXPECT_EQ(dictionary.size(), 4u + 3u + 2u + 12u);
+  EXPECT_EQ(dictionary.size(), dictionary.live());
+
+  const SealedSegment* run[] = {&kept};
+  DayGraph assembled;
+  dictionary.assemble(run, assembled);
+  expect_identical(assembled, sequential_graph(fresh));
+
+  // Names released earlier intern afresh and assemble correctly too.
+  SealedSegment again = dictionary.seal(slice_events(0, 30));
+  const SealedSegment* both[] = {&kept, &again};
+  dictionary.assemble(both, assembled);
+  std::vector<logs::ConnEvent> all = fresh;
+  for (const auto& ev : slice_events(0, 30)) all.push_back(ev);
+  expect_identical(assembled, sequential_graph(all));
 }
 
 TEST(DayGraphTest, LargeGraphConsistency) {

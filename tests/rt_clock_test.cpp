@@ -25,8 +25,6 @@ logs::ConnEvent event_at(util::TimePoint ts,
   return event;
 }
 
-graph::DayGraph empty_partial() { return graph::DayGraph(); }
-
 TEST(RtClockTest, ManualClockClampsBackwardsSets) {
   ManualClock clock(100);
   EXPECT_EQ(clock.now(), 100);
@@ -91,7 +89,6 @@ TEST(RtWindowTest, TickGeometryFloorsNegativeTime) {
 TEST(RtWindowTest, BucketsMergeInArrivalOrder) {
   WindowConfig config{300, 900};  // 3-tick window
   WindowAccumulator window(config);
-  window.set_partial_factory(empty_partial);
   window.append(event_at(10, "b.com"), 0, 100);
   // Out-of-order arrival, same bucket.
   window.append(event_at(5, "a.com"), 0, 100);
@@ -100,13 +97,13 @@ TEST(RtWindowTest, BucketsMergeInArrivalOrder) {
   EXPECT_EQ(window.buffered_events(), 3u);
   EXPECT_EQ(window.window_events(1), 3u);
 
-  // The merged day interns domains in arrival order, not timestamp order.
-  std::size_t events = 0;
-  graph::DayGraph day = window.merge_day(100, events);
-  EXPECT_EQ(events, 3u);
+  // The assembled day interns domains in arrival order, not timestamp
+  // order.
+  graph::DayGraph day;
+  EXPECT_EQ(window.assemble_day(100, day), 3u);
   EXPECT_EQ(window.buffered_events(), 0u);  // sealed: raw events released
   EXPECT_EQ(window.cached_events(), 3u);
-  day.finalize();
+  EXPECT_TRUE(day.finalized());
   ASSERT_EQ(day.domain_count(), 3u);
   EXPECT_EQ(day.domain_name(0), "b.com");
   EXPECT_EQ(day.domain_name(1), "a.com");
@@ -144,18 +141,14 @@ TEST(RtWindowTest, DayBoundaryInsideOneTickSplitsBuckets) {
   // day, even at the same tick — day merge is keyed by bucket day tags.
   WindowConfig config{86400, 86400};
   WindowAccumulator window(config);
-  window.set_partial_factory(empty_partial);
   window.append(event_at(86'390), 0, 100);
   window.append(event_at(86'401), 1, 101);
   window.append(event_at(86'410), 1, 101);
   ASSERT_EQ(window.bucket_count(), 2u);
 
-  std::size_t day0 = 0;
-  std::size_t day1 = 0;
-  window.merge_day(100, day0);
-  window.merge_day(101, day1);
-  EXPECT_EQ(day0, 1u);
-  EXPECT_EQ(day1, 2u);
+  graph::DayGraph day;
+  EXPECT_EQ(window.assemble_day(100, day), 1u);
+  EXPECT_EQ(window.assemble_day(101, day), 2u);
 }
 
 }  // namespace

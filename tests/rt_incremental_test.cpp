@@ -1,12 +1,14 @@
-// Incremental window re-scoring (rt/window.h + graph::DayGraph::absorb):
-// the engine's default tick evaluation merges cached per-bucket partial
-// graphs instead of re-ingesting the window's raw events. These tests pin
-// the equivalence contract from both ends:
+// Incremental window re-scoring (rt/window.h + graph::WindowDictionary):
+// the engine's tick evaluation assembles the window graph from flat
+// sealed segments instead of re-ingesting the window's raw events. These
+// tests pin the equivalence contract from both ends:
 //
-//   * window-level — the merged partials finalize bit-identical to a
-//     sequential ingest of the same event sequence, across sealing,
-//     merge extension, window slide, empty-tick gaps and out-of-order
-//     appends into already-sealed buckets (the invalidation path);
+//   * window-level — the assembled graph is bit-identical to a sequential
+//     ingest of the same event sequence at every tick, across sealing,
+//     window growth and slide, empty-tick gaps, late timestamps sealed
+//     into later buckets, names / UAs / IPs whose first in-window
+//     occurrence expires, late appends into sealed buckets, and
+//     dictionary compaction over a many-day follow;
 //   * engine-level — a full continuous run produces the same day reports
 //     AND the same provisional/finalized emission sequence, field for
 //     field, as a batch reference that re-analyzes the arrival prefix with
@@ -104,12 +106,6 @@ WindowConfig small_window() {
   return config;
 }
 
-WindowAccumulator make_window(const WindowConfig& config = small_window()) {
-  WindowAccumulator window(config);
-  window.set_partial_factory([] { return graph::DayGraph(); });
-  return window;
-}
-
 void append_all(WindowAccumulator& window,
                 const std::vector<logs::ConnEvent>& events) {
   for (const auto& ev : events) {
@@ -117,96 +113,104 @@ void append_all(WindowAccumulator& window,
   }
 }
 
-// Sealing a bucket moves its events from the raw buffer into the cached
-// partial and releases the raw storage — the memory fix behind the
+/// Assemble the window ending at `tick` into `out` and return its
+/// signature; `events` gets the event count the window reports.
+std::string assembled_signature(WindowAccumulator& window, std::int64_t tick,
+                                graph::DayGraph& out, std::size_t& events) {
+  events = window.assemble_window(tick, out);
+  EXPECT_TRUE(out.finalized());
+  return graph_signature(out);
+}
+
+// Sealing a bucket moves its events from the raw buffer into a flat
+// segment and releases the raw storage — the memory fix behind the
 // rt_peak_buffered_events bench assertion.
 TEST(RtIncrementalTest, SealReleasesRawEvents) {
-  WindowAccumulator window = make_window();
+  WindowAccumulator window(small_window());
   const auto events = tick_events(0, 1);
   append_all(window, events);
   EXPECT_EQ(window.buffered_events(), events.size());
   EXPECT_EQ(window.cached_events(), 0u);
 
-  const auto view = window.merge_window(0);
-  ASSERT_NE(view.graph, nullptr);
-  EXPECT_EQ(view.events, events.size());
+  graph::DayGraph graph;
+  EXPECT_EQ(window.assemble_window(0, graph), events.size());
   EXPECT_EQ(window.buffered_events(), 0u);
   EXPECT_EQ(window.cached_events(), events.size());
-  EXPECT_EQ(window.cache_stats().buckets_sealed, 1u);
+  EXPECT_EQ(window.stats().segments_sealed, 1u);
   EXPECT_EQ(window.window_events(0), events.size());
 }
 
-// Tick after tick over a sliding window: while the front is unchanged the
-// running merge only absorbs the newly sealed bucket (extend); when the
-// window slides it rebuilds from the cached partials. Every tick's merged
-// snapshot must be bit-identical to sequentially ingesting the in-window
-// events.
-TEST(RtIncrementalTest, MergeMatchesSequentialAcrossSlide) {
-  WindowAccumulator window = make_window();
+// Tick after tick over a sliding window, into one recycled output graph:
+// every tick's assembled graph must be bit-identical to sequentially
+// ingesting the in-window events. While the window front is unchanged the
+// evaluation counts as front-kept; every slide counts as front-moved.
+TEST(RtIncrementalTest, AssemblyMatchesSequentialAcrossSlide) {
+  WindowAccumulator window(small_window());
+  graph::DayGraph recycled;
   std::vector<std::vector<logs::ConnEvent>> per_tick;
   for (std::int64_t tick = 0; tick < 7; ++tick) {
     per_tick.push_back(tick_events(tick, static_cast<int>(tick) + 1));
     append_all(window, per_tick.back());
 
-    const auto view = window.merge_window(tick);
-    ASSERT_NE(view.graph, nullptr);
-    const graph::DayGraph snap =
-        view.graph->finalize_snapshot(1, view.snapshot_cache);
+    std::size_t events = 0;
+    const std::string assembled =
+        assembled_signature(window, tick, recycled, events);
 
     std::vector<logs::ConnEvent> in_window;
     const std::int64_t first_live =
         tick - window.config().window_ticks() + 1;
-    std::size_t expected_events = 0;
     for (std::int64_t t = std::max<std::int64_t>(0, first_live); t <= tick;
          ++t) {
       for (const auto& ev : per_tick[static_cast<std::size_t>(t)]) {
         in_window.push_back(ev);
-        ++expected_events;
       }
     }
-    EXPECT_EQ(view.events, expected_events);
-    EXPECT_EQ(graph_signature(snap), sequential_signature(in_window));
+    EXPECT_EQ(events, in_window.size());
+    EXPECT_EQ(assembled, sequential_signature(in_window));
     window.expire(tick);
     window.close_day(util::day_of(tick * 300));
   }
   // 4-tick window over 7 ticks: the first 4 evaluations share one front
-  // (1 rebuild + 3 extends), each slide afterwards rebuilds.
-  EXPECT_EQ(window.cache_stats().merge_rebuilds, 4u);
-  EXPECT_EQ(window.cache_stats().merge_extends, 3u);
-  EXPECT_EQ(window.cache_stats().invalidations, 0u);
+  // (1 moved + 3 kept), each slide afterwards moves it.
+  EXPECT_EQ(window.stats().front_moved, 4u);
+  EXPECT_EQ(window.stats().front_kept, 3u);
+  EXPECT_EQ(window.stats().invalidations, 0u);
+  // Each evaluation read every in-window segment: 1+2+3+4+4+4+4.
+  EXPECT_EQ(window.stats().segments_read, 22u);
 }
 
-// Quiet ticks leave no bucket behind; the merge must skip the gap and the
-// result must still equal the sequential ingest of what exists.
+// Quiet ticks leave no bucket behind; the assembly must skip the gap and
+// the result must still equal the sequential ingest of what exists.
 TEST(RtIncrementalTest, EmptyTickGapsAreSkipped) {
-  WindowAccumulator window = make_window();
+  WindowAccumulator window(small_window());
+  graph::DayGraph graph;
   const auto first = tick_events(0, 1);
   const auto later = tick_events(3, 2);  // ticks 1 and 2 stay empty
   append_all(window, first);
-  ASSERT_NE(window.merge_window(0).graph, nullptr);
+  ASSERT_GT(window.assemble_window(0, graph), 0u);
   append_all(window, later);
 
-  const auto view = window.merge_window(3);
-  ASSERT_NE(view.graph, nullptr);
+  std::size_t events = 0;
+  const std::string assembled = assembled_signature(window, 3, graph, events);
   std::vector<logs::ConnEvent> all = first;
   all.insert(all.end(), later.begin(), later.end());
-  EXPECT_EQ(view.events, all.size());
-  EXPECT_EQ(graph_signature(view.graph->finalize_snapshot(1, view.snapshot_cache)),
-            sequential_signature(all));
-  // The gap produced no buckets, so the merge extended across it.
-  EXPECT_EQ(window.cache_stats().merge_rebuilds, 1u);
-  EXPECT_EQ(window.cache_stats().merge_extends, 1u);
+  EXPECT_EQ(events, all.size());
+  EXPECT_EQ(assembled, sequential_signature(all));
+  // The gap produced no buckets, so the front stayed put.
+  EXPECT_EQ(window.stats().front_moved, 1u);
+  EXPECT_EQ(window.stats().front_kept, 1u);
 }
 
-// An append that lands behind an already-evaluated tick goes into the
-// sealed bucket's partial (at its end-of-bucket arrival position) and
-// invalidates the running merge, which must rebuild from the cached
-// partials and match the sequential ingest of the effective order.
+// An append that lands behind an already-evaluated tick joins the sealed
+// bucket's raw tail (its end-of-bucket arrival position) and invalidates
+// the window; the next assembly seals the tail as a second segment and
+// must match the sequential ingest of the effective order.
 TEST(RtIncrementalTest, LateAppendIntoSealedBucketInvalidates) {
-  WindowAccumulator window = make_window();
+  WindowAccumulator window(small_window());
+  graph::DayGraph graph;
   const auto batch = tick_events(2, 3);
   append_all(window, batch);
-  ASSERT_NE(window.merge_window(2).graph, nullptr);
+  ASSERT_GT(window.assemble_window(2, graph), 0u);
   EXPECT_EQ(window.buffered_events(), 0u);
 
   // Same tick, arrives after the evaluation — a new edge and a new host.
@@ -215,17 +219,205 @@ TEST(RtIncrementalTest, LateAppendIntoSealedBucketInvalidates) {
                      util::Ipv4::from_octets(10, 9, 9, 9), "LateUA", true);
   const logs::ConnEvent late = late_builder.events()[0];
   window.append(late, 2, util::day_of(late.ts));
-  EXPECT_EQ(window.cache_stats().invalidations, 1u);
-  EXPECT_EQ(window.buffered_events(), 0u);  // went into the partial directly
+  EXPECT_EQ(window.stats().invalidations, 1u);
+  EXPECT_EQ(window.bucket_count(), 1u);     // same bucket, raw tail
+  EXPECT_EQ(window.buffered_events(), 1u);
 
-  const auto view = window.merge_window(2);
-  ASSERT_NE(view.graph, nullptr);
+  std::size_t events = 0;
+  const std::string assembled = assembled_signature(window, 2, graph, events);
   std::vector<logs::ConnEvent> effective = batch;
   effective.push_back(late);
-  EXPECT_EQ(view.events, effective.size());
-  EXPECT_EQ(graph_signature(view.graph->finalize_snapshot(1, view.snapshot_cache)),
-            sequential_signature(effective));
-  EXPECT_EQ(window.cache_stats().merge_rebuilds, 2u);  // initial + invalidated
+  EXPECT_EQ(events, effective.size());
+  EXPECT_EQ(assembled, sequential_signature(effective));
+  EXPECT_EQ(window.buffered_events(), 0u);
+  EXPECT_EQ(window.stats().segments_sealed, 2u);
+  EXPECT_EQ(window.stats().front_moved, 2u);  // initial + invalidated
+}
+
+// The sliding regime's edge cases, checked at every tick over four window
+// lengths against a sequential ingest of the in-window arrival sequence,
+// into one recycled output graph:
+//
+//   * late timestamps — every bucket also carries events stamped one and
+//     two ticks earlier (a ReplayClock bucket follows the high-water
+//     mark), so an edge's runs concatenate out of order;
+//   * rotating names — a host, domain and UA recur every third tick, so
+//     their first in-window occurrence keeps expiring while they recur
+//     and their window ids move;
+//   * an edge whose UA and a domain whose IP alternate, so the first-seen
+//     UA / IP expires and the lists reorder;
+//   * late appends into sealed buckets after the window has slid.
+//
+// Buckets carry their tick as the day tag and each "day" closes once its
+// tick is evaluated, so expiry runs every tick as in steady state.
+TEST(RtIncrementalTest, SlidingEdgeCasesMatchSequentialEveryTick) {
+  const WindowConfig config = small_window();
+  WindowAccumulator window(config);
+  graph::DayGraph recycled;
+  const std::int64_t ticks = 4 * config.window_ticks();
+  std::vector<std::vector<logs::ConnEvent>> arrived(
+      static_cast<std::size_t>(ticks));
+
+  const auto tick_batch = [](std::int64_t tick) {
+    DayBuilder b;
+    const util::TimePoint base = tick * 300;
+    const int t = static_cast<int>(tick);
+    // Stable background traffic, plus the late-timestamp events.
+    b.visit("steady", "steady.com", base + 100,
+            util::Ipv4::from_octets(10, 1, 0, 1), "SteadyUA", true);
+    if (tick >= 1) {
+      b.visit("steady", "steady.com", base - 300 + 7, {0}, "SteadyUA");
+    }
+    if (tick >= 2) {
+      b.visit("h" + std::to_string(t % 5), "steady.com", base - 600 + 11,
+              util::Ipv4::from_octets(10, 1, 0, 2), "");
+    }
+    // Names recurring every few ticks, so each one's first in-window
+    // occurrence keeps expiring while it recurs later in the window.
+    const std::string rot_host = "rot-host" + std::to_string(t % 3);
+    const std::string rot_domain = "rot" + std::to_string(t % 4) + ".com";
+    const std::string next_domain = "rot" + std::to_string((t + 1) % 4) + ".com";
+    b.visit(rot_host, rot_domain, base + 20,
+            util::Ipv4::from_octets(10, 2, 0, t % 3),
+            "RotUA" + std::to_string(t % 3));
+    if (tick % 3 == 0) {
+      b.visit("recurring", "recurring.com", base + 30,
+              util::Ipv4::from_octets(10, 3, 0, 1), "RecurringUA");
+    }
+    b.visit("h" + std::to_string(t % 5), next_domain, base + 40, {0},
+            tick % 2 == 0 ? "" : "RotUA1", tick % 2 == 0);
+    // Alternating first-seen UA on one edge and IP on one domain.
+    b.visit("flip", "flip.com", base + 50,
+            util::Ipv4::from_octets(10, 4, 0, 1 + t % 2),
+            t % 2 == 0 ? "FlipA" : "FlipB");
+    b.visit("flip", "flip.com", base + 60,
+            util::Ipv4::from_octets(10, 4, 0, 2 - t % 2),
+            t % 2 == 0 ? "FlipB" : "FlipA");
+    return b.events();
+  };
+
+  std::size_t late_appends = 0;
+  for (std::int64_t tick = 0; tick < ticks; ++tick) {
+    SCOPED_TRACE("tick " + std::to_string(tick));
+    const util::Day tag = static_cast<util::Day>(tick);
+    std::vector<logs::ConnEvent>& bucket =
+        arrived[static_cast<std::size_t>(tick)];
+    for (const auto& ev : tick_batch(tick)) {
+      window.append(ev, tick, tag);
+      bucket.push_back(ev);
+    }
+    const auto check = [&] {
+      std::vector<logs::ConnEvent> in_window;
+      for (std::int64_t t = std::max<std::int64_t>(
+               0, tick - config.window_ticks() + 1);
+           t <= tick; ++t) {
+        const auto& events = arrived[static_cast<std::size_t>(t)];
+        in_window.insert(in_window.end(), events.begin(), events.end());
+      }
+      std::size_t events = 0;
+      EXPECT_EQ(assembled_signature(window, tick, recycled, events),
+                sequential_signature(in_window));
+      EXPECT_EQ(events, in_window.size());
+    };
+    window.expire(tick);
+    check();
+    if (tick >= config.window_ticks() && tick % 3 == 1) {
+      // Late append after the slide: behind the evaluated tick, into its
+      // sealed bucket — a recurring name and a fresh edge.
+      DayBuilder late;
+      late.visit("recurring", "late" + std::to_string(tick) + ".com",
+                 tick * 300 - 450, util::Ipv4::from_octets(10, 5, 0, 1),
+                 "RecurringUA", true);
+      late.visit("flip", "flip.com", tick * 300 + 1,
+                 util::Ipv4::from_octets(10, 4, 0, 9), "FlipC");
+      for (const auto& ev : late.events()) {
+        window.append(ev, tick, tag);
+        bucket.push_back(ev);
+      }
+      EXPECT_EQ(window.bucket_count(),
+                static_cast<std::size_t>(config.window_ticks()));
+      ++late_appends;
+      check();
+    }
+    window.close_day(tag);
+  }
+  // Every bucket sealed once, plus one tail segment per late append.
+  EXPECT_GT(late_appends, 0u);
+  EXPECT_EQ(window.stats().segments_sealed,
+            static_cast<std::size_t>(ticks) + late_appends);
+}
+
+// A many-day follow where every day brings fresh host, domain and UA
+// names: expiry releases the slid-out buckets' dictionary references and
+// compaction keeps the window dictionary within twice the names and edges
+// the live buckets (window ∪ open day) reference — the memory bound the
+// header promises — while every tick still assembles bit-identically.
+TEST(RtIncrementalTest, WindowDictionaryStaysBoundedOverManyDays) {
+  WindowConfig config;
+  config.tick_seconds = 3600;
+  config.window_seconds = util::kSecondsPerDay;
+  WindowAccumulator window(config);
+  graph::DayGraph recycled;
+
+  struct Arrived {
+    std::int64_t tick = 0;
+    util::Day day = 0;
+    logs::ConnEvent event;
+  };
+  std::vector<Arrived> arrived;
+  std::set<std::string> ever;
+  constexpr int kDays = 6;
+  for (int d = 0; d < kDays; ++d) {
+    const util::Day day = kDay + d;
+    if (d > 0) window.close_day(day - 1);
+    for (std::int64_t h = 0; h < 24; ++h) {
+      const std::int64_t tick = (util::day_start(day) / 3600) + h;
+      SCOPED_TRACE("day " + std::to_string(d) + " hour " + std::to_string(h));
+      DayBuilder b;
+      for (int i = 0; i < 6; ++i) {
+        const std::string prefix = "d" + std::to_string(d) + "-";
+        b.visit(prefix + "host" + std::to_string((h + i) % 9),
+                prefix + "site" + std::to_string((h * 3 + i) % 11) + ".com",
+                tick * 3600 + i * 60, util::Ipv4::from_octets(10, 6, 0, i),
+                i % 2 == 0 ? prefix + "UA" + std::to_string(i % 3) : "");
+        b.visit("office-host", "intranet.com", tick * 3600 + i * 60 + 5,
+                util::Ipv4::from_octets(10, 7, 0, 1), "OfficeUA");
+      }
+      for (const auto& ev : b.events()) {
+        window.append(ev, tick, day);
+        arrived.push_back(Arrived{tick, day, ev});
+        ever.insert(ev.host + "->" + ev.domain);
+      }
+      window.expire(tick);
+
+      const std::int64_t first_live = tick - config.window_ticks() + 1;
+      std::vector<logs::ConnEvent> in_window;
+      for (const Arrived& a : arrived) {
+        if (a.tick >= first_live) in_window.push_back(a.event);
+      }
+      std::size_t events = 0;
+      EXPECT_EQ(assembled_signature(window, tick, recycled, events),
+                sequential_signature(in_window));
+      EXPECT_EQ(events, in_window.size());
+
+      // What the live buckets hold — in the window or on the open day —
+      // counted independently of the accumulator.
+      std::set<std::string> hosts, domains, uas, edges;
+      for (const Arrived& a : arrived) {
+        if (a.tick < first_live && a.day != day) continue;
+        hosts.insert(a.event.host);
+        domains.insert(a.event.domain);
+        if (!a.event.user_agent.empty()) uas.insert(a.event.user_agent);
+        edges.insert(a.event.host + "->" + a.event.domain);
+      }
+      const std::size_t live =
+          hosts.size() + domains.size() + uas.size() + edges.size();
+      EXPECT_EQ(window.dictionary_live(), live);
+      EXPECT_LE(window.dictionary_size(), 2 * live);
+    }
+  }
+  // Without compaction the dictionary would hold every day's edges.
+  EXPECT_LT(window.dictionary_size(), ever.size());
 }
 
 // ---------------------------------------------------------------------------

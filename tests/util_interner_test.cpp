@@ -61,5 +61,28 @@ TEST(InternerTest, ManyStringsStayConsistent) {
   }
 }
 
+// assign() renumbers kept names, drops absent ones and adds new ones:
+// the result must be indistinguishable from interning the list afresh.
+TEST(InternerTest, AssignMatchesFreshInterning) {
+  Interner interner;
+  for (const char* name : {"a", "b", "c", "d"}) interner.intern(name);
+  const std::vector<std::string_view> next = {"c", "e", "a", "f"};
+  interner.assign(next);
+  Interner fresh;
+  for (const std::string_view name : next) fresh.intern(name);
+  ASSERT_EQ(interner.size(), fresh.size());
+  for (InternId id = 0; id < fresh.size(); ++id) {
+    EXPECT_EQ(interner.name(id), fresh.name(id));
+    EXPECT_EQ(interner.find(fresh.name(id)), id);
+  }
+  EXPECT_EQ(interner.find("b"), kInvalidInternId);
+  EXPECT_EQ(interner.find("d"), kInvalidInternId);
+  EXPECT_EQ(interner.intern("g"), 4u);
+
+  interner.assign({});
+  EXPECT_EQ(interner.size(), 0u);
+  EXPECT_EQ(interner.find("c"), kInvalidInternId);
+}
+
 }  // namespace
 }  // namespace eid::util
