@@ -9,7 +9,6 @@
 // (bench_throughput_day writes the "throughput" section of the same file).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <iomanip>
 #include <sstream>
 
@@ -24,7 +23,6 @@
 #include "obs/metrics.h"
 #include "sim/enterprise.h"
 #include "timing/periodicity.h"
-#include "util/executor.h"
 
 namespace {
 
@@ -168,23 +166,6 @@ void BM_DetectorIngestProfile(benchmark::State& state) {
                           static_cast<std::int64_t>(events.size()));
 }
 BENCHMARK(BM_DetectorIngestProfile);
-
-void BM_ExecutorDispatch(benchmark::State& state) {
-  // One 8-range fan-out over the persistent pool — the steady-state cost
-  // every per-day stage pays, hundreds of times per day.
-  util::Executor executor(7);
-  std::atomic<std::size_t> sink{0};
-  for (auto _ : state) {
-    executor.parallel_ranges(8, 8,
-                             [&](std::size_t, std::size_t begin, std::size_t) {
-                               sink.fetch_add(begin,
-                                              std::memory_order_relaxed);
-                             });
-  }
-  benchmark::DoNotOptimize(sink.load());
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) * 8);
-}
-BENCHMARK(BM_ExecutorDispatch);
 
 void BM_MetricsCounter(benchmark::State& state) {
   // The raw cost of one enabled counter increment: a thread-shard lookup

@@ -3,12 +3,8 @@
 // month — potential C&C domains, the no-hint community expansion, and the
 // IOC-seeded expansion — ordered by suspiciousness for analyst review.
 //
-// Usage: enterprise_monitor [days=7] [tc=0.4] [ts=0.33] [threads=1] [depth=1]
-//                           [--state <path>] [--help]
-//
-// threads/depth drive the parallel day-analysis engine (worker threads,
-// multi-day pipeline depth); reports are bit-identical for any values, so
-// they are safe to size to the host.
+// Usage: enterprise_monitor [days=7] [tc=0.4] [ts=0.33] [--state <path>]
+//                           [--help]
 //
 // --state <path> makes the monitor durable: the detector state
 // (histories, trained models, counters) is checkpointed to <path> after
@@ -40,7 +36,7 @@
 // --metrics-out <path> keeps a Prometheus text-exposition snapshot of the
 // process metrics registry at <path> (atomic tmp + rename; point the
 // node-exporter textfile collector at it). --trace-out <path> writes a
-// Chrome trace-event JSON of every pipeline/executor/rt span — open it in
+// Chrome trace-event JSON of every pipeline/rt span — open it in
 // Perfetto (ui.perfetto.dev) or chrome://tracing. Batch mode rewrites
 // both after every day; --follow refreshes them every ~2 s of wall time.
 #include <charconv>
@@ -68,14 +64,11 @@ using namespace eid;
 
 void print_usage(const char* argv0) {
   std::printf(
-      "usage: %s [days] [tc] [ts] [threads] [depth] [--state <path>]\n"
+      "usage: %s [days] [tc] [ts] [--state <path>]\n"
       "\n"
       "  days     operation days to monitor (default 7, >= 1)\n"
       "  tc       C&C detection threshold Tc (default 0.4)\n"
       "  ts       similarity threshold Ts (default 0.33)\n"
-      "  threads  day-analysis worker threads (default 1, >= 1)\n"
-      "  depth    multi-day pipeline depth: 2 overlaps a day's close with\n"
-      "           the next day's ingest (default 1, >= 1)\n"
       "  --state <path>  checkpoint the detector to <path> after each day\n"
       "                  and restore from it on startup when present\n"
       "  --delta-every <n>  compact the delta chain into a fresh full\n"
@@ -105,7 +98,7 @@ void print_usage(const char* argv0) {
       "  --metrics-out <path>  keep a Prometheus text snapshot of the\n"
       "                        process metrics at <path> (rewritten per day,\n"
       "                        or every ~2 s in --follow mode)\n"
-      "  --trace-out <path>    write pipeline/executor/rt spans as Chrome\n"
+      "  --trace-out <path>    write pipeline/rt spans as Chrome\n"
       "                        trace-event JSON to <path> (Perfetto-viewable)\n"
       "  --help   this message\n",
       argv0);
@@ -307,8 +300,6 @@ int main(int argc, char** argv) {
   int days = 7;
   double tc = 0.4;
   double ts = 0.33;
-  int threads = 1;
-  int depth = 1;
   std::string state_path;
   std::string follow_path;
   std::string metrics_path;
@@ -395,8 +386,6 @@ int main(int argc, char** argv) {
       case 0: ok = parse_int_arg(arg, 1, days); break;
       case 1: ok = parse_double_arg(arg, tc); break;
       case 2: ok = parse_double_arg(arg, ts); break;
-      case 3: ok = parse_int_arg(arg, 1, threads); break;
-      case 4: ok = parse_int_arg(arg, 1, depth); break;
       default: ok = false; break;
     }
     if (!ok) {
@@ -433,13 +422,8 @@ int main(int argc, char** argv) {
   eval::AcRunnerConfig runner_config;
   runner_config.pipeline.cc_threshold = tc;
   runner_config.pipeline.sim_threshold = ts;
-  runner_config.pipeline.parallelism = core::Parallelism{
-      .threads = static_cast<std::size_t>(threads),
-      .pipeline_depth = static_cast<std::size_t>(depth)};
   eval::AcRunner runner(scenario, runner_config);
   api::Detector& detector = runner.detector();
-  std::printf("day-analysis engine: %d thread(s), pipeline depth %d\n",
-              threads, depth);
 
   if (standby) {
     if (state_path.empty() || follow_path.empty()) {
@@ -548,12 +532,11 @@ int main(int argc, char** argv) {
       }
       restored = true;
       // The checkpoint restores the config it was saved with; the operator
-      // asked for these thresholds and parallelism on THIS invocation, so
-      // re-apply them (the printed Tc/Ts/threads labels must stay truthful).
+      // asked for these thresholds on THIS invocation, so re-apply them
+      // (the printed Tc/Ts labels must stay truthful).
       core::PipelineConfig config = pipeline.config();
       config.cc_threshold = tc;
       config.sim_threshold = ts;
-      config.parallelism = runner_config.pipeline.parallelism;
       detector.pipeline().set_config(config);
     } else if (state) {
       std::fprintf(stderr,
@@ -675,11 +658,9 @@ int main(int argc, char** argv) {
               "in production these reports go to the SOC for manual "
               "investigation, §VI-B.)\n");
   const api::HealthSnapshot health = detector.health_snapshot();
-  std::printf("health: %zu day(s) operated, %llu event(s) ingested, "
-              "executor %zu worker(s)\n",
+  std::printf("health: %zu day(s) operated, %llu event(s) ingested\n",
               health.days_operated,
-              static_cast<unsigned long long>(health.events_ingested),
-              health.executor_workers);
+              static_cast<unsigned long long>(health.events_ingested));
   flush_observability();
   return 0;
 }

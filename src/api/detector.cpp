@@ -15,83 +15,29 @@
 #include "storage/delta.h"
 #include "storage/state.h"
 #include "util/crc32.h"
-#include "util/executor.h"
 
 namespace eid::api {
 
-namespace {
-
-/// One-in-flight day-commit slot behind the pipelined multi-day verbs.
-/// run() first drains the previous commit — commits execute strictly in
-/// day order, which is what keeps every history update and training row
-/// bit-identical to the sequential loop — then hands the new one to the
-/// pool, so the caller returns to ingesting the next day immediately.
-/// Sequential configurations (no executor, or pipeline_depth == 1) run
-/// each commit inline.
-class DayCommitQueue {
- public:
-  DayCommitQueue(util::Executor* executor, std::size_t depth)
-      : executor_(depth > 1 ? executor : nullptr) {}
-
-  /// Unwinding mid-stream (a throwing source or commit) must not leave a
-  /// task referencing the pipeline in flight; its error, if any, is
-  /// already propagating.
-  ~DayCommitQueue() {
-    try {
-      drain();
-    } catch (...) {
-    }
-  }
-
-  void run(std::function<void()> commit) {
-    if (executor_ == nullptr) {
-      commit();
-      return;
-    }
-    drain();
-    pending_ = executor_->submit(std::move(commit));
-  }
-
-  /// Wait for the in-flight commit; rethrows anything it threw.
-  void drain() { pending_.wait(); }
-
- private:
-  util::Executor* executor_ = nullptr;
-  util::Executor::TaskHandle pending_;
-};
-
-}  // namespace
-
 IngestReport Detector::ingest(EventSource& source) {
   IngestReport report;
-  bool open = false;
+  std::optional<core::ProfileAccumulator> accumulator;
   util::Day current = 0;
-  DayCommitQueue commits(pipeline_.executor(),
-                         source.concurrent_pull_safe()
-                             ? pipeline_.config().parallelism.pipeline_depth
-                             : 1);
-  core::ProfileAccumulator accumulator = pipeline_.begin_profile();
-  const auto finish = [&] {
-    // The accumulator moves into the task; day N's history commit runs
-    // while day N+1 collects into a fresh one.
-    auto done =
-        std::make_shared<core::ProfileAccumulator>(std::move(accumulator));
-    commits.run([this, done] { pipeline_.finish_profile(std::move(*done)); });
-    ++report.days;
-  };
   while (auto chunk = source.next_chunk()) {
-    if (open && chunk->day != current) {
-      finish();
-      accumulator = pipeline_.begin_profile();
+    if (accumulator && chunk->day != current) {
+      pipeline_.finish_profile(std::move(*accumulator));
+      accumulator.reset();
+      ++report.days;
     }
-    open = true;
+    if (!accumulator) accumulator.emplace(pipeline_.begin_profile());
     current = chunk->day;
-    accumulator.add_chunk(chunk->events);
+    accumulator->add_chunk(chunk->events);
     ++report.chunks;
     report.events += chunk->events.size();
   }
-  if (open) finish();
-  commits.drain();
+  if (accumulator) {
+    pipeline_.finish_profile(std::move(*accumulator));
+    ++report.days;
+  }
   return report;
 }
 
@@ -106,33 +52,22 @@ IngestReport Detector::analyze_days(EventSource& source,
                                     const DayAnalysisFn& commit) {
   IngestReport report;
   std::optional<core::DayAccumulator> accumulator;
-  DayCommitQueue commits(pipeline_.executor(),
-                         source.concurrent_pull_safe()
-                             ? pipeline_.config().parallelism.pipeline_depth
-                             : 1);
   const auto finish = [&] {
-    auto day_acc =
-        std::make_shared<core::DayAccumulator>(std::move(*accumulator));
-    commits.run([this, &commit, day_acc] {
-      const core::DayAnalysis analysis =
-          pipeline_.finish_day(std::move(*day_acc));
-      commit(analysis.day, analysis);
-      pipeline_.update_histories(analysis.graph);
-    });
+    const core::DayAnalysis analysis =
+        pipeline_.finish_day(std::move(*accumulator));
+    accumulator.reset();
+    commit(analysis.day, analysis);
+    pipeline_.update_histories(analysis.graph);
     ++report.days;
   };
   while (auto chunk = source.next_chunk()) {
-    if (accumulator && accumulator->day() != chunk->day) {
-      finish();
-      accumulator.reset();
-    }
+    if (accumulator && accumulator->day() != chunk->day) finish();
     if (!accumulator) accumulator.emplace(pipeline_.begin_day(chunk->day));
     accumulator->add_chunk(chunk->events);
     ++report.chunks;
     report.events += chunk->events.size();
   }
   if (accumulator) finish();
-  commits.drain();
   return report;
 }
 
@@ -227,9 +162,7 @@ bool Detector::save_state(const std::filesystem::path& path,
   export_unfinalized_rows(pipeline_, 0, 0, rows);
   const storage::DetectorStateView state = make_state_view(
       pipeline_, intel_domains_, days_operated_, rows.empty() ? nullptr : &rows);
-  const bool ok = storage::save_detector_state(
-      state, path, state.config->parallelism.threads, status,
-      pipeline_.executor());
+  const bool ok = storage::save_detector_state(state, path, status);
   if (ok && delta_.active && delta_.path == path) {
     // A direct full save replaced the base this path's chain was built on;
     // drop the chain before stale frames can shadow (and be dropped
@@ -247,8 +180,7 @@ bool Detector::full_checkpoint(const std::filesystem::path& path,
   export_unfinalized_rows(pipeline_, 0, 0, rows);
   const storage::DetectorStateView state = make_state_view(
       pipeline_, intel_domains_, days_operated_, rows.empty() ? nullptr : &rows);
-  const std::string bytes = storage::encode_detector_state(
-      state, pipeline_.config().parallelism.threads, pipeline_.executor());
+  const std::string bytes = storage::encode_detector_state(state);
   if (!storage::write_file_atomic(path, bytes, status)) {
     delta_.active = false;
     return false;
@@ -473,10 +405,6 @@ HealthSnapshot Detector::health_snapshot() const {
   health.last_tick_seconds = registry.gauge("eid_rt_last_tick_seconds").value();
   health.rt_backlog_events =
       registry.gauge("eid_rt_poll_backlog_events").value();
-  health.executor_queue_depth =
-      registry.gauge("eid_executor_queue_depth").value();
-  const util::Executor* executor = pipeline_.executor();
-  health.executor_workers = executor != nullptr ? executor->worker_count() : 0;
   return health;
 }
 

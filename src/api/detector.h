@@ -35,6 +35,16 @@ struct DetectorState;
 
 namespace eid::core {
 class IncidentStore;
+
+/// Retired day-path parallelism knobs ({threads, shards, day overlap
+/// depth}). The day path is single-threaded and nothing reads these
+/// fields; the struct remains so existing Detector::set_parallelism
+/// callers compile.
+struct Parallelism {
+  std::size_t threads = 1;
+  std::size_t shards = 1;
+  std::size_t depth = 1;
+};
 }
 
 namespace eid::rt {
@@ -55,15 +65,12 @@ struct IngestReport {
 
 /// One glanceable runtime-health view for a supervisor or status endpoint,
 /// assembled from this detector's counters and the process metrics
-/// registry (so the executor/rt figures cover whatever pipeline this
-/// detector drives).
+/// registry.
 struct HealthSnapshot {
   std::size_t days_operated = 0;       ///< committed operation days
   std::uint64_t events_ingested = 0;   ///< eid_ingest_events_total
   double last_tick_seconds = 0.0;      ///< latest rt evaluation wall time
   double rt_backlog_events = 0.0;      ///< events held by the rt window
-  double executor_queue_depth = 0.0;   ///< tasks queued, not yet picked up
-  std::size_t executor_workers = 0;    ///< pool size (0 = inline execution)
 };
 
 /// How Detector::save_state_delta balances save cost against chain length.
@@ -84,11 +91,8 @@ struct CheckpointExtras {
   const core::IncidentStore* incidents = nullptr;
 };
 
-/// Per-day callback of Detector::analyze_days. With pipeline_depth > 1 it
-/// runs on an executor worker, overlapped with the *ingestion* of the
-/// following day — never concurrently with another commit, with the end of
-/// the stream, or with the caller between analyze_days calls — so it may
-/// freely mutate caller state it owns, but must not touch the EventSource.
+/// Per-day callback of Detector::analyze_days, called on the caller's
+/// thread once the day's last chunk has been consumed.
 using DayAnalysisFn =
     std::function<void(util::Day day, const core::DayAnalysis& analysis)>;
 
@@ -101,16 +105,12 @@ class Detector {
 
   /// Stream days into the profiling stage: domain/UA histories only.
   /// Day boundaries come from the chunk tags; each day is committed to the
-  /// histories when its last chunk has been consumed. With
-  /// parallelism.pipeline_depth > 1 each day's commit runs on the worker
-  /// pool while the next day's chunks are ingested (commits stay strictly
-  /// day-ordered — bit-identical histories).
+  /// histories when its last chunk has been consumed.
   IngestReport ingest(EventSource& source);
 
   /// Stream labeled days into regression training: per day, incremental
   /// analysis, then C&C + similarity row extraction against `intel`, then
-  /// the end-of-day history update. Day-pipelined like the profiling
-  /// overload; training rows accumulate in day order either way.
+  /// the end-of-day history update.
   IngestReport ingest(EventSource& source, const core::LabelFn& intel);
 
   /// Fit the C&C and similarity regressions from the accumulated rows.
@@ -140,12 +140,9 @@ class Detector {
   }
   core::LabelFn intel_fn() const;
 
-  /// Retune day-path parallelism (worker threads + day pipeline depth). Pure
-  /// performance knobs: every report stays bit-identical for any values,
-  /// so deployments size this to the hardware with no revalidation.
-  void set_parallelism(core::Parallelism parallelism) {
-    pipeline_.set_parallelism(parallelism);
-  }
+  /// No-op: the day path runs on the calling thread. Kept only for callers
+  /// that still pass core::Parallelism.
+  void set_parallelism(core::Parallelism) {}
 
   // ---- Operation (Fig. 1, right) ----
 
@@ -157,15 +154,11 @@ class Detector {
   /// Multi-day analysis over a day-tagged stream: per day, incremental
   /// ingest, finish_day, `commit(day, analysis)` (threshold sweeps,
   /// reporting — whatever the caller does with a day), then the end-of-day
-  /// history update. With parallelism.pipeline_depth > 1, day N's
-  /// finalize/commit/history stage runs on the pipeline's worker pool
-  /// while day N+1's chunks are ingested; commits stay strictly
-  /// day-ordered, so every result is bit-identical to the depth-1 loop
-  /// (see DayAnalysisFn for what `commit` may touch).
+  /// history update.
   IngestReport analyze_days(EventSource& source, const DayAnalysisFn& commit);
 
   /// Multi-day operation: analyze_days + report_day per day (the
-  /// day-pipelined equivalent of calling run_day per day).
+  /// equivalent of calling run_day per day).
   std::vector<core::DayReport> run_days(EventSource& source,
                                         const core::SocSeeds& seeds = {});
 
@@ -196,10 +189,10 @@ class Detector {
 
   /// Snapshot everything the detector has accumulated — histories, trained
   /// models, top-sites whitelist, intel, config, counters — into one
-  /// binary state file (atomic tmp-file + rename). Encoding fans out over
-  /// config().parallelism.threads. Returns false with the reason in
-  /// `status` on failure. Note: regression rows of an *unfinalized*
-  /// training run are not carried; checkpoint after finalize_training().
+  /// binary state file (atomic tmp-file + rename). Returns false with the
+  /// reason in `status` on failure. Note: regression rows of an
+  /// *unfinalized* training run are not carried; checkpoint after
+  /// finalize_training().
   bool save_state(const std::filesystem::path& path,
                   storage::LoadStatus* status = nullptr) const;
 
@@ -261,7 +254,7 @@ class Detector {
   }
 
   /// Install (or clear, with nullptr) the process-wide trace sink; every
-  /// pipeline stage, executor dispatch, rt tick and state save/load then
+  /// pipeline stage, rt tick and state save/load then
   /// records a span. Pure side channel: reports stay bit-identical.
   static void set_trace_sink(obs::TraceSink* sink) {
     obs::set_trace_sink(sink);

@@ -49,15 +49,6 @@ class EventSource {
   /// cannot rewind (e.g. forward-only simulators); the stream is then left
   /// unchanged.
   virtual bool reset() = 0;
-
-  /// Whether next_chunk() may run concurrently with detector compute over
-  /// *earlier* chunks (the pipeline_depth > 1 overlap of Detector's
-  /// multi-day verbs and the continuous engine). File/vector sources only
-  /// touch their own state and return true; SimSource returns false —
-  /// simulating the next day registers domains in the shared WHOIS
-  /// database the in-flight analysis reads. A false keeps results and
-  /// thread-safety intact by degrading that run to sequential day commits.
-  virtual bool concurrent_pull_safe() const { return true; }
 };
 
 /// Adapter for an in-memory day of events. Owns its events (move them in) or borrows them (pointer
@@ -114,10 +105,10 @@ class VectorSource final : public EventSource {
 
 /// Adapter for an in-memory *run* of consecutive days — days[i] is day
 /// `first_day + i` — the multi-day sibling of VectorSource, and the
-/// natural feed for the day-pipelined verbs (Detector::analyze_days /
+/// natural feed for the multi-day verbs (Detector::analyze_days /
 /// run_days) and their benchmarks. Borrows the day vectors (they must
 /// outlive the source) and is rewindable, so one materialized workload
-/// can be replayed under many parallelism configurations. Empty days
+/// can be replayed many times. Empty days
 /// announce their boundary with one empty chunk, like VectorSource.
 class MultiDaySource final : public EventSource {
  public:

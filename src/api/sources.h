@@ -151,10 +151,6 @@ class SimSource final : public EventSource {
   std::optional<EventChunk> next_chunk() override;
   bool reset() override { return false; }
 
-  /// Simulating a day mutates the scenario's shared WHOIS database, which
-  /// analysis threads read — day commits must not overlap the pull.
-  bool concurrent_pull_safe() const override { return false; }
-
  private:
   sim::EnterpriseSimulator* simulator_;
   util::Day next_day_;

@@ -23,6 +23,13 @@ bool parse_count(std::string_view text, std::size_t& out) {
   return ec == std::errc() && ptr == end && out >= 1;
 }
 
+/// Shortest text that parses back to the same double.
+std::string format_double(double value) {
+  char buf[32];
+  const auto [ptr, ec] = std::to_chars(buf, buf + sizeof(buf), value);
+  return std::string(buf, ec == std::errc() ? ptr : buf);
+}
+
 }  // namespace
 
 ConfigParseResult parse_pipeline_config(const std::string& text) {
@@ -84,10 +91,6 @@ ConfigParseResult parse_pipeline_config(const std::string& text) {
       }
     } else if (key == "bp_max_iterations") {
       parse_count(value, cfg.bp_max_iterations) || (bad_value(), false);
-    } else if (key == "analysis_threads") {
-      parse_count(value, cfg.parallelism.threads) || (bad_value(), false);
-    } else if (key == "pipeline_depth") {
-      parse_count(value, cfg.parallelism.pipeline_depth) || (bad_value(), false);
     } else {
       result.unknown_keys.push_back(key);
     }
@@ -100,14 +103,14 @@ std::string format_pipeline_config(const PipelineConfig& config) {
   out << "# early-infection-detect pipeline configuration\n";
   out << "popularity_threshold = " << config.popularity_threshold << "\n";
   out << "ua_rare_threshold = " << config.ua_rare_threshold << "\n";
-  out << "bin_width_seconds = " << config.periodicity.bin_width_seconds << "\n";
-  out << "jeffrey_threshold = " << config.periodicity.jeffrey_threshold << "\n";
+  out << "bin_width_seconds = "
+      << format_double(config.periodicity.bin_width_seconds) << "\n";
+  out << "jeffrey_threshold = "
+      << format_double(config.periodicity.jeffrey_threshold) << "\n";
   out << "min_intervals = " << config.periodicity.min_intervals << "\n";
-  out << "cc_threshold = " << config.cc_threshold << "\n";
-  out << "sim_threshold = " << config.sim_threshold << "\n";
+  out << "cc_threshold = " << format_double(config.cc_threshold) << "\n";
+  out << "sim_threshold = " << format_double(config.sim_threshold) << "\n";
   out << "bp_max_iterations = " << config.bp_max_iterations << "\n";
-  out << "analysis_threads = " << config.parallelism.threads << "\n";
-  out << "pipeline_depth = " << config.parallelism.pipeline_depth << "\n";
   return out.str();
 }
 

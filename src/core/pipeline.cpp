@@ -5,7 +5,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/executor.h"
 
 namespace eid::core {
 namespace {
@@ -62,22 +61,6 @@ Pipeline::Pipeline(PipelineConfig config, const features::WhoisSource& whois)
       ua_history_(config.ua_rare_threshold) {
   cc_model_.threshold = config.cc_threshold;
   sim_model_.threshold = config.sim_threshold;
-  rebuild_executor();
-}
-
-void Pipeline::rebuild_executor() {
-  const Parallelism& p = config_.parallelism;
-  // The widest fan-out is `threads` ranges, one of which the calling
-  // thread runs itself; day pipelining needs one more worker to carry the
-  // in-flight commit while the caller ingests.
-  std::size_t workers = std::max<std::size_t>(p.threads, 1) - 1;
-  if (p.pipeline_depth > 1) ++workers;
-  if (workers == 0) {
-    executor_.reset();
-    return;
-  }
-  if (executor_ && executor_->worker_count() == workers) return;
-  executor_ = std::make_shared<util::Executor>(workers);
 }
 
 void Pipeline::finish_profile(ProfileAccumulator&& accumulator) {
@@ -93,11 +76,22 @@ void Pipeline::update_histories(const graph::DayGraph& graph) {
   const obs::TraceSpan span("history_commit");
   const auto start = std::chrono::steady_clock::now();
   profile::update_history(domain_history_, graph);
-  // for_each_edge visits in (host, domain) order; the histories only take
-  // set unions, so they never depended on the old hash iteration order.
-  graph.for_each_edge([this, &graph](graph::HostId host, graph::DomainId,
-                                     const graph::EdgeData& edge) {
+  // for_each_edge visits in (host, domain) order. A host's (UA, host) pair
+  // repeats across its edges; observing it again is a no-op, so each pair
+  // is observed once, at its first edge.
+  graph::HostId current = graph::kNoId;
+  std::vector<graph::UaId> observed;  ///< UAs of `current` so far
+  graph.for_each_edge([&](graph::HostId host, graph::DomainId,
+                          const graph::EdgeData& edge) {
+    if (host != current) {
+      current = host;
+      observed.clear();
+    }
     for (const graph::UaId ua : edge.user_agents) {
+      if (std::find(observed.begin(), observed.end(), ua) != observed.end()) {
+        continue;
+      }
+      observed.push_back(ua);
       ua_history_.observe(graph.ua_name(ua), graph.host_name(host));
     }
   });
@@ -117,7 +111,6 @@ DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
   const auto seconds_since = [](clock::time_point start) {
     return std::chrono::duration<double>(clock::now() - start).count();
   };
-  const std::size_t threads = config_.parallelism.threads;
   PipelineMetrics& metrics = pipeline_metrics();
   const obs::TraceSpan day_span("finish_day");
 
@@ -128,7 +121,7 @@ DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
   auto stage_start = clock::now();
   {
     const obs::TraceSpan span("csr_finalize");
-    analysis.graph.finalize(threads);
+    analysis.graph.finalize();
   }
   metrics.finalize.observe(seconds_since(stage_start));
 
@@ -137,8 +130,7 @@ DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
   {
     const obs::TraceSpan span("rare_extraction");
     rare = profile::extract_rare_destinations(
-        analysis.graph, domain_history_, config_.popularity_threshold, threads,
-        executor_.get());
+        analysis.graph, domain_history_, config_.popularity_threshold);
     if (top_sites_ != nullptr) {
       rare.rare_domains = profile::filter_top_sites(analysis.graph,
                                                     rare.rare_domains,
@@ -155,7 +147,7 @@ DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
   {
     const obs::TraceSpan span("automation_scan");
     analysis.automation = features::AutomationAnalysis::analyze(
-        analysis.graph, rare.rare_domains, detector, threads, executor_.get());
+        analysis.graph, rare.rare_domains, detector);
   }
   metrics.automation.observe(seconds_since(stage_start));
   metrics.days.add(1);

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -36,35 +35,7 @@
 #include "profile/top_sites.h"
 #include "profile/ua_history.h"
 
-namespace eid::util {
-class Executor;
-}
-
 namespace eid::core {
-
-/// Parallel-execution knobs for the day path. Pure performance knobs: the
-/// analysis and every report are bit-identical for any values (the
-/// contract tests/determinism_test.cpp and api_equivalence_test.cpp
-/// enforce), so they can be tuned per deployment without revalidation.
-struct Parallelism {
-  /// Worker threads for the day-analysis stages: edge-timestamp sorting
-  /// in DayGraph::finalize, rare-domain extraction, and the per-edge
-  /// automation scan (the hot loop at enterprise volume, §II-C).
-  std::size_t threads = 1;
-  /// Unused. The benchmark in bench/e2e still writes it in
-  /// {threads, shards, pipeline_depth} initializers; nothing reads, parses
-  /// or persists it, and it is removed with the next benchmark change.
-  std::size_t shards = 1;
-  /// Day-pipelining depth for the multi-day streaming verbs
-  /// (api::Detector::ingest / analyze_days / run_continuous). 1 runs each
-  /// day's finalize/score/commit stage inline between ingests; 2 overlaps
-  /// that stage of day N with day N+1's ingest on the pipeline's executor
-  /// (commits stay strictly day-ordered, so — like the other knobs —
-  /// every report is bit-identical for any value). Values above 2 behave
-  /// as 2: rare extraction reads the histories day N commits, so at most
-  /// one commit can be in flight.
-  std::size_t pipeline_depth = 1;
-};
 
 struct PipelineConfig {
   std::size_t popularity_threshold = 10;  ///< rare-destination host cap
@@ -73,7 +44,6 @@ struct PipelineConfig {
   double cc_threshold = 0.4;   ///< Tc (Fig. 6a sweeps 0.40..0.48)
   double sim_threshold = 0.33; ///< Ts (Fig. 6b sweeps 0.33..0.85)
   std::size_t bp_max_iterations = 10;
-  Parallelism parallelism{};   ///< day-path threads + pipeline depth
 };
 
 /// Everything computed about one day before any thresholding.
@@ -159,8 +129,7 @@ class DayAccumulator {
 
  private:
   friend class Pipeline;
-  DayAccumulator(util::Day day, std::shared_ptr<util::Executor> executor)
-      : day_(day), graph_(std::move(executor)) {}
+  explicit DayAccumulator(util::Day day) : day_(day) {}
 
   util::Day day_;
   graph::DayGraph graph_;
@@ -269,12 +238,8 @@ class Pipeline {
   }
 
   /// Replace the configuration wholesale (checkpoint restore). The WHOIS
-  /// source reference and accumulated histories are unchanged; the worker
-  /// pool is resized to the restored Parallelism.
-  void set_config(const PipelineConfig& config) {
-    config_ = config;
-    rebuild_executor();
-  }
+  /// source reference and accumulated histories are unchanged.
+  void set_config(const PipelineConfig& config) { config_ = config; }
 
   /// Replace both histories with restored state.
   void restore_histories(profile::DomainHistory domains, profile::UaHistory uas) {
@@ -355,26 +320,8 @@ class Pipeline {
 
   // ---- Operation ----
 
-  /// Start incremental analysis of one day (streaming ingestion). The
-  /// accumulator shares the pipeline's worker pool (it keeps the pool
-  /// alive, so a concurrent set_parallelism cannot pull it out from under
-  /// a day in flight).
-  DayAccumulator begin_day(util::Day day) const {
-    return DayAccumulator(day, executor_);
-  }
-
-  /// Retune the parallel knobs without rebuilding the pipeline (results
-  /// are bit-identical for any values, so this is always safe). Resizes
-  /// the worker pool.
-  void set_parallelism(Parallelism parallelism) {
-    config_.parallelism = parallelism;
-    rebuild_executor();
-  }
-
-  /// The persistent worker pool behind every parallel stage — nullptr for
-  /// a fully sequential configuration (threads and pipeline_depth both 1),
-  /// where every fan-out degrades to an inline loop.
-  util::Executor* executor() const { return executor_.get(); }
+  /// Start incremental analysis of one day (streaming ingestion).
+  DayAccumulator begin_day(util::Day day) const { return DayAccumulator(day); }
 
   /// Finalize an incremental day (steps 1-2 + feature analysis, no
   /// thresholding, no history update): graph views, rare extraction,
@@ -427,12 +374,8 @@ class Pipeline {
   DayState make_state(const DayAnalysis& analysis) const;
   BpRunReport report_from(const graph::DayGraph& graph,
                           const BpResult& result) const;
-  void rebuild_executor();
 
   PipelineConfig config_;
-  /// Shared with live DayAccumulators (begin_day) so reconfiguration never
-  /// destroys a pool that still has a day's graph wired to it.
-  std::shared_ptr<util::Executor> executor_;
   const features::WhoisSource& whois_;
   const profile::TopSitesList* top_sites_ = nullptr;
   profile::DomainHistory domain_history_;

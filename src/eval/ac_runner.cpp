@@ -31,9 +31,8 @@ core::TrainingReport AcRunner::train() {
 }
 
 void AcRunner::run_operation(const DayCallback& callback) {
-  // One day-pipelined pass over the whole operation window: with
-  // pipeline_depth > 1 each day's analysis + callback (the threshold
-  // sweeps) overlaps the simulation of the next day.
+  // One pass over the whole operation window; the callback runs the
+  // threshold sweeps on each day's analysis.
   api::SimSource source(scenario_.simulator(), scenario_.operation_begin(),
                         scenario_.operation_end());
   detector_.analyze_days(source, callback);

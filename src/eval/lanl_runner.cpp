@@ -101,8 +101,7 @@ LanlChallengeResult LanlRunner::run_challenge() {
   // verb: every day is analyzed (case days additionally scored against
   // their challenge) and committed to the histories from its day graph —
   // equivalent to the old per-day events-form update, since the graph
-  // folds exactly the day's events. The analysis fan-outs run on the
-  // detector's persistent worker pool.
+  // folds exactly the day's events.
   api::SimSource source(scenario_.simulator(), scenario_.challenge_begin(),
                         scenario_.challenge_end());
   detector_.analyze_days(

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "util/executor.h"
-
 namespace eid::features {
 
 double DomainAutomation::dominant_period() const {
@@ -41,26 +39,14 @@ std::vector<AutomatedPair> analyze_domain(
 
 AutomationAnalysis AutomationAnalysis::analyze(
     const graph::DayGraph& graph, std::span<const graph::DomainId> candidates,
-    const timing::PeriodicityDetector& detector, std::size_t n_threads,
-    util::Executor* executor) {
-  // Per-candidate result slots keep the merge order independent of thread
-  // scheduling; the shared deterministic fan-out partitions the candidate
-  // range (same helper as CSR finalize and rare extraction).
-  std::vector<std::vector<AutomatedPair>> slots(candidates.size());
-  util::parallel_ranges(
-      executor, candidates.size(), n_threads,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          slots[i] = analyze_domain(graph, candidates[i], detector);
-        }
-      });
-
+    const timing::PeriodicityDetector& detector) {
   AutomationAnalysis out;
-  for (std::size_t i = 0; i < candidates.size(); ++i) {
-    if (slots[i].empty()) continue;
-    DomainAutomation& agg = out.by_domain_[candidates[i]];
-    agg.pairs.insert(agg.pairs.end(), slots[i].begin(), slots[i].end());
-    out.pair_count_ += slots[i].size();
+  for (const graph::DomainId domain : candidates) {
+    std::vector<AutomatedPair> pairs = analyze_domain(graph, domain, detector);
+    if (pairs.empty()) continue;
+    out.pair_count_ += pairs.size();
+    DomainAutomation& agg = out.by_domain_[domain];
+    agg.pairs.insert(agg.pairs.end(), pairs.begin(), pairs.end());
   }
   return out;
 }

@@ -36,16 +36,10 @@ struct DomainAutomation {
 class AutomationAnalysis {
  public:
   /// Scan all edges of `candidates` in `graph` with `detector`.
-  /// `n_threads > 1` partitions the candidate set across worker threads
-  /// (each edge test is independent); results are merged in candidate
-  /// order, so the outcome is bit-identical for any thread count. This is
-  /// the hot loop of daily analysis at enterprise volume (§II-C).
-  /// `executor` (optional) runs the fan-out on a persistent pool.
+  /// This is the hot loop of daily analysis at enterprise volume (§II-C).
   static AutomationAnalysis analyze(const graph::DayGraph& graph,
                                     std::span<const graph::DomainId> candidates,
-                                    const timing::PeriodicityDetector& detector,
-                                    std::size_t n_threads = 1,
-                                    util::Executor* executor = nullptr);
+                                    const timing::PeriodicityDetector& detector);
 
   /// True when at least one host beacons to the domain.
   bool is_automated(graph::DomainId domain) const {

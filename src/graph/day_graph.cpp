@@ -6,7 +6,6 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/executor.h"
 
 namespace eid::graph {
 
@@ -22,6 +21,16 @@ IngestMetrics& ingest_metrics() {
   return metrics;
 }
 
+/// Cell of `key` in a power-of-two table (splitmix64 finalizer).
+std::size_t edge_hash(std::uint64_t key, std::size_t table_size) {
+  key ^= key >> 30;
+  key *= 0xbf58476d1ce4e5b9ULL;
+  key ^= key >> 27;
+  key *= 0x94d049bb133111ebULL;
+  key ^= key >> 31;
+  return static_cast<std::size_t>(key) & (table_size - 1);
+}
+
 }  // namespace
 
 void DayGraph::add_event(const logs::ConnEvent& event) {
@@ -35,14 +44,7 @@ void DayGraph::add_event(const logs::ConnEvent& event) {
   ++events_;
   const HostId host = hosts_.intern(event.host);
   const DomainId domain = domains_.intern(event.domain);
-  const std::uint64_t key = edge_key(host, domain);
-  const auto [slot, inserted] =
-      edge_slot_.try_emplace(key, static_cast<std::uint32_t>(edges_.size()));
-  if (inserted) {
-    edges_.emplace_back();
-    edge_keys_.push_back(key);
-  }
-  IngestEdge& edge = edges_[slot->second];
+  IngestEdge& edge = edges_[edge_slot(edge_key(host, domain))];
   edge.times.push_back(event.ts);
   if (event.has_referer) edge.any_referer = true;
   if (event.has_http_context) {
@@ -65,6 +67,31 @@ void DayGraph::add_event(const logs::ConnEvent& event) {
   }
 }
 
+std::uint32_t DayGraph::edge_slot(std::uint64_t key) {
+  if ((edges_.size() + 1) * 2 > edge_table_.size()) {
+    edge_table_.assign(std::max<std::size_t>(1024, edge_table_.size() * 2), 0);
+    const std::size_t mask = edge_table_.size() - 1;
+    for (std::uint32_t slot = 0; slot < edge_keys_.size(); ++slot) {
+      std::size_t cell = edge_hash(edge_keys_[slot], edge_table_.size());
+      while (edge_table_[cell] != 0) cell = (cell + 1) & mask;
+      edge_table_[cell] = slot + 1;
+    }
+  }
+  const std::size_t mask = edge_table_.size() - 1;
+  for (std::size_t cell = edge_hash(key, edge_table_.size());;
+       cell = (cell + 1) & mask) {
+    const std::uint32_t entry = edge_table_[cell];
+    if (entry == 0) {
+      const auto slot = static_cast<std::uint32_t>(edges_.size());
+      edge_table_[cell] = slot + 1;
+      edges_.emplace_back();
+      edge_keys_.push_back(key);
+      return slot;
+    }
+    if (edge_keys_[entry - 1] == key) return entry - 1;
+  }
+}
+
 void DayGraph::add_events(std::span<const logs::ConnEvent> events) {
   if (events.empty()) return;
   const obs::TraceSpan span("ingest_chunk", "ingest");
@@ -74,67 +101,64 @@ void DayGraph::add_events(std::span<const logs::ConnEvent> events) {
   for (const logs::ConnEvent& event : events) add_event(event);
 }
 
-void DayGraph::finalize(std::size_t n_threads) {
+void DayGraph::finalize() {
   if (finalized_) return;  // idempotent: the edge table is already laid out
-  // 1. Stage every edge slot under its (host, domain) key and order by
-  // key. Keys are unique, so the sort is a total order.
-  struct StagedEdge {
-    std::uint64_t key = 0;
-    std::uint32_t slot = 0;
-  };
+  // 1. Order the edge slots by (host, domain) key: a counting sort by
+  // host lays out the per-host CSR rows, then each row sorts by domain.
+  // Each entry packs (domain << 32) | slot; keys are unique, so the order
+  // is total.
   const std::size_t n_edges = edges_.size();
-  std::vector<StagedEdge> staged;
-  staged.reserve(n_edges);
-  for (std::size_t slot = 0; slot < n_edges; ++slot) {
-    staged.push_back(
-        StagedEdge{edge_keys_[slot], static_cast<std::uint32_t>(slot)});
-  }
-  std::sort(staged.begin(), staged.end(),
-            [](const StagedEdge& a, const StagedEdge& b) {
-              return a.key < b.key;
-            });
-
-  // 2. CSR forward layout: per-host offset rows over flat edge_index_ /
-  // edge_data_, each edge's payload copied into the flat time / UA arrays
-  // at its CSR position. The per-edge work (copy + timestamp sort) is the
-  // finalize hot loop; it parallelizes over contiguous edge ranges writing
-  // disjoint slices, so any thread count produces the same arrays.
   host_offsets_.assign(hosts_.size() + 1, 0);
+  for (const std::uint64_t key : edge_keys_) ++host_offsets_[(key >> 32) + 1];
+  for (std::size_t h = 1; h < host_offsets_.size(); ++h) {
+    host_offsets_[h] += host_offsets_[h - 1];
+  }
+  std::vector<std::uint64_t> order(n_edges);
+  {
+    std::vector<std::uint32_t> cursor(host_offsets_.begin(),
+                                      host_offsets_.end() - 1);
+    for (std::size_t slot = 0; slot < n_edges; ++slot) {
+      const std::uint64_t key = edge_keys_[slot];
+      order[cursor[key >> 32]++] = (key << 32) | slot;
+    }
+  }
+  for (std::size_t h = 0; h + 1 < host_offsets_.size(); ++h) {
+    std::sort(order.begin() + host_offsets_[h],
+              order.begin() + host_offsets_[h + 1]);
+  }
+
+  // 2. CSR forward layout: flat edge_index_ / edge_data_ in that order,
+  // each edge's payload copied into the flat time / UA arrays at its CSR
+  // position, its timestamps sorted there.
+  const auto slot_at = [&order](std::size_t i) {
+    return static_cast<std::uint32_t>(order[i] & 0xffffffffu);
+  };
   std::vector<std::size_t> time_begin(n_edges + 1, 0);
   std::vector<std::size_t> ua_begin(n_edges + 1, 0);
   for (std::size_t i = 0; i < n_edges; ++i) {
-    const StagedEdge& st = staged[i];
-    ++host_offsets_[(st.key >> 32) + 1];
-    time_begin[i + 1] = time_begin[i] + edges_[st.slot].times.size();
-    ua_begin[i + 1] = ua_begin[i] + edges_[st.slot].user_agents.size();
-  }
-  for (std::size_t h = 1; h < host_offsets_.size(); ++h) {
-    host_offsets_[h] += host_offsets_[h - 1];
+    const IngestEdge& src = edges_[slot_at(i)];
+    time_begin[i + 1] = time_begin[i] + src.times.size();
+    ua_begin[i + 1] = ua_begin[i] + src.user_agents.size();
   }
   edge_index_.resize(n_edges);
   edge_data_.resize(n_edges);
   edge_times_.resize(time_begin[n_edges]);
   edge_uas_.resize(ua_begin[n_edges]);
-  util::parallel_ranges(
-      executor_.get(), n_edges, n_threads,
-      [&](std::size_t, std::size_t begin, std::size_t end) {
-        for (std::size_t i = begin; i < end; ++i) {
-          const StagedEdge& st = staged[i];
-          const IngestEdge& src = edges_[st.slot];
-          edge_index_[i] = static_cast<DomainId>(st.key & 0xffffffffu);
-          util::TimePoint* const times = edge_times_.data() + time_begin[i];
-          std::copy(src.times.begin(), src.times.end(), times);
-          std::sort(times, times + src.times.size());
-          UaId* const uas = edge_uas_.data() + ua_begin[i];
-          std::copy(src.user_agents.begin(), src.user_agents.end(), uas);
-          edge_data_[i] = EdgeData{{times, src.times.size()},
-                                   {uas, src.user_agents.size()},
-                                   src.any_referer,
-                                   src.any_empty_ua};
-        }
-      });
+  for (std::size_t i = 0; i < n_edges; ++i) {
+    const IngestEdge& src = edges_[slot_at(i)];
+    edge_index_[i] = static_cast<DomainId>(order[i] >> 32);
+    util::TimePoint* const times = edge_times_.data() + time_begin[i];
+    std::copy(src.times.begin(), src.times.end(), times);
+    std::sort(times, times + src.times.size());
+    UaId* const uas = edge_uas_.data() + ua_begin[i];
+    std::copy(src.user_agents.begin(), src.user_agents.end(), uas);
+    edge_data_[i] = EdgeData{{times, src.times.size()},
+                             {uas, src.user_agents.size()},
+                             src.any_referer,
+                             src.any_empty_ua};
+  }
   layout_domain_rows();
-  edge_slot_ = {};
+  edge_table_ = {};
   edge_keys_ = {};
   edges_ = {};
   finalized_ = true;

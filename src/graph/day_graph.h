@@ -7,7 +7,7 @@
 // edge_index_ / edge_data_ arrays with per-node offset spans, every edge's
 // timestamps and user agents in two flat arrays in the same order, so day
 // analysis streams cache-friendly arrays. Every id, span and edge depends
-// only on the event order, never on the thread count. Each edge stores the
+// only on the event order. Each edge stores the
 // connection timestamps and the HTTP context aggregates the feature layer
 // needs (referer presence, user-agent set). The belief propagation
 // algorithm consumes this structure through the dom_host / host_rdom views
@@ -16,21 +16,15 @@
 
 #include <cassert>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "logs/records.h"
 #include "util/interner.h"
 #include "util/ipv4.h"
 #include "util/time.h"
-
-namespace eid::util {
-class Executor;
-}
 
 namespace eid::graph {
 
@@ -54,11 +48,6 @@ struct EdgeData {
 class DayGraph {
  public:
   DayGraph() = default;
-  /// `executor` (optional) carries the finalize fan-out on a persistent
-  /// worker pool; core::Pipeline wires its own pool through here. Results
-  /// are identical either way.
-  explicit DayGraph(std::shared_ptr<util::Executor> executor)
-      : executor_(std::move(executor)) {}
 
   // Move-only: EdgeData spans point into this graph's own arrays.
   DayGraph(DayGraph&&) = default;
@@ -80,10 +69,9 @@ class DayGraph {
   std::uint64_t ingested_events() const { return events_; }
 
   /// Sort edges by (host, domain) key, sort edge timestamps and build the
-  /// CSR views; n_threads parallelizes the per-edge work over contiguous
-  /// edge ranges. Call after the last add_event (idempotent: repeat calls
+  /// CSR views. Call after the last add_event (idempotent: repeat calls
   /// are no-ops). The adjacency queries below require a finalized graph.
-  void finalize(std::size_t n_threads = 1);
+  void finalize();
 
   bool finalized() const { return finalized_; }
 
@@ -126,8 +114,7 @@ class DayGraph {
 
   /// Visit every (host, domain, edge) triple: fn(HostId, DomainId,
   /// const EdgeData&). Iteration is in ascending (host id, domain id)
-  /// order — deterministic and stable across thread counts; call sites
-  /// may rely on it. Requires a finalized graph, like every other
+  /// order — deterministic; call sites may rely on it. Requires a finalized graph, like every other
   /// adjacency query.
   template <typename Fn>
   void for_each_edge(Fn&& fn) const {
@@ -151,7 +138,6 @@ class DayGraph {
   /// Reverse CSR (dom_host of Algorithm 1) from the forward rows.
   void layout_domain_rows();
 
-  std::shared_ptr<util::Executor> executor_;  ///< nullptr = inline loops
   std::uint64_t events_ = 0;
 
   // ---- ids and per-domain IPs (final on first sight) ----
@@ -168,7 +154,13 @@ class DayGraph {
     bool any_referer = false;
     bool any_empty_ua = false;
   };
-  std::unordered_map<std::uint64_t, std::uint32_t> edge_slot_;  ///< key -> slot
+  /// Slot of the edge `key`, created empty on first sight.
+  std::uint32_t edge_slot(std::uint64_t key);
+  /// Open-addressing key -> slot table over edge_keys_: entries hold
+  /// slot + 1, 0 marks a free cell, and the size is a power of two kept
+  /// at least twice the edge count. One flat array, so ingest does not
+  /// allocate per edge and finalize frees it in one call.
+  std::vector<std::uint32_t> edge_table_;
   std::vector<std::uint64_t> edge_keys_;  ///< slot -> key (creation order)
   std::vector<IngestEdge> edges_;         ///< by slot
 

@@ -292,7 +292,7 @@ void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
   names(out.hosts_, hosts_, window_hosts_);
   names(out.domains_, domains_, window_domains_);
   names(out.uas_, uas_, window_uas_);
-  out.edge_slot_.clear();
+  out.edge_table_.clear();
   out.edge_keys_.clear();
   out.edges_.clear();
   out.events_ = events;

@@ -10,9 +10,8 @@ namespace eid::obs {
 
 namespace {
 
-/// Slots are handed out in first-touch order; a pool's workers touch their
-/// first metric before the driver saturates the slots, so each gets its
-/// own cell in steady state. Wrap-around beyond kMetricShards threads is
+/// Slots are handed out in first-touch order, so each of the first
+/// kMetricShards threads gets its own cell. Wrap-around beyond that is
 /// contention, not corruption.
 std::atomic<std::size_t> g_next_shard{0};
 
@@ -215,12 +214,6 @@ std::string to_json(const MetricsSnapshot& snapshot) {
 std::span<const double> duration_buckets() {
   static const double edges[] = {0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05,
                                  0.1,    0.5,    1.0,   5.0,   30.0};
-  return edges;
-}
-
-std::span<const double> dispatch_buckets() {
-  static const double edges[] = {0.000001, 0.00001, 0.0001, 0.001,
-                                 0.01,     0.1,     1.0};
   return edges;
 }
 

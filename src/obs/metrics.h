@@ -5,10 +5,10 @@
 // Design constraints, in order:
 //
 //   * Hot-path increments must be uncontended. Counter and histogram
-//     cells are sharded: every thread — util::Executor workers and the
-//     driving thread alike — owns a stable shard slot (assigned on first
-//     touch, workers first), so concurrent increments from a fan-out
-//     never bounce a cache line. A snapshot merges the shards.
+//     cells are sharded: every thread — the detector's driving thread,
+//     the rt tail's writer, any caller thread — owns a stable shard slot
+//     (assigned on first touch), so concurrent increments never bounce a
+//     cache line. A snapshot merges the shards.
 //   * Disabled observability must cost (almost) nothing. Every mutation
 //     checks one relaxed atomic bool and branches away; no clock reads,
 //     no allocation, no locking on that path. bench_perf_pipeline's
@@ -256,9 +256,6 @@ MetricsRegistry& metrics();
 
 /// Sub-second..minutes stage durations (finalize, save/load, tick cost).
 std::span<const double> duration_buckets();
-
-/// Microsecond-scale dispatch latencies (executor queue time).
-std::span<const double> dispatch_buckets();
 
 /// Second..day event->emission latencies (rt provisional incidents).
 std::span<const double> latency_buckets();

@@ -1,7 +1,7 @@
 // Scoped-span tracing emitted as Chrome trace-event JSON — load the
 // written file in Perfetto (ui.perfetto.dev) or chrome://tracing to see
-// every pipeline stage, executor dispatch, rt tick and state save/load
-// laid out on a per-thread timeline.
+// every pipeline stage, rt tick and state save/load laid out on a
+// per-thread timeline.
 //
 // One process-wide sink pointer (obs::set_trace_sink) mirrors the metrics
 // registry's default-instance design: instrumented call sites construct a

@@ -1,43 +1,18 @@
 #include "profile/domain_history.h"
 
-#include "util/executor.h"
-
 namespace eid::profile {
 
 RareExtraction extract_rare_destinations(const graph::DayGraph& graph,
                                          const DomainHistory& history,
-                                         std::size_t popularity_threshold,
-                                         std::size_t n_threads,
-                                         util::Executor* executor) {
+                                         std::size_t popularity_threshold) {
   RareExtraction out;
-  const std::size_t n = graph.domain_count();
-  out.total_domains = n;
-
-  // Each contiguous id range scans independently (history is read-only)
-  // and emits its rare ids ascending; concatenating in range order equals
-  // the sequential ascending-id scan for any thread count.
-  struct RangeResult {
-    std::vector<graph::DomainId> rare;
-    std::size_t new_domains = 0;
-  };
-  std::vector<RangeResult> ranges(util::range_count(n, n_threads));
-  util::parallel_ranges(
-      executor, n, n_threads,
-      [&](std::size_t range, std::size_t begin, std::size_t end) {
-        RangeResult& result = ranges[range];
-        for (std::size_t i = begin; i < end; ++i) {
-          const auto d = static_cast<graph::DomainId>(i);
-          if (!history.is_new(graph.domain_name(d))) continue;
-          ++result.new_domains;
-          if (graph.domain_hosts(d).size() < popularity_threshold) {
-            result.rare.push_back(d);
-          }
-        }
-      });
-  for (const RangeResult& result : ranges) {
-    out.new_domains += result.new_domains;
-    out.rare_domains.insert(out.rare_domains.end(), result.rare.begin(),
-                            result.rare.end());
+  out.total_domains = graph.domain_count();
+  for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
+    if (!history.is_new(graph.domain_name(d))) continue;
+    ++out.new_domains;
+    if (graph.domain_hosts(d).size() < popularity_threshold) {
+      out.rare_domains.push_back(d);
+    }
   }
   return out;
 }

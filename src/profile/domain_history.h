@@ -93,16 +93,10 @@ struct RareExtraction {
 
 /// Extract the day's rare destinations from its graph. `popularity_threshold`
 /// is the maximum distinct-host count for "unpopular" (the paper uses 10,
-/// chosen with enterprise security professionals). `n_threads` partitions
-/// the domain-id range across worker threads; per-range results concatenate
-/// in range order, so the output is bit-identical for any thread count.
-/// `executor` (optional) carries the fan-out on a persistent pool instead
-/// of spawning threads.
+/// chosen with enterprise security professionals).
 RareExtraction extract_rare_destinations(const graph::DayGraph& graph,
                                          const DomainHistory& history,
-                                         std::size_t popularity_threshold = 10,
-                                         std::size_t n_threads = 1,
-                                         util::Executor* executor = nullptr);
+                                         std::size_t popularity_threshold = 10);
 
 /// End-of-day history update from a finalized graph.
 void update_history(DomainHistory& history, const graph::DayGraph& graph);

@@ -105,22 +105,7 @@ ContinuousEngine::ContinuousEngine(api::Detector& detector, SimClock& clock,
   assert(config_.window.valid());
 }
 
-ContinuousEngine::~ContinuousEngine() {
-  if (!pending_close_) return;
-  try {
-    // The day was closed; its history commit must land even on abandon.
-    commit_close();
-  } catch (...) {
-    // A failed close cannot propagate from a destructor; the report it
-    // would have produced is dropped.
-  }
-}
-
 std::size_t ContinuousEngine::poll(api::EventSource& source) {
-  // A mid-poll day boundary submits an async close that would overlap the
-  // remaining pulls of this loop — only allowed when the source tolerates
-  // that (see EventSource::concurrent_pull_safe).
-  pull_overlap_safe_ = source.concurrent_pull_safe();
   std::size_t consumed = 0;
   while (auto chunk = source.next_chunk()) {
     ++stats_.chunks;
@@ -153,7 +138,6 @@ void ContinuousEngine::advance() {
 
 void ContinuousEngine::finish() {
   if (open_day_) close_day();
-  commit_close();
 }
 
 ContinuousReport ContinuousEngine::run(api::EventSource& source) {
@@ -163,7 +147,6 @@ ContinuousReport ContinuousEngine::run(api::EventSource& source) {
 }
 
 ContinuousReport ContinuousEngine::take_report() {
-  commit_close();
   stats_.buffered_events = window_.buffered_events();
   stats_.cached_partial_events = window_.cached_events();
   ContinuousReport report;
@@ -193,10 +176,6 @@ void ContinuousEngine::roll_to(std::int64_t tick) {
 }
 
 void ContinuousEngine::evaluate_tick(std::int64_t tick) {
-  // Apply any in-flight day close first: its history update must be
-  // visible to this evaluation's finish_day, and its finalized emission
-  // must precede this tick's provisional one — the sequential order.
-  commit_close();
   RtMetrics& metrics = rt_metrics();
   ++stats_.ticks_closed;
   metrics.ticks.add(1);
@@ -274,7 +253,6 @@ void ContinuousEngine::sync_cache_stats() {
 
 void ContinuousEngine::close_day() {
   assert(open_day_);
-  commit_close();  // at most one close in flight
   const obs::TraceSpan span("rt_day_close", "rt");
   const util::Day day = *open_day_;
   core::Pipeline& pipeline = detector_.pipeline();
@@ -282,56 +260,21 @@ void ContinuousEngine::close_day() {
   // Assemble the day's sealed segments in arrival order (sealing the tail
   // bucket no evaluation covered yet) — the same event sequence the batch
   // path would consume, so by the chunking-independence contract the
-  // report and history update are bit-identical to run_day. The assembly
-  // stays synchronous (it reads the window buckets, released just below;
-  // the assembled graph owns its names and payloads, so expiry cannot
-  // pull state out from under the task); the report compute may run on
-  // the worker pool.
-  PendingClose close;
-  close.day = day;
-  close.analysis = std::make_shared<core::DayAnalysis>();
-  close.report = std::make_shared<core::DayReport>();
-  auto merged = std::make_shared<graph::DayGraph>();
-  const std::size_t day_events = window_.assemble_day(day, *merged);
+  // report and history update are bit-identical to run_day.
+  graph::DayGraph merged;
+  const std::size_t day_events = window_.assemble_day(day, merged);
   sync_cache_stats();
-  std::function<void()> task = [&pipeline, seeds = &config_.seeds, merged, day,
-                                day_events, analysis = close.analysis,
-                                report = close.report] {
-    *analysis = pipeline.finish_day_graph(day, std::move(*merged), day_events);
-    *report = pipeline.report_day(*analysis, *seeds);
-  };
-  util::Executor* executor = pipeline.executor();
-  const bool pipelined = executor != nullptr && pull_overlap_safe_ &&
-                         pipeline.config().parallelism.pipeline_depth > 1;
-  if (pipelined) {
-    close.handle = executor->submit(std::move(task));
-  } else {
-    task();
-  }
-  pending_close_ = std::move(close);
+  const core::DayAnalysis analysis =
+      pipeline.finish_day_graph(day, std::move(merged), day_events);
+  core::DayReport report = pipeline.report_day(analysis, config_.seeds);
 
   window_.close_day(day);
   open_day_.reset();
-  // Histories change when the close commits, so the next tick must
-  // re-score even if no new events arrive before it closes. "Held" means
-  // raw or sealed-segment events — sealing releases raw storage.
+  // Histories change with this close, so the next tick must re-score even
+  // if no new events arrive before it closes. "Held" means raw or
+  // sealed-segment events — sealing releases raw storage.
   dirty_ = window_.buffered_events() + window_.cached_events() > 0;
-  // Sequential configurations commit right here — identical observable
-  // order to the pre-pipelined engine. Pipelined ones commit at the next
-  // join point, overlapped with the next day's ingestion.
-  if (!pipelined) commit_close();
-}
 
-void ContinuousEngine::commit_close() {
-  if (!pending_close_) return;
-  const obs::TraceSpan span("rt_day_commit", "rt");
-  PendingClose close = std::move(*pending_close_);
-  pending_close_.reset();
-  close.handle.wait();  // rethrows anything the compute half threw
-
-  core::Pipeline& pipeline = detector_.pipeline();
-  const core::DayAnalysis& analysis = *close.analysis;
-  core::DayReport& report = *close.report;
   pipeline.update_histories(analysis.graph);
   ++detector_.days_operated_;
   ++stats_.days_closed;
@@ -348,7 +291,7 @@ void ContinuousEngine::commit_close() {
   host_set.insert(report.sochints.hosts.begin(), report.sochints.hosts.end());
   const std::vector<std::string> hosts(host_set.begin(), host_set.end());
   emit(analysis, domains, hosts, /*provisional=*/false,
-       util::day_start(close.day + 1), close.day);
+       util::day_start(day + 1), day);
 
   if (day_sink_) day_sink_(report);
   day_reports_.push_back(std::move(report));

@@ -37,7 +37,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <optional>
 #include <set>
 #include <span>
@@ -48,7 +47,6 @@
 #include "core/incidents.h"
 #include "rt/clock.h"
 #include "rt/window.h"
-#include "util/executor.h"
 
 namespace eid::rt {
 
@@ -148,9 +146,6 @@ class ContinuousEngine {
   ContinuousEngine(api::Detector& detector, SimClock& clock,
                    EngineConfig config);
 
-  /// Joins (and commits) any in-flight day close; see PendingClose.
-  ~ContinuousEngine();
-
   /// Pull chunks until the source reports exhaustion, advancing sim time
   /// from the clock and closing any tick boundaries crossed. Returns the
   /// number of events consumed — for live tails, call again after the
@@ -201,24 +196,6 @@ class ContinuousEngine {
   }
 
  private:
-  /// One in-flight day close (parallelism.pipeline_depth > 1): close_day
-  /// assembles the day's graph synchronously, then hands the expensive
-  /// pure-compute half — finish_day + report_day, which only read the
-  /// pipeline — to the detector's executor while the driving thread keeps
-  /// ingesting the next day. Every mutation (history update, stats,
-  /// emissions, sinks, day_reports_) is applied by commit_close() on the
-  /// driving thread at the next join point — the top of evaluate_tick /
-  /// close_day / take_report(), finish(), or the destructor — so external
-  /// readers of stats()/emissions()/day_reports() never race, and results
-  /// stay bit-identical to the sequential close.
-  struct PendingClose {
-    util::Day day = 0;
-    std::shared_ptr<core::DayAnalysis> analysis;
-    std::shared_ptr<core::DayReport> report;
-    util::Executor::TaskHandle handle;
-  };
-
-  void commit_close();
   void roll_to(std::int64_t tick);
   void evaluate_tick(std::int64_t tick);
   void close_day();
@@ -244,10 +221,6 @@ class ContinuousEngine {
   std::int64_t current_tick_ = 0;
   bool dirty_ = false;  ///< events appended since the last evaluation
   std::optional<util::Day> open_day_;
-  std::optional<PendingClose> pending_close_;
-  /// Latest source's concurrent_pull_safe(); false degrades day closes to
-  /// sequential (commit inside close_day) for that stream.
-  bool pull_overlap_safe_ = true;
 
   std::vector<core::DayReport> day_reports_;
   std::vector<IncidentEmission> emissions_;

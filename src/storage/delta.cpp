@@ -142,7 +142,7 @@ std::string encode_delta_frame(const DeltaInputs& inputs) {
 
   ContainerWriter writer;
   writer.add_section(SectionId::DeltaHeader, encode_delta_header(inputs));
-  writer.add_section(SectionId::StringTable, encode_string_table(table, 1));
+  writer.add_section(SectionId::StringTable, encode_string_table(table));
   writer.add_section(SectionId::DomainDelta,
                      encode_domain_delta(inputs, index));
   writer.add_section(SectionId::UaDelta, encode_ua_delta(inputs, index));

@@ -18,7 +18,6 @@
 namespace eid::util {
 class ByteReader;
 class ByteWriter;
-class Executor;
 }
 
 namespace eid::storage::detail {
@@ -60,9 +59,7 @@ struct DecodedTable {
   }
 };
 
-std::string encode_string_table(const StringTable& table,
-                                std::size_t n_threads,
-                                util::Executor* executor = nullptr);
+std::string encode_string_table(const StringTable& table);
 bool decode_string_table(std::string_view payload, DecodedTable& table,
                          LoadStatus* status);
 

@@ -10,7 +10,6 @@
 #include "obs/trace.h"
 #include "storage/encoding.h"
 #include "util/binary.h"
-#include "util/executor.h"
 
 // The encoding primitives live in storage::detail (declared in
 // storage/encoding.h) so the delta-chain encoder (storage/delta.cpp)
@@ -19,8 +18,7 @@ namespace eid::storage {
 namespace detail {
 namespace {
 
-// Front-coding restarts every this many table entries, independent of the
-// thread count, so the encoded bytes are identical for any parallelism.
+// Front-coding restarts every this many table entries (FORMAT.md §1).
 constexpr std::size_t kFrontCodeBlock = 1024;
 
 }  // namespace
@@ -38,46 +36,37 @@ std::size_t common_prefix(std::string_view a, std::string_view b) {
   return n;
 }
 
+std::size_t varint_size(std::uint64_t value) {
+  std::size_t n = 1;
+  for (; value >= 0x80; value >>= 7) ++n;
+  return n;
+}
+
 /// Section 1: count, then per string (sorted ascending) the byte count
 /// shared with the previous entry, the suffix length, and the suffix.
-/// Blocks of kFrontCodeBlock entries encode independently (the block's
-/// first entry stores a zero prefix), so the big string sets fan out over
-/// util::parallel_ranges with bit-stable output.
-std::string encode_string_table(const StringTable& table,
-                                std::size_t n_threads,
-                                util::Executor* executor) {
-  const std::size_t n = table.size();
-  const std::size_t n_blocks = (n + kFrontCodeBlock - 1) / kFrontCodeBlock;
-  std::vector<std::string> blocks(n_blocks);
-  util::parallel_ranges(
-      executor, n_blocks, n_threads,
-      [&](std::size_t, std::size_t first, std::size_t last) {
-        for (std::size_t b = first; b < last; ++b) {
-          util::ByteWriter out;
-          const std::size_t begin = b * kFrontCodeBlock;
-          const std::size_t end = std::min(begin + kFrontCodeBlock, n);
-          std::size_t bound = 0;
-          for (std::size_t i = begin; i < end; ++i) {
-            bound += table[i].size() + 10;  // suffix + two varints, worst case
-          }
-          out.reserve(bound);
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::string_view text = table[i];
-            const std::size_t prefix =
-                i == begin ? 0 : common_prefix(table[i - 1], text);
-            out.varint(prefix);
-            out.varint(text.size() - prefix);
-            out.bytes(text.substr(prefix));
-          }
-          blocks[b] = out.take();
-        }
-      });
+/// Every kFrontCodeBlock-th entry stores a zero prefix, so blocks decode
+/// independently. The output is sized exactly before it is written: the
+/// table is the largest section, and a worst-case reservation would hold
+/// several times its size for the rest of the encode.
+std::string encode_string_table(const StringTable& table) {
+  const auto prefix_of = [&table](std::size_t i) {
+    return i % kFrontCodeBlock == 0 ? 0 : common_prefix(table[i - 1], table[i]);
+  };
+  std::size_t size = varint_size(table.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const std::size_t prefix = prefix_of(i);
+    const std::size_t suffix = table[i].size() - prefix;
+    size += varint_size(prefix) + varint_size(suffix) + suffix;
+  }
   util::ByteWriter out;
-  std::size_t total = 10;
-  for (const std::string& block : blocks) total += block.size();
-  out.reserve(total);
-  out.varint(n);
-  for (const std::string& block : blocks) out.bytes(block);
+  out.reserve(size);
+  out.varint(table.size());
+  for (std::size_t i = 0; i < table.size(); ++i) {
+    const std::size_t prefix = prefix_of(i);
+    out.varint(prefix);
+    out.varint(table[i].size() - prefix);
+    out.bytes(table[i].substr(prefix));
+  }
   return out.take();
 }
 
@@ -430,7 +419,7 @@ std::string encode_config_section(const core::PipelineConfig& config) {
   out.f64(config.cc_threshold);
   out.f64(config.sim_threshold);
   out.varint(config.bp_max_iterations);
-  out.varint(config.parallelism.threads);
+  out.varint(1);  // reserved slot (once the analysis thread count)
   out.varint(1);  // reserved slot (once an ingest shard count)
   return out.take();
 }
@@ -443,25 +432,26 @@ bool decode_config_section(std::string_view payload,
   std::uint64_t min_intervals = 0;
   std::uint8_t metric = 0;
   std::uint64_t bp_iter = 0;
-  std::uint64_t threads = 0;
-  std::uint64_t reserved = 0;
+  std::uint64_t reserved_threads = 0;
+  std::uint64_t reserved_shards = 0;
   if (!in.varint(popularity) || !in.varint(ua_rare) ||
       !in.f64(config.periodicity.bin_width_seconds) ||
       !in.f64(config.periodicity.jeffrey_threshold) ||
       !in.varint(min_intervals) || !in.u8(metric) ||
       !in.f64(config.cc_threshold) || !in.f64(config.sim_threshold) ||
-      !in.varint(bp_iter) || !in.varint(threads) || !in.varint(reserved) ||
+      !in.varint(bp_iter) || !in.varint(reserved_threads) ||
+      !in.varint(reserved_shards) ||
       !in.at_end()) {
     set_status(status, LoadError::Truncated, "config: section cut short");
     return false;
   }
   // The same validity bounds core::parse_pipeline_config enforces. The
-  // reserved slot must be >= 1 and is otherwise ignored, so checkpoints
-  // written with any shard count still load.
+  // reserved slots must be >= 1 and are otherwise ignored, so checkpoints
+  // written with any thread or shard count still load.
   const double bin_width = config.periodicity.bin_width_seconds;
   const double jeffrey = config.periodicity.jeffrey_threshold;
   if (popularity == 0 || ua_rare == 0 || min_intervals == 0 || bp_iter == 0 ||
-      threads == 0 || reserved == 0 || metric > 1 ||
+      reserved_threads == 0 || reserved_shards == 0 || metric > 1 ||
       !std::isfinite(bin_width) || !(bin_width > 0) ||
       !std::isfinite(jeffrey) || !(jeffrey >= 0) ||
       !std::isfinite(config.cc_threshold) ||
@@ -475,7 +465,6 @@ bool decode_config_section(std::string_view payload,
   config.periodicity.metric = metric == 1 ? timing::HistogramMetric::L1
                                           : timing::HistogramMetric::Jeffrey;
   config.bp_max_iterations = static_cast<std::size_t>(bp_iter);
-  config.parallelism.threads = static_cast<std::size_t>(threads);
   return true;
 }
 
@@ -733,9 +722,7 @@ DetectorStateView view_of(const DetectorState& state) {
   return view;
 }
 
-std::string encode_detector_state(const DetectorStateView& state,
-                                  std::size_t n_threads,
-                                  util::Executor* executor) {
+std::string encode_detector_state(const DetectorStateView& state) {
   const bool has_intel =
       state.intel_domains != nullptr && !state.intel_domains->empty();
   std::vector<std::string_view> all = domain_views(*state.domain_history);
@@ -757,7 +744,7 @@ std::string encode_detector_state(const DetectorStateView& state,
 
   ContainerWriter writer;
   writer.add_section(SectionId::StringTable,
-                     encode_string_table(table, n_threads, executor));
+                     encode_string_table(table));
   writer.add_section(SectionId::Config, encode_config_section(*state.config));
   writer.add_section(
       SectionId::DomainHistory,
@@ -882,11 +869,10 @@ StateMetrics& state_metrics() {
 
 bool save_detector_state(const DetectorStateView& state,
                          const std::filesystem::path& path,
-                         std::size_t n_threads, LoadStatus* status,
-                         util::Executor* executor) {
+                         LoadStatus* status) {
   const obs::TraceSpan span("state_save", "storage");
   const auto start = std::chrono::steady_clock::now();
-  const std::string bytes = encode_detector_state(state, n_threads, executor);
+  const std::string bytes = encode_detector_state(state);
   const bool ok = write_file_atomic(path, bytes, status);
   StateMetrics& metrics = state_metrics();
   if (ok) {
@@ -921,12 +907,12 @@ std::optional<DetectorState> load_detector_state(
 
 bool save_domain_history(const profile::DomainHistory& history,
                          const std::filesystem::path& path,
-                         std::size_t n_threads, LoadStatus* status) {
+                         LoadStatus* status) {
   const StringTable table = sorted_unique(domain_views(history));
   const TableIndex index(table);
   ContainerWriter writer;
   writer.add_section(SectionId::StringTable,
-                     encode_string_table(table, n_threads));
+                     encode_string_table(table));
   writer.add_section(SectionId::DomainHistory,
                      encode_domain_history_section(history, index));
   return save_container(writer, path, status);
@@ -955,13 +941,12 @@ std::optional<profile::DomainHistory> load_domain_history(
 }
 
 bool save_ua_history(const profile::UaHistory& history,
-                     const std::filesystem::path& path, std::size_t n_threads,
-                     LoadStatus* status) {
+                     const std::filesystem::path& path, LoadStatus* status) {
   const StringTable table = sorted_unique(ua_views(history));
   const TableIndex index(table);
   ContainerWriter writer;
   writer.add_section(SectionId::StringTable,
-                     encode_string_table(table, n_threads));
+                     encode_string_table(table));
   writer.add_section(SectionId::UaHistory,
                      encode_ua_history_section(history, index));
   return save_container(writer, path, status);
@@ -990,13 +975,12 @@ std::optional<profile::UaHistory> load_ua_history(
 }
 
 bool save_top_sites(const profile::TopSitesList& sites,
-                    const std::filesystem::path& path, std::size_t n_threads,
-                    LoadStatus* status) {
+                    const std::filesystem::path& path, LoadStatus* status) {
   const StringTable table = sorted_unique(top_site_views(sites));
   const TableIndex index(table);
   ContainerWriter writer;
   writer.add_section(SectionId::StringTable,
-                     encode_string_table(table, n_threads));
+                     encode_string_table(table));
   writer.add_section(SectionId::TopSites,
                      encode_string_set_section(top_site_views(sites), index));
   return save_container(writer, path, status);
@@ -1025,7 +1009,7 @@ std::optional<profile::TopSitesList> load_top_sites(
 bool save_scored_model(const core::ScoredModel& model,
                        const std::filesystem::path& path, LoadStatus* status) {
   ContainerWriter writer;
-  writer.add_section(SectionId::StringTable, encode_string_table({}, 1));
+  writer.add_section(SectionId::StringTable, encode_string_table({}));
   writer.add_section(SectionId::CcModel, encode_model_section(model));
   return save_container(writer, path, status);
 }

@@ -6,8 +6,8 @@
 // detector saved after day N and restored elsewhere produces bit-identical
 // DayReports for day N+1 (tests/storage_checkpoint_test.cpp).
 //
-// All sections share one interned string table (sorted, front-coded,
-// encoded shard-parallel via util::parallel_ranges), so a host name that
+// All sections share one interned string table (sorted, front-coded), so
+// a host name that
 // appears in a thousand UA entries is written once and referenced by a
 // 1-3 byte varint id — the compact on-disk interned format for month-scale
 // histories the ROADMAP calls for.
@@ -97,16 +97,10 @@ DetectorStateView view_of(const DetectorState& state);
 
 // ---- Full detector state ----
 
-/// Encode to container bytes. `n_threads` parallelizes the string-table
-/// encode (fixed block partition: the bytes are identical for any value);
-/// `executor` (optional) carries that fan-out on a persistent pool.
-std::string encode_detector_state(const DetectorStateView& state,
-                                  std::size_t n_threads = 1,
-                                  util::Executor* executor = nullptr);
-inline std::string encode_detector_state(const DetectorState& state,
-                                         std::size_t n_threads = 1,
-                                         util::Executor* executor = nullptr) {
-  return encode_detector_state(view_of(state), n_threads, executor);
+/// Encode to container bytes.
+std::string encode_detector_state(const DetectorStateView& state);
+inline std::string encode_detector_state(const DetectorState& state) {
+  return encode_detector_state(view_of(state));
 }
 
 std::optional<DetectorState> decode_detector_state(std::string_view bytes,
@@ -115,16 +109,11 @@ std::optional<DetectorState> decode_detector_state(std::string_view bytes,
 /// Atomic tmp-file + rename write of the encoded state.
 bool save_detector_state(const DetectorStateView& state,
                          const std::filesystem::path& path,
-                         std::size_t n_threads = 1,
-                         LoadStatus* status = nullptr,
-                         util::Executor* executor = nullptr);
+                         LoadStatus* status = nullptr);
 inline bool save_detector_state(const DetectorState& state,
                                 const std::filesystem::path& path,
-                                std::size_t n_threads = 1,
-                                LoadStatus* status = nullptr,
-                                util::Executor* executor = nullptr) {
-  return save_detector_state(view_of(state), path, n_threads, status,
-                             executor);
+                                LoadStatus* status = nullptr) {
+  return save_detector_state(view_of(state), path, status);
 }
 
 std::optional<DetectorState> load_detector_state(
@@ -134,7 +123,6 @@ std::optional<DetectorState> load_detector_state(
 
 bool save_domain_history(const profile::DomainHistory& history,
                          const std::filesystem::path& path,
-                         std::size_t n_threads = 1,
                          LoadStatus* status = nullptr);
 std::optional<profile::DomainHistory> decode_domain_history(
     std::string_view bytes, LoadStatus* status = nullptr);
@@ -143,7 +131,7 @@ std::optional<profile::DomainHistory> load_domain_history(
 
 bool save_ua_history(const profile::UaHistory& history,
                      const std::filesystem::path& path,
-                     std::size_t n_threads = 1, LoadStatus* status = nullptr);
+                     LoadStatus* status = nullptr);
 std::optional<profile::UaHistory> decode_ua_history(std::string_view bytes,
                                                     LoadStatus* status = nullptr);
 std::optional<profile::UaHistory> load_ua_history(
@@ -151,7 +139,7 @@ std::optional<profile::UaHistory> load_ua_history(
 
 bool save_top_sites(const profile::TopSitesList& sites,
                     const std::filesystem::path& path,
-                    std::size_t n_threads = 1, LoadStatus* status = nullptr);
+                    LoadStatus* status = nullptr);
 std::optional<profile::TopSitesList> load_top_sites(
     const std::filesystem::path& path, LoadStatus* status = nullptr);
 

@@ -247,47 +247,42 @@ TEST(ApiEquivalenceTest, LifecycleIsChunkInvariant) {
   }
 }
 
-// The parallel engine contract: a fully trained detector must emit a
-// bit-identical DayReport for every combination of analysis threads and
-// chunk size — the chunking guarantee, extended to the parallel knobs.
-TEST(ApiEquivalenceTest, ParallelConfigsBitIdenticalAtEveryChunkSize) {
+// A fully trained detector — profiling, labeled training and an operation
+// day all fed at the same chunk size — must emit a bit-identical DayReport
+// for every chunk size.
+TEST(ApiEquivalenceTest, TrainedRunBitIdenticalAtEveryChunkSize) {
   std::string baseline;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    for (const std::size_t chunk_size : {1u, 4096u}) {
-      SCOPED_TRACE("threads " + std::to_string(threads) + ", chunk " +
-                   std::to_string(chunk_size));
-      MapWhois whois;
-      std::set<std::string> reported;
-      const auto train = training_days(whois, reported);
-      const core::LabelFn intel = [&reported](const std::string& domain) {
-        return reported.contains(domain);
-      };
+  for (const std::size_t chunk_size : {1u, 4096u}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk_size));
+    MapWhois whois;
+    std::set<std::string> reported;
+    const auto train = training_days(whois, reported);
+    const core::LabelFn intel = [&reported](const std::string& domain) {
+      return reported.contains(domain);
+    };
 
-      core::PipelineConfig config = test_config();
-      config.parallelism.threads = threads;
-      Detector detector(config, whois);
-      for (const util::Day day : {kDay - 4, kDay - 3}) {
-        VectorSource source(day, browsing_day(day), chunk_size);
-        detector.ingest(source);
-      }
-      for (const auto& day : train) {
-        VectorSource source(day.day, &day.events, chunk_size);
-        detector.ingest(source, intel);
-      }
-      detector.finalize_training();
+    Detector detector(test_config(), whois);
+    for (const util::Day day : {kDay - 4, kDay - 3}) {
+      VectorSource source(day, browsing_day(day), chunk_size);
+      detector.ingest(source);
+    }
+    for (const auto& day : train) {
+      VectorSource source(day.day, &day.events, chunk_size);
+      detector.ingest(source, intel);
+    }
+    detector.finalize_training();
 
-      auto events = campaign_day(kDay, whois);
-      core::SocSeeds seeds;
-      seeds.domains = {"ioc-domain.ru"};
-      VectorSource source(kDay, &events, chunk_size);
-      const std::string json =
-          core::day_report_to_json(detector.run_day(source, kDay, seeds));
-      ASSERT_NE(json.find("evil-cc.ru"), std::string::npos);
-      if (baseline.empty()) {
-        baseline = json;
-      } else {
-        EXPECT_EQ(json, baseline);
-      }
+    auto events = campaign_day(kDay, whois);
+    core::SocSeeds seeds;
+    seeds.domains = {"ioc-domain.ru"};
+    VectorSource source(kDay, &events, chunk_size);
+    const std::string json =
+        core::day_report_to_json(detector.run_day(source, kDay, seeds));
+    ASSERT_NE(json.find("evil-cc.ru"), std::string::npos);
+    if (baseline.empty()) {
+      baseline = json;
+    } else {
+      EXPECT_EQ(json, baseline);
     }
   }
 }

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 namespace eid::core {
 namespace {
 
@@ -39,11 +44,12 @@ TEST(ConfigIoTest, EmptyDocumentKeepsDefaults) {
 }
 
 TEST(ConfigIoTest, UnknownKeysReportedNotFatal) {
-  const ConfigParseResult result =
-      parse_pipeline_config("future_knob = 3\ncc_threshold = 0.42\n");
+  // analysis_threads is a retired key older config files still carry.
+  const ConfigParseResult result = parse_pipeline_config(
+      "future_knob = 3\ncc_threshold = 0.42\nanalysis_threads = 8\n");
   EXPECT_TRUE(result.ok());
-  ASSERT_EQ(result.unknown_keys.size(), 1u);
-  EXPECT_EQ(result.unknown_keys[0], "future_knob");
+  EXPECT_EQ(result.unknown_keys,
+            (std::vector<std::string>{"future_knob", "analysis_threads"}));
   EXPECT_DOUBLE_EQ(result.config.cc_threshold, 0.42);
 }
 
@@ -75,28 +81,34 @@ TEST(ConfigIoTest, WhitespaceAndCommentsTolerated) {
 }
 
 TEST(ConfigIoTest, FormatThenParseIsIdentity) {
+  // Thresholds with no short decimal form must survive the text round
+  // trip bit for bit.
   PipelineConfig config;
   config.popularity_threshold = 15;
   config.ua_rare_threshold = 4;
   config.periodicity.bin_width_seconds = 20.0;
   config.periodicity.jeffrey_threshold = 0.35;
   config.periodicity.min_intervals = 3;
-  config.cc_threshold = 0.48;
-  config.sim_threshold = 0.85;
+  config.cc_threshold = 0.4 + 1e-9;
+  config.sim_threshold = 1.0 / 3;
   config.bp_max_iterations = 3;
   const ConfigParseResult result =
       parse_pipeline_config(format_pipeline_config(config));
   ASSERT_TRUE(result.ok());
+  EXPECT_TRUE(result.unknown_keys.empty());
+  const auto bits = [](double value) {
+    return std::bit_cast<std::uint64_t>(value);
+  };
   EXPECT_EQ(result.config.popularity_threshold, config.popularity_threshold);
   EXPECT_EQ(result.config.ua_rare_threshold, config.ua_rare_threshold);
-  EXPECT_DOUBLE_EQ(result.config.periodicity.bin_width_seconds,
-                   config.periodicity.bin_width_seconds);
-  EXPECT_DOUBLE_EQ(result.config.periodicity.jeffrey_threshold,
-                   config.periodicity.jeffrey_threshold);
+  EXPECT_EQ(bits(result.config.periodicity.bin_width_seconds),
+            bits(config.periodicity.bin_width_seconds));
+  EXPECT_EQ(bits(result.config.periodicity.jeffrey_threshold),
+            bits(config.periodicity.jeffrey_threshold));
   EXPECT_EQ(result.config.periodicity.min_intervals,
             config.periodicity.min_intervals);
-  EXPECT_DOUBLE_EQ(result.config.cc_threshold, config.cc_threshold);
-  EXPECT_DOUBLE_EQ(result.config.sim_threshold, config.sim_threshold);
+  EXPECT_EQ(bits(result.config.cc_threshold), bits(config.cc_threshold));
+  EXPECT_EQ(bits(result.config.sim_threshold), bits(config.sim_threshold));
   EXPECT_EQ(result.config.bp_max_iterations, config.bp_max_iterations);
 }
 

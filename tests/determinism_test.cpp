@@ -10,7 +10,6 @@
 #include "eval/lanl_runner.h"
 #include "sim/ac.h"
 #include "test_helpers.h"
-#include "util/executor.h"
 
 namespace eid {
 namespace {
@@ -49,32 +48,9 @@ TEST(DeterminismTest, PipelineDayReportIsBitStable) {
   EXPECT_EQ(a, b);
 }
 
-TEST(DeterminismTest, ParallelismDoesNotChangeReports) {
-  // The parallel engine contract: analysis_threads is a pure performance
-  // knob — bit-identical DayReports for any value.
-  test::MapWhois whois;
-  whois.add("beacon.ru", 95, 400);
-  const auto events = synthetic_day(100);
-  std::string baseline;
-  for (const std::size_t threads : {1u, 2u, 8u}) {
-    core::PipelineConfig config;
-    config.parallelism.threads = threads;
-    api::Detector detector(config, whois);
-    test::profile_events(detector, synthetic_day(99), 99);
-    const std::string json =
-        core::day_report_to_json(test::run_events(detector, events, 100));
-    if (baseline.empty()) {
-      baseline = json;
-    } else {
-      EXPECT_EQ(json, baseline) << threads << " threads";
-    }
-  }
-}
-
-TEST(DeterminismTest, DayPipelinedMultiDayRunsAreBitIdentical) {
-  // The full parallelism surface — worker threads and the multi-day
-  // pipeline depth — is pure performance: every DayReport of a multi-day
-  // run must be bit-identical across all of it.
+TEST(DeterminismTest, MultiDayRunMatchesPerDayRuns) {
+  // run_days over a day-tagged stream must emit, day by day, the same
+  // DayReports as a run_day call per day.
   test::MapWhois whois;
   whois.add("beacon.ru", 95, 400);
   std::vector<std::vector<logs::ConnEvent>> days;
@@ -82,36 +58,32 @@ TEST(DeterminismTest, DayPipelinedMultiDayRunsAreBitIdentical) {
     days.push_back(synthetic_day(day));
   }
 
+  api::Detector per_day(core::PipelineConfig{}, whois);
+  test::profile_events(per_day, synthetic_day(99), 99);
   std::string baseline;
-  for (const std::size_t depth : {1u, 2u}) {
-    for (const std::size_t threads : {1u, 2u, 8u}) {
-      core::PipelineConfig config;
-      config.parallelism.threads = threads;
-      config.parallelism.pipeline_depth = depth;
-      api::Detector detector(config, whois);
-      auto profile = synthetic_day(99);
-      api::VectorSource bootstrap(99, &profile);
-      detector.ingest(bootstrap);
-      api::MultiDaySource source(100, &days);
-      const std::vector<core::DayReport> reports = detector.run_days(source);
-      ASSERT_EQ(reports.size(), days.size());
-      std::string all;
-      for (const core::DayReport& report : reports) {
-        all += core::day_report_to_json(report);
-      }
-      if (baseline.empty()) {
-        baseline = all;
-      } else {
-        EXPECT_EQ(all, baseline) << threads << " threads, depth " << depth;
-      }
-    }
+  for (std::size_t i = 0; i < days.size(); ++i) {
+    const util::Day day = 100 + static_cast<util::Day>(i);
+    baseline +=
+        core::day_report_to_json(test::run_events(per_day, days[i], day));
   }
+
+  api::Detector multi(core::PipelineConfig{}, whois);
+  test::profile_events(multi, synthetic_day(99), 99);
+  api::MultiDaySource source(100, &days);
+  const std::vector<core::DayReport> reports = multi.run_days(source);
+  ASSERT_EQ(reports.size(), days.size());
+  std::string all;
+  for (const core::DayReport& report : reports) {
+    all += core::day_report_to_json(report);
+  }
+  EXPECT_EQ(all, baseline);
+  EXPECT_EQ(multi.days_operated(), per_day.days_operated());
 }
 
 TEST(DeterminismTest, ObservabilityDoesNotPerturbReports) {
-  // Metrics + tracing are a pure side channel: the multi-day parallelism
-  // sweep must stay bit-identical with both fully on versus fully off,
-  // and the collected trace must be well-formed Chrome trace-event JSON.
+  // Metrics + tracing are a pure side channel: a multi-day run must stay
+  // bit-identical with both fully on versus fully off, and the collected
+  // trace must be well-formed Chrome trace-event JSON.
   test::MapWhois whois;
   whois.add("beacon.ru", 95, 400);
   std::vector<std::vector<logs::ConnEvent>> days;
@@ -119,11 +91,8 @@ TEST(DeterminismTest, ObservabilityDoesNotPerturbReports) {
     days.push_back(synthetic_day(day));
   }
 
-  const auto run = [&](std::size_t threads, std::size_t depth) {
-    core::PipelineConfig config;
-    config.parallelism.threads = threads;
-    config.parallelism.pipeline_depth = depth;
-    api::Detector detector(config, whois);
+  const auto run = [&] {
+    api::Detector detector(core::PipelineConfig{}, whois);
     auto profile = synthetic_day(99);
     api::VectorSource bootstrap(99, &profile);
     detector.ingest(bootstrap);
@@ -135,59 +104,18 @@ TEST(DeterminismTest, ObservabilityDoesNotPerturbReports) {
     return all;
   };
 
-  std::string baseline_off;
-  std::string baseline_on;
-  for (const std::size_t depth : {1u, 2u}) {
-    for (const std::size_t threads : {1u, 8u}) {
-      obs::metrics().set_enabled(false);
-      const std::string off = run(threads, depth);
+  obs::metrics().set_enabled(false);
+  const std::string off = run();
 
-      obs::TraceSink sink;
-      api::Detector::set_trace_sink(&sink);
-      obs::metrics().set_enabled(true);
-      const std::string on = run(threads, depth);
-      api::Detector::set_trace_sink(nullptr);
-
-      EXPECT_EQ(on, off) << threads << " threads, depth " << depth;
-      if (baseline_off.empty()) baseline_off = off;
-      if (baseline_on.empty()) baseline_on = on;
-      EXPECT_EQ(off, baseline_off) << threads << " threads, depth " << depth;
-      EXPECT_EQ(on, baseline_on) << threads << " threads, depth " << depth;
-
-      EXPECT_GT(sink.event_count(), 0u) << "stages must record spans";
-      EXPECT_TRUE(test::json_well_formed(sink.to_chrome_json()));
-    }
-  }
+  obs::TraceSink sink;
+  api::Detector::set_trace_sink(&sink);
   obs::metrics().set_enabled(true);
-}
+  const std::string on = run();
+  api::Detector::set_trace_sink(nullptr);
 
-TEST(DeterminismTest, SteadyStateKeepsOneExecutor) {
-  // The persistent-executor contract: after the pool is built, multi-day
-  // operation keeps the same pool — every fan-out and day commit rides the
-  // same workers.
-  test::MapWhois whois;
-  whois.add("beacon.ru", 95, 400);
-  std::vector<std::vector<logs::ConnEvent>> warmup_days{synthetic_day(100)};
-  std::vector<std::vector<logs::ConnEvent>> more_days;
-  for (util::Day day = 101; day < 105; ++day) {
-    more_days.push_back(synthetic_day(day));
-  }
-
-  core::PipelineConfig config;
-  config.parallelism = core::Parallelism{.threads = 8, .pipeline_depth = 2};
-  api::Detector detector(config, whois);
-  api::MultiDaySource warmup(100, &warmup_days);
-  detector.run_days(warmup);
-
-  const util::Executor* executor = detector.pipeline().executor();
-  ASSERT_NE(executor, nullptr);
-  const std::size_t workers = executor->worker_count();
-  api::MultiDaySource source(101, &more_days);
-  const auto reports = detector.run_days(source);
-  EXPECT_EQ(reports.size(), more_days.size());
-  EXPECT_EQ(detector.pipeline().executor(), executor)
-      << "steady-state days must not rebuild the pool";
-  EXPECT_EQ(executor->worker_count(), workers);
+  EXPECT_EQ(on, off);
+  EXPECT_GT(sink.event_count(), 0u) << "stages must record spans";
+  EXPECT_TRUE(test::json_well_formed(sink.to_chrome_json()));
 }
 
 TEST(DeterminismTest, AcScenarioReducedDaysAreStable) {

@@ -322,7 +322,7 @@ TEST(DayGraphTest, AssemblyMatchesSequentialReplay) {
       EXPECT_EQ(recycled.ingested_events(), reference.ingested_events());
       expect_identical(recycled, reference);
       // finalize() on an assembled graph is a no-op.
-      recycled.finalize(2);
+      recycled.finalize();
       expect_identical(recycled, reference);
     }
   }

@@ -1,10 +1,9 @@
 // Batch/continuous equivalence: a day streamed through rt::ContinuousEngine
 // must close with a DayReport bit-identical to api::Detector::run_day on
-// the same event sequence — for every tick size, window length, thread
-// count and pipeline depth — while additionally emitting provisional
-// incidents at sub-day latency. This is the acceptance criterion of the
-// real-time subsystem: continuous mode costs latency bounded by one tick,
-// never fidelity.
+// the same event sequence — for every tick size and window length — while
+// additionally emitting provisional incidents at sub-day latency. This is
+// the acceptance criterion of the real-time subsystem: continuous mode
+// costs latency bounded by one tick, never fidelity.
 #include "rt/engine.h"
 
 #include <gtest/gtest.h>
@@ -97,20 +96,16 @@ std::vector<TrainingDay> training_days(MapWhois& whois,
   return days;
 }
 
-core::PipelineConfig test_config(std::size_t threads = 1,
-                                 std::size_t depth = 1) {
+core::PipelineConfig test_config() {
   core::PipelineConfig config;
   config.ua_rare_threshold = 3;
-  config.parallelism.threads = threads;
-  config.parallelism.pipeline_depth = depth;
   return config;
 }
 
 /// A detector profiled and trained on the shared fixture world.
 api::Detector trained_detector(MapWhois& whois, const core::LabelFn& intel,
-                               const std::vector<TrainingDay>& train,
-                               std::size_t threads, std::size_t depth = 1) {
-  api::Detector detector(test_config(threads, depth), whois);
+                               const std::vector<TrainingDay>& train) {
+  api::Detector detector(test_config(), whois);
   for (const util::Day day : {kDay - 4, kDay - 3}) {
     api::VectorSource source(day, browsing_day(day));
     detector.ingest(source);
@@ -130,9 +125,8 @@ core::SocSeeds soc_seeds() {
 }
 
 // Continuous day close must be bit-identical to run_day for every tick
-// size, across the parallel knobs, with provisional emissions riding along
-// at sub-day tick sizes.
-TEST(RtContinuousTest, DayCloseBitIdenticalToRunDayAcrossTicksThreadsDepth) {
+// size, with provisional emissions riding along at sub-day tick sizes.
+TEST(RtContinuousTest, DayCloseBitIdenticalToRunDayAcrossTicks) {
   MapWhois whois;
   std::set<std::string> reported;
   const auto train = training_days(whois, reported);
@@ -141,11 +135,9 @@ TEST(RtContinuousTest, DayCloseBitIdenticalToRunDayAcrossTicksThreadsDepth) {
   };
   auto events = campaign_day(kDay, whois);
 
-  // Batch baseline (one thread — itself config-invariant per
-  // api_equivalence_test).
   std::string baseline;
   {
-    api::Detector batch = trained_detector(whois, intel, train, 1);
+    api::Detector batch = trained_detector(whois, intel, train);
     api::VectorSource source(kDay, &events);
     baseline =
         core::day_report_to_json(batch.run_day(source, kDay, soc_seeds()));
@@ -154,40 +146,30 @@ TEST(RtContinuousTest, DayCloseBitIdenticalToRunDayAcrossTicksThreadsDepth) {
 
   for (const std::int64_t tick : {std::int64_t{300}, std::int64_t{3600},
                                   std::int64_t{86400}}) {
-    for (const std::size_t threads : {1u, 8u}) {
-      // Depth 2 drives the pipelined close: finish_day/report_day run on
-      // a worker and the history commit lands at the next join point —
-      // the report must still match the batch baseline byte for byte.
-      for (const std::size_t depth : {1u, 2u}) {
-        SCOPED_TRACE("tick " + std::to_string(tick) + ", threads " +
-                     std::to_string(threads) + ", depth " +
-                     std::to_string(depth));
-        api::Detector detector =
-            trained_detector(whois, intel, train, threads, depth);
-        EngineConfig config;
-        config.window.tick_seconds = tick;
-        config.seeds = soc_seeds();
-        api::VectorSource source(kDay, &events);
-        const ContinuousReport report = detector.run_continuous(source, config);
+    SCOPED_TRACE("tick " + std::to_string(tick));
+    api::Detector detector = trained_detector(whois, intel, train);
+    EngineConfig config;
+    config.window.tick_seconds = tick;
+    config.seeds = soc_seeds();
+    api::VectorSource source(kDay, &events);
+    const ContinuousReport report = detector.run_continuous(source, config);
 
-        ASSERT_EQ(report.days.size(), 1u);
-        EXPECT_EQ(core::day_report_to_json(report.days[0]), baseline);
-        EXPECT_EQ(report.stats.events, events.size());
-        EXPECT_EQ(report.stats.days_closed, 1u);
-        EXPECT_EQ(detector.days_operated(), 1u);
+    ASSERT_EQ(report.days.size(), 1u);
+    EXPECT_EQ(core::day_report_to_json(report.days[0]), baseline);
+    EXPECT_EQ(report.stats.events, events.size());
+    EXPECT_EQ(report.stats.days_closed, 1u);
+    EXPECT_EQ(detector.days_operated(), 1u);
 
-        // Finalized emissions always fire (fresh campaign); provisional
-        // ones require at least one tick boundary inside the day.
-        EXPECT_GT(report.emissions.size(), 0u);
-        if (tick < 86400) {
-          EXPECT_GT(report.stats.provisional_emissions, 0u);
-        }
-        for (const IncidentEmission& emission : report.emissions) {
-          EXPECT_GE(emission.latency_seconds, 0);
-          EXPECT_EQ(emission.emission_time - emission.event_time,
-                    emission.latency_seconds);
-        }
-      }
+    // Finalized emissions always fire (fresh campaign); provisional
+    // ones require at least one tick boundary inside the day.
+    EXPECT_GT(report.emissions.size(), 0u);
+    if (tick < 86400) {
+      EXPECT_GT(report.stats.provisional_emissions, 0u);
+    }
+    for (const IncidentEmission& emission : report.emissions) {
+      EXPECT_GE(emission.latency_seconds, 0);
+      EXPECT_EQ(emission.emission_time - emission.event_time,
+                emission.latency_seconds);
     }
   }
 }
@@ -204,7 +186,7 @@ TEST(RtContinuousTest, ProvisionalEmissionPrecedesDayClose) {
   };
   auto events = campaign_day(kDay, whois);
 
-  api::Detector detector = trained_detector(whois, intel, train, 1);
+  api::Detector detector = trained_detector(whois, intel, train);
   EngineConfig config;
   config.window.tick_seconds = 300;
   config.seeds = soc_seeds();
@@ -251,7 +233,7 @@ TEST(RtContinuousTest, MultiDayMatchesSequentialRunDay) {
   auto day1 = campaign_day(kDay, whois);
   auto day2 = campaign_day(kDay + 1, whois);
 
-  api::Detector batch = trained_detector(whois, intel, train, 1);
+  api::Detector batch = trained_detector(whois, intel, train);
   std::vector<std::string> batch_json;
   for (auto* events : {&day1, &day2}) {
     const util::Day day = events == &day1 ? kDay : kDay + 1;
@@ -260,7 +242,7 @@ TEST(RtContinuousTest, MultiDayMatchesSequentialRunDay) {
         core::day_report_to_json(batch.run_day(source, day, soc_seeds())));
   }
 
-  api::Detector continuous = trained_detector(whois, intel, train, 1);
+  api::Detector continuous = trained_detector(whois, intel, train);
   ReplayClock clock;
   EngineConfig config;
   config.window.tick_seconds = 3600;
@@ -313,12 +295,12 @@ TEST(RtContinuousTest, EmptyDayClosesLikeBatch) {
     return reported.contains(domain);
   };
 
-  api::Detector batch = trained_detector(whois, intel, train, 1);
+  api::Detector batch = trained_detector(whois, intel, train);
   api::VectorSource empty_batch(kDay, std::vector<logs::ConnEvent>{});
   const std::string baseline =
       core::day_report_to_json(batch.run_day(empty_batch, kDay, {}));
 
-  api::Detector continuous = trained_detector(whois, intel, train, 1);
+  api::Detector continuous = trained_detector(whois, intel, train);
   EngineConfig config;
   config.window.tick_seconds = 300;
   api::VectorSource empty_stream(kDay, std::vector<logs::ConnEvent>{});
@@ -344,8 +326,8 @@ TEST(RtContinuousTest, TracingOnKeepsDayCloseBitIdentical) {
   };
   auto events = campaign_day(kDay, whois);
 
-  const auto run = [&](std::size_t threads) {
-    api::Detector detector = trained_detector(whois, intel, train, threads);
+  const auto run = [&] {
+    api::Detector detector = trained_detector(whois, intel, train);
     EngineConfig config;
     config.window.tick_seconds = 3600;
     config.seeds = soc_seeds();
@@ -358,24 +340,20 @@ TEST(RtContinuousTest, TracingOnKeepsDayCloseBitIdentical) {
     return json;
   };
 
-  for (const std::size_t threads : {1u, 8u}) {
-    SCOPED_TRACE(std::to_string(threads) + " threads");
-    obs::metrics().set_enabled(false);
-    const std::string dark = run(threads);
+  obs::metrics().set_enabled(false);
+  const std::string dark = run();
 
-    obs::TraceSink sink;
-    api::Detector::set_trace_sink(&sink);
-    obs::metrics().set_enabled(true);
-    const std::string traced = run(threads);
-    api::Detector::set_trace_sink(nullptr);
-
-    EXPECT_EQ(traced, dark);
-    EXPECT_GT(sink.event_count(), 0u) << "rt stages must record spans";
-    const std::string trace_json = sink.to_chrome_json();
-    EXPECT_TRUE(test::json_well_formed(trace_json));
-    EXPECT_NE(trace_json.find("rt_tick_evaluate"), std::string::npos);
-  }
+  obs::TraceSink sink;
+  api::Detector::set_trace_sink(&sink);
   obs::metrics().set_enabled(true);
+  const std::string traced = run();
+  api::Detector::set_trace_sink(nullptr);
+
+  EXPECT_EQ(traced, dark);
+  EXPECT_GT(sink.event_count(), 0u) << "rt stages must record spans";
+  const std::string trace_json = sink.to_chrome_json();
+  EXPECT_TRUE(test::json_well_formed(trace_json));
+  EXPECT_NE(trace_json.find("rt_tick_evaluate"), std::string::npos);
 }
 
 }  // namespace

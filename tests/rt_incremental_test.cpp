@@ -13,8 +13,7 @@
 //     AND the same provisional/finalized emission sequence, field for
 //     field, as a batch reference that re-analyzes the arrival prefix with
 //     the pipeline's day verbs at every evaluated tick, for every tick
-//     size × thread count × pipeline depth, and regardless
-//     of how chunks straddle tick boundaries.
+//     size, and regardless of how chunks straddle tick boundaries.
 #include "rt/window.h"
 
 #include <gtest/gtest.h>
@@ -494,12 +493,9 @@ std::vector<TrainingDay> training_days(MapWhois& whois,
 }
 
 api::Detector trained_detector(MapWhois& whois, const core::LabelFn& intel,
-                               const std::vector<TrainingDay>& train,
-                               std::size_t threads, std::size_t depth = 1) {
+                               const std::vector<TrainingDay>& train) {
   core::PipelineConfig config;
   config.ua_rare_threshold = 3;
-  config.parallelism.threads = threads;
-  config.parallelism.pipeline_depth = depth;
   api::Detector detector(config, whois);
   for (const util::Day day : {kDay - 4, kDay - 3}) {
     api::VectorSource source(day, browsing_day(day));
@@ -658,11 +654,11 @@ ContinuousReport batch_reference(api::Detector& detector,
   return out;
 }
 
-// The core contract: across the full tick × threads × depth sweep, the
-// engine's cached-partial window merge must reproduce the batch
-// reference's entire observable output — day reports and the provisional
-// emission sequence — byte for byte.
-TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicksThreadsDepth) {
+// The core contract: at every tick size, the engine's window assembly
+// from sealed segments must reproduce the batch reference's entire
+// observable output — day reports and the provisional emission sequence —
+// byte for byte.
+TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicks) {
   MapWhois whois;
   std::set<std::string> reported;
   const auto train = training_days(whois, reported);
@@ -673,8 +669,8 @@ TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicksThreadsDepth) {
 
   for (const std::int64_t tick : {std::int64_t{300}, std::int64_t{3600},
                                   std::int64_t{86400}}) {
-    api::Detector reference_detector =
-        trained_detector(whois, intel, train, 1);
+    SCOPED_TRACE("tick " + std::to_string(tick));
+    api::Detector reference_detector = trained_detector(whois, intel, train);
     const ContinuousReport expected =
         batch_reference(reference_detector, events, kDay, tick);
     const std::string reference = report_fingerprint(expected);
@@ -683,26 +679,18 @@ TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicksThreadsDepth) {
     EXPECT_EQ(std::any_of(expected.emissions.begin(), expected.emissions.end(),
                           [](const IncidentEmission& e) { return e.provisional; }),
               tick < 86400);
-    for (const std::size_t threads : {1u, 8u}) {
-      for (const std::size_t depth : {1u, 2u}) {
-        SCOPED_TRACE("tick " + std::to_string(tick) + ", threads " +
-                     std::to_string(threads) + ", depth " +
-                     std::to_string(depth));
-        api::Detector detector =
-            trained_detector(whois, intel, train, threads, depth);
-        EngineConfig config;
-        config.window.tick_seconds = tick;
-        config.seeds = soc_seeds();
-        api::VectorSource source(kDay, &events);
-        const ContinuousReport report = detector.run_continuous(source, config);
-        EXPECT_EQ(report_fingerprint(report), reference);
-        // The cache actually carried the evaluations whenever a tick
-        // boundary fell inside the day.
-        if (tick < 86400) {
-          EXPECT_GT(report.stats.buckets_sealed, 0u);
-          EXPECT_GT(report.stats.partial_absorbs, 0u);
-        }
-      }
+    api::Detector detector = trained_detector(whois, intel, train);
+    EngineConfig config;
+    config.window.tick_seconds = tick;
+    config.seeds = soc_seeds();
+    api::VectorSource source(kDay, &events);
+    const ContinuousReport report = detector.run_continuous(source, config);
+    EXPECT_EQ(report_fingerprint(report), reference);
+    // The sealed segments actually carried the evaluations whenever a
+    // tick boundary fell inside the day.
+    if (tick < 86400) {
+      EXPECT_GT(report.stats.buckets_sealed, 0u);
+      EXPECT_GT(report.stats.partial_absorbs, 0u);
     }
   }
 }
@@ -723,7 +711,7 @@ TEST(RtIncrementalTest, ChunkStraddlingTickBoundariesIsInvisible) {
   for (const std::size_t chunk : {std::size_t{1}, std::size_t{7},
                                   std::size_t{1000000}}) {
     SCOPED_TRACE("chunk_events " + std::to_string(chunk));
-    api::Detector detector = trained_detector(whois, intel, train, 1);
+    api::Detector detector = trained_detector(whois, intel, train);
     EngineConfig config;
     config.window.tick_seconds = 300;
     config.seeds = soc_seeds();

@@ -41,13 +41,7 @@ TEST(RealTimeTailTest, FollowsALiveWriterAndClosesTheDay) {
   std::filesystem::remove(path);
 
   test::MapWhois whois;
-  // Depth 2 so the final day close runs pipelined: finish_day/report_day on
-  // an executor worker, history commit at the finish() join — the live-tail
-  // deployment shape for the async close path.
-  core::PipelineConfig pipeline_config;
-  pipeline_config.parallelism =
-      core::Parallelism{.threads = 2, .pipeline_depth = 2};
-  api::Detector detector(pipeline_config, whois);
+  api::Detector detector(core::PipelineConfig{}, whois);
 
   // Sim time = wall time, anchored at the start of the tailed day; 1 s
   // ticks so the loop below closes several of them while it runs.

@@ -17,6 +17,7 @@
 #include "storage/encoding.h"
 #include "storage/state.h"
 #include "util/binary.h"
+#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace eid::storage {
@@ -252,7 +253,6 @@ DetectorState sample_state() {
   state.config.periodicity.min_intervals = 5;
   state.config.periodicity.metric = timing::HistogramMetric::L1;
   state.config.bp_max_iterations = 8;
-  state.config.parallelism.threads = 3;
   state.domain_history.update({"a.com", "b.net", "c.org"});
   state.domain_history.update({"d.io"});
   state.ua_history = profile::UaHistory(4);
@@ -284,7 +284,6 @@ TEST_F(StorageStateTest, DetectorStateFullRoundTrip) {
   EXPECT_EQ(loaded->config.ua_rare_threshold, 4u);
   EXPECT_EQ(loaded->config.periodicity.metric, timing::HistogramMetric::L1);
   EXPECT_EQ(loaded->config.periodicity.min_intervals, 5u);
-  EXPECT_EQ(loaded->config.parallelism.threads, 3u);
   EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->config.cc_threshold),
             std::bit_cast<std::uint64_t>(0.44));
 
@@ -310,14 +309,14 @@ TEST_F(StorageStateTest, DetectorStateFullRoundTrip) {
 }
 
 // The config section codec on its own: every strict prefix is Truncated,
-// non-finite thresholds are Malformed, and the reserved slot after the
-// thread count (once a shard count) must be >= 1 but is otherwise ignored,
-// so sections that carry any old shard count still decode.
-TEST(ConfigSectionCodecTest, TruncationNonFiniteAndReservedSlot) {
+// non-finite thresholds are Malformed, and the two reserved slots at the
+// end (once the analysis thread count and an ingest shard count) must be
+// >= 1 but are otherwise ignored, so sections that carry any old thread
+// or shard count still decode.
+TEST(ConfigSectionCodecTest, TruncationNonFiniteAndReservedSlots) {
   using detail::decode_config_section;
   using detail::encode_config_section;
   core::PipelineConfig config;
-  config.parallelism.threads = 3;
   config.cc_threshold = 0.44;
   const std::string encoded = encode_config_section(config);
 
@@ -328,26 +327,37 @@ TEST(ConfigSectionCodecTest, TruncationNonFiniteAndReservedSlot) {
     EXPECT_EQ(status.error, LoadError::Truncated) << "prefix " << n;
   }
 
-  // The reserved slot is the last varint, written as the single byte 1.
-  ASSERT_EQ(encoded.back(), '\x01');
-  const auto with_slot = [&](char value) {
+  // The reserved slots are the last two varints, each written as the
+  // single byte 1.
+  ASSERT_GE(encoded.size(), 2u);
+  const std::size_t threads_slot = encoded.size() - 2;
+  const std::size_t shards_slot = encoded.size() - 1;
+  EXPECT_EQ(encoded[threads_slot], '\x01');
+  EXPECT_EQ(encoded[shards_slot], '\x01');
+  const auto with_slot = [&](std::size_t at, char value) {
     std::string bytes = encoded;
-    bytes.back() = value;
+    bytes[at] = value;
     return bytes;
   };
-  {
-    core::PipelineConfig decoded;
-    LoadStatus status;
-    EXPECT_FALSE(decode_config_section(with_slot('\x00'), decoded, &status));
-    EXPECT_EQ(status.error, LoadError::Malformed);
-  }
-  {
-    core::PipelineConfig decoded;
-    LoadStatus status;
-    ASSERT_TRUE(decode_config_section(with_slot('\x04'), decoded, &status))
-        << status.detail;
-    EXPECT_EQ(decoded.parallelism.threads, 3u);
-    EXPECT_EQ(decoded.cc_threshold, 0.44);
+  for (const std::size_t slot : {threads_slot, shards_slot}) {
+    SCOPED_TRACE("slot at byte " + std::to_string(slot));
+    {
+      core::PipelineConfig decoded;
+      LoadStatus status;
+      EXPECT_FALSE(
+          decode_config_section(with_slot(slot, '\x00'), decoded, &status));
+      EXPECT_EQ(status.error, LoadError::Malformed);
+    }
+    {
+      // 8: what a checkpoint saved with `analysis_threads = 8` carries.
+      core::PipelineConfig decoded;
+      LoadStatus status;
+      ASSERT_TRUE(
+          decode_config_section(with_slot(slot, '\x08'), decoded, &status))
+          << status.detail;
+      EXPECT_EQ(decoded.cc_threshold, 0.44);
+      EXPECT_EQ(encode_config_section(decoded), encoded);
+    }
   }
 
   for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
@@ -368,11 +378,24 @@ TEST(ConfigSectionCodecTest, TruncationNonFiniteAndReservedSlot) {
   }
 }
 
-TEST_F(StorageStateTest, EncodeIsIdenticalForAnyThreadCount) {
-  const DetectorState state = sample_state();
-  const std::string one = encode_detector_state(state, 1);
-  const std::string eight = encode_detector_state(state, 8);
-  EXPECT_EQ(one, eight);
+// The on-disk bytes of a default-config checkpoint are pinned: a string
+// table long enough to restart front coding twice (every 1024 entries),
+// histories and intel. Any change to these bytes breaks every checkpoint
+// already on disk.
+TEST_F(StorageStateTest, DefaultConfigEncodingIsPinned) {
+  DetectorState state;
+  std::vector<std::string> domains;
+  for (int i = 0; i < 2500; ++i) {
+    domains.push_back("host-" + std::to_string(i) + ".example.com");
+  }
+  state.domain_history.update(domains);
+  state.ua_history.observe("Mozilla/5.0", "h1");
+  state.ua_history.observe("Mozilla/5.0", "h2");
+  state.intel_domains = {"c2.example", "evil.example"};
+  const std::string bytes = encode_detector_state(state);
+  EXPECT_EQ(bytes.size(), 40329u);
+  EXPECT_EQ(util::crc32(bytes), 0xcf393b9eu);
+  ASSERT_TRUE(decode_detector_state(bytes).has_value());
 }
 
 TEST_F(StorageStateTest, StateWithoutOptionalSections) {
