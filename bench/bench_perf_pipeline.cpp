@@ -1,6 +1,7 @@
 // Throughput benchmarks (google-benchmark) for the stages that must keep
-// up with terabyte-scale daily log volume (§II-C): domain folding, DNS and
-// proxy reduction, graph construction, periodicity testing, rare
+// up with terabyte-scale daily log volume (§II-C): domain folding, proxy
+// line tokenizing, DNS and proxy reduction, a proxy day file through
+// api::TsvFileSource (parse + reduce fused), graph construction, periodicity testing, rare
 // extraction, belief propagation, and the streaming api::Detector facade
 // (chunk-size sweep: throughput must be flat in the chunking).
 //
@@ -9,6 +10,10 @@
 // (bench_throughput_day writes the "throughput" section of the same file).
 #include <benchmark/benchmark.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -19,6 +24,7 @@
 #include "core/scorers.h"
 #include "eval/lanl_runner.h"
 #include "logs/folding.h"
+#include "logs/io.h"
 #include "logs/reduction.h"
 #include "obs/metrics.h"
 #include "sim/enterprise.h"
@@ -54,6 +60,23 @@ void BM_FoldDomain(benchmark::State& state) {
 }
 BENCHMARK(BM_FoldDomain);
 
+void BM_ParseProxyLine(benchmark::State& state) {
+  // One simulated day's proxy lines, tokenized in place into field views.
+  sim::EnterpriseSimulator sim(bench_config(sim::Flavor::Proxy), {});
+  const sim::DayLogs logs = sim.simulate_day(util::make_day(2014, 1, 2));
+  std::vector<std::string> lines;
+  for (const auto& rec : logs.proxy) lines.push_back(logs::format_proxy_line(rec));
+  logs::ProxyFields fields;
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(logs::parse_proxy_fields(lines[i % lines.size()], fields));
+    benchmark::DoNotOptimize(fields);
+    ++i;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ParseProxyLine);
+
 void BM_DnsReduction(benchmark::State& state) {
   sim::EnterpriseSimulator sim(bench_config(sim::Flavor::Dns), {});
   const sim::DayLogs logs = sim.simulate_day(util::make_day(2014, 1, 2));
@@ -79,6 +102,35 @@ void BM_ProxyReduction(benchmark::State& state) {
                           static_cast<std::int64_t>(logs.proxy.size()));
 }
 BENCHMARK(BM_ProxyReduction);
+
+void BM_TsvFileSourceProxyDay(benchmark::State& state) {
+  // A simulated proxy day file read end to end through the fused path:
+  // each line tokenized in place and reduced into a reused event slot, in
+  // default-size chunks. Items are lines.
+  sim::EnterpriseSimulator sim(bench_config(sim::Flavor::Proxy), {});
+  const util::Day day = util::make_day(2014, 1, 2);
+  const sim::DayLogs logs = sim.simulate_day(day);
+  const logs::ProxyReductionConfig config = sim.proxy_reduction_config();
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("eid-bench-proxy-day-" + std::to_string(::getpid()) + ".tsv");
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    for (const auto& rec : logs.proxy) out << logs::format_proxy_line(rec) << '\n';
+  }
+  const auto bytes = static_cast<std::int64_t>(std::filesystem::file_size(path));
+  for (auto _ : state) {
+    api::TsvFileSource source(path, day, sim.dhcp(), config);
+    std::size_t events = 0;
+    while (auto chunk = source.next_chunk()) events += chunk->events.size();
+    benchmark::DoNotOptimize(events);
+  }
+  std::filesystem::remove(path);
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(logs.proxy.size()));
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) * bytes);
+}
+BENCHMARK(BM_TsvFileSourceProxyDay);
 
 void BM_DayGraphBuild(benchmark::State& state) {
   sim::EnterpriseSimulator sim(bench_config(sim::Flavor::Proxy), {});

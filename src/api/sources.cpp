@@ -9,6 +9,7 @@
 #endif
 
 #include "logs/io.h"
+#include "logs/reduction.h"
 #include "obs/metrics.h"
 #include "util/fault_injection.h"
 
@@ -196,13 +197,15 @@ std::optional<EventChunk> TsvFileSource::next_chunk() {
     file_.clear();
     file_.seekg(static_cast<std::streamoff>(stats_.byte_offset));
   }
+  std::optional<logs::ProxyReducer> proxy;
+  if (format_ == Format::Proxy) proxy.emplace(*leases_, proxy_reduction_);
+  const logs::DnsReducer dns(dns_reduction_);
   std::string line;
-  // A chunk of records can reduce to zero events (all dropped); keep
+  // A chunk of lines can reduce to zero events (all dropped); keep
   // reading until something survives or the file is exhausted.
   while (file_) {
-    std::vector<logs::DnsRecord> dns_records;
-    std::vector<logs::ProxyRecord> proxy_records;
     std::size_t parsed = 0;
+    std::size_t kept = 0;
     while (parsed < chunk_records_ && std::getline(file_, line)) {
       if (file_.eof()) {
         // Successful getline that hit eof = final line with no trailing
@@ -219,32 +222,37 @@ std::optional<EventChunk> TsvFileSource::next_chunk() {
       }
       if (line.empty()) continue;
       ++stats_.lines;
+      // Tokenize the line in place and reduce it straight into the next
+      // free slot; only a kept event advances past the slot.
+      if (kept == buffer_.size()) buffer_.emplace_back();
+      logs::ConnEvent& slot = buffer_[kept];
+      bool keep = false;
       if (format_ == Format::Dns) {
-        if (auto rec = logs::parse_dns_line(line)) {
-          dns_records.push_back(std::move(*rec));
-          ++parsed;
-          ++stats_.parsed;
-        } else {
+        logs::DnsFields fields;
+        if (!logs::parse_dns_fields(line, fields)) {
           ++stats_.malformed;
+          continue;
         }
+        keep = dns.reduce(fields, slot) == logs::DnsOutcome::Kept;
       } else {
-        if (auto rec = logs::parse_proxy_line(line)) {
-          proxy_records.push_back(std::move(*rec));
-          ++parsed;
-          ++stats_.parsed;
-        } else {
+        logs::ProxyFields fields;
+        if (!logs::parse_proxy_fields(line, fields)) {
           ++stats_.malformed;
+          continue;
         }
+        keep = logs::is_kept(proxy->reduce(fields, slot));
       }
+      ++parsed;
+      ++stats_.parsed;
+      if (keep) ++kept;
     }
     if (parsed == 0) break;
-    buffer_ = format_ == Format::Dns
-                  ? logs::reduce_dns(dns_records, dns_reduction_)
-                  : logs::reduce_proxy(proxy_records, *leases_, proxy_reduction_);
-    if (!buffer_.empty()) {
-      stats_.events += buffer_.size();
+    const std::span<logs::ConnEvent> events(buffer_.data(), kept);
+    logs::sort_by_time(events, sort_keys_);
+    if (!events.empty()) {
+      stats_.events += events.size();
       publish_stats();
-      return EventChunk{day_, buffer_};
+      return EventChunk{day_, events};
     }
   }
   publish_stats();

@@ -1,10 +1,12 @@
 // Concrete EventSource adapters for the workloads the system ingests:
 //
-//  * TsvFileSource   — replayed TSV log files (logs/io.h line formats),
-//                      parsed and reduced chunk-by-chunk so a multi-
-//                      terabyte file never has to fit in memory. Malformed
-//                      lines follow the std::nullopt contract of
-//                      logs::parse_*: counted, skipped, never aborting.
+//  * TsvFileSource   — replayed TSV log files (logs/io.h line formats).
+//                      Each line is tokenized in place and reduced
+//                      straight into a reused event slot, chunk by chunk,
+//                      so a multi-terabyte file never has to fit in
+//                      memory. Malformed lines (rejected by
+//                      logs::parse_*_fields) are counted, skipped, never
+//                      aborting.
 //  * SimSource       — live simulated enterprise traffic over a day range
 //                      (sim::EnterpriseSimulator), day by day.
 //  * NetflowSource   — NetFlow records attributed through a passive-DNS
@@ -29,20 +31,23 @@
 namespace eid::api {
 
 /// Streams one day's TSV log file (DNS or proxy flavor) as reduced events.
-/// Lines are parsed with logs::parse_dns_line / logs::parse_proxy_line;
-/// each chunk of parsed records goes through the matching logs::reduce_*.
-/// Note: reduce_* orders each chunk by timestamp, so with an unsorted file
-/// the concatenated stream is only chunk-locally ordered — all downstream
-/// analysis is order-independent (edge timestamps are re-sorted at
-/// finalize), so results do not depend on the chunking.
+/// Each line is split into field views (logs::parse_dns_fields /
+/// logs::parse_proxy_fields) and reduced by logs::DnsReducer /
+/// logs::ProxyReducer directly into a reused ConnEvent slot; no owning
+/// record is built. A chunk closes after `chunk_records` parsed lines and
+/// is then sorted by timestamp (logs::sort_by_time), so it equals
+/// logs::reduce_* over the same lines' parse_*_line records. With an
+/// unsorted file the concatenated stream is only chunk-locally ordered —
+/// all downstream analysis is order-independent (edge timestamps are
+/// re-sorted at finalize), so results do not depend on the chunking.
 class TsvFileSource final : public EventSource {
  public:
   /// Per-file ingestion accounting, surfaced to operators (a deployment
   /// must notice a collector that starts writing garbage).
   struct Stats {
     std::size_t lines = 0;      ///< non-empty lines read
-    std::size_t parsed = 0;     ///< lines parsed into records
-    std::size_t malformed = 0;  ///< std::nullopt from logs::parse_*
+    std::size_t parsed = 0;     ///< lines that parsed (kept or not)
+    std::size_t malformed = 0;  ///< lines logs::parse_*_fields rejected
     std::size_t events = 0;     ///< reduced events handed out
     /// Tail mode: times the file was detected as rotated or truncated
     /// (inode/device changed, or it shrank below the cursor) and re-read
@@ -128,7 +133,10 @@ class TsvFileSource final : public EventSource {
   std::ifstream file_;
   Stats stats_;
   Stats published_;  ///< registry counters already cover these amounts
+  /// Event slots, reused chunk after chunk (strings keep their capacity);
+  /// a chunk is the prefix of kept events.
   std::vector<logs::ConnEvent> buffer_;
+  std::vector<logs::TimeKey> sort_keys_;  ///< sort_by_time scratch
   bool empty_marker_sent_ = false;
   bool tail_ = false;
 

@@ -13,10 +13,10 @@ void DhcpTable::add_lease(DhcpLease lease) {
   ++count_;
 }
 
-std::optional<std::string> DhcpTable::resolve(const std::string& ip,
-                                              util::TimePoint ts) const {
+const std::string* DhcpTable::find(std::string_view ip,
+                                   util::TimePoint ts) const {
   auto it = by_ip_.find(ip);
-  if (it == by_ip_.end()) return std::nullopt;
+  if (it == by_ip_.end()) return nullptr;
   auto& slot = it->second;
   if (!slot.sorted) {
     std::stable_sort(slot.leases.begin(), slot.leases.end(),
@@ -31,9 +31,15 @@ std::optional<std::string> DhcpTable::resolve(const std::string& ip,
       [](util::TimePoint t, const DhcpLease& lease) { return t < lease.start; });
   while (upper != slot.leases.begin()) {
     --upper;
-    if (ts < upper->end) return upper->hostname;
+    if (ts < upper->end) return &upper->hostname;
     if (upper->start <= ts) break;  // gap: ts after this lease ended
   }
+  return nullptr;
+}
+
+std::optional<std::string> DhcpTable::resolve(std::string_view ip,
+                                              util::TimePoint ts) const {
+  if (const std::string* hostname = find(ip, ts)) return *hostname;
   return std::nullopt;
 }
 

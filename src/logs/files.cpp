@@ -1,5 +1,6 @@
 #include "logs/files.h"
 
+#include <array>
 #include <charconv>
 #include <fstream>
 
@@ -40,8 +41,8 @@ bool parse_i64_field(std::string_view text, std::int64_t& out) {
 }
 
 std::optional<DhcpLease> parse_dhcp_line(std::string_view line) {
-  const auto fields = util::split(line, '\t');
-  if (fields.size() != 4) return std::nullopt;
+  std::array<std::string_view, 4> fields;
+  if (!util::split_exact(line, '\t', fields)) return std::nullopt;
   DhcpLease lease;
   if (fields[0].empty() || fields[3].empty()) return std::nullopt;
   lease.ip = std::string(fields[0]);

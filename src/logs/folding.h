@@ -13,15 +13,23 @@ namespace eid::logs {
 /// Number of labels kept from the right when folding.
 enum class FoldLevel { SecondLevel = 2, ThirdLevel = 3 };
 
-/// Fold a domain name to the given level. Multi-label public suffixes that
-/// commonly appear in enterprise traffic (co.uk, com.au, ...) keep one extra
-/// label so "news.bbc.co.uk" folds to "bbc.co.uk" rather than "co.uk".
-/// Names with fewer labels than the fold level are returned unchanged.
+/// Fold a domain name to the given level, lowercased. Multi-label public
+/// suffixes that commonly appear in enterprise traffic (co.uk, com.au, ...)
+/// keep one extra label so "news.bbc.co.uk" folds to "bbc.co.uk" rather
+/// than "co.uk", in any letter case. Names with fewer labels than the fold
+/// level are returned whole. Leading and trailing dots are dropped, and so
+/// are the leading dots of the kept tail ("x..com" folds to "com").
 /// Folding is idempotent: fold(fold(x)) == fold(x).
 std::string fold_domain(std::string_view domain,
                         FoldLevel level = FoldLevel::SecondLevel);
 
-/// True if the registrable suffix of the domain spans two labels (co.uk...).
+/// fold_domain written into `out` (replacing its contents), so a reused
+/// string keeps its capacity and folding allocates nothing.
+void fold_domain_into(std::string_view domain, FoldLevel level,
+                      std::string& out);
+
+/// True if the last two labels of the domain are a two-label public suffix
+/// (co.uk...), compared ASCII case-insensitively.
 bool has_two_label_public_suffix(std::string_view domain);
 
 }  // namespace eid::logs

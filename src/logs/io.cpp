@@ -1,5 +1,6 @@
 #include "logs/io.h"
 
+#include <array>
 #include <charconv>
 
 #include "util/strings.h"
@@ -54,19 +55,31 @@ std::string format_dns_line(const DnsRecord& rec) {
   return out;
 }
 
-std::optional<DnsRecord> parse_dns_line(std::string_view line) {
-  const auto fields = util::split(line, '\t');
-  if (fields.size() != 5) return std::nullopt;
-  DnsRecord rec;
-  if (!parse_i64(fields[0], rec.ts)) return std::nullopt;
-  if (fields[1].empty() || fields[2].empty()) return std::nullopt;
-  rec.src = std::string(fields[1]);
-  rec.domain = std::string(fields[2]);
-  rec.type = dns_type_from(fields[3]);
+bool parse_dns_fields(std::string_view line, DnsFields& out) {
+  std::array<std::string_view, 5> fields;
+  if (!util::split_exact(line, '\t', fields)) return false;
+  if (!parse_i64(fields[0], out.ts)) return false;
+  if (fields[1].empty() || fields[2].empty()) return false;
+  out.src = fields[1];
+  out.domain = fields[2];
+  out.type = dns_type_from(fields[3]);
+  out.response_ip.reset();
   if (fields[4] != "-") {
-    rec.response_ip = util::parse_ipv4(fields[4]);
-    if (!rec.response_ip) return std::nullopt;
+    out.response_ip = util::parse_ipv4(fields[4]);
+    if (!out.response_ip) return false;
   }
+  return true;
+}
+
+std::optional<DnsRecord> parse_dns_line(std::string_view line) {
+  DnsFields fields;
+  if (!parse_dns_fields(line, fields)) return std::nullopt;
+  DnsRecord rec;
+  rec.ts = fields.ts;
+  rec.src = std::string(fields.src);
+  rec.domain = std::string(fields.domain);
+  rec.type = fields.type;
+  rec.response_ip = fields.response_ip;
   return rec;
 }
 
@@ -89,27 +102,45 @@ std::string format_proxy_line(const ProxyRecord& rec) {
   return out;
 }
 
-std::optional<ProxyRecord> parse_proxy_line(std::string_view line) {
-  const auto fields = util::split(line, '\t');
-  if (fields.size() != 11) return std::nullopt;
+bool parse_proxy_fields(std::string_view line, ProxyFields& out) {
+  std::array<std::string_view, 11> fields;
+  if (!util::split_exact(line, '\t', fields)) return false;
   const auto value = [](std::string_view field) {
-    return field == "-" ? std::string() : std::string(field);
+    return field == "-" ? std::string_view() : field;
   };
-  ProxyRecord rec;
-  if (!parse_i64(fields[0], rec.ts)) return std::nullopt;
-  rec.collector = value(fields[1]);
-  rec.src_ip = value(fields[2]);
-  rec.hostname = value(fields[3]);
-  rec.domain = value(fields[4]);
+  if (!parse_i64(fields[0], out.ts)) return false;
+  out.collector = value(fields[1]);
+  out.src_ip = value(fields[2]);
+  out.hostname = value(fields[3]);
+  out.domain = value(fields[4]);
+  out.dest_ip.reset();
   if (fields[5] != "-") {
-    rec.dest_ip = util::parse_ipv4(fields[5]);
-    if (!rec.dest_ip) return std::nullopt;
+    out.dest_ip = util::parse_ipv4(fields[5]);
+    if (!out.dest_ip) return false;
   }
-  rec.url_path = value(fields[6]);
-  rec.method = method_from(fields[7]);
-  if (!parse_int(fields[8], rec.status)) return std::nullopt;
-  rec.user_agent = value(fields[9]);
-  rec.referer = value(fields[10]);
+  out.url_path = value(fields[6]);
+  out.method = method_from(fields[7]);
+  if (!parse_int(fields[8], out.status)) return false;
+  out.user_agent = value(fields[9]);
+  out.referer = value(fields[10]);
+  return true;
+}
+
+std::optional<ProxyRecord> parse_proxy_line(std::string_view line) {
+  ProxyFields fields;
+  if (!parse_proxy_fields(line, fields)) return std::nullopt;
+  ProxyRecord rec;
+  rec.ts = fields.ts;
+  rec.collector = std::string(fields.collector);
+  rec.src_ip = std::string(fields.src_ip);
+  rec.hostname = std::string(fields.hostname);
+  rec.domain = std::string(fields.domain);
+  rec.dest_ip = fields.dest_ip;
+  rec.url_path = std::string(fields.url_path);
+  rec.method = fields.method;
+  rec.status = fields.status;
+  rec.user_agent = std::string(fields.user_agent);
+  rec.referer = std::string(fields.referer);
   return rec;
 }
 

@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <string_view>
 
 #include "util/ipv4.h"
 #include "util/time.h"
@@ -28,6 +29,16 @@ struct DnsRecord {
   std::optional<util::Ipv4> response_ip;  ///< A-record answer, when present
 };
 
+/// A DnsRecord's fields as views into the text they were parsed from (or
+/// into a DnsRecord); valid only while that text is.
+struct DnsFields {
+  util::TimePoint ts = 0;
+  std::string_view src;
+  std::string_view domain;
+  DnsType type = DnsType::A;
+  std::optional<util::Ipv4> response_ip;
+};
+
 /// HTTP methods that appear in enterprise proxy logs.
 enum class HttpMethod : std::uint8_t { Get, Post, Head, Put, Connect, Other };
 
@@ -46,6 +57,22 @@ struct ProxyRecord {
   int status = 200;
   std::string user_agent;        ///< "" when the client sent no UA
   std::string referer;           ///< "" when the request carried no referer
+};
+
+/// A ProxyRecord's fields as views, with ProxyRecord's meaning ("" for a
+/// "-" field); valid only while the viewed text is.
+struct ProxyFields {
+  util::TimePoint ts = 0;
+  std::string_view collector;
+  std::string_view src_ip;
+  std::string_view hostname;
+  std::string_view domain;
+  std::optional<util::Ipv4> dest_ip;
+  std::string_view url_path;
+  HttpMethod method = HttpMethod::Get;
+  int status = 200;
+  std::string_view user_agent;
+  std::string_view referer;
 };
 
 /// Canonical reduced event: one observed connection from an internal host to

@@ -8,17 +8,24 @@
 // Proxy (AC): normalize collector-local timestamps to UTC, resolve DHCP/VPN
 // source addresses to stable hostnames, drop IP-literal destinations, fold
 // domains, and extract the fields used downstream (UA, referer, status).
+//
+// Both flavors have one per-record implementation (DnsReducer /
+// ProxyReducer) that reduces a record's field views straight into a
+// caller-owned ConnEvent. reduce_dns / reduce_proxy loop it over owned
+// records; api::TsvFileSource runs it on each line as it is tokenized.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
-#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "logs/dhcp.h"
 #include "logs/folding.h"
 #include "logs/records.h"
+#include "util/interner.h"
 
 namespace eid::logs {
 
@@ -29,7 +36,7 @@ struct DnsReductionConfig {
   std::vector<std::string> internal_suffixes;
   /// Source hosts that are internal servers (their queries are dropped,
   /// since the detector targets client compromise).
-  std::unordered_set<std::string> internal_servers;
+  util::TransparentStringSet internal_servers;
   /// LANL domain names are anonymized, so the paper folds to third level.
   FoldLevel fold_level = FoldLevel::ThirdLevel;
 };
@@ -48,7 +55,31 @@ struct DnsReductionStats {
   std::size_t hosts_after_server_filter = 0;
 };
 
-/// Reduce one day of DNS records to the canonical event stream.
+/// How far one DNS record got through the reduction.
+enum class DnsOutcome : std::uint8_t {
+  NotA,            ///< dropped: not an A record
+  InternalQuery,   ///< dropped after folding: an internal resource
+  InternalServer,  ///< dropped after folding: queried by an internal server
+  Kept,
+};
+
+/// Per-record DNS reduction. The config must outlive the reducer.
+class DnsReducer {
+ public:
+  explicit DnsReducer(const DnsReductionConfig& config) : config_(&config) {}
+
+  /// Reduce `rec` into `out`. Every outcome but NotA leaves the folded
+  /// domain in `out.domain`; Kept writes every field of `out`. Strings are
+  /// assigned, so a reused `out` keeps its capacity.
+  DnsOutcome reduce(const DnsFields& rec, ConnEvent& out) const;
+
+ private:
+  const DnsReductionConfig* config_;
+};
+
+/// Reduce one day of DNS records to the canonical event stream, in
+/// timestamp order. The distinct-domain and -host counts are only
+/// computed when `stats` is given.
 std::vector<ConnEvent> reduce_dns(std::span<const DnsRecord> records,
                                   const DnsReductionConfig& config,
                                   DnsReductionStats* stats = nullptr);
@@ -74,10 +105,50 @@ struct ProxyReductionStats {
   std::size_t hosts_all = 0;
 };
 
-/// Normalize and reduce one day of proxy records.
+/// How far one proxy record got through the reduction.
+enum class ProxyOutcome : std::uint8_t {
+  IpLiteral,       ///< dropped: the destination is empty or an IP literal
+  Unresolved,      ///< dropped: no lease, and keep_unresolved_sources is off
+  KeptUnresolved,  ///< kept under its raw source address (no lease)
+  KeptResolved,    ///< kept under its hostname or leased name
+};
+
+constexpr bool is_kept(ProxyOutcome outcome) {
+  return outcome == ProxyOutcome::KeptUnresolved ||
+         outcome == ProxyOutcome::KeptResolved;
+}
+
+/// Per-record proxy normalization + reduction. The leases and the config
+/// must outlive the reducer.
+class ProxyReducer {
+ public:
+  ProxyReducer(const DhcpTable& leases, const ProxyReductionConfig& config)
+      : leases_(&leases), config_(&config) {}
+
+  /// Reduce `rec` into `out`; a kept outcome writes every field of `out`.
+  /// Strings are assigned, so a reused `out` keeps its capacity.
+  ProxyOutcome reduce(const ProxyFields& rec, ConnEvent& out) const;
+
+ private:
+  const DhcpTable* leases_;
+  const ProxyReductionConfig* config_;
+};
+
+/// Normalize and reduce one day of proxy records, in timestamp order. The
+/// distinct-domain and -host counts are only computed when `stats` is
+/// given.
 std::vector<ConnEvent> reduce_proxy(std::span<const ProxyRecord> records,
                                     const DhcpTable& leases,
                                     const ProxyReductionConfig& config,
                                     ProxyReductionStats* stats = nullptr);
+
+/// A timestamp and the position of its event: sort_by_time's sort key.
+using TimeKey = std::pair<util::TimePoint, std::size_t>;
+
+/// Stable sort by timestamp (equal timestamps keep their order). Returns
+/// at once when `events` is already sorted; otherwise sorts one key per
+/// event and moves each event once to its place. `keys` is scratch a
+/// caller may reuse across calls.
+void sort_by_time(std::span<ConnEvent> events, std::vector<TimeKey>& keys);
 
 }  // namespace eid::logs

@@ -2,8 +2,6 @@
 
 #include <cstdio>
 
-#include "util/strings.h"
-
 namespace eid::util {
 
 std::string format_ipv4(Ipv4 ip) {
@@ -14,16 +12,25 @@ std::string format_ipv4(Ipv4 ip) {
 }
 
 std::optional<Ipv4> parse_ipv4(std::string_view text) {
-  const auto parts = split(text, '.');
-  if (parts.size() != 4) return std::nullopt;
+  // One left-to-right scan: four dot-separated runs of 1-3 ASCII digits,
+  // each at most 255, and nothing after the last.
   std::uint32_t value = 0;
-  for (const auto part : parts) {
-    if (!is_all_digits(part) || part.size() > 3) return std::nullopt;
+  std::size_t i = 0;
+  for (int octet_index = 0; octet_index < 4; ++octet_index) {
+    if (octet_index > 0) {
+      if (i == text.size() || text[i] != '.') return std::nullopt;
+      ++i;
+    }
     std::uint32_t octet = 0;
-    for (char c : part) octet = octet * 10 + static_cast<std::uint32_t>(c - '0');
-    if (octet > 255) return std::nullopt;
+    std::size_t digits = 0;
+    for (; i < text.size() && text[i] >= '0' && text[i] <= '9'; ++i) {
+      if (++digits > 3) return std::nullopt;
+      octet = octet * 10 + static_cast<std::uint32_t>(text[i] - '0');
+    }
+    if (digits == 0 || octet > 255) return std::nullopt;
     value = (value << 8) | octet;
   }
+  if (i != text.size()) return std::nullopt;
   return Ipv4{value};
 }
 

@@ -4,16 +4,19 @@
 
 namespace eid::util {
 
-std::vector<std::string_view> split(std::string_view text, char delim) {
-  std::vector<std::string_view> out;
-  std::size_t start = 0;
-  for (std::size_t i = 0; i <= text.size(); ++i) {
-    if (i == text.size() || text[i] == delim) {
-      out.push_back(text.substr(start, i - start));
-      start = i + 1;
-    }
+bool split_exact(std::string_view text, char delim,
+                 std::span<std::string_view> fields) {
+  if (fields.empty()) return false;  // any text is at least one piece
+  const std::size_t last = fields.size() - 1;
+  for (std::size_t i = 0; i < last; ++i) {
+    const std::size_t at = text.find(delim);
+    if (at == std::string_view::npos) return false;
+    fields[i] = text.substr(0, at);
+    text.remove_prefix(at + 1);
   }
-  return out;
+  if (text.find(delim) != std::string_view::npos) return false;
+  fields[last] = text;
+  return true;
 }
 
 std::string_view trim(std::string_view text) {
@@ -46,14 +49,6 @@ bool starts_with(std::string_view text, std::string_view prefix) {
 bool ends_with(std::string_view text, std::string_view suffix) {
   return text.size() >= suffix.size() &&
          text.substr(text.size() - suffix.size()) == suffix;
-}
-
-bool is_all_digits(std::string_view text) {
-  if (text.empty()) return false;
-  for (char c : text) {
-    if (!std::isdigit(static_cast<unsigned char>(c))) return false;
-  }
-  return true;
 }
 
 }  // namespace eid::util

@@ -1,14 +1,20 @@
 // Small string utilities shared by parsers and the simulator.
 #pragma once
 
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace eid::util {
 
-/// Split on a single-character delimiter; empty fields are preserved.
-std::vector<std::string_view> split(std::string_view text, char delim);
+/// Split on a single-character delimiter into exactly `fields.size()`
+/// pieces, empty ones included, without allocating: true and `fields`
+/// filled with views into `text` when `text` holds exactly
+/// `fields.size() - 1` delimiters, false otherwise (`fields` is then
+/// unspecified). "" is one empty piece.
+bool split_exact(std::string_view text, char delim,
+                 std::span<std::string_view> fields);
 
 /// Trim ASCII whitespace from both ends.
 std::string_view trim(std::string_view text);
@@ -21,8 +27,5 @@ std::string join(const std::vector<std::string>& pieces, std::string_view sep);
 
 bool starts_with(std::string_view text, std::string_view prefix);
 bool ends_with(std::string_view text, std::string_view suffix);
-
-/// True if every character is an ASCII digit (and text is non-empty).
-bool is_all_digits(std::string_view text);
 
 }  // namespace eid::util

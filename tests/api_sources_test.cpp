@@ -7,14 +7,19 @@
 
 #include <unistd.h>
 
+#include <array>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <span>
+#include <sstream>
+#include <string_view>
 
 #include "api/event_source.h"
 #include "logs/files.h"
 #include "logs/io.h"
 #include "test_helpers.h"
+#include "util/rng.h"
 
 namespace eid::api {
 namespace {
@@ -279,6 +284,265 @@ TEST_F(TsvFileSourceTest, TailSuppressesEmptyDayMarker) {
   ASSERT_TRUE(marker.has_value());
   EXPECT_TRUE(marker->events.empty());
   EXPECT_FALSE(batch.next_chunk().has_value());
+}
+
+// ---- TsvFileSource vs parse_*_line + reduce_* ----
+//
+// The fused source (lines tokenized in place and reduced straight into
+// reused slots) must hand out, chunk for chunk, what the owning path
+// produces: parse_*_line on every non-empty line, the parsed records cut
+// into runs of `chunk_records`, reduce_* over each run, runs that reduce to
+// nothing skipped. Stats must agree too.
+
+namespace {
+
+struct OwningPath {
+  std::vector<std::vector<logs::ConnEvent>> chunks;
+  std::size_t lines = 0;
+  std::size_t parsed = 0;
+  std::size_t malformed = 0;
+  std::size_t events = 0;
+};
+
+template <typename Record, typename Parse, typename Reduce>
+OwningPath owning_path(std::string_view text, std::size_t chunk_records,
+                       Parse parse, Reduce reduce) {
+  OwningPath out;
+  std::vector<Record> run;
+  const auto flush = [&] {
+    if (run.empty()) return;
+    std::vector<logs::ConnEvent> events = reduce(std::span<const Record>(run));
+    run.clear();
+    out.events += events.size();
+    if (!events.empty()) out.chunks.push_back(std::move(events));
+  };
+  std::istringstream in{std::string(text)};
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty()) continue;
+    ++out.lines;
+    if (std::optional<Record> rec = parse(line)) {
+      run.push_back(std::move(*rec));
+      ++out.parsed;
+      if (run.size() == chunk_records) flush();
+    } else {
+      ++out.malformed;
+    }
+  }
+  flush();
+  return out;
+}
+
+std::vector<std::vector<logs::ConnEvent>> chunks_of(TsvFileSource& source) {
+  std::vector<std::vector<logs::ConnEvent>> out;
+  while (auto chunk = source.next_chunk()) {
+    out.emplace_back(chunk->events.begin(), chunk->events.end());
+  }
+  return out;
+}
+
+void expect_same_chunks(const std::vector<std::vector<logs::ConnEvent>>& actual,
+                        const std::vector<std::vector<logs::ConnEvent>>& expected) {
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t c = 0; c < expected.size(); ++c) {
+    ASSERT_EQ(actual[c].size(), expected[c].size()) << "chunk " << c;
+    for (std::size_t i = 0; i < expected[c].size(); ++i) {
+      EXPECT_TRUE(same_event(actual[c][i], expected[c][i]))
+          << "chunk " << c << " event " << i;
+    }
+  }
+}
+
+void expect_stats(const TsvFileSource::Stats& stats, const OwningPath& expected) {
+  EXPECT_EQ(stats.lines, expected.lines);
+  EXPECT_EQ(stats.parsed, expected.parsed);
+  EXPECT_EQ(stats.malformed, expected.malformed);
+  EXPECT_EQ(stats.events, expected.events);
+}
+
+/// A day of proxy lines covering every reduction branch: out-of-order
+/// timestamps, collectors with, without and with a duplicated UTC offset,
+/// DHCP-resolved, unresolved and named sources, IP-literal, "-" and
+/// uppercase domains, blank and malformed lines. The last line is torn:
+/// `torn_tail` is what the file holds of it, without a newline, and
+/// `torn_rest` the rest of it, newline included.
+std::string proxy_corpus(std::string* torn_tail, std::string* torn_rest) {
+  util::Rng rng(0x7f11e);
+  constexpr std::array<const char*, 4> kCollectors = {"px-eu", "px-us", "px-ap", ""};
+  constexpr std::array<const char*, 8> kDomains = {
+      "News.BBC.CO.UK", "www.example.com", "10.9.8.7", "",
+      "x..com",         "CDN.Shop.com.au", "a.b.c.evil.ru", "WWW.EXAMPLE.COM"};
+  std::string text;
+  for (int i = 0; i < 400; ++i) {
+    logs::ProxyRecord rec;
+    rec.ts = rng.uniform_int(0, 20000);
+    rec.collector = kCollectors[rng.index(kCollectors.size())];
+    rec.src_ip = "10.0.0." + std::to_string(1 + rng.index(8));
+    if (rng.chance(0.2)) rec.hostname = "WS-Named.Corp";
+    rec.domain = kDomains[rng.index(kDomains.size())];
+    if (rng.chance(0.5)) rec.dest_ip = util::Ipv4::from_octets(93, 184, 216, 34);
+    rec.url_path = "/p" + std::to_string(i);
+    rec.user_agent = rng.chance(0.7) ? "Mozilla/5.0" : "";
+    rec.referer = rng.chance(0.5) ? "start.example.com" : "";
+    text += logs::format_proxy_line(rec) + '\n';
+    if (i % 37 == 0) text += "garbage line without tabs\n";
+    if (i % 53 == 0) text += '\n';
+  }
+  logs::ProxyRecord last;
+  last.ts = 42;
+  last.src_ip = "10.0.0.2";
+  last.domain = "torn.example.org";
+  last.user_agent = "Mozilla/5.0";
+  const std::string line = logs::format_proxy_line(last);
+  *torn_tail = line.substr(0, line.size() - 3);  // mid-UA: a malformed line
+  *torn_rest = line.substr(line.size() - 3) + '\n';
+  return text + *torn_tail;
+}
+
+logs::DhcpTable proxy_leases() {
+  logs::DhcpTable leases;
+  for (int i = 2; i <= 8; i += 2) {
+    leases.add_lease({"10.0.0." + std::to_string(i), -100000, 8000,
+                      "ws-" + std::to_string(i) + ".corp"});
+  }
+  leases.add_lease({"10.0.0.2", 12000, 30000, "ws-2b.corp"});  // after a gap
+  return leases;
+}
+
+logs::ProxyReductionConfig proxy_config(bool keep_unresolved) {
+  logs::ProxyReductionConfig config;
+  config.collector_utc_offsets = {{"px-eu", 3600}, {"px-us", -18000}, {"px-eu", 7200}};
+  config.keep_unresolved_sources = keep_unresolved;
+  return config;
+}
+
+std::string dns_corpus() {
+  util::Rng rng(0xd115);
+  constexpr std::array<const char*, 6> kDomains = {
+      "Mail.CORP.internal", "www.example.com", "News.BBC.CO.UK",
+      "x..com",             "a.b.c.d.evil.ru",  "single"};
+  constexpr std::array<const char*, 3> kSources = {"C17", "dns-relay", "10.1.1.1"};
+  std::string text;
+  for (int i = 0; i < 300; ++i) {
+    logs::DnsRecord rec;
+    rec.ts = rng.uniform_int(0, 20000);
+    rec.src = kSources[rng.index(kSources.size())];
+    rec.domain = kDomains[rng.index(kDomains.size())];
+    rec.type = rng.chance(0.7) ? logs::DnsType::A : logs::DnsType::AAAA;
+    if (rng.chance(0.5)) rec.response_ip = util::Ipv4::from_octets(1, 2, 3, 4);
+    text += logs::format_dns_line(rec) + '\n';
+    if (i % 41 == 0) text += "1\tC1\tbad.ip.com\tA\t300.1.1.1\n";
+  }
+  return text + "7\tC1\ttorn.example";  // torn: three of five fields
+}
+
+logs::DnsReductionConfig dns_config() {
+  logs::DnsReductionConfig config;
+  config.internal_suffixes = {"corp.internal"};
+  config.internal_servers = {"dns-relay"};
+  return config;
+}
+
+}  // namespace
+
+TEST_F(TsvFileSourceTest, ProxyChunksMatchTheOwningPath) {
+  std::string torn;
+  std::string rest;
+  const std::string text = proxy_corpus(&torn, &rest);
+  const auto path = dir_ / "proxy-diff.tsv";
+  { std::ofstream(path, std::ios::binary) << text; }
+  const logs::DhcpTable leases = proxy_leases();
+
+  // The corpus reaches every branch it is meant to.
+  std::vector<logs::ProxyRecord> all;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    if (auto rec = logs::parse_proxy_line(line)) all.push_back(std::move(*rec));
+  }
+  logs::ProxyReductionStats branch;
+  logs::reduce_proxy(all, leases, proxy_config(true), &branch);
+  EXPECT_GT(branch.ip_literal_destinations, 0u);
+  EXPECT_GT(branch.resolved_sources, 0u);
+  EXPECT_GT(branch.unresolved_sources, 0u);
+
+  for (const bool keep_unresolved : {true, false}) {
+    const logs::ProxyReductionConfig config = proxy_config(keep_unresolved);
+    for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+      SCOPED_TRACE("chunk " + std::to_string(chunk) + " keep_unresolved " +
+                   std::to_string(keep_unresolved));
+      const OwningPath expected = owning_path<logs::ProxyRecord>(
+          text, chunk, logs::parse_proxy_line,
+          [&](std::span<const logs::ProxyRecord> records) {
+            return logs::reduce_proxy(records, leases, config);
+          });
+      TsvFileSource source(path, 3, leases, config, chunk);
+      expect_same_chunks(chunks_of(source), expected.chunks);
+      expect_stats(source.stats(), expected);
+      EXPECT_EQ(source.stats().malformed, 12u);  // 11 garbage + the torn tail
+      EXPECT_EQ(source.stats().byte_offset, text.size());
+      EXPECT_EQ(source.stats().partial_line_bytes, 0u);
+    }
+  }
+}
+
+TEST_F(TsvFileSourceTest, DnsChunksMatchTheOwningPath) {
+  const std::string text = dns_corpus();
+  const auto path = dir_ / "dns-diff.tsv";
+  { std::ofstream(path, std::ios::binary) << text; }
+  const logs::DnsReductionConfig config = dns_config();
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    const OwningPath expected = owning_path<logs::DnsRecord>(
+        text, chunk, logs::parse_dns_line,
+        [&](std::span<const logs::DnsRecord> records) {
+          return logs::reduce_dns(records, config);
+        });
+    TsvFileSource source(path, 3, config, chunk);
+    expect_same_chunks(chunks_of(source), expected.chunks);
+    expect_stats(source.stats(), expected);
+    EXPECT_EQ(source.stats().malformed, 9u);  // 8 bad response ips + the torn tail
+    EXPECT_EQ(source.stats().byte_offset, text.size());
+  }
+}
+
+TEST_F(TsvFileSourceTest, TailChunksMatchTheOwningPathAroundATornLine) {
+  std::string torn;
+  std::string rest;
+  const std::string text = proxy_corpus(&torn, &rest);
+  const std::string complete = text.substr(0, text.size() - torn.size());
+  const auto path = dir_ / "proxy-tail-diff.tsv";
+  { std::ofstream(path, std::ios::binary) << text; }
+  const logs::DhcpTable leases = proxy_leases();
+  const logs::ProxyReductionConfig config = proxy_config(true);
+  const auto reduce = [&](std::span<const logs::ProxyRecord> records) {
+    return logs::reduce_proxy(records, leases, config);
+  };
+
+  for (const std::size_t chunk : {std::size_t{1}, std::size_t{7}, std::size_t{4096}}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    { std::ofstream(path, std::ios::binary | std::ios::trunc) << text; }
+    TsvFileSource source(path, 3, leases, config, chunk);
+    source.set_tail(true);
+    // The torn last line is left alone: neither parsed nor malformed.
+    const OwningPath before = owning_path<logs::ProxyRecord>(
+        complete, chunk, logs::parse_proxy_line, reduce);
+    expect_same_chunks(chunks_of(source), before.chunks);
+    expect_stats(source.stats(), before);
+    EXPECT_EQ(source.stats().byte_offset, complete.size());
+    EXPECT_EQ(source.stats().partial_line_bytes, torn.size());
+
+    // Its remainder lands: the whole line is read again and reduced alone.
+    { std::ofstream(path, std::ios::binary | std::ios::app) << rest; }
+    const OwningPath after = owning_path<logs::ProxyRecord>(
+        torn + rest, chunk, logs::parse_proxy_line, reduce);
+    ASSERT_EQ(after.parsed, 1u);
+    expect_same_chunks(chunks_of(source), after.chunks);
+    EXPECT_EQ(source.stats().parsed, before.parsed + 1);
+    EXPECT_EQ(source.stats().malformed, before.malformed);
+    EXPECT_EQ(source.stats().events, before.events + after.events);
+    EXPECT_EQ(source.stats().byte_offset, text.size() + rest.size());
+    EXPECT_EQ(source.stats().partial_line_bytes, 0u);
+  }
 }
 
 // ---- SimSource ----

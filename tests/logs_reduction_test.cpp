@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace eid::logs {
 namespace {
 
@@ -132,6 +134,35 @@ TEST(ProxyReductionTest, NormalizesCollectorTimezones) {
   EXPECT_EQ(events[0].ts, 10000 - 3600);
 }
 
+TEST(ProxyReductionTest, DuplicateCollectorKeepsItsFirstOffset) {
+  DhcpTable leases;
+  ProxyReductionConfig config;
+  config.collector_utc_offsets = {{"px-east", 3600}, {"px-east", 7200}};
+  ProxyRecord rec = proxy(10000, "10.0.0.1", "example.com");
+  rec.collector = "px-east";
+  const auto events = reduce_proxy({{rec}}, leases, config);
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].ts, 10000 - 3600);
+}
+
+TEST(ProxyReductionTest, CollectorOffsetSaturatesAtTheTimestampRange) {
+  // Any 64-bit timestamp parses; normalizing one at the edge of the range
+  // clamps instead of overflowing.
+  DhcpTable leases;
+  ProxyReductionConfig config;
+  config.collector_utc_offsets = {{"px-west", -18000}, {"px-east", 3600}};
+  ProxyRecord late = proxy(std::numeric_limits<util::TimePoint>::max() - 5,
+                           "10.0.0.1", "example.com");
+  late.collector = "px-west";
+  ProxyRecord early = proxy(std::numeric_limits<util::TimePoint>::min() + 5,
+                            "10.0.0.1", "example.com");
+  early.collector = "px-east";
+  const auto events = reduce_proxy({{late, early}}, leases, config);
+  ASSERT_EQ(events.size(), 2u);
+  EXPECT_EQ(events[0].ts, std::numeric_limits<util::TimePoint>::min());
+  EXPECT_EQ(events[1].ts, std::numeric_limits<util::TimePoint>::max());
+}
+
 TEST(ProxyReductionTest, ResolvesDhcpSources) {
   DhcpTable leases;
   leases.add_lease({"10.0.0.1", 0, 100000, "ws-7.corp"});
@@ -183,6 +214,69 @@ TEST(ProxyReductionTest, CarriesHttpContext) {
   EXPECT_EQ(events[0].user_agent, "UA");
   EXPECT_FALSE(events[1].has_referer);
   EXPECT_TRUE(events[1].user_agent.empty());
+}
+
+TEST(ProxyReductionTest, ReducerOverwritesEveryFieldOfAReusedSlot) {
+  DhcpTable leases;
+  const ProxyReductionConfig config;
+  const ProxyReducer reducer(leases, config);
+  ConnEvent slot;
+  slot.ts = 99;
+  slot.host = "stale-host-with-a-long-name.corp";
+  slot.domain = "stale.example.org";
+  slot.dest_ip = util::Ipv4::from_octets(9, 9, 9, 9);
+  slot.user_agent = "stale UA";
+  slot.has_referer = true;
+  ProxyFields fields;
+  fields.ts = 7;
+  fields.src_ip = "10.0.0.3";
+  fields.domain = "WWW.Example.COM";
+  EXPECT_EQ(reducer.reduce(fields, slot), ProxyOutcome::KeptUnresolved);
+  EXPECT_EQ(slot.ts, 7);
+  EXPECT_EQ(slot.host, "10.0.0.3");
+  EXPECT_EQ(slot.domain, "example.com");
+  EXPECT_FALSE(slot.dest_ip.has_value());
+  EXPECT_TRUE(slot.user_agent.empty());
+  EXPECT_FALSE(slot.has_referer);
+  EXPECT_TRUE(slot.has_http_context);
+
+  // A DNS reduction into the same slot clears the HTTP context.
+  const DnsReductionConfig dns_config;
+  DnsFields dns_fields;
+  dns_fields.ts = 8;
+  dns_fields.src = "h9";
+  dns_fields.domain = "a.b.c.example.com";
+  EXPECT_EQ(DnsReducer(dns_config).reduce(dns_fields, slot), DnsOutcome::Kept);
+  EXPECT_EQ(slot.host, "h9");
+  EXPECT_EQ(slot.domain, "c.example.com");
+  EXPECT_TRUE(slot.user_agent.empty());
+  EXPECT_FALSE(slot.has_referer);
+  EXPECT_FALSE(slot.has_http_context);
+}
+
+ConnEvent at(util::TimePoint ts, int tag) {
+  ConnEvent ev;
+  ev.ts = ts;
+  ev.host = "h" + std::to_string(tag);
+  return ev;
+}
+
+TEST(SortByTimeTest, StableAndReusesItsKeys) {
+  std::vector<ConnEvent> events = {at(5, 0), at(3, 1), at(5, 2), at(1, 3),
+                                   at(3, 4), at(9, 5), at(1, 6)};
+  std::vector<TimeKey> keys;
+  sort_by_time(events, keys);
+  const std::vector<std::string> order = {"h3", "h6", "h1", "h4", "h0", "h2", "h5"};
+  ASSERT_EQ(events.size(), order.size());
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(events[i].host, order[i]);
+
+  // Sorted input is left as it is; a shorter span reuses the same keys.
+  sort_by_time(events, keys);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(events[i].host, order[i]);
+  std::vector<ConnEvent> two = {at(2, 0), at(1, 1)};
+  sort_by_time(two, keys);
+  EXPECT_EQ(two[0].host, "h1");
+  EXPECT_EQ(two[1].host, "h0");
 }
 
 }  // namespace

@@ -21,6 +21,17 @@ TEST(Ipv4Test, ParseRejectsMalformed) {
   EXPECT_FALSE(parse_ipv4("1.2.3.x").has_value());
   EXPECT_FALSE(parse_ipv4("a.b.c.d").has_value());
   EXPECT_FALSE(parse_ipv4("1..2.3").has_value());
+  EXPECT_FALSE(parse_ipv4("1234.1.1.1").has_value());   // 4-digit octet
+  EXPECT_FALSE(parse_ipv4("1.2.3.0255").has_value());
+  EXPECT_FALSE(parse_ipv4("1.2.3.4.").has_value());
+  EXPECT_FALSE(parse_ipv4(".1.2.3.4").has_value());
+  EXPECT_FALSE(parse_ipv4("1.2.3.-4").has_value());
+  EXPECT_FALSE(parse_ipv4("1.2.3. 4").has_value());
+}
+
+TEST(Ipv4Test, ParseAcceptsLeadingZeros) {
+  EXPECT_EQ(parse_ipv4("010.001.000.009"), Ipv4::from_octets(10, 1, 0, 9));
+  EXPECT_EQ(parse_ipv4("1.2.3.255"), Ipv4::from_octets(1, 2, 3, 255));
 }
 
 TEST(Ipv4Test, ParseBoundaries) {

@@ -2,28 +2,38 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+
 namespace eid::util {
 namespace {
 
-TEST(StringsTest, SplitBasic) {
-  const auto parts = split("a,b,c", ',');
-  ASSERT_EQ(parts.size(), 3u);
-  EXPECT_EQ(parts[0], "a");
-  EXPECT_EQ(parts[1], "b");
-  EXPECT_EQ(parts[2], "c");
+TEST(StringsTest, SplitExactFillsEveryField) {
+  std::array<std::string_view, 3> three;
+  ASSERT_TRUE(split_exact("a,b,c", ',', three));
+  EXPECT_EQ(three[0], "a");
+  EXPECT_EQ(three[1], "b");
+  EXPECT_EQ(three[2], "c");
 }
 
-TEST(StringsTest, SplitPreservesEmptyFields) {
-  const auto parts = split("a,,c,", ',');
-  ASSERT_EQ(parts.size(), 4u);
-  EXPECT_EQ(parts[1], "");
-  EXPECT_EQ(parts[3], "");
+TEST(StringsTest, SplitExactPreservesEmptyFields) {
+  std::array<std::string_view, 4> four;
+  ASSERT_TRUE(split_exact("a,,c,", ',', four));
+  EXPECT_EQ(four[0], "a");
+  EXPECT_EQ(four[1], "");
+  EXPECT_EQ(four[2], "c");
+  EXPECT_EQ(four[3], "");
+  std::array<std::string_view, 1> one;
+  ASSERT_TRUE(split_exact("", ',', one));  // one empty field
+  EXPECT_EQ(one[0], "");
 }
 
-TEST(StringsTest, SplitEmptyStringYieldsOneEmptyField) {
-  const auto parts = split("", ',');
-  ASSERT_EQ(parts.size(), 1u);
-  EXPECT_EQ(parts[0], "");
+TEST(StringsTest, SplitExactRejectsAnyOtherFieldCount) {
+  std::array<std::string_view, 3> three;
+  for (const char* text : {"", "abc", "a,b", "a,b,c,", ",,,", "a,b,c,d"}) {
+    EXPECT_FALSE(split_exact(text, ',', three)) << text;
+  }
+  EXPECT_TRUE(split_exact(",,", ',', three));
+  EXPECT_FALSE(split_exact("a", ',', std::span<std::string_view>()));
 }
 
 TEST(StringsTest, TrimWhitespace) {
@@ -49,13 +59,6 @@ TEST(StringsTest, StartsEndsWith) {
   EXPECT_FALSE(starts_with("example.com", "www."));
   EXPECT_TRUE(ends_with("evil.example.com", ".example.com"));
   EXPECT_FALSE(ends_with("com", ".example.com"));
-}
-
-TEST(StringsTest, IsAllDigits) {
-  EXPECT_TRUE(is_all_digits("0123456789"));
-  EXPECT_FALSE(is_all_digits(""));
-  EXPECT_FALSE(is_all_digits("12a"));
-  EXPECT_FALSE(is_all_digits("-12"));
 }
 
 }  // namespace
