@@ -70,14 +70,30 @@ SealedSegment WindowDictionary::seal(std::span<const logs::ConnEvent> events) {
   translate(domains_, local.domains_, seg.domains_);
   translate(uas_, local.uas_, seg.uas_);
 
-  // Edges in slot (creation) order, each time run sorted.
+  // Edges grouped by domain (slot order within a domain), each time run
+  // sorted: an assembly that drops a domain skips its edges with one
+  // check. The order of a segment's edges is free — an edge occurs once
+  // per segment, so its payload still concatenates in segment order.
   const std::size_t n_edges = local.edges_.size();
+  seg.domain_edges_.assign(seg.domains_.size() + 1, 0);
+  for (std::size_t slot = 0; slot < n_edges; ++slot) {
+    ++seg.domain_edges_[(local.edge_keys_[slot] & 0xffffffffu) + 1];
+  }
+  prefix_sum(seg.domain_edges_);
+  std::vector<std::uint32_t> by_domain(n_edges);
+  {
+    std::vector<std::uint32_t> next(seg.domain_edges_.begin(),
+                                    seg.domain_edges_.end() - 1);
+    for (std::uint32_t slot = 0; slot < n_edges; ++slot) {
+      by_domain[next[local.edge_keys_[slot] & 0xffffffffu]++] = slot;
+    }
+  }
   seg.edges_.reserve(n_edges);
   seg.flags_.reserve(n_edges);
   seg.times_.reserve(events.size());
   seg.time_offsets_.assign(1, 0);
   seg.ua_offsets_.assign(1, 0);
-  for (std::size_t slot = 0; slot < n_edges; ++slot) {
+  for (const std::uint32_t slot : by_domain) {
     const std::uint64_t local_key = local.edge_keys_[slot];
     const std::uint64_t key = edge_key(seg.hosts_[local_key >> 32],
                                        seg.domains_[local_key & 0xffffffffu]);
@@ -124,7 +140,7 @@ void WindowDictionary::release(const SealedSegment& segment) {
 }
 
 void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
-                                DayGraph& out) {
+                                DayGraph& out, const DomainFilter* filter) {
   const std::uint32_t epoch = next_epoch();
   // Window id of a dictionary id, numbered on first sight.
   const auto number = [epoch](std::vector<Mark>& marks, std::uint32_t id,
@@ -137,24 +153,51 @@ void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
     }
     return mark.value;
   };
+  // The filter's answer for a dictionary domain, asked once per id and
+  // generation.
+  if (filter != nullptr) {
+    if (filter->generation != keep_generation_) {
+      keep_.clear();
+      keep_generation_ = filter->generation;
+    }
+    keep_.resize(domains_.size(), kUnresolved);
+  }
+  const auto kept = [this, filter](DomainId id) {
+    if (filter == nullptr) return true;
+    std::uint8_t& answer = keep_[id];
+    if (answer == kUnresolved) {
+      answer = filter->keep(domains_.name(id)) ? kKeep : kDrop;
+    }
+    return answer == kKeep;
+  };
 
   // 1. Window ids in concatenation first-appearance order. A segment
   // lists an edge's host and domain, so both are numbered by the time the
-  // edge is first seen; each window edge also totals its time count and
-  // an upper bound on its UA count. Per-domain IP lists deduplicate in
-  // first-seen order across segments as the domains are numbered.
+  // edge is first seen (a segment's hosts come first, and its edges are
+  // walked under their domain); each window edge also totals its time
+  // count and an upper bound on its UA count. Per-domain IP lists
+  // deduplicate in first-seen order across segments as the domains are
+  // numbered. Every host is numbered; a domain the filter drops is not,
+  // and its edges are skipped. Unfiltered, UAs are numbered here in
+  // first-appearance order; filtered, in the kept-edge walk of step 3.
   window_hosts_.clear();
   window_domains_.clear();
   window_uas_.clear();
   window_edges_.clear();
   edge_sizes_.clear();
+  kept_runs_.clear();
   std::uint64_t events = 0;
   for (const SealedSegment* seg : segments) {
     events += seg->events_;
     for (const HostId host : seg->hosts_) {
       number(host_marks_, host, window_hosts_);
     }
-    for (std::size_t j = 0; j < seg->domains_.size(); ++j) {
+    if (filter == nullptr) {
+      for (const UaId ua : seg->uas_) number(ua_marks_, ua, window_uas_);
+    }
+    for (std::uint32_t j = 0; j < seg->domains_.size(); ++j) {
+      if (!kept(seg->domains_[j])) continue;
+      kept_runs_.push_back(KeptRun{seg, j});
       const std::size_t known = window_domains_.size();
       const std::uint32_t domain =
           number(domain_marks_, seg->domains_[j], window_domains_);
@@ -168,18 +211,18 @@ void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
            ++k) {
         push_unique(out.ips_of_domain_[domain], seg->ips_[k]);
       }
-    }
-    for (const UaId ua : seg->uas_) number(ua_marks_, ua, window_uas_);
-    for (std::size_t i = 0; i < seg->edges_.size(); ++i) {
-      const std::uint32_t e = seg->edges_[i];
-      const std::uint32_t w = number(edge_marks_, e, window_edges_);
-      if (w == edge_sizes_.size()) {
-        edge_sizes_.push_back(
-            WindowEdge{host_marks_[edge_keys_[e] >> 32].value,
-                       domain_marks_[edge_keys_[e] & 0xffffffffu].value, 0, 0});
+      for (std::uint32_t i = seg->domain_edges_[j];
+           i < seg->domain_edges_[j + 1]; ++i) {
+        const std::uint32_t e = seg->edges_[i];
+        const std::uint32_t w = number(edge_marks_, e, window_edges_);
+        if (w == edge_sizes_.size()) {
+          edge_sizes_.push_back(
+              WindowEdge{host_marks_[edge_keys_[e] >> 32].value, domain, 0, 0});
+        }
+        edge_sizes_[w].times +=
+            seg->time_offsets_[i + 1] - seg->time_offsets_[i];
+        edge_sizes_[w].uas += seg->ua_offsets_[i + 1] - seg->ua_offsets_[i];
       }
-      edge_sizes_[w].times += seg->time_offsets_[i + 1] - seg->time_offsets_[i];
-      edge_sizes_[w].uas += seg->ua_offsets_[i + 1] - seg->ua_offsets_[i];
     }
   }
   const std::size_t n_hosts = window_hosts_.size();
@@ -235,32 +278,36 @@ void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
   fit(out.edge_times_, n_times);
   fit(out.edge_uas_, n_uas);
 
-  // 3. Per-edge payloads, written straight into their rows' slices.
+  // 3. Per-edge payloads of the kept domains' edges, in segment order,
+  // written straight into their rows' slices.
   unsorted_.clear();
   util::TimePoint* const times = out.edge_times_.data();
   UaId* const uas = out.edge_uas_.data();
-  for (const SealedSegment* seg : segments) {
-    for (std::size_t i = 0; i < seg->edges_.size(); ++i) {
-      const std::uint32_t row = edge_marks_[seg->edges_[i]].value;
-      RowFill& fill = rows_[row];
-      const util::TimePoint* first =
-          seg->times_.data() + seg->time_offsets_[i];
-      const util::TimePoint* const last =
-          seg->times_.data() + seg->time_offsets_[i + 1];
-      if (fill.time_end > fill.time_begin && *first < fill.last_time) {
-        unsorted_.push_back(row);
+  const auto write = [&](const SealedSegment& seg, std::uint32_t i) {
+    const std::uint32_t row = edge_marks_[seg.edges_[i]].value;
+    RowFill& fill = rows_[row];
+    const util::TimePoint* first = seg.times_.data() + seg.time_offsets_[i];
+    const util::TimePoint* const last =
+        seg.times_.data() + seg.time_offsets_[i + 1];
+    if (fill.time_end > fill.time_begin && *first < fill.last_time) {
+      unsorted_.push_back(row);
+    }
+    fill.last_time = last[-1];
+    for (; first != last; ++first) times[fill.time_end++] = *first;
+    fill.flags |= seg.flags_[i];
+    for (std::uint32_t u = seg.ua_offsets_[i]; u < seg.ua_offsets_[i + 1];
+         ++u) {
+      const UaId ua = number(ua_marks_, seg.edge_uas_[u], window_uas_);
+      if (std::find(uas + fill.ua_begin, uas + fill.ua_end, ua) ==
+          uas + fill.ua_end) {
+        uas[fill.ua_end++] = ua;
       }
-      fill.last_time = last[-1];
-      for (; first != last; ++first) times[fill.time_end++] = *first;
-      fill.flags |= seg->flags_[i];
-      for (std::uint32_t u = seg->ua_offsets_[i]; u < seg->ua_offsets_[i + 1];
-           ++u) {
-        const UaId ua = ua_marks_[seg->edge_uas_[u]].value;
-        if (std::find(uas + fill.ua_begin, uas + fill.ua_end, ua) ==
-            uas + fill.ua_end) {
-          uas[fill.ua_end++] = ua;
-        }
-      }
+    }
+  };
+  for (const auto& [seg, j] : kept_runs_) {
+    for (std::uint32_t i = seg->domain_edges_[j]; i < seg->domain_edges_[j + 1];
+         ++i) {
+      write(*seg, i);
     }
   }
   // A run that started before its predecessor ended (a late timestamp
@@ -352,6 +399,7 @@ void WindowDictionary::compact(std::span<SealedSegment* const> segments) {
     rewrite(seg->edge_uas_, ua_map);
     rewrite(seg->edges_, edge_map);
   }
+  keep_.clear();
   host_marks_.assign(hosts_.size(), Mark{});
   domain_marks_.assign(domains_.size(), Mark{});
   ua_marks_.assign(uas_.size(), Mark{});

@@ -6,9 +6,9 @@
 // by a shared WindowDictionary. It stores flat arrays only:
 //
 //   * its host, domain and user-agent ids in local first-appearance order;
-//   * its edges in slot (creation) order, each with a sorted run of
-//     connection times, its UA ids in first-seen order and the referer /
-//     empty-UA flags;
+//   * its edges grouped by domain, each with a sorted run of connection
+//     times, its UA ids in first-seen order and the referer / empty-UA
+//     flags;
 //   * each of its domains' destination IPs in first-seen order.
 //
 // assemble() concatenates segments, in order, into a finalized DayGraph
@@ -26,9 +26,21 @@
 //     unique, so the bytes match);
 //   * the CSR rows come from two counting passes over window ids.
 //
+// Given a DomainFilter, assemble() lays out only the kept domains — each
+// with all of its edges, times, UAs and IPs — so its cost follows the kept
+// evidence, not the window. The result is the full graph restricted to
+// the kept domains: every host keeps its full-graph id (hosts with no kept
+// edge included), kept domains keep their full-graph relative order, and
+// a kept domain's hosts, edges and payloads are exactly its full-graph
+// ones. Only UA ids differ: they are numbered in the kept-edge walk, and
+// UA names in each edge's list keep their order. The rt engine passes
+// "new to the domain history" at every tick: the tick's stages read
+// nothing else (see rt/engine.h).
+//
 // Per assembly the scratch is epoch-stamped flat arrays indexed by
 // dictionary id; no name is hashed except to renumber the recycled output
-// interners (util::Interner::assign).
+// interners (util::Interner::assign) and to answer the filter once per
+// domain id and filter generation.
 //
 // The dictionary counts, per id, the segments still referencing it
 // (seal() takes a reference, release() drops one). Ids are never reused
@@ -38,6 +50,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <span>
 #include <string_view>
 #include <unordered_map>
@@ -67,12 +80,22 @@ class SealedSegment {
   std::vector<std::uint32_t> ip_offsets_;  ///< domains_ + 1 spans of ips_
   std::vector<util::Ipv4> ips_;            ///< first-seen order per domain
   std::vector<UaId> uas_;                  ///< first-appearance order
-  std::vector<std::uint32_t> edges_;       ///< dictionary edge ids, slot order
+  std::vector<std::uint32_t> domain_edges_;  ///< domains_ + 1 spans of edges_
+  std::vector<std::uint32_t> edges_;  ///< dictionary edge ids, by domain
   std::vector<std::uint32_t> time_offsets_;  ///< edges_ + 1 spans of times_
   std::vector<util::TimePoint> times_;       ///< one sorted run per edge
   std::vector<std::uint32_t> ua_offsets_;    ///< edges_ + 1 spans of edge_uas_
   std::vector<UaId> edge_uas_;               ///< first-seen order per edge
   std::vector<std::uint8_t> flags_;          ///< per edge: kReferer | kEmptyUa
+};
+
+/// Keep filter over dictionary domains for WindowDictionary::assemble.
+/// `keep(name)` is asked at most once per domain id, and the answer is
+/// cached until `generation` changes (or compaction renumbers the ids), so
+/// equal generations must mean equal answers.
+struct DomainFilter {
+  std::uint64_t generation = 0;
+  std::function<bool(std::string_view)> keep;
 };
 
 /// Stream-wide host / domain / UA / edge ids for sealed segments, plus the
@@ -89,10 +112,13 @@ class WindowDictionary {
 
   /// Build into `out` the finalized graph of the concatenated `segments`,
   /// in order — bit-identical to ingesting their events sequentially and
-  /// finalizing. `out`'s previous content is discarded; its allocations
-  /// (rows and flat payload arrays) are recycled, a flat array keeping at
-  /// most twice the capacity this window needs.
-  void assemble(std::span<const SealedSegment* const> segments, DayGraph& out);
+  /// finalizing. With a `filter`, only the domains it keeps are laid out
+  /// (the restriction described in the file comment). `out`'s previous
+  /// content is discarded; its allocations (rows and flat payload arrays)
+  /// are recycled, a flat array keeping at most twice the capacity this
+  /// window needs.
+  void assemble(std::span<const SealedSegment* const> segments, DayGraph& out,
+                const DomainFilter* filter = nullptr);
 
   /// Entries held: hosts + domains + UAs + edges.
   std::size_t size() const {
@@ -103,12 +129,17 @@ class WindowDictionary {
   std::size_t live() const { return live_; }
 
   /// Keep only referenced entries (size() becomes live()) and rewrite
-  /// `segments` — every unreleased segment — to the new ids.
+  /// `segments` — every unreleased segment — to the new ids. Cached filter
+  /// answers are dropped with the old ids.
   void compact(std::span<SealedSegment* const> segments);
 
  private:
   static constexpr std::uint8_t kReferer = 1;
   static constexpr std::uint8_t kEmptyUa = 2;
+  // Cached filter answer per domain id.
+  static constexpr std::uint8_t kUnresolved = 0;
+  static constexpr std::uint8_t kKeep = 1;
+  static constexpr std::uint8_t kDrop = 2;
 
   /// Epoch-stamped per-id scratch value: `value` is meaningful only while
   /// `stamp` equals the current epoch.
@@ -139,6 +170,10 @@ class WindowDictionary {
   std::vector<std::uint32_t> edge_refs_;
   std::size_t live_ = 0;
 
+  // ---- filter answers, per domain id, for keep_generation_ ----
+  std::vector<std::uint8_t> keep_;
+  std::uint64_t keep_generation_ = 0;
+
   // ---- assembly scratch ----
   // Marks cover every dictionary id; then window id -> dictionary id; per
   // window edge its host and domain window ids and payload sizes; per
@@ -167,6 +202,13 @@ class WindowDictionary {
   std::vector<UaId> window_uas_;
   std::vector<std::uint32_t> window_edges_;
   std::vector<WindowEdge> edge_sizes_;
+  /// A segment's domain that is laid out, in walk order: step 3 writes
+  /// the payloads of its edges.
+  struct KeptRun {
+    const SealedSegment* segment = nullptr;
+    std::uint32_t domain = 0;  ///< position in segment->domains_
+  };
+  std::vector<KeptRun> kept_runs_;
   std::vector<std::uint32_t> edge_order_;
   std::vector<std::uint32_t> cursor_;
   std::vector<RowFill> rows_;

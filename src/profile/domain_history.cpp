@@ -1,6 +1,13 @@
 #include "profile/domain_history.h"
 
+#include <atomic>
+
 namespace eid::profile {
+
+std::uint64_t DomainHistory::next_generation() {
+  static std::atomic<std::uint64_t> counter{0};
+  return ++counter;
+}
 
 RareExtraction extract_rare_destinations(const graph::DayGraph& graph,
                                          const DomainHistory& history,

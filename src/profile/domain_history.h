@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <string>
 #include <string_view>
@@ -33,9 +34,13 @@ class DomainHistory {
   void update(const std::vector<std::string>& domains) {
     for (const auto& d : domains) insert(d);
     ++days_ingested_;
+    generation_ = next_generation();
   }
 
-  void update_one(std::string_view domain) { insert(domain); }
+  void update_one(std::string_view domain) {
+    insert(domain);
+    generation_ = next_generation();
+  }
 
   std::size_t size() const { return seen_.size(); }
   std::size_t days_ingested() const { return days_ingested_; }
@@ -43,10 +48,21 @@ class DomainHistory {
   /// Full domain set (persistence, diagnostics).
   const DomainSet& domains() const { return seen_; }
 
+  /// Identity of the current contents, for caches of is_new answers (the
+  /// rt window's per-domain keep flags). Construction and every mutator
+  /// draw a fresh value from one process-wide counter, so no value is
+  /// handed out twice — not even to another object, which matters because
+  /// a history may be replaced wholesale by move-assignment (checkpoint
+  /// restore). Equal generations therefore mean equal contents (a copy
+  /// shares its source's generation until either is mutated; a moved-from
+  /// history is unspecified until restored or reassigned, as usual).
+  std::uint64_t generation() const { return generation_; }
+
   /// Restore from persisted state, replacing current contents.
   void restore(DomainSet domains, std::size_t days) {
     seen_ = std::move(domains);
     days_ingested_ = days;
+    generation_ = next_generation();
   }
 
   // ---- Delta checkpoints (storage/delta.h) ----
@@ -69,9 +85,12 @@ class DomainHistory {
   void absorb(std::span<const std::string> domains, std::size_t days_ingested) {
     for (const auto& d : domains) seen_.insert(d);
     days_ingested_ = days_ingested;
+    generation_ = next_generation();
   }
 
  private:
+  static std::uint64_t next_generation();
+
   void insert(std::string_view domain) {
     if (seen_.contains(domain)) return;  // allocation-free on the hot path
     const auto [it, fresh] = seen_.emplace(domain);
@@ -80,6 +99,7 @@ class DomainHistory {
 
   DomainSet seen_;
   std::size_t days_ingested_ = 0;
+  std::uint64_t generation_ = next_generation();
   bool journaling_ = false;
   std::vector<std::string> journal_;  ///< first-seen since last drain
 };

@@ -4,11 +4,14 @@
 #include <cassert>
 #include <chrono>
 #include <cmath>
+#include <string_view>
 #include <utility>
 
 #include "graph/day_graph.h"
+#include "graph/window_dictionary.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "profile/domain_history.h"
 
 namespace eid::rt {
 
@@ -166,13 +169,25 @@ void ContinuousEngine::roll_to(std::int64_t tick) {
     current_tick_ = tick;
     return;
   }
-  // Sim time is monotonic, so ticks only close forward. Each boundary
-  // crossed gets its evaluation; after the first one clears the dirty
-  // flag, the rest of a long quiet gap is just expiry bookkeeping.
-  while (current_tick_ < tick) {
-    evaluate_tick(current_tick_);
-    ++current_tick_;
-  }
+  // Sim time is monotonic, so ticks only close forward. The first
+  // boundary crossed gets its evaluation, which always clears the dirty
+  // flag; every later tick of the gap would only count itself and expire,
+  // and expiry at the last of them drops exactly what the walk would have.
+  // So the rest of a gap closes in O(1) — a far-future timestamp costs one
+  // step, not one per tick.
+  if (current_tick_ >= tick) return;
+  evaluate_tick(current_tick_);
+  ++current_tick_;
+  if (current_tick_ == tick) return;
+  assert(!dirty_);
+  // Unsigned: the distance between two int64 ticks always fits.
+  const std::uint64_t skipped = static_cast<std::uint64_t>(tick) -
+                                static_cast<std::uint64_t>(current_tick_);
+  stats_.ticks_closed += skipped;
+  rt_metrics().ticks.add(skipped);
+  stats_.expired_events += window_.expire(tick - 1);
+  stats_.buffered_events = window_.buffered_events();
+  current_tick_ = tick;
 }
 
 void ContinuousEngine::evaluate_tick(std::int64_t tick) {
@@ -197,23 +212,46 @@ void ContinuousEngine::evaluate_tick(std::int64_t tick) {
   // Re-score the sliding window through the exact batch stages, then C&C
   // detection and (optionally) no-hint BP for community expansion. The
   // window's evidence graph is assembled, already finalized, from the
-  // in-window sealed segments into the recycled scratch graph.
+  // in-window sealed segments into the recycled scratch graph — restricted
+  // to the domains new to the history. Every stage below starts from rare
+  // destinations (new AND unpopular) and reads only their edges: rare
+  // extraction probes each domain's novelty, automation and the C&C /
+  // similarity features read a rare domain's hosts and edges, BP expands
+  // through hosts to rare domains only, and an emission's evidence time is
+  // a detected (rare) domain's first contact. A kept domain keeps all of
+  // its hosts and edges, so the popularity cut is exact, and hosts keep
+  // their ids and kept domains their relative order, so every id-ordered
+  // walk and tie-break matches the full window graph's: the emissions are
+  // the same. The tick's DayAnalysis is not reportable, though — its
+  // total_domains / new_domains count the candidates only.
   core::Pipeline& pipeline = detector_.pipeline();
   const util::TimePoint close = config_.window.tick_end(tick);
   const util::Day day = util::day_of(close - 1);
-  const std::size_t window_events =
-      window_.assemble_window(tick, window_graph_);
+  const profile::DomainHistory& history = pipeline.domain_history();
+  const graph::DomainFilter candidates{
+      history.generation(),
+      [&history](std::string_view name) { return history.is_new(name); }};
+  std::size_t window_events = 0;
+  {
+    const obs::TraceSpan assemble_span("rt_window_assemble", "rt");
+    window_events = window_.assemble_window(tick, window_graph_, &candidates);
+  }
   assert(window_events > 0);  // window_events(tick) > 0 above
   core::DayAnalysis analysis = pipeline.finish_day_graph(
       day, std::move(window_graph_), window_events);
   sync_cache_stats();
 
-  const std::vector<core::ScoredDomain> cc = pipeline.detect_cc(analysis);
+  std::vector<core::ScoredDomain> cc;
+  {
+    const obs::TraceSpan cc_span("rt_detect_cc", "rt");
+    cc = pipeline.detect_cc(analysis);
+  }
   std::vector<std::string> domains;
   domains.reserve(cc.size());
   for (const auto& scored : cc) domains.push_back(scored.name);
   std::vector<std::string> hosts;
   if (config_.provisional_bp && !cc.empty()) {
+    const obs::TraceSpan bp_span("rt_bp_nohint", "rt");
     const core::BpRunReport bp = pipeline.run_bp_nohint(analysis, cc);
     for (const auto& detected : bp.domains) domains.push_back(detected.name);
     hosts = bp.hosts;

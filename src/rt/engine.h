@@ -14,12 +14,17 @@
 //     and no-hint belief propagation over the window's events, all
 //     through the same core::Pipeline stages the batch path uses. Each
 //     bucket's events are sealed once into flat segments; every tick
-//     assembles the window's finalized graph from them
-//     (graph::WindowDictionary::assemble), bit-identical to batch ingest
-//     of the window's events (tests/rt_incremental_test.cpp). A tick
-//     costs O(window state) — linear in the in-window segments, whether
-//     the window is still growing (the first day) or sliding — plus the
-//     scoring stages, which are linear in the window graph;
+//     assembles its finalized evidence graph from them
+//     (graph::WindowDictionary::assemble) restricted to the domains new
+//     to the history — the only domains those stages read, since every
+//     detection starts from rare (new AND unpopular) destinations. The
+//     restriction keeps each kept domain whole and every host and kept
+//     domain in its full-graph order, so the emissions are the ones the
+//     full window graph gives (tests/rt_incremental_test.cpp). A tick
+//     walks the in-window segments' id lists once and lays out only the
+//     candidates' edges, times, UAs and IPs (about 2% of the window's
+//     edges on the AC workload), plus the scoring stages over them,
+//     whether the window is still growing (the first day) or sliding;
 //   * domains never emitted before are announced immediately as
 //     provisional IncidentEmissions carrying event-time → emission-time
 //     latency (bounded by detection lag + one tick), and merged into the

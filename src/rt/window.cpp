@@ -77,18 +77,20 @@ std::size_t WindowAccumulator::expire(std::int64_t tick) {
   return dropped;
 }
 
-std::size_t WindowAccumulator::assemble(graph::DayGraph& out) {
+std::size_t WindowAccumulator::assemble(graph::DayGraph& out,
+                                        const graph::DomainFilter* filter) {
   stats_.segments_read += reading_.size();
   std::size_t events = 0;
   for (const graph::SealedSegment* segment : reading_) {
     events += segment->events();
   }
-  dictionary_.assemble(reading_, out);
+  dictionary_.assemble(reading_, out, filter);
   return events;
 }
 
-std::size_t WindowAccumulator::assemble_window(std::int64_t tick,
-                                               graph::DayGraph& out) {
+std::size_t WindowAccumulator::assemble_window(
+    std::int64_t tick, graph::DayGraph& out,
+    const graph::DomainFilter* filter) {
   const std::int64_t first_live = tick - config_.window_ticks() + 1;
   reading_.clear();
   std::optional<std::uint64_t> front;
@@ -112,7 +114,7 @@ std::size_t WindowAccumulator::assemble_window(std::int64_t tick,
   }
   front_ = front;
   invalidated_ = false;
-  return assemble(out);
+  return assemble(out, filter);
 }
 
 std::size_t WindowAccumulator::assemble_day(util::Day day,
@@ -125,7 +127,7 @@ std::size_t WindowAccumulator::assemble_day(util::Day day,
       reading_.push_back(&segment);
     }
   }
-  return assemble(out);
+  return assemble(out, nullptr);
 }
 
 std::size_t WindowAccumulator::window_events(std::int64_t tick) const {

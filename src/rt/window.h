@@ -23,12 +23,15 @@
 // segments, walked in order, are laid out straight into a finalized
 // graph::DayGraph (WindowDictionary::assemble — no per-bucket graphs, no
 // running merge to extend or rebuild, no hash probe of a window name
-// except to build the output interners). A tick costs O(window state):
-// the sum over in-window segments of their distinct names, edges and
-// timestamps — linear in the window, with the events' hashing paid once
-// at seal time. One path serves the growing window (the first day), the
-// sliding one (every tick after it) and the day close, which assembles
-// the day's buckets.
+// except to build the output interners). One path serves the growing
+// window (the first day), the sliding one (every tick after it) and the
+// day close, which assembles the day's buckets. A tick evaluation passes
+// a domain filter (the engine's: "new to the domain history"), so it
+// walks the in-window segments' id lists once but lays out only the kept
+// domains' edges, times, UAs and IPs — the tick's cost follows the
+// candidate evidence (a few percent of the window's edges and times on
+// the AC workload), while the day close assembles everything, unfiltered.
+// The events' hashing is paid once at seal time.
 //
 // A bucket is dropped only when it has slid out of the window AND its day
 // has been closed; the window never truncates an open day. Dropping a
@@ -41,6 +44,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <optional>
 #include <vector>
 
@@ -66,14 +70,19 @@ struct WindowConfig {
 
   std::int64_t window_ticks() const { return window_seconds / tick_seconds; }
 
-  /// Tick index containing sim time t (floor division, correct for t < 0).
+  /// Tick index containing sim time t (floor division, correct for t < 0
+  /// and free of overflow over the whole int64 range).
   std::int64_t tick_of(util::TimePoint t) const {
-    return t >= 0 ? t / tick_seconds
-                  : (t - (tick_seconds - 1)) / tick_seconds;
+    return t >= 0 ? t / tick_seconds : -((-(t + 1)) / tick_seconds) - 1;
   }
 
-  /// Sim time at which tick `index` closes (exclusive end).
+  /// Sim time at which tick `index` closes (exclusive end), saturated to
+  /// the int64 range: the tick holding INT64_MAX ends at INT64_MAX.
   util::TimePoint tick_end(std::int64_t index) const {
+    constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+    constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+    if (index >= kMax / tick_seconds) return kMax;
+    if (index + 1 < kMin / tick_seconds) return kMin;
     return (index + 1) * tick_seconds;
   }
 };
@@ -108,10 +117,12 @@ class WindowAccumulator {
   /// Evaluation entry: seal every bucket up to and including `tick`, then
   /// assemble the finalized graph of the window ending at `tick` into
   /// `out` (recycling its allocations) — bit-identical to ingesting the
-  /// window's events sequentially and finalizing. Returns the number of
-  /// events it represents; 0 (and `out` untouched) when the window is
-  /// empty.
-  std::size_t assemble_window(std::int64_t tick, graph::DayGraph& out);
+  /// window's events sequentially and finalizing, or, with a `filter`,
+  /// that graph restricted to the kept domains
+  /// (graph::WindowDictionary::assemble). Returns the number of events the
+  /// window represents; 0 (and `out` untouched) when the window is empty.
+  std::size_t assemble_window(std::int64_t tick, graph::DayGraph& out,
+                              const graph::DomainFilter* filter = nullptr);
 
   /// Day close: seal every bucket tagged `day` and assemble their
   /// segments, in arrival order, into `out`. Returns the day's event
@@ -160,7 +171,7 @@ class WindowAccumulator {
   };
 
   void seal(Bucket& bucket);
-  std::size_t assemble(graph::DayGraph& out);
+  std::size_t assemble(graph::DayGraph& out, const graph::DomainFilter* filter);
 
   WindowConfig config_;
   graph::WindowDictionary dictionary_;

@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <set>
+#include <string>
+#include <vector>
+
 #include "test_helpers.h"
 
 namespace eid::profile {
@@ -33,6 +38,46 @@ TEST(DomainHistoryTest, IncrementalGrowth) {
   EXPECT_EQ(history.size(), 3u);
   EXPECT_FALSE(history.is_new("a.com"));
   EXPECT_FALSE(history.is_new("c.com"));
+}
+
+// The rt window caches is_new answers per generation, so a generation
+// must never be handed out twice: not by any mutator, and not by another
+// object that replaces this one (checkpoint restore move-assigns a whole
+// history, which must not repeat a value a cache already holds).
+TEST(DomainHistoryTest, EveryMutationYieldsAnUnusedGeneration) {
+  std::set<std::uint64_t> seen;
+  const auto fresh = [&seen](std::uint64_t generation) {
+    return seen.insert(generation).second;
+  };
+  DomainHistory history;
+  EXPECT_TRUE(fresh(history.generation()));
+  history.update({"a.com"});
+  EXPECT_TRUE(fresh(history.generation()));
+  history.update_one("b.com");
+  EXPECT_TRUE(fresh(history.generation()));
+  const std::vector<std::string> delta = {"c.com"};
+  history.absorb(delta, 4);
+  EXPECT_TRUE(fresh(history.generation()));
+  DomainHistory::DomainSet restored;
+  restored.insert("a.com");
+  history.restore(std::move(restored), 1);
+  EXPECT_TRUE(fresh(history.generation()));
+
+  // A smaller history built elsewhere replaces this one wholesale.
+  DomainHistory smaller;
+  EXPECT_TRUE(fresh(smaller.generation()));
+  smaller.update({"z.com"});
+  const std::uint64_t replacement = smaller.generation();
+  EXPECT_TRUE(fresh(replacement));
+  history = std::move(smaller);
+  EXPECT_EQ(history.generation(), replacement);
+  EXPECT_TRUE(history.is_new("a.com"));
+  history.update({"a.com"});
+  EXPECT_TRUE(fresh(history.generation()));
+
+  // A copy shares its source's contents, so it shares the generation.
+  const DomainHistory copy = history;
+  EXPECT_EQ(copy.generation(), history.generation());
 }
 
 graph::DayGraph graph_with(

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -84,6 +86,35 @@ TEST(RtWindowTest, TickGeometryFloorsNegativeTime) {
   EXPECT_EQ(config.tick_of(-301), -2);
   EXPECT_EQ(config.tick_end(0), 300);
   EXPECT_EQ(config.tick_end(-1), 0);
+}
+
+// A parseable line may carry any int64 timestamp, so the tick geometry
+// must not overflow at the extremes: tick_of floors exactly and tick_end
+// saturates (the tick holding INT64_MAX ends at INT64_MAX).
+TEST(RtWindowTest, TickGeometryHasNoOverflowAtInt64Extremes) {
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  WindowConfig config;
+  config.tick_seconds = 300;  // does not divide 2^63
+  EXPECT_EQ(config.tick_of(kMin), kMin / 300 - 1);
+  EXPECT_EQ(config.tick_of(kMax), kMax / 300);
+  EXPECT_EQ(config.tick_end(config.tick_of(kMax)), kMax);
+  EXPECT_EQ(config.tick_end(config.tick_of(kMax) - 1), kMax / 300 * 300);
+  EXPECT_EQ(config.tick_end(config.tick_of(kMin)), kMin / 300 * 300);
+  EXPECT_EQ(config.tick_end(kMin), kMin);
+  EXPECT_EQ(config.tick_end(kMax), kMax);
+
+  config.tick_seconds = 1;
+  EXPECT_EQ(config.tick_of(kMin), kMin);
+  EXPECT_EQ(config.tick_of(kMax), kMax);
+  EXPECT_EQ(config.tick_end(kMin), kMin + 1);
+  EXPECT_EQ(config.tick_end(config.tick_of(kMax)), kMax);
+  EXPECT_EQ(config.tick_end(kMax - 1), kMax);
+
+  config.tick_seconds = 128;  // divides 2^63
+  EXPECT_EQ(config.tick_of(kMin), kMin / 128);
+  EXPECT_EQ(config.tick_end(config.tick_of(kMin)), kMin + 128);
+  EXPECT_EQ(config.tick_end(config.tick_of(kMax)), kMax);
 }
 
 TEST(RtWindowTest, BucketsMergeInArrivalOrder) {

@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstdint>
 #include <set>
 #include <string>
 #include <vector>
@@ -15,6 +17,7 @@
 #include "api/detector.h"
 #include "api/event_source.h"
 #include "core/report_json.h"
+#include "obs/metrics.h"
 #include "test_helpers.h"
 
 namespace eid::rt {
@@ -313,6 +316,53 @@ TEST(RtContinuousTest, EmptyDayClosesLikeBatch) {
   EXPECT_TRUE(report.emissions.empty());
 }
 
+// One parseable line far in the future must not stall the engine: the
+// first tick of the gap evaluates the window, and the rest of the gap
+// closes at once with the counters a tick-by-tick walk would leave.
+TEST(RtContinuousTest, FarFutureTimestampClosesTheGapAtOnce) {
+  MapWhois whois;
+  std::set<std::string> reported;
+  const auto train = training_days(whois, reported);
+  const core::LabelFn intel = [&reported](const std::string& domain) {
+    return reported.contains(domain);
+  };
+  api::Detector detector = trained_detector(whois, intel, train);
+
+  const util::TimePoint start = util::day_start(kDay) + 10;
+  constexpr util::TimePoint kFar = 9'000'000'000'000'000'000;
+  DayBuilder builder;
+  builder.visit("h1", "a.com", start, {0}, "CommonUA", true);
+  builder.visit("h1", "b.com", kFar, {0}, "CommonUA", true);
+  EngineConfig config;
+  config.window.tick_seconds = 300;
+  ReplayClock clock;
+  ContinuousEngine engine(detector, clock, config);
+  api::VectorSource source(kDay, builder.events());
+
+  const bool metrics_were_enabled = obs::metrics().enabled();
+  obs::metrics().set_enabled(true);
+  const obs::Counter& ticks_total =
+      obs::metrics().counter("eid_rt_ticks_closed_total");
+  const std::uint64_t ticks_before = ticks_total.value();
+  const auto began = std::chrono::steady_clock::now();
+  EXPECT_EQ(engine.poll(source), 2u);
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - began)
+                             .count();
+  const std::uint64_t ticks_counted = ticks_total.value() - ticks_before;
+  obs::metrics().set_enabled(metrics_were_enabled);
+
+  EXPECT_LT(seconds, 10.0);
+  const auto distance = static_cast<std::size_t>(
+      config.window.tick_of(kFar) - config.window.tick_of(start));
+  EXPECT_EQ(engine.stats().ticks_closed, distance);
+  EXPECT_EQ(ticks_counted, distance);
+  EXPECT_EQ(engine.stats().evaluations, 1u);  // only the first tick had news
+  engine.finish();
+  EXPECT_EQ(engine.day_reports().size(), 1u);
+  EXPECT_EQ(engine.day_reports()[0].events, 2u);
+}
+
 // Observability is a pure side channel for the continuous engine too:
 // running with metrics enabled and a trace sink installed must close the
 // day with a report byte-identical to the fully dark run, while the sink
@@ -354,6 +404,11 @@ TEST(RtContinuousTest, TracingOnKeepsDayCloseBitIdentical) {
   const std::string trace_json = sink.to_chrome_json();
   EXPECT_TRUE(test::json_well_formed(trace_json));
   EXPECT_NE(trace_json.find("rt_tick_evaluate"), std::string::npos);
+  // A tick's assembly and scoring stages are attributed, not self time.
+  for (const char* stage :
+       {"rt_window_assemble", "rt_detect_cc", "rt_bp_nohint"}) {
+    EXPECT_NE(trace_json.find(stage), std::string::npos) << stage;
+  }
 }
 
 }  // namespace

@@ -19,16 +19,19 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <set>
 #include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/detector.h"
 #include "api/event_source.h"
 #include "core/incidents.h"
 #include "core/report_json.h"
+#include "profile/domain_history.h"
 #include "rt/engine.h"
 #include "test_helpers.h"
 
@@ -46,8 +49,15 @@ constexpr util::Day kDay = 16100;
 
 /// Full structural serialization of a finalized graph — every id, name,
 /// edge payload and IP row in deterministic order. Two graphs with equal
-/// signatures are observably identical.
-std::string graph_signature(const graph::DayGraph& graph) {
+/// signatures are observably identical. With `keep`, the graph restricted
+/// to the kept domains: every host, and only the kept domains with their
+/// edges and IP rows, in the same order.
+std::string graph_signature(
+    const graph::DayGraph& graph,
+    const std::function<bool(const std::string&)>& keep = {}) {
+  const auto kept = [&](graph::DomainId d) {
+    return !keep || keep(graph.domain_name(d));
+  };
   std::ostringstream out;
   out << "hosts:";
   for (graph::HostId h = 0; h < graph.host_count(); ++h) {
@@ -55,11 +65,12 @@ std::string graph_signature(const graph::DayGraph& graph) {
   }
   out << "\ndomains:";
   for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
-    out << graph.domain_name(d) << ',';
+    if (kept(d)) out << graph.domain_name(d) << ',';
   }
   out << '\n';
   graph.for_each_edge([&](graph::HostId h, graph::DomainId d,
                           const graph::EdgeData& e) {
+    if (!kept(d)) return;
     out << graph.host_name(h) << "->" << graph.domain_name(d) << " t=";
     for (const util::TimePoint t : e.times) out << t << ',';
     out << " ua=";
@@ -67,6 +78,7 @@ std::string graph_signature(const graph::DayGraph& graph) {
     out << " ref=" << e.any_referer << " noua=" << e.any_empty_ua << '\n';
   });
   for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
+    if (!kept(d)) continue;
     out << "ips " << graph.domain_name(d) << ":";
     for (const util::Ipv4 ip : graph.domain_ips(d)) out << ip.value << ',';
     out << '\n';
@@ -417,6 +429,109 @@ TEST(RtIncrementalTest, WindowDictionaryStaysBoundedOverManyDays) {
   }
   // Without compaction the dictionary would hold every day's edges.
   EXPECT_LT(window.dictionary_size(), ever.size());
+}
+
+// The tick's candidate assembly: at every tick of a sliding many-day
+// follow, the graph assembled under a domain filter ("new to the history",
+// the engine's) must be the full window graph restricted to the kept
+// domains — the same host list (hosts with no kept edge included), kept
+// domains in their full-graph relative order, per kept edge the same
+// times, UA names and flags, and the same IP rows. The filter's answers
+// are cached per dictionary domain id, so the run also changes what they
+// must be: a history.update between ticks drops a recurring domain, a
+// smaller history move-assigned over the old one brings it back, and so
+// does a restore; dictionary compaction renumbers the cached ids; and a
+// late-stamped visit every tick makes the kept edge's runs concatenate
+// out of order.
+TEST(RtIncrementalTest, FilteredAssemblyIsTheWindowRestrictedToKeptDomains) {
+  WindowConfig config;
+  config.tick_seconds = 3600;
+  config.window_seconds = util::kSecondsPerDay;
+  WindowAccumulator window(config);
+  graph::DayGraph full;
+  graph::DayGraph filtered;
+
+  profile::DomainHistory history;
+  history.update({"intranet.com", "d0-site1.com"});
+  const auto is_new = [&history](const std::string& name) {
+    return history.is_new(name);
+  };
+
+  constexpr int kDays = 4;
+  std::size_t compactions = 0;
+  std::size_t ticks_watch_dropped = 0;
+  std::size_t ticks_watch_kept = 0;
+  std::size_t previous_size = 0;
+  for (int d = 0; d < kDays; ++d) {
+    const util::Day day = kDay + d;
+    if (d > 0) window.close_day(day - 1);
+    for (std::int64_t h = 0; h < 24; ++h) {
+      const std::int64_t tick = (util::day_start(day) / 3600) + h;
+      SCOPED_TRACE("day " + std::to_string(d) + " hour " + std::to_string(h));
+      DayBuilder b;
+      const std::string prefix = "d" + std::to_string(d) + "-";
+      for (int i = 0; i < 5; ++i) {
+        b.visit(prefix + "host" + std::to_string((h + i) % 7),
+                prefix + "site" + std::to_string((h * 3 + i) % 9) + ".com",
+                tick * 3600 + i * 60, util::Ipv4::from_octets(10, 6, 0, i),
+                i % 2 == 0 ? prefix + "UA" + std::to_string(i % 3) : "",
+                i % 3 == 0);
+        b.visit("office-host", "intranet.com", tick * 3600 + i * 60 + 5,
+                util::Ipv4::from_octets(10, 7, 0, 1), "OfficeUA");
+      }
+      // A recurring candidate with a late-stamped visit, an alternating
+      // UA and IP, and a host that only ever contacts known domains.
+      b.visit("watcher" + std::to_string(h % 3), "watch.com",
+              tick * 3600 + 600, util::Ipv4::from_octets(10, 8, 0, h % 2),
+              h % 2 == 0 ? "WatchA" : "WatchB", true);
+      b.visit("watcher0", "watch.com", tick * 3600 - 1800,
+              util::Ipv4::from_octets(10, 8, 0, 9), "WatchB");
+      b.visit("known-only", "intranet.com", tick * 3600 + 900, {0}, "OfficeUA");
+      for (const auto& ev : b.events()) window.append(ev, tick, day);
+      window.expire(tick);
+      if (window.dictionary_size() < previous_size) ++compactions;
+      previous_size = window.dictionary_size();
+
+      // History changes between ticks.
+      if (d == 1 && h == 6) history.update({"watch.com"});
+      if (d == 2 && h == 0) {
+        // As many updates as the history it replaces: a per-object count
+        // would repeat the generation the cached answers belong to.
+        profile::DomainHistory smaller;
+        smaller.update({"intranet.com"});
+        smaller.update({"d0-site1.com"});
+        history = std::move(smaller);
+      }
+      if (d == 2 && h == 12) history.update({"watch.com", "d2-site4.com"});
+      if (d == 3 && h == 0) {
+        profile::DomainHistory::DomainSet known;
+        known.insert("intranet.com");
+        history.restore(std::move(known), 5);
+      }
+
+      const graph::DomainFilter filter{
+          history.generation(),
+          [&history](std::string_view name) { return history.is_new(name); }};
+      const std::size_t events = window.assemble_window(tick, full);
+      EXPECT_EQ(window.assemble_window(tick, filtered, &filter), events);
+      EXPECT_TRUE(filtered.finalized());
+      EXPECT_EQ(graph_signature(filtered), graph_signature(full, is_new));
+      EXPECT_EQ(filtered.host_count(), full.host_count());
+      EXPECT_LT(filtered.domain_count(), full.domain_count());
+      if (filtered.find_domain("watch.com") == graph::kNoId) {
+        ++ticks_watch_dropped;
+      } else {
+        ++ticks_watch_kept;
+      }
+    }
+  }
+  // The cached answers were dropped and re-resolved along the way.
+  EXPECT_GT(compactions, 0u);
+  EXPECT_GT(ticks_watch_dropped, 0u);
+  EXPECT_GT(ticks_watch_kept, 0u);
+  // watch.com is known from day 1 06:00 to day 2 00:00 and from day 2
+  // 12:00 to day 3 00:00.
+  EXPECT_EQ(ticks_watch_dropped, 18u + 12u);
 }
 
 // ---------------------------------------------------------------------------
