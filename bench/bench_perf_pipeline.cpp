@@ -12,9 +12,11 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <span>
 #include <sstream>
 
 #include "api/detector.h"
@@ -135,9 +137,14 @@ BENCHMARK(BM_TsvFileSourceProxyDay);
 void BM_DayGraphBuild(benchmark::State& state) {
   sim::EnterpriseSimulator sim(bench_config(sim::Flavor::Proxy), {});
   const auto events = sim.reduced_day(util::make_day(2014, 1, 2));
+  // The production path: DayAccumulator hands the graph 4096-event chunks.
+  constexpr std::size_t kChunk = 4096;
+  const std::span<const logs::ConnEvent> day(events);
   for (auto _ : state) {
     graph::DayGraph graph;
-    for (const auto& event : events) graph.add_event(event);
+    for (std::size_t at = 0; at < day.size(); at += kChunk) {
+      graph.add_events(day.subspan(at, std::min(kChunk, day.size() - at)));
+    }
     graph.finalize();
     benchmark::DoNotOptimize(graph.edge_count());
   }

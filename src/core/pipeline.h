@@ -112,11 +112,6 @@ using LabelFn = std::function<bool(const std::string& domain)>;
 /// finish_day().
 class DayAccumulator {
  public:
-  void add(const logs::ConnEvent& event) {
-    graph_.add_event(event);
-    ++events_;
-  }
-
   /// Ingest one chunk (see DayGraph::add_events); the span only needs to
   /// outlive this call.
   void add_chunk(std::span<const logs::ConnEvent> events) {

@@ -21,22 +21,12 @@ IngestMetrics& ingest_metrics() {
   return metrics;
 }
 
-/// Cell of `key` in a power-of-two table (splitmix64 finalizer).
-std::size_t edge_hash(std::uint64_t key, std::size_t table_size) {
-  key ^= key >> 30;
-  key *= 0xbf58476d1ce4e5b9ULL;
-  key ^= key >> 27;
-  key *= 0x94d049bb133111ebULL;
-  key ^= key >> 31;
-  return static_cast<std::size_t>(key) & (table_size - 1);
-}
-
 }  // namespace
 
 void DayGraph::add_event(const logs::ConnEvent& event) {
-  // Loud, defined failure in every build type: the edge table was consumed
-  // by finalize(), so silently dropping events here would corrupt a
-  // detection day.
+  // Loud, defined failure in every build type: the ingest state was
+  // consumed by finalize(), so silently dropping events here would corrupt
+  // a detection day.
   if (finalized_) {
     assert(!finalized_ && "DayGraph::add_event after finalize()");
     std::abort();
@@ -44,18 +34,21 @@ void DayGraph::add_event(const logs::ConnEvent& event) {
   ++events_;
   const HostId host = hosts_.intern(event.host);
   const DomainId domain = domains_.intern(event.domain);
-  IngestEdge& edge = edges_[edge_slot(edge_key(host, domain))];
-  edge.times.push_back(event.ts);
-  if (event.has_referer) edge.any_referer = true;
+  const auto [slot, created] = edge_slots_.insert(edge_key(host, domain));
+  if (created) edges_.emplace_back();
+  IngestEdge& edge = edges_[slot];
+  time_log_.push_back(TimeEntry{event.ts, slot});
+  ++edge.times;
+  if (event.has_referer) edge.flags |= kReferer;
   if (event.has_http_context) {
     if (event.user_agent.empty()) {
-      edge.any_empty_ua = true;
-    } else {
-      const UaId ua = uas_.intern(event.user_agent);
-      if (std::find(edge.user_agents.begin(), edge.user_agents.end(), ua) ==
-          edge.user_agents.end()) {
-        edge.user_agents.push_back(ua);
-      }
+      edge.flags |= kEmptyUa;
+    } else if (edge.last_ua == kNoId ||
+               uas_.name(edge.last_ua) != event.user_agent) {
+      edge.last_ua = uas_.intern(event.user_agent);
+      const std::uint64_t pair =
+          (static_cast<std::uint64_t>(slot) << 32) | edge.last_ua;
+      if (ua_pairs_.insert(pair).second) ++edge.uas;
     }
   }
   if (event.dest_ip) {
@@ -64,31 +57,6 @@ void DayGraph::add_event(const logs::ConnEvent& event) {
     if (std::find(ips.begin(), ips.end(), *event.dest_ip) == ips.end()) {
       ips.push_back(*event.dest_ip);
     }
-  }
-}
-
-std::uint32_t DayGraph::edge_slot(std::uint64_t key) {
-  if ((edges_.size() + 1) * 2 > edge_table_.size()) {
-    edge_table_.assign(std::max<std::size_t>(1024, edge_table_.size() * 2), 0);
-    const std::size_t mask = edge_table_.size() - 1;
-    for (std::uint32_t slot = 0; slot < edge_keys_.size(); ++slot) {
-      std::size_t cell = edge_hash(edge_keys_[slot], edge_table_.size());
-      while (edge_table_[cell] != 0) cell = (cell + 1) & mask;
-      edge_table_[cell] = slot + 1;
-    }
-  }
-  const std::size_t mask = edge_table_.size() - 1;
-  for (std::size_t cell = edge_hash(key, edge_table_.size());;
-       cell = (cell + 1) & mask) {
-    const std::uint32_t entry = edge_table_[cell];
-    if (entry == 0) {
-      const auto slot = static_cast<std::uint32_t>(edges_.size());
-      edge_table_[cell] = slot + 1;
-      edges_.emplace_back();
-      edge_keys_.push_back(key);
-      return slot;
-    }
-    if (edge_keys_[entry - 1] == key) return entry - 1;
   }
 }
 
@@ -101,15 +69,64 @@ void DayGraph::add_events(std::span<const logs::ConnEvent> events) {
   for (const logs::ConnEvent& event : events) add_event(event);
 }
 
+void DayGraph::lay_out_payloads(std::span<const std::uint32_t> row_of_slot,
+                                std::vector<std::uint32_t>& time_offsets,
+                                std::vector<util::TimePoint>& times,
+                                std::vector<std::uint32_t>& ua_offsets,
+                                std::vector<UaId>& uas) const {
+  const std::size_t n_rows = row_of_slot.size();
+  time_offsets.assign(n_rows + 1, 0);
+  ua_offsets.assign(n_rows + 1, 0);
+  for (std::size_t slot = 0; slot < n_rows; ++slot) {
+    time_offsets[row_of_slot[slot] + 1] = edges_[slot].times;
+    ua_offsets[row_of_slot[slot] + 1] = edges_[slot].uas;
+  }
+  for (std::size_t row = 1; row <= n_rows; ++row) {
+    time_offsets[row] += time_offsets[row - 1];
+    ua_offsets[row] += ua_offsets[row - 1];
+  }
+
+  // Times: scatter in arrival order, noting each row that receives a time
+  // earlier than the one before it; only those rows are sorted.
+  times.resize(time_offsets[n_rows]);
+  std::vector<std::uint32_t> cursor(time_offsets.begin(),
+                                    time_offsets.end() - 1);
+  std::vector<std::uint32_t> unsorted;
+  for (const TimeEntry& entry : time_log_) {
+    const std::uint32_t row = row_of_slot[entry.slot];
+    const std::uint32_t at = cursor[row]++;
+    if (at > time_offsets[row] && entry.ts < times[at - 1]) {
+      unsorted.push_back(row);
+    }
+    times[at] = entry.ts;
+  }
+  std::sort(unsorted.begin(), unsorted.end());
+  unsorted.erase(std::unique(unsorted.begin(), unsorted.end()),
+                 unsorted.end());
+  for (const std::uint32_t row : unsorted) {
+    std::sort(times.begin() + time_offsets[row],
+              times.begin() + time_offsets[row + 1]);
+  }
+
+  // UAs: the pair log is in first-seen order, so is every row.
+  uas.resize(ua_offsets[n_rows]);
+  cursor.assign(ua_offsets.begin(), ua_offsets.end() - 1);
+  for (const std::uint64_t pair : ua_pairs_.keys()) {
+    uas[cursor[row_of_slot[pair >> 32]]++] =
+        static_cast<UaId>(pair & 0xffffffffu);
+  }
+}
+
 void DayGraph::finalize() {
-  if (finalized_) return;  // idempotent: the edge table is already laid out
+  if (finalized_) return;  // idempotent: the ingest state is already laid out
   // 1. Order the edge slots by (host, domain) key: a counting sort by
   // host lays out the per-host CSR rows, then each row sorts by domain.
   // Each entry packs (domain << 32) | slot; keys are unique, so the order
   // is total.
-  const std::size_t n_edges = edges_.size();
+  const std::span<const std::uint64_t> keys = edge_slots_.keys();
+  const std::size_t n_edges = keys.size();
   host_offsets_.assign(hosts_.size() + 1, 0);
-  for (const std::uint64_t key : edge_keys_) ++host_offsets_[(key >> 32) + 1];
+  for (const std::uint64_t key : keys) ++host_offsets_[(key >> 32) + 1];
   for (std::size_t h = 1; h < host_offsets_.size(); ++h) {
     host_offsets_[h] += host_offsets_[h - 1];
   }
@@ -118,7 +135,7 @@ void DayGraph::finalize() {
     std::vector<std::uint32_t> cursor(host_offsets_.begin(),
                                       host_offsets_.end() - 1);
     for (std::size_t slot = 0; slot < n_edges; ++slot) {
-      const std::uint64_t key = edge_keys_[slot];
+      const std::uint64_t key = keys[slot];
       order[cursor[key >> 32]++] = (key << 32) | slot;
     }
   }
@@ -128,39 +145,34 @@ void DayGraph::finalize() {
   }
 
   // 2. CSR forward layout: flat edge_index_ / edge_data_ in that order,
-  // each edge's payload copied into the flat time / UA arrays at its CSR
-  // position, its timestamps sorted there.
-  const auto slot_at = [&order](std::size_t i) {
-    return static_cast<std::uint32_t>(order[i] & 0xffffffffu);
-  };
-  std::vector<std::size_t> time_begin(n_edges + 1, 0);
-  std::vector<std::size_t> ua_begin(n_edges + 1, 0);
-  for (std::size_t i = 0; i < n_edges; ++i) {
-    const IngestEdge& src = edges_[slot_at(i)];
-    time_begin[i + 1] = time_begin[i] + src.times.size();
-    ua_begin[i + 1] = ua_begin[i] + src.user_agents.size();
-  }
+  // the logs scattered into the flat time / UA arrays by CSR row.
   edge_index_.resize(n_edges);
-  edge_data_.resize(n_edges);
-  edge_times_.resize(time_begin[n_edges]);
-  edge_uas_.resize(ua_begin[n_edges]);
+  std::vector<std::uint32_t> row_of_slot(n_edges);
   for (std::size_t i = 0; i < n_edges; ++i) {
-    const IngestEdge& src = edges_[slot_at(i)];
     edge_index_[i] = static_cast<DomainId>(order[i] >> 32);
-    util::TimePoint* const times = edge_times_.data() + time_begin[i];
-    std::copy(src.times.begin(), src.times.end(), times);
-    std::sort(times, times + src.times.size());
-    UaId* const uas = edge_uas_.data() + ua_begin[i];
-    std::copy(src.user_agents.begin(), src.user_agents.end(), uas);
-    edge_data_[i] = EdgeData{{times, src.times.size()},
-                             {uas, src.user_agents.size()},
-                             src.any_referer,
-                             src.any_empty_ua};
+    row_of_slot[order[i] & 0xffffffffu] = static_cast<std::uint32_t>(i);
+  }
+  std::vector<std::uint32_t> time_offsets;
+  std::vector<std::uint32_t> ua_offsets;
+  lay_out_payloads(row_of_slot, time_offsets, edge_times_, ua_offsets,
+                   edge_uas_);
+  edge_data_.resize(n_edges);
+  for (std::size_t slot = 0; slot < n_edges; ++slot) {
+    const std::uint32_t row = row_of_slot[slot];
+    const std::uint8_t flags = edges_[slot].flags;
+    edge_data_[row] = EdgeData{
+        {edge_times_.data() + time_offsets[row],
+         time_offsets[row + 1] - time_offsets[row]},
+        {edge_uas_.data() + ua_offsets[row],
+         ua_offsets[row + 1] - ua_offsets[row]},
+        (flags & kReferer) != 0,
+        (flags & kEmptyUa) != 0};
   }
   layout_domain_rows();
-  edge_table_ = {};
-  edge_keys_ = {};
+  edge_slots_ = {};
   edges_ = {};
+  time_log_ = {};
+  ua_pairs_ = {};
   finalized_ = true;
 }
 

@@ -3,9 +3,14 @@
 // stream: three interners assign final host, domain and user-agent ids on
 // first sight, edges aggregate in a (host, domain) key -> slot table, and
 // each domain keeps its distinct destination IPs in first-seen order.
+// Ingest allocates nothing per edge: an edge is a fixed-size record
+// (flags and its last UA), every event appends one (slot, time) entry to
+// a flat log, and each distinct (slot, UA) pair enters a second log once.
+// An event whose UA equals its edge's last UA does not hash the UA.
 // finalize() lays the graph out as CSR (compressed sparse row): flat
-// edge_index_ / edge_data_ arrays with per-node offset spans, every edge's
-// timestamps and user agents in two flat arrays in the same order, so day
+// edge_index_ / edge_data_ arrays with per-node offset spans, and both
+// logs scattered in one counting pass into two flat arrays in the same
+// order (each edge's times sorted, its UAs in first-seen order), so day
 // analysis streams cache-friendly arrays. Every id, span and edge depends
 // only on the event order. Each edge stores the
 // connection timestamps and the HTTP context aggregates the feature layer
@@ -23,6 +28,7 @@
 
 #include "logs/records.h"
 #include "util/interner.h"
+#include "util/key_table.h"
 #include "util/ipv4.h"
 #include "util/time.h"
 
@@ -56,7 +62,7 @@ class DayGraph {
   DayGraph& operator=(const DayGraph&) = delete;
 
   /// Ingest one event. Events may arrive in any order. Must not be called
-  /// after finalize() — the edge table is consumed by the CSR layout, so
+  /// after finalize() — the ingest state is consumed by the CSR layout, so
   /// this aborts (in every build type) rather than drop events.
   void add_event(const logs::ConnEvent& event);
 
@@ -68,9 +74,10 @@ class DayGraph {
   /// Events ingested so far.
   std::uint64_t ingested_events() const { return events_; }
 
-  /// Sort edges by (host, domain) key, sort edge timestamps and build the
-  /// CSR views. Call after the last add_event (idempotent: repeat calls
-  /// are no-ops). The adjacency queries below require a finalized graph.
+  /// Order edges by (host, domain) key, lay the time and UA logs out into
+  /// the CSR rows (each edge's times sorted) and build the CSR views.
+  /// Call after the last add_event (idempotent: repeat calls are no-ops).
+  /// The adjacency queries below require a finalized graph.
   void finalize();
 
   bool finalized() const { return finalized_; }
@@ -146,23 +153,34 @@ class DayGraph {
   util::Interner uas_;
   std::vector<std::vector<util::Ipv4>> ips_of_domain_;  ///< first-seen order
 
-  // ---- ingest edge table (consumed by finalize) ----
-  /// One edge under ingest: growable payloads, flattened by finalize().
+  // ---- ingest state (consumed by finalize) ----
+  static constexpr std::uint8_t kReferer = 1;
+  static constexpr std::uint8_t kEmptyUa = 2;
+  /// One edge under ingest; its times and UAs live in the logs below.
   struct IngestEdge {
-    std::vector<util::TimePoint> times;  ///< arrival order
-    std::vector<UaId> user_agents;       ///< distinct, first-seen order
-    bool any_referer = false;
-    bool any_empty_ua = false;
+    std::uint32_t times = 0;  ///< its entries in time_log_
+    std::uint32_t uas = 0;    ///< its pairs in ua_pairs_
+    UaId last_ua = kNoId;     ///< UA of its latest event that carried one
+    std::uint8_t flags = 0;   ///< kReferer | kEmptyUa
   };
-  /// Slot of the edge `key`, created empty on first sight.
-  std::uint32_t edge_slot(std::uint64_t key);
-  /// Open-addressing key -> slot table over edge_keys_: entries hold
-  /// slot + 1, 0 marks a free cell, and the size is a power of two kept
-  /// at least twice the edge count. One flat array, so ingest does not
-  /// allocate per edge and finalize frees it in one call.
-  std::vector<std::uint32_t> edge_table_;
-  std::vector<std::uint64_t> edge_keys_;  ///< slot -> key (creation order)
-  std::vector<IngestEdge> edges_;         ///< by slot
+  struct TimeEntry {
+    util::TimePoint ts = 0;
+    std::uint32_t slot = 0;
+  };
+  /// Lay the logs out by row, `row_of_slot` giving each edge slot's
+  /// output row: rows + 1 offsets into each flat array, every row's times
+  /// sorted and its UAs in first-seen order. One counting scatter per
+  /// log; only a row whose times arrived out of order is sorted. Offsets
+  /// are 32-bit, as in a SealedSegment: a graph holds < 2^32 events.
+  void lay_out_payloads(std::span<const std::uint32_t> row_of_slot,
+                        std::vector<std::uint32_t>& time_offsets,
+                        std::vector<util::TimePoint>& times,
+                        std::vector<std::uint32_t>& ua_offsets,
+                        std::vector<UaId>& uas) const;
+  util::KeyTable edge_slots_;         ///< (host, domain) key -> slot
+  std::vector<IngestEdge> edges_;     ///< by slot
+  std::vector<TimeEntry> time_log_;   ///< one entry per event, arrival order
+  util::KeyTable ua_pairs_;           ///< distinct (slot, UA), first seen
 
   // ---- finalized CSR state ----
   std::vector<std::uint32_t> host_offsets_;   ///< hosts + 1 row offsets

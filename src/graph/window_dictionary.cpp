@@ -74,42 +74,33 @@ SealedSegment WindowDictionary::seal(std::span<const logs::ConnEvent> events) {
   // sorted: an assembly that drops a domain skips its edges with one
   // check. The order of a segment's edges is free — an edge occurs once
   // per segment, so its payload still concatenates in segment order.
-  const std::size_t n_edges = local.edges_.size();
+  const std::span<const std::uint64_t> local_keys = local.edge_slots_.keys();
+  const std::size_t n_edges = local_keys.size();
   seg.domain_edges_.assign(seg.domains_.size() + 1, 0);
-  for (std::size_t slot = 0; slot < n_edges; ++slot) {
-    ++seg.domain_edges_[(local.edge_keys_[slot] & 0xffffffffu) + 1];
+  for (const std::uint64_t key : local_keys) {
+    ++seg.domain_edges_[(key & 0xffffffffu) + 1];
   }
   prefix_sum(seg.domain_edges_);
-  std::vector<std::uint32_t> by_domain(n_edges);
+  std::vector<std::uint32_t> row_of_slot(n_edges);
   {
     std::vector<std::uint32_t> next(seg.domain_edges_.begin(),
                                     seg.domain_edges_.end() - 1);
-    for (std::uint32_t slot = 0; slot < n_edges; ++slot) {
-      by_domain[next[local.edge_keys_[slot] & 0xffffffffu]++] = slot;
+    for (std::size_t slot = 0; slot < n_edges; ++slot) {
+      row_of_slot[slot] = next[local_keys[slot] & 0xffffffffu]++;
     }
   }
-  seg.edges_.reserve(n_edges);
-  seg.flags_.reserve(n_edges);
-  seg.times_.reserve(events.size());
-  seg.time_offsets_.assign(1, 0);
-  seg.ua_offsets_.assign(1, 0);
-  for (const std::uint32_t slot : by_domain) {
-    const std::uint64_t local_key = local.edge_keys_[slot];
+  local.lay_out_payloads(row_of_slot, seg.time_offsets_, seg.times_,
+                         seg.ua_offsets_, seg.edge_uas_);
+  for (UaId& ua : seg.edge_uas_) ua = seg.uas_[ua];
+  seg.edges_.resize(n_edges);
+  seg.flags_.resize(n_edges);
+  for (std::size_t slot = 0; slot < n_edges; ++slot) {
+    const std::uint64_t local_key = local_keys[slot];
     const std::uint64_t key = edge_key(seg.hosts_[local_key >> 32],
                                        seg.domains_[local_key & 0xffffffffu]);
-    const auto [it, inserted] =
-        edge_ids_.try_emplace(key, to_u32(edge_keys_.size()));
-    if (inserted) edge_keys_.push_back(key);
-    seg.edges_.push_back(it->second);
-    const DayGraph::IngestEdge& edge = local.edges_[slot];
-    seg.flags_.push_back(static_cast<std::uint8_t>(
-        (edge.any_referer ? kReferer : 0) | (edge.any_empty_ua ? kEmptyUa : 0)));
-    const auto run = seg.times_.insert(seg.times_.end(), edge.times.begin(),
-                                       edge.times.end());
-    std::sort(run, seg.times_.end());
-    seg.time_offsets_.push_back(to_u32(seg.times_.size()));
-    for (const UaId ua : edge.user_agents) seg.edge_uas_.push_back(seg.uas_[ua]);
-    seg.ua_offsets_.push_back(to_u32(seg.edge_uas_.size()));
+    const std::uint32_t row = row_of_slot[slot];
+    seg.edges_[row] = edge_ids_.insert(key).first;
+    seg.flags_[row] = local.edges_[slot].flags;
   }
   seg.ip_offsets_.assign(1, 0);
   for (std::size_t d = 0; d < seg.domains_.size(); ++d) {
@@ -124,7 +115,7 @@ SealedSegment WindowDictionary::seal(std::span<const logs::ConnEvent> events) {
   host_marks_.resize(hosts_.size());
   domain_marks_.resize(domains_.size());
   ua_marks_.resize(uas_.size());
-  edge_marks_.resize(edge_keys_.size());
+  edge_marks_.resize(edge_ids_.size());
   retain(seg.hosts_, host_refs_);
   retain(seg.domains_, domain_refs_);
   retain(seg.uas_, ua_refs_);
@@ -216,8 +207,8 @@ void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
         const std::uint32_t e = seg->edges_[i];
         const std::uint32_t w = number(edge_marks_, e, window_edges_);
         if (w == edge_sizes_.size()) {
-          edge_sizes_.push_back(
-              WindowEdge{host_marks_[edge_keys_[e] >> 32].value, domain, 0, 0});
+          const std::uint32_t host = host_marks_[edge_ids_.key(e) >> 32].value;
+          edge_sizes_.push_back(WindowEdge{host, domain, 0, 0});
         }
         edge_sizes_[w].times +=
             seg->time_offsets_[i + 1] - seg->time_offsets_[i];
@@ -324,8 +315,8 @@ void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
     out.edge_data_[row] = EdgeData{
         {times + fill.time_begin, fill.time_end - fill.time_begin},
         {uas + fill.ua_begin, fill.ua_end - fill.ua_begin},
-        (fill.flags & kReferer) != 0,
-        (fill.flags & kEmptyUa) != 0};
+        (fill.flags & DayGraph::kReferer) != 0,
+        (fill.flags & DayGraph::kEmptyUa) != 0};
   }
 
   // 5. Names in window id order (renumbering the recycled interners in
@@ -339,9 +330,10 @@ void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
   names(out.hosts_, hosts_, window_hosts_);
   names(out.domains_, domains_, window_domains_);
   names(out.uas_, uas_, window_uas_);
-  out.edge_table_.clear();
-  out.edge_keys_.clear();
+  out.edge_slots_ = {};
   out.edges_.clear();
+  out.time_log_.clear();
+  out.ua_pairs_ = {};
   out.events_ = events;
   out.layout_domain_rows();
   out.finalized_ = true;
@@ -371,21 +363,18 @@ void WindowDictionary::compact(std::span<SealedSegment* const> segments) {
 
   // A referenced edge's host and domain are referenced by the same
   // segment, so both remap.
-  std::vector<std::uint32_t> edge_map(edge_keys_.size(), kNoId);
-  std::unordered_map<std::uint64_t, std::uint32_t> edge_ids;
-  std::vector<std::uint64_t> edge_keys;
+  std::vector<std::uint32_t> edge_map(edge_ids_.size(), kNoId);
+  util::KeyTable edge_ids;
   std::vector<std::uint32_t> edge_refs;
-  for (std::uint32_t id = 0; id < edge_keys_.size(); ++id) {
+  for (std::uint32_t id = 0; id < edge_ids_.size(); ++id) {
     if (id >= edge_refs_.size() || edge_refs_[id] == 0) continue;
-    const std::uint64_t key = edge_key(host_map[edge_keys_[id] >> 32],
-                                       domain_map[edge_keys_[id] & 0xffffffffu]);
-    edge_map[id] = to_u32(edge_keys.size());
-    edge_ids.emplace(key, edge_map[id]);
-    edge_keys.push_back(key);
+    const std::uint64_t old_key = edge_ids_.key(id);
+    const std::uint64_t key = edge_key(host_map[old_key >> 32],
+                                       domain_map[old_key & 0xffffffffu]);
+    edge_map[id] = edge_ids.insert(key).first;
     edge_refs.push_back(edge_refs_[id]);
   }
   edge_ids_ = std::move(edge_ids);
-  edge_keys_ = std::move(edge_keys);
   edge_refs_ = std::move(edge_refs);
 
   const auto rewrite = [](std::vector<std::uint32_t>& ids,
@@ -403,7 +392,7 @@ void WindowDictionary::compact(std::span<SealedSegment* const> segments) {
   host_marks_.assign(hosts_.size(), Mark{});
   domain_marks_.assign(domains_.size(), Mark{});
   ua_marks_.assign(uas_.size(), Mark{});
-  edge_marks_.assign(edge_keys_.size(), Mark{});
+  edge_marks_.assign(edge_ids_.size(), Mark{});
   epoch_ = 0;
   assert(size() == live_);
 }

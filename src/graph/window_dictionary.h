@@ -53,13 +53,13 @@
 #include <functional>
 #include <span>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/day_graph.h"
 #include "logs/records.h"
 #include "util/interner.h"
 #include "util/ipv4.h"
+#include "util/key_table.h"
 #include "util/time.h"
 
 namespace eid::graph {
@@ -86,7 +86,7 @@ class SealedSegment {
   std::vector<util::TimePoint> times_;       ///< one sorted run per edge
   std::vector<std::uint32_t> ua_offsets_;    ///< edges_ + 1 spans of edge_uas_
   std::vector<UaId> edge_uas_;               ///< first-seen order per edge
-  std::vector<std::uint8_t> flags_;          ///< per edge: kReferer | kEmptyUa
+  std::vector<std::uint8_t> flags_;          ///< per edge: DayGraph flags
 };
 
 /// Keep filter over dictionary domains for WindowDictionary::assemble.
@@ -122,7 +122,7 @@ class WindowDictionary {
 
   /// Entries held: hosts + domains + UAs + edges.
   std::size_t size() const {
-    return hosts_.size() + domains_.size() + uas_.size() + edge_keys_.size();
+    return hosts_.size() + domains_.size() + uas_.size() + edge_ids_.size();
   }
 
   /// Entries referenced by at least one unreleased segment.
@@ -134,8 +134,6 @@ class WindowDictionary {
   void compact(std::span<SealedSegment* const> segments);
 
  private:
-  static constexpr std::uint8_t kReferer = 1;
-  static constexpr std::uint8_t kEmptyUa = 2;
   // Cached filter answer per domain id.
   static constexpr std::uint8_t kUnresolved = 0;
   static constexpr std::uint8_t kKeep = 1;
@@ -162,8 +160,7 @@ class WindowDictionary {
   util::Interner hosts_;
   util::Interner domains_;
   util::Interner uas_;
-  std::unordered_map<std::uint64_t, std::uint32_t> edge_ids_;  ///< key -> id
-  std::vector<std::uint64_t> edge_keys_;                       ///< id -> key
+  util::KeyTable edge_ids_;  ///< (host, domain) key -> edge id
   std::vector<std::uint32_t> host_refs_;
   std::vector<std::uint32_t> domain_refs_;
   std::vector<std::uint32_t> ua_refs_;

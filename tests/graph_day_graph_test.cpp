@@ -366,6 +366,53 @@ TEST(DayGraphTest, CompactionKeepsLiveSegmentsIntact) {
   expect_identical(assembled, sequential_graph(all));
 }
 
+// One edge's payload arrives over three ingest chunks: UAs A, B, A (the
+// repeat matches neither the edge's last UA nor adds a pair) and times out
+// of order within and across chunks. The graph is the same whether the
+// events come in three chunks, one chunk, or as three sealed segments.
+TEST(DayGraphTest, EdgePayloadsAcrossChunks) {
+  const std::vector<logs::ConnEvent> events = {
+      event(300, "h1", "a.com", "UA-A"), event(100, "h1", "a.com", "UA-A"),
+      event(250, "h2", "a.com", "UA-B"), event(200, "h1", "a.com", "UA-B"),
+      event(50, "h1", "a.com", "UA-B", true), event(400, "h1", "a.com", "UA-A"),
+      event(150, "h1", "a.com", "")};
+  const std::span<const logs::ConnEvent> all(events);
+  const std::span<const logs::ConnEvent> chunks[] = {
+      all.subspan(0, 2), all.subspan(2, 3), all.subspan(5)};
+
+  DayGraph chunked;
+  for (const auto chunk : chunks) chunked.add_events(chunk);
+  chunked.finalize();
+  EXPECT_EQ(chunked.ingested_events(), events.size());
+  const EdgeData* edge = chunked.edge(chunked.find_host("h1"),
+                                      chunked.find_domain("a.com"));
+  ASSERT_NE(edge, nullptr);
+  EXPECT_EQ(owned(edge->times),
+            (std::vector<util::TimePoint>{50, 100, 150, 200, 300, 400}));
+  ASSERT_EQ(edge->user_agents.size(), 2u);
+  EXPECT_EQ(chunked.ua_name(edge->user_agents[0]), "UA-A");
+  EXPECT_EQ(chunked.ua_name(edge->user_agents[1]), "UA-B");
+  EXPECT_TRUE(edge->any_referer);
+  EXPECT_TRUE(edge->any_empty_ua);
+
+  DayGraph whole;
+  whole.add_events(events);
+  whole.finalize();
+  {
+    SCOPED_TRACE("one chunk");
+    expect_identical(chunked, whole);
+  }
+
+  WindowDictionary dictionary;
+  std::vector<SealedSegment> segments;
+  for (const auto chunk : chunks) segments.push_back(dictionary.seal(chunk));
+  const SealedSegment* run[] = {&segments[0], &segments[1], &segments[2]};
+  DayGraph assembled;
+  dictionary.assemble(run, assembled);
+  SCOPED_TRACE("seal + assemble");
+  expect_identical(chunked, assembled);
+}
+
 TEST(DayGraphTest, LargeGraphConsistency) {
   DayGraph graph;
   for (int h = 0; h < 100; ++h) {
