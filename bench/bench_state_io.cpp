@@ -1,10 +1,11 @@
 // State-persistence benchmark: the binary container (storage/state.h) on
 // a month-scale profile corpus — bytes on disk and save/load wall time for
-// the domain history, the UA history, the combined detector state and one
-// day's delta frame. The paper's system
-// carries months of accumulated histories between daily batches (§III-E);
-// at enterprise scale that file is rewritten and re-read every day, so
-// both size and load latency are operational costs.
+// the domain history, the UA history, the combined detector state, one
+// day's delta frame, and Detector::load_state of the base plus a 6-frame
+// chain (what a hot standby pays to catch up on each change). The paper's
+// system carries months of accumulated histories between daily batches
+// (§III-E); at enterprise scale that file is rewritten and re-read every
+// day, so both size and load latency are operational costs.
 //
 // Pass --json[=path] to record the results as the "state_io" section of
 // BENCH_perf.json at the repo root (run from the repo root).
@@ -14,6 +15,7 @@
 // corp hosts that used the UA — host names repeat across thousands of UA
 // entries, which is exactly what the shared interned string table
 // collapses to 1-3 byte ids.
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -24,10 +26,11 @@
 #include <string>
 #include <vector>
 
+#include "api/detector.h"
 #include "bench_common.h"
+#include "sim/whois_db.h"
 #include "storage/delta.h"
 #include "storage/state.h"
-#include "util/crc32.h"
 #include "util/rng.h"
 
 namespace {
@@ -243,7 +246,7 @@ int main(int argc, char** argv) {
                              std::istreambuf_iterator<char>());
     }
     abort_on(base_file_bytes.empty(), "base checkpoint read");
-    day.base_crc = util::crc32(base_file_bytes);
+    day.base_crc = storage::base_binding(base_file_bytes);
   }
   day.day = 400;
   day.days_ingested = 30;
@@ -252,9 +255,16 @@ int main(int argc, char** argv) {
   for (const std::string& ua : day_uas) {
     storage::DeltaUaEntryView entry;
     entry.ua = ua;
+    // Distinct hosts, as a UaHistory entry holds them (a repeated host
+    // would encode a frame that does not decode).
     const std::size_t n = 6 + delta_rng.uniform(4);
-    for (std::size_t i = 0; i < n; ++i) {
-      entry.hosts.push_back(day_hosts[delta_rng.uniform(day_hosts.size())]);
+    while (entry.hosts.size() < n) {
+      const std::string_view host =
+          day_hosts[delta_rng.uniform(day_hosts.size())];
+      if (std::find(entry.hosts.begin(), entry.hosts.end(), host) ==
+          entry.hosts.end()) {
+        entry.hosts.push_back(host);
+      }
     }
     day.ua_entries.push_back(std::move(entry));
   }
@@ -286,6 +296,42 @@ int main(int argc, char** argv) {
     if (s < delta_save_seconds) delta_save_seconds = s;
   }
   std::filesystem::remove(chain_path);
+
+  // Restore path: Detector::load_state of the month-scale base plus a
+  // chain of kChainFrames day frames, each with its own new domains. This
+  // is the catch-up cost a hot standby pays each time the primary saves.
+  // Each timed load also frees the previously loaded state, as a standby's
+  // reload does.
+  constexpr std::uint64_t kChainFrames = 6;
+  for (std::uint64_t seq = 1; seq <= kChainFrames; ++seq) {
+    for (std::size_t d = 0; d < day_domains.size(); ++d) {
+      day_domains[d] = "fresh-" + std::to_string(seq) + "-" +
+                       std::to_string(d) + ".example.net";
+    }
+    day.seq = seq;
+    abort_on(!storage::append_delta_frame(chain_path,
+                                          storage::encode_delta_frame(day)),
+             "chain append");
+  }
+  const sim::WhoisDb whois;
+  api::Detector detector(core::PipelineConfig{}, whois);
+  double chain_load_seconds = 1e300;
+  for (int r = 0; r < 3; ++r) {
+    storage::ChainLoadReport report;
+    const double s = seconds_of(
+        [&] { abort_on(!detector.load_state(state_bin, &report), "chain load"); },
+        1);
+    if (report.degraded || report.frames_applied != kChainFrames) {
+      std::fprintf(stderr, "bench_state_io: chain load applied %zu of %llu "
+                   "frames (%s)\n", report.frames_applied,
+                   static_cast<unsigned long long>(kChainFrames),
+                   report.detail.c_str());
+      return 1;
+    }
+    if (s < chain_load_seconds) chain_load_seconds = s;
+  }
+  std::filesystem::remove(chain_path);
+
   const double delta_vs_full_speedup =
       delta_save_seconds > 0 ? state_save_seconds / delta_save_seconds : 0.0;
 
@@ -296,6 +342,9 @@ int main(int argc, char** argv) {
   std::printf("delta frame (one day): %zu bytes, save %.5fs — %.1fx faster "
               "than the full rewrite\n",
               delta_frame_bytes, delta_save_seconds, delta_vs_full_speedup);
+  std::printf("Detector::load_state, base + %llu-frame chain: %.3fs\n",
+              static_cast<unsigned long long>(kChainFrames),
+              chain_load_seconds);
 
   // The whole point of the delta chain is that daily saves stop paying
   // for the month: a day frame must beat the full rewrite by a wide
@@ -329,7 +378,9 @@ int main(int argc, char** argv) {
          << ", \"load_seconds\": " << state_load_seconds << "},\n"
          << "    \"delta_frame_bytes\": " << delta_frame_bytes << ",\n"
          << "    \"delta_save_seconds\": " << delta_save_seconds << ",\n"
-         << "    \"delta_vs_full_speedup\": " << delta_vs_full_speedup
+         << "    \"delta_vs_full_speedup\": " << delta_vs_full_speedup << ",\n"
+         << "    \"chain_frames\": " << kChainFrames << ",\n"
+         << "    \"chain_load_seconds\": " << chain_load_seconds
          << "\n  }";
     if (eid::bench::write_json_section(json_path, "state_io", body.str())) {
       std::printf("recorded state_io section of %s\n", json_path.c_str());

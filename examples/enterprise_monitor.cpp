@@ -16,10 +16,11 @@
 // src/storage/FORMAT.md); restart replays base + chain bit-identically.
 //
 // --standby turns the process into a hot standby (requires --state and
-// --follow): instead of ingesting the log it tails the primary's delta
-// chain, applying frames as they land, and takes over the live --follow
-// tail when the primary's heartbeat file (<state>.hb, touched by the
-// primary every poll) goes stale for --stale-after seconds. Takeover
+// --follow): instead of ingesting the log it re-loads the primary's base
+// checkpoint + delta chain whenever either file changes (the same load a
+// restart does), and takes over the live --follow tail when the
+// primary's heartbeat file (<state>.hb, touched by the primary every
+// poll) goes stale for --stale-after seconds. Takeover
 // re-reads the tailed day's log from the start — histories only advance
 // at day close, so the rebuilt day report is bit-identical to the one the
 // uninterrupted primary would have produced.
@@ -76,9 +77,10 @@ void print_usage(const char* argv0) {
       "                     (default 7)\n"
       "\n"
       "failover (see also src/storage/FORMAT.md):\n"
-      "  --standby           run as a hot standby: tail the primary's delta\n"
-      "                      chain (--state) and take over the --follow tail\n"
-      "                      when its heartbeat goes stale\n"
+      "  --standby           run as a hot standby: re-load the primary's\n"
+      "                      checkpoint (--state) whenever it changes and take\n"
+      "                      over the --follow tail when its heartbeat goes\n"
+      "                      stale\n"
       "  --stale-after <sec> heartbeat age that triggers takeover\n"
       "                      (default 10)\n"
       "\n"
@@ -436,7 +438,7 @@ int main(int argc, char** argv) {
     standby_config.state_path = state_path;
     standby_config.stale_after_seconds = stale_after;
     rt::StandbyReplica replica(detector, standby_config);
-    std::printf("standby: tailing checkpoint chain %s.delta (takeover after "
+    std::printf("standby: following checkpoint %s (takeover after "
                 "%ds of heartbeat silence)\n",
                 state_path.c_str(), stale_after);
     storage::LoadStatus status;
@@ -453,12 +455,16 @@ int main(int argc, char** argv) {
     std::fflush(stdout);
     int idle = 0;
     while (true) {
+      const std::size_t reloads = replica.stats().full_reloads;
       const std::size_t applied = replica.poll();
-      if (applied > 0) {
+      const bool rebased = replica.stats().full_reloads != reloads;
+      if (applied > 0 || rebased) {
         idle = 0;
-        std::printf("[standby] applied %zu frame(s), now at seq %llu\n",
-                    applied,
-                    static_cast<unsigned long long>(replica.last_seq()));
+        std::printf("[standby] %s, now at seq %llu, %zu operation day(s) "
+                    "completed\n",
+                    rebased ? "loaded a new base" : "loaded new frame(s)",
+                    static_cast<unsigned long long>(replica.last_seq()),
+                    detector.days_operated());
         std::fflush(stdout);
       }
       const double age =
@@ -492,7 +498,7 @@ int main(int argc, char** argv) {
         setup.adopt_incidents = adopted ? &incidents : nullptr;
         return run_follow(detector, seeds, setup, flush_observability);
       }
-      if (applied == 0) {
+      if (applied == 0 && !rebased) {
         ++idle;
         if (idle_exit > 0 && idle >= idle_exit) {
           std::printf("[standby] idle limit reached without takeover — "

@@ -246,7 +246,7 @@ int deep_verify_chain(const std::filesystem::path& chain_path) {
       return 2;
     }
     std::printf("frame %zu @%llu: %zu bytes, crc ok, seq %llu, day %s, "
-                "base crc %08llx\n",
+                "base binding %08llx\n",
                 i, static_cast<unsigned long long>(frame.offset),
                 frame.payload.size(),
                 static_cast<unsigned long long>(decoded->seq),

@@ -1,6 +1,7 @@
 #include "api/detector.h"
 
 #include <algorithm>
+#include <cassert>
 #include <memory>
 #include <optional>
 #include <span>
@@ -14,7 +15,6 @@
 #include "features/similarity_features.h"
 #include "storage/delta.h"
 #include "storage/state.h"
-#include "util/crc32.h"
 
 namespace eid::api {
 
@@ -156,45 +156,41 @@ storage::DetectorStateView make_state_view(
 
 }  // namespace
 
-bool Detector::save_state(const std::filesystem::path& path,
-                          storage::LoadStatus* status) const {
+std::optional<std::uint32_t> Detector::write_base(
+    const std::filesystem::path& path, storage::LoadStatus* status) const {
   storage::TrainingRows rows;
   export_unfinalized_rows(pipeline_, 0, 0, rows);
   const storage::DetectorStateView state = make_state_view(
       pipeline_, intel_domains_, days_operated_, rows.empty() ? nullptr : &rows);
-  const bool ok = storage::save_detector_state(state, path, status);
-  if (ok && delta_.active && delta_.path == path) {
-    // A direct full save replaced the base this path's chain was built on;
-    // drop the chain before stale frames can shadow (and be dropped
-    // against) the new base.
-    std::error_code ec;
-    std::filesystem::remove(storage::delta_chain_path(path), ec);
-    delta_.active = false;
+  std::uint32_t binding = 0;
+  if (!storage::save_detector_state(state, path, status, &binding)) {
+    return std::nullopt;
   }
+  // Only after the new base is durable: a crash in between leaves the old
+  // chain beside a base it does not bind to, and its frames drop on load.
+  std::error_code ec;
+  std::filesystem::remove(storage::delta_chain_path(path), ec);
+  return binding;
+}
+
+bool Detector::save_state(const std::filesystem::path& path,
+                          storage::LoadStatus* status) const {
+  const bool ok = write_base(path, status).has_value();
+  if (ok && delta_.path == path) delta_.active = false;
   return ok;
 }
 
 bool Detector::full_checkpoint(const std::filesystem::path& path,
                                bool degenerate, storage::LoadStatus* status) {
-  storage::TrainingRows rows;
-  export_unfinalized_rows(pipeline_, 0, 0, rows);
-  const storage::DetectorStateView state = make_state_view(
-      pipeline_, intel_domains_, days_operated_, rows.empty() ? nullptr : &rows);
-  const std::string bytes = storage::encode_detector_state(state);
-  if (!storage::write_file_atomic(path, bytes, status)) {
+  const std::optional<std::uint32_t> binding = write_base(path, status);
+  if (!binding || degenerate) {
     delta_.active = false;
-    return false;
-  }
-  std::error_code ec;
-  std::filesystem::remove(storage::delta_chain_path(path), ec);
-  if (degenerate) {
-    delta_.active = false;
-    pipeline_.set_history_journaling(false);
-    return true;
+    if (binding) pipeline_.set_history_journaling(false);
+    return binding.has_value();
   }
   delta_.active = true;
   delta_.path = path;
-  delta_.base_crc = util::crc32(bytes);
+  delta_.base_crc = *binding;
   delta_.next_seq = 1;
   delta_.saves_since_full = 0;
   delta_.cc_rows_mark = pipeline_.cc_training_rows();
@@ -296,9 +292,10 @@ bool Detector::load_state(const std::filesystem::path& path,
       storage::load_detector_state_chain(path, &chain, status);
   if (!state) return false;
   restore_state(std::move(*state));
-  if (!chain.degraded) {
+  if (!chain.degraded && !chain.legacy_binding) {
     // Clean replay (a torn tail is fine — append truncates it): continue
-    // appending to the same chain from the next sequence number.
+    // appending to the same chain from the next sequence number. A chain
+    // on the legacy binding is not extended: the next save compacts it.
     delta_.active = true;
     delta_.path = path;
     delta_.base_crc = chain.base_crc;
@@ -326,11 +323,12 @@ void Detector::restore_state(storage::DetectorState state) {
       {state.training.whois_age_sum, state.training.whois_validity_sum,
        static_cast<std::size_t>(state.training.whois_samples)});
   pipeline_.clear_training_rows();
-  if (!state.training_rows.empty()) {
-    (void)pipeline_.import_training_rows(
-        state.training_rows.cc, state.training_rows.cc_labels,
-        state.training_rows.sim, state.training_rows.sim_labels);
-  }
+  // Decoding pinned the rows to this build's widths, so they always fit.
+  const bool rows_fit = pipeline_.import_training_rows(
+      state.training_rows.cc, state.training_rows.cc_labels,
+      state.training_rows.sim, state.training_rows.sim_labels);
+  assert(rows_fit);
+  (void)rows_fit;
   if (state.has_top_sites) {
     owned_top_sites_ =
         std::make_unique<profile::TopSitesList>(std::move(state.top_sites));
@@ -343,58 +341,6 @@ void Detector::restore_state(storage::DetectorState state) {
   days_operated_ = static_cast<std::size_t>(state.counters.days_operated);
   delta_.intel_dirty = false;
   delta_.top_sites_dirty = false;
-}
-
-bool Detector::apply_state_delta(const storage::DeltaFrame& frame,
-                                 storage::LoadStatus* status) {
-  if (!frame.training_rows.empty() &&
-      ((frame.training_rows.cc_cols != features::kCcFeatureCount &&
-        !frame.training_rows.cc_labels.empty()) ||
-       (frame.training_rows.sim_cols != features::kSimFeatureCount &&
-        !frame.training_rows.sim_labels.empty()))) {
-    storage::set_status(status, storage::LoadError::Malformed,
-                        "delta frame: training-row width does not match this "
-                        "build's feature count");
-    return false;
-  }
-  // A detector applying frames is a replica of whoever wrote them; it must
-  // not also append to that chain (its journals never saw these changes).
-  // The first post-takeover save full-rewrites instead.
-  delta_.active = false;
-  pipeline_.set_history_journaling(false);
-  pipeline_.set_config(frame.config);
-  pipeline_.restore_models(frame.cc_model, frame.sim_model,
-                           frame.training.models_ready);
-  pipeline_.restore_whois_training_stats(
-      {frame.training.whois_age_sum, frame.training.whois_validity_sum,
-       static_cast<std::size_t>(frame.training.whois_samples)});
-  pipeline_.absorb_domain_delta(
-      frame.new_domains, static_cast<std::size_t>(frame.days_ingested));
-  std::vector<std::string_view> host_views;
-  for (const auto& entry : frame.ua_entries) {
-    host_views.assign(entry.hosts.begin(), entry.hosts.end());
-    pipeline_.absorb_ua_entry(
-        entry.ua, entry.popular,
-        std::span<const std::string_view>(host_views.data(),
-                                          host_views.size()));
-  }
-  if (!frame.training_rows.empty()) {
-    (void)pipeline_.import_training_rows(
-        frame.training_rows.cc, frame.training_rows.cc_labels,
-        frame.training_rows.sim, frame.training_rows.sim_labels);
-  }
-  if (frame.training.models_ready) pipeline_.clear_training_rows();
-  if (frame.has_intel) {
-    intel_domains_ = frame.intel_domains;  // frames carry it sorted+unique
-  }
-  if (frame.has_top_sites) {
-    auto sites = std::make_unique<profile::TopSitesList>();
-    for (const std::string& site : frame.top_sites) sites->add(site);
-    owned_top_sites_ = std::move(sites);
-    pipeline_.set_top_sites(owned_top_sites_.get());
-  }
-  days_operated_ = static_cast<std::size_t>(frame.counters.days_operated);
-  return true;
 }
 
 HealthSnapshot Detector::health_snapshot() const {

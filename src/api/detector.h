@@ -18,6 +18,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -29,7 +30,6 @@
 
 namespace eid::storage {
 struct ChainLoadReport;
-struct DeltaFrame;
 struct DetectorState;
 }
 
@@ -188,11 +188,11 @@ class Detector {
   // ---- Checkpoint/restore (storage/state.h) ----
 
   /// Snapshot everything the detector has accumulated — histories, trained
-  /// models, top-sites whitelist, intel, config, counters — into one
-  /// binary state file (atomic tmp-file + rename). Returns false with the
-  /// reason in `status` on failure. Note: regression rows of an
-  /// *unfinalized* training run are not carried; checkpoint after
-  /// finalize_training().
+  /// models, top-sites whitelist, intel, config, counters, unfinalized
+  /// training rows — into one binary state file (atomic tmp-file +
+  /// rename), and remove any delta chain next to it: a chain never
+  /// outlives the base it was built on. Returns false with the reason in
+  /// `status` on failure.
   bool save_state(const std::filesystem::path& path,
                   storage::LoadStatus* status = nullptr) const;
 
@@ -229,16 +229,12 @@ class Detector {
   /// load_state that also replays the delta chain next to `path` and
   /// reports what it applied (frames, failover cursor, incidents). On a
   /// clean replay the detector continues appending to the same chain; on a
-  /// degraded one the next save_state_delta compacts.
+  /// degraded one the next save_state_delta compacts. A failed load leaves
+  /// the detector as it was. The hot standby (rt/standby.h) catches up by
+  /// calling this again whenever the files change.
   bool load_state(const std::filesystem::path& path,
                   storage::ChainLoadReport* report,
                   storage::LoadStatus* status = nullptr);
-
-  /// Apply one decoded delta frame to the live detector — the hot-standby
-  /// replica path (rt/standby.h), equivalent to what load_state's chain
-  /// replay does per frame. False + status when the frame does not fit.
-  bool apply_state_delta(const storage::DeltaFrame& frame,
-                         storage::LoadStatus* status = nullptr);
 
   /// Completed operation days (run_day calls), restored by load_state().
   std::size_t days_operated() const { return days_operated_; }
@@ -281,7 +277,7 @@ class Detector {
   struct DeltaTracker {
     bool active = false;             ///< appending to `path`'s chain
     std::filesystem::path path;
-    std::uint32_t base_crc = 0;      ///< CRC-32 of the base file bytes
+    std::uint32_t base_crc = 0;      ///< storage::base_binding of the base
     std::uint64_t next_seq = 1;
     std::size_t saves_since_full = 0;
     std::size_t cc_rows_mark = 0;    ///< training rows already persisted
@@ -289,6 +285,12 @@ class Detector {
     bool intel_dirty = false;        ///< re-ship intel in the next frame
     bool top_sites_dirty = false;    ///< re-ship the whitelist likewise
   };
+
+  /// Encode the full state, write it atomically to `path` and remove the
+  /// chain next to it (save_state and compaction). The new base's chain
+  /// binding, nullopt when the write failed.
+  std::optional<std::uint32_t> write_base(const std::filesystem::path& path,
+                                          storage::LoadStatus* status) const;
 
   /// Full rewrite + tracker (re)prime — the compaction path of
   /// save_state_delta. `degenerate` skips priming (policy always-full).

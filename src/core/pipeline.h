@@ -270,19 +270,6 @@ class Pipeline {
     return {domain_history_.drain_journal(), ua_history_.drain_journal()};
   }
 
-  /// Apply a domain-history delta (standby replica path): insert the
-  /// domains, set the absolute day counter.
-  void absorb_domain_delta(std::span<const std::string> domains,
-                           std::size_t days_ingested) {
-    domain_history_.absorb(domains, days_ingested);
-  }
-
-  /// Replace one UA entry wholesale (standby replica path).
-  void absorb_ua_entry(std::string_view ua, bool popular,
-                       std::span<const std::string_view> hosts) {
-    ua_history_.restore_entry(ua, popular, hosts);
-  }
-
   /// Accumulated training-row counts, for delta saves that only ship the
   /// rows appended since the previous frame.
   std::size_t cc_training_rows() const { return cc_labels_.size(); }

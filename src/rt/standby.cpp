@@ -3,27 +3,43 @@
 #include <chrono>
 #include <fstream>
 #include <limits>
+#include <system_error>
 #include <utility>
 
 #include "obs/metrics.h"
+#include "storage/delta.h"
 
 namespace eid::rt {
-
-namespace {
-
-/// Frame header + trailer bytes around a payload in the chain file
-/// (magic(8) + size(4) ... crc(4)); see storage/delta.h.
-constexpr std::uint64_t kFrameOverhead = 8 + 4 + 4;
-
-}  // namespace
 
 StandbyReplica::StandbyReplica(api::Detector& detector, StandbyConfig config)
     : detector_(detector), config_(std::move(config)) {}
 
-void StandbyReplica::adopt_report(storage::ChainLoadReport&& report) {
+bool StandbyReplica::observe(Files& files, bool& torn_tail,
+                             storage::LoadStatus* status) {
+  // A missing base reads as an impossible size; the load then reports why.
+  std::error_code ec;
+  files.base_size = std::filesystem::file_size(config_.state_path, ec);
+  files.base_mtime = std::filesystem::last_write_time(config_.state_path, ec);
+  storage::DeltaChainInfo info;
+  if (!storage::read_delta_chain(storage::delta_chain_path(config_.state_path),
+                                 info, status)) {
+    return false;
+  }
+  files.chain_bytes = info.valid_bytes;
+  torn_tail = info.torn_tail;
+  return true;
+}
+
+bool StandbyReplica::load(const Files& files, storage::LoadStatus* status) {
+  storage::ChainLoadReport report;
+  if (!detector_.load_state(config_.state_path, &report, status)) return false;
+  started_ = true;
+  seen_ = files;
   base_crc_ = report.base_crc;
-  next_seq_ = report.last_seq + 1;
-  applied_bytes_ = report.applied_bytes;
+  last_seq_ = report.last_seq;
+  // Only overwrite the cursor/incidents when the new chain carries them:
+  // right after a compaction the chain is empty, and the previously
+  // loaded frame's payload is still the latest known.
   if (report.has_cursor) {
     has_cursor_ = true;
     cursor_day_ = report.cursor_day;
@@ -34,84 +50,46 @@ void StandbyReplica::adopt_report(storage::ChainLoadReport&& report) {
     incidents_next_id_ = report.incidents_next_id;
     incidents_ = std::move(report.incidents);
   }
-}
-
-bool StandbyReplica::start(storage::LoadStatus* status) {
-  storage::ChainLoadReport report;
-  if (!detector_.load_state(config_.state_path, &report, status)) {
-    started_ = false;
-    return false;
-  }
-  started_ = true;
-  // adopt_report only overwrites the cursor/incidents when the new chain
-  // carries them: right after a compaction the chain is empty, and the
-  // previously applied frame's payload is still the latest known.
-  adopt_report(std::move(report));
   return true;
 }
 
-bool StandbyReplica::reload(storage::LoadStatus* status) {
-  ++stats_.full_reloads;
-  obs::metrics().counter("eid_standby_reloads_total").add(1);
-  return start(status);
+bool StandbyReplica::start(storage::LoadStatus* status) {
+  Files files;
+  bool torn_tail = false;
+  return observe(files, torn_tail, status) && load(files, status);
 }
 
 std::size_t StandbyReplica::poll(storage::LoadStatus* status) {
   ++stats_.polls;
-  if (!started_ && !start(status)) return 0;
-  storage::DeltaChainInfo info;
-  storage::LoadStatus local;
-  if (!storage::read_delta_chain(storage::delta_chain_path(config_.state_path),
-                                 info, &local)) {
-    // Transient read failure: keep the state we have; retry next poll.
-    if (status != nullptr) *status = local;
+  Files files;
+  bool torn_tail = false;
+  // A chain read failure is transient: keep the state we have, retry.
+  if (!observe(files, torn_tail, status)) return 0;
+  if (torn_tail) ++stats_.torn_waits;  // append in progress: wait
+  if (started_ && files == seen_) return 0;
+  const bool was_started = started_;
+  const std::uint32_t base_crc = base_crc_;
+  const std::uint64_t last_seq = last_seq_;
+  if (!load(files, status)) {
+    // Keep the state we have and wait for the files to change: a base
+    // that cannot be loaded is not re-read every poll. Until the first
+    // load succeeds there is nothing to keep, so that retries each poll.
+    if (was_started) seen_ = files;
     return 0;
   }
-  if (info.valid_bytes < applied_bytes_) {
-    // The chain shrank under us: the primary compacted into a new base.
-    reload(status);
+  if (!was_started) return 0;
+  if (base_crc_ != base_crc) {
+    ++stats_.full_reloads;
+    obs::metrics().counter("eid_standby_reloads_total").add(1);
     return 0;
   }
-  std::size_t applied = 0;
-  for (const auto& frame : info.frames) {
-    if (frame.offset < applied_bytes_) continue;  // already replayed
-    std::optional<storage::DeltaFrame> decoded =
-        storage::decode_delta_frame(frame.payload, &local);
-    const bool fits = decoded && decoded->base_crc == base_crc_ &&
-                      decoded->seq == next_seq_;
-    if (!fits || !detector_.apply_state_delta(*decoded, &local)) {
-      // A complete, CRC-clean frame that does not continue our replay:
-      // the primary compacted (new base CRC, seq restarting at 1) or the
-      // chain is genuinely bad. Reload once per chain change — a
-      // persistently bad chain (the degraded-load case) must not trigger
-      // a reload storm.
-      if (status != nullptr) *status = local;
-      if (info.valid_bytes != suspect_bytes_) {
-        suspect_bytes_ = info.valid_bytes;
-        reload(status);
-      }
-      return applied;
-    }
-    applied_bytes_ = frame.offset + kFrameOverhead + frame.payload.size();
-    ++next_seq_;
-    ++applied;
-    ++stats_.frames_applied;
-    if (decoded->has_cursor) {
-      has_cursor_ = true;
-      cursor_day_ = decoded->cursor_day;
-      cursor_offset_ = decoded->cursor_offset;
-    }
-    if (decoded->has_incidents) {
-      has_incidents_ = true;
-      incidents_next_id_ = decoded->incidents_next_id;
-      incidents_ = std::move(decoded->incidents);
-    }
+  const std::size_t gained =
+      last_seq_ > last_seq ? static_cast<std::size_t>(last_seq_ - last_seq) : 0;
+  stats_.frames_applied += gained;
+  if (gained > 0) {
+    obs::metrics().counter("eid_standby_frames_applied_total").add(gained);
   }
-  if (info.torn_tail) ++stats_.torn_waits;  // append in progress: wait
-  if (applied > 0) {
-    obs::metrics().counter("eid_standby_frames_applied_total").add(applied);
-  }
-  return applied;
+  return gained;
 }
 
 bool StandbyReplica::take_incidents(core::IncidentStore& store) const {

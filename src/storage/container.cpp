@@ -92,12 +92,11 @@ std::optional<ContainerReader> ContainerReader::parse(std::string_view bytes,
       set_status(status, LoadError::Truncated, at + ": payload cut short");
       return std::nullopt;
     }
-    std::uint32_t stored_crc = 0;
-    if (!in.u32le(stored_crc)) {
+    if (!in.u32le(section.crc)) {
       set_status(status, LoadError::Truncated, at + ": checksum cut short");
       return std::nullopt;
     }
-    if (util::crc32(section.payload) != stored_crc) {
+    if (util::crc32(section.payload) != section.crc) {
       set_status(status, LoadError::ChecksumMismatch,
                  at + " (id " + std::to_string(section.id) +
                      "): checksum mismatch");

@@ -67,6 +67,7 @@ class ContainerWriter {
 struct Section {
   std::uint64_t id = 0;
   std::string_view payload;
+  std::uint32_t crc = 0;  ///< the stored (and verified) payload CRC-32
 };
 
 /// Parses a container and verifies every section CRC up front. The reader

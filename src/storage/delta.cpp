@@ -565,8 +565,7 @@ bool append_delta_frame(const std::filesystem::path& chain_path,
 
 // ---- Applying frames ----
 
-bool apply_delta_frame(DetectorState& state, const DeltaFrame& frame,
-                       LoadStatus* status) {
+void apply_delta_frame(DetectorState& state, const DeltaFrame& frame) {
   state.config = frame.config;
   state.cc_model = frame.cc_model;
   state.sim_model = frame.sim_model;
@@ -582,34 +581,21 @@ bool apply_delta_frame(DetectorState& state, const DeltaFrame& frame,
         std::span<const std::string_view>(host_views.data(),
                                           host_views.size()));
   }
-  if (!frame.training_rows.empty()) {
-    TrainingRows& rows = state.training_rows;
-    const TrainingRows& add = frame.training_rows;
-    if (!add.cc_labels.empty()) {
-      if (rows.cc_labels.empty()) {
-        rows.cc_cols = add.cc_cols;
-      } else if (rows.cc_cols != add.cc_cols) {
-        set_status(status, LoadError::Malformed,
-                   "delta frame: c&c training-row width changed mid-chain");
-        return false;
-      }
-      rows.cc.insert(rows.cc.end(), add.cc.begin(), add.cc.end());
-      rows.cc_labels.insert(rows.cc_labels.end(), add.cc_labels.begin(),
-                            add.cc_labels.end());
-    }
-    if (!add.sim_labels.empty()) {
-      if (rows.sim_labels.empty()) {
-        rows.sim_cols = add.sim_cols;
-      } else if (rows.sim_cols != add.sim_cols) {
-        set_status(status, LoadError::Malformed,
-                   "delta frame: similarity training-row width changed "
-                   "mid-chain");
-        return false;
-      }
-      rows.sim.insert(rows.sim.end(), add.sim.begin(), add.sim.end());
-      rows.sim_labels.insert(rows.sim_labels.end(), add.sim_labels.begin(),
-                             add.sim_labels.end());
-    }
+  // Decoding pinned every non-empty matrix to this build's widths, so
+  // rows append as they are.
+  TrainingRows& rows = state.training_rows;
+  const TrainingRows& add = frame.training_rows;
+  if (!add.cc_labels.empty()) {
+    rows.cc_cols = add.cc_cols;
+    rows.cc.insert(rows.cc.end(), add.cc.begin(), add.cc.end());
+    rows.cc_labels.insert(rows.cc_labels.end(), add.cc_labels.begin(),
+                          add.cc_labels.end());
+  }
+  if (!add.sim_labels.empty()) {
+    rows.sim_cols = add.sim_cols;
+    rows.sim.insert(rows.sim.end(), add.sim.begin(), add.sim.end());
+    rows.sim_labels.insert(rows.sim_labels.end(), add.sim_labels.begin(),
+                           add.sim_labels.end());
   }
   if (frame.training.models_ready) {
     // Once finalize_training() happened the rows will never be re-solved;
@@ -622,7 +608,6 @@ bool apply_delta_frame(DetectorState& state, const DeltaFrame& frame,
     for (const std::string& site : frame.top_sites) state.top_sites.add(site);
     state.has_top_sites = true;
   }
-  return true;
 }
 
 // ---- Chain-aware load ----
@@ -638,7 +623,11 @@ std::optional<DetectorState> load_detector_state_chain(
   ChainLoadReport local;
   ChainLoadReport& out = report != nullptr ? *report : local;
   out = ChainLoadReport{};
-  out.base_crc = util::crc32(*bytes);
+  out.base_crc = base_binding(*bytes);
+  // Chains written before base_binding existed bind to the CRC-32 of the
+  // whole base file. Accept them so an upgrade keeps their history; the
+  // report marks the load so the next delta save compacts the chain away.
+  const std::uint32_t legacy_crc = util::crc32(*bytes);
 
   DeltaChainInfo info;
   LoadStatus chain_status;
@@ -666,31 +655,20 @@ std::optional<DetectorState> load_detector_state_chain(
       break;
     }
     if (frame->base_crc != out.base_crc) {
-      drop("built on a different base checkpoint");
-      break;
+      if (frame->base_crc != legacy_crc) {
+        drop("built on a different base checkpoint");
+        break;
+      }
+      out.legacy_binding = true;
     }
     if (frame->seq != expect_seq) {
       drop("sequence gap (frame says " + std::to_string(frame->seq) +
            ", chain expects " + std::to_string(expect_seq) + ")");
       break;
     }
-    LoadStatus apply_status;
-    if (!apply_delta_frame(*state, *frame, &apply_status)) {
-      // The state may hold a partial apply; reload the clean prefix.
-      drop(apply_status.detail);
-      auto clean = decode_detector_state(*bytes, status);
-      if (!clean) return std::nullopt;
-      for (std::size_t j = 0; j < i; ++j) {
-        const auto redo = decode_delta_frame(info.frames[j].payload, nullptr);
-        if (!redo || !apply_delta_frame(*clean, *redo, nullptr)) break;
-      }
-      state = std::move(clean);
-      break;
-    }
+    apply_delta_frame(*state, *frame);
     ++out.frames_applied;
     out.last_seq = frame->seq;
-    out.applied_bytes = info.frames[i].offset + 12 +
-                        info.frames[i].payload.size() + 4;
     ++expect_seq;
     if (frame->has_cursor) {
       out.has_cursor = true;

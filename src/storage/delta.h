@@ -12,18 +12,18 @@
 //
 // Each frame is a complete container with its own frame-local string
 // table, a DeltaHeader section binding it to one specific base checkpoint
-// (the CRC-32 of the base file's bytes) and one position in the chain
-// (seq: 1, 2, ...), plus the day's changes: domains first seen, UA entries
-// touched (absolute replacements), the always-small absolute sections
+// (storage::base_binding) and one position in the chain (seq: 1, 2, ...),
+// plus the day's changes: domains first seen, UA entries touched
+// (absolute replacements), the always-small absolute sections
 // (config, models, training stats, counters), training rows appended since
 // the previous frame, and — when present — the rt tail cursor and the
 // incident-store snapshot a hot standby needs to take over.
 //
 // Recovery contract: a torn tail (crash mid-append) is detected by the
-// frame CRC and truncated by the next append; a frame whose base CRC or
-// seq does not match — or whose payload fails section CRCs or decoding —
-// degrades the load to everything before it (worst case: the last full
-// checkpoint), never to an error. See src/storage/FORMAT.md.
+// frame CRC and truncated by the next append; a frame whose base binding
+// or seq does not match — or whose payload fails section CRCs or
+// decoding — degrades the load to everything before it (worst case: the
+// last full checkpoint), never to an error. See src/storage/FORMAT.md.
 #pragma once
 
 #include <cstdint>
@@ -53,7 +53,7 @@ struct DeltaUaEntryView {
 /// Borrowed inputs for one frame (the daily save path never copies the
 /// month-scale histories). Pointers may be null only where noted.
 struct DeltaInputs {
-  std::uint32_t base_crc = 0;  ///< CRC-32 of the base checkpoint file bytes
+  std::uint32_t base_crc = 0;  ///< base_binding() of the base checkpoint
   std::uint64_t seq = 0;       ///< 1 for the first frame after a full save
   std::int64_t day = 0;        ///< day the frame was written for
   std::uint64_t days_ingested = 0;  ///< absolute DomainHistory day counter
@@ -137,21 +137,21 @@ struct DeltaChainInfo {
 bool read_delta_chain(const std::filesystem::path& chain_path,
                       DeltaChainInfo& info, LoadStatus* status = nullptr);
 
-/// Apply one decoded frame on top of a detector state. False + status when
-/// the frame's contents do not fit the state (e.g. training-row column
-/// mismatch) — the state may be partially updated and should be discarded.
-bool apply_delta_frame(DetectorState& state, const DeltaFrame& frame,
-                       LoadStatus* status = nullptr);
+/// Apply one decoded frame on top of a detector state. Cannot fail:
+/// decoding already checked everything a frame carries.
+void apply_delta_frame(DetectorState& state, const DeltaFrame& frame);
 
 /// What a chain-aware load did, for logging and for resuming the chain.
 struct ChainLoadReport {
-  std::uint32_t base_crc = 0;        ///< CRC-32 of the base file bytes
+  std::uint32_t base_crc = 0;        ///< base_binding() of the base file
   std::uint64_t last_seq = 0;        ///< seq of the last applied frame
   std::size_t frames_applied = 0;
   std::size_t frames_dropped = 0;    ///< CRC-clean frames not applied
   bool degraded = false;             ///< stopped early on a bad frame
   bool torn_tail = false;            ///< chain ended in a torn append
-  std::uint64_t applied_bytes = 0;   ///< chain prefix the applied frames span
+  /// Some frame was bound by the whole-file CRC older chains carry; the
+  /// next delta save rewrites the base instead of appending.
+  bool legacy_binding = false;
   std::string detail;                ///< why frames were dropped, if any
   // Latest failover payload seen across applied frames:
   bool has_cursor = false;
@@ -163,9 +163,12 @@ struct ChainLoadReport {
 };
 
 /// Load a full checkpoint plus its delta chain: decode the base file, then
-/// apply every frame whose base CRC, seq and contents check out, stopping
-/// (degraded, not failed) at the first frame that does not. nullopt only
-/// when the base itself cannot be loaded.
+/// apply every frame that decodes and whose base binding (or the legacy
+/// whole-file CRC, see ChainLoadReport::legacy_binding) and seq check
+/// out, stopping (degraded, not failed) at the first frame that does not.
+/// nullopt only when the base itself cannot be loaded. This is the one
+/// restore path: restart, resume and the hot standby all go through it
+/// (api::Detector::load_state).
 std::optional<DetectorState> load_detector_state_chain(
     const std::filesystem::path& path, ChainLoadReport* report = nullptr,
     LoadStatus* status = nullptr);

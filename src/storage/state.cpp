@@ -6,10 +6,13 @@
 #include <unordered_map>
 #include <unordered_set>
 
+#include "features/cc_features.h"
+#include "features/similarity_features.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "storage/encoding.h"
 #include "util/binary.h"
+#include "util/crc32.h"
 
 // The encoding primitives live in storage::detail (declared in
 // storage/encoding.h) so the delta-chain encoder (storage/delta.cpp)
@@ -579,13 +582,22 @@ void encode_matrix(util::ByteWriter& out, std::uint64_t cols,
   for (const double v : labels) out.f64(v);
 }
 
-bool decode_matrix(util::ByteReader& in, const char* what, std::uint64_t& cols,
-                   std::vector<double>& values, std::vector<double>& labels,
-                   LoadStatus* status) {
+/// `width` is the feature count this build trains on: a non-empty matrix
+/// of any other width could not be imported, so it fails here, once.
+bool decode_matrix(util::ByteReader& in, const char* what, std::uint64_t width,
+                   std::uint64_t& cols, std::vector<double>& values,
+                   std::vector<double>& labels, LoadStatus* status) {
   std::uint64_t rows = 0;
   if (!in.varint(cols) || !in.varint(rows)) {
     set_status(status, LoadError::Truncated,
                std::string("training rows: ") + what + " header cut short");
+    return false;
+  }
+  if (rows > 0 && cols != width) {
+    set_status(status, LoadError::Malformed,
+               std::string("training rows: ") + what + " rows are " +
+                   std::to_string(cols) + " wide, this build trains on " +
+                   std::to_string(width));
     return false;
   }
   // 8 bytes per f64, (cols + 1) f64s per row: a corrupt header cannot
@@ -636,10 +648,10 @@ std::string encode_training_rows_section(const TrainingRows& rows) {
 bool decode_training_rows_section(std::string_view payload, TrainingRows& rows,
                                   LoadStatus* status) {
   util::ByteReader in(payload);
-  if (!decode_matrix(in, "c&c", rows.cc_cols, rows.cc, rows.cc_labels,
-                     status) ||
-      !decode_matrix(in, "similarity", rows.sim_cols, rows.sim,
-                     rows.sim_labels, status)) {
+  if (!decode_matrix(in, "c&c", features::kCcFeatureCount, rows.cc_cols,
+                     rows.cc, rows.cc_labels, status) ||
+      !decode_matrix(in, "similarity", features::kSimFeatureCount,
+                     rows.sim_cols, rows.sim, rows.sim_labels, status)) {
     return false;
   }
   if (!in.at_end()) {
@@ -869,7 +881,7 @@ StateMetrics& state_metrics() {
 
 bool save_detector_state(const DetectorStateView& state,
                          const std::filesystem::path& path,
-                         LoadStatus* status) {
+                         LoadStatus* status, std::uint32_t* binding) {
   const obs::TraceSpan span("state_save", "storage");
   const auto start = std::chrono::steady_clock::now();
   const std::string bytes = encode_detector_state(state);
@@ -878,6 +890,7 @@ bool save_detector_state(const DetectorStateView& state,
   if (ok) {
     metrics.saves.add(1);
     metrics.saved_bytes.add(bytes.size());
+    if (binding != nullptr) *binding = base_binding(bytes);
   }
   metrics.save_seconds.observe(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
@@ -901,6 +914,16 @@ std::optional<DetectorState> load_detector_state(
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count());
   return state;
+}
+
+std::uint32_t base_binding(std::string_view bytes) {
+  const auto reader = ContainerReader::parse(bytes);
+  if (!reader) return 0;
+  util::ByteWriter trailers;
+  for (const Section& section : reader->sections()) {
+    trailers.u32le(section.crc);
+  }
+  return util::crc32(trailers.data());
 }
 
 // ---- Per-component files ----

@@ -48,7 +48,8 @@ struct Counters {
 /// row-major. Carried in checkpoints taken before finalize_training() so
 /// a crash mid-training resumes with the exact rows an uninterrupted run
 /// would hand to the solver. Once the models are finalized the rows are
-/// dropped (an operating detector never re-trains from them).
+/// dropped (an operating detector never re-trains from them). Decoding
+/// rejects rows of any width but this build's feature counts (Malformed).
 struct TrainingRows {
   std::uint64_t cc_cols = 0;       ///< features::kCcFeatureCount when rows exist
   std::uint64_t sim_cols = 0;      ///< features::kSimFeatureCount when rows exist
@@ -106,10 +107,12 @@ inline std::string encode_detector_state(const DetectorState& state) {
 std::optional<DetectorState> decode_detector_state(std::string_view bytes,
                                                    LoadStatus* status = nullptr);
 
-/// Atomic tmp-file + rename write of the encoded state.
+/// Atomic tmp-file + rename write of the encoded state. When `binding` is
+/// given, a successful save stores the new file's base_binding there.
 bool save_detector_state(const DetectorStateView& state,
                          const std::filesystem::path& path,
-                         LoadStatus* status = nullptr);
+                         LoadStatus* status = nullptr,
+                         std::uint32_t* binding = nullptr);
 inline bool save_detector_state(const DetectorState& state,
                                 const std::filesystem::path& path,
                                 LoadStatus* status = nullptr) {
@@ -118,6 +121,15 @@ inline bool save_detector_state(const DetectorState& state,
 
 std::optional<DetectorState> load_detector_state(
     const std::filesystem::path& path, LoadStatus* status = nullptr);
+
+/// The id a delta chain (storage/delta.h) uses to name its base
+/// checkpoint: the CRC-32 of the container's section CRC trailers, in
+/// order. It sees every payload byte through its trailer, where a CRC of
+/// the whole file cannot (a payload followed by its own CRC-32 adds
+/// nothing to a CRC-32 remainder, so every base with the same section ids
+/// and sizes would share one value). `bytes` is a container that parses;
+/// anything else yields 0.
+std::uint32_t base_binding(std::string_view bytes);
 
 // ---- Per-component binary files (string table + one section) ----
 

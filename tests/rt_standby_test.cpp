@@ -289,6 +289,86 @@ TEST_F(StandbyTest, TornTailMeansWaitNotReload) {
   EXPECT_EQ(warm.days_operated(), 3u);
 }
 
+TEST_F(StandbyTest, ReplicaFollowsAPrimaryThatAlwaysSavesFull) {
+  api::Detector primary = make_pretrained();
+  api::Detector warm = make_detector();
+  rt::StandbyConfig config;
+  config.state_path = state_path_;
+  rt::StandbyReplica replica(warm, config);
+
+  // full_every 1 never writes a chain: every save is a new base, and the
+  // replica must follow each one.
+  const api::CheckpointPolicy always_full{1};
+  storage::LoadStatus status;
+  for (int d = 0; d < 3; ++d) {
+    run_operation_day(primary, d);
+    primary.set_intel_domains({"ioc-" + std::to_string(d) + ".example"});
+    ASSERT_TRUE(primary.save_state_delta(state_path_, always_full, &status));
+    EXPECT_EQ(replica.poll(&status), 0u) << "day " << d;
+    EXPECT_EQ(warm.intel_domains(), primary.intel_domains()) << "day " << d;
+    EXPECT_EQ(warm.days_operated(), primary.days_operated()) << "day " << d;
+    // The first load attaches; each later base is a full reload.
+    EXPECT_EQ(replica.stats().full_reloads, static_cast<std::size_t>(d));
+  }
+  EXPECT_FALSE(std::filesystem::exists(storage::delta_chain_path(state_path_)));
+  EXPECT_EQ(core::day_report_to_json(run_operation_day(warm, 3)),
+            baseline_[3]);
+
+  // After takeover the replica extends the base it loaded, as a restarted
+  // primary would: its first delta save appends frame 1 to that base.
+  ASSERT_TRUE(warm.save_state_delta(state_path_, api::CheckpointPolicy{10},
+                                    &status));
+  storage::ChainLoadReport report;
+  api::Detector resumed = make_detector();
+  ASSERT_TRUE(resumed.load_state(state_path_, &report, &status));
+  EXPECT_FALSE(report.degraded) << report.detail;
+  EXPECT_EQ(report.frames_applied, 1u);
+  EXPECT_EQ(resumed.days_operated(), 4u);
+}
+
+TEST_F(StandbyTest, BaseThatFailsToLoadIsReadOncePerChange) {
+  api::Detector primary = make_pretrained();
+  api::Detector warm = make_detector();
+  rt::StandbyConfig config;
+  config.state_path = state_path_;
+  rt::StandbyReplica replica(warm, config);
+
+  const api::CheckpointPolicy policy{10};
+  storage::LoadStatus status;
+  run_operation_day(primary, 0);
+  ASSERT_TRUE(primary.save_state_delta(state_path_, policy, &status));
+  run_operation_day(primary, 1);
+  ASSERT_TRUE(primary.save_state_delta(state_path_, policy, &status));
+  ASSERT_EQ(replica.poll(), 0u);
+  ASSERT_TRUE(replica.started());
+  ASSERT_EQ(warm.days_operated(), 2u);
+
+  // The base is cut short under a started replica: one poll tries the
+  // load and keeps the state it has; the next poll sees no change and
+  // reads nothing.
+  std::filesystem::resize_file(state_path_,
+                               std::filesystem::file_size(state_path_) / 2);
+  storage::LoadStatus failed;
+  EXPECT_EQ(replica.poll(&failed), 0u);
+  EXPECT_NE(failed.error, storage::LoadError::None);
+  EXPECT_EQ(warm.days_operated(), 2u);
+  EXPECT_EQ(replica.last_seq(), 1u);
+  storage::LoadStatus idle;
+  EXPECT_EQ(replica.poll(&idle), 0u);
+  EXPECT_EQ(idle.error, storage::LoadError::None) << idle.detail;
+  EXPECT_EQ(replica.stats().full_reloads, 0u);
+
+  // A new base is a change: the replica loads it.
+  run_operation_day(primary, 2);
+  ASSERT_TRUE(primary.save_state(state_path_, &status));
+  EXPECT_EQ(replica.poll(&status), 0u);
+  EXPECT_EQ(status.error, storage::LoadError::None) << status.detail;
+  EXPECT_EQ(replica.stats().full_reloads, 1u);
+  EXPECT_EQ(warm.days_operated(), 3u);
+  EXPECT_EQ(core::day_report_to_json(run_operation_day(warm, 3)),
+            baseline_[3]);
+}
+
 TEST_F(StandbyTest, HeartbeatBeacon) {
   const auto hb = rt::heartbeat_path(state_path_);
   EXPECT_EQ(hb, state_path_.string() + ".hb");

@@ -21,9 +21,12 @@
 #include "api/event_source.h"
 #include "core/incidents.h"
 #include "core/report_json.h"
+#include "features/cc_features.h"
 #include "profile/top_sites.h"
 #include "sim/ac.h"
+#include "storage/container.h"
 #include "storage/delta.h"
+#include "storage/encoding.h"
 #include "storage/state.h"
 #include "util/crc32.h"
 #include "util/fault_injection.h"
@@ -414,22 +417,56 @@ TEST_F(DeltaChainTest, EveryLoadErrorVariantAgainstAChain) {
     EXPECT_FALSE(storage::decode_delta_frame(base_bytes, &local));
     EXPECT_EQ(local.error, storage::LoadError::MissingSection);
   }
-  // Malformed — structurally decodable, semantically invalid (seq 0 is
-  // reserved: chains count 1, 2, ...).
+  // Malformed — structurally decodable, semantically invalid: training
+  // rows 3 wide where this build trains on features::kCcFeatureCount. The
+  // width is checked once, at decode: in the base the load fails, in a
+  // frame it degrades the load at that frame.
+  storage::TrainingRows narrow;
+  narrow.cc_cols = 3;
+  narrow.cc = {1.0, 2.0, 3.0};
+  narrow.cc_labels = {1.0};
+  const auto with_narrow_rows = [&](std::string_view container) {
+    const auto reader = storage::ContainerReader::parse(container);
+    EXPECT_TRUE(reader.has_value());
+    storage::ContainerWriter writer;
+    for (const storage::Section& section : reader->sections()) {
+      if (section.id == static_cast<std::uint64_t>(
+                            storage::SectionId::TrainingRows)) {
+        continue;
+      }
+      writer.add_section(static_cast<storage::SectionId>(section.id),
+                         std::string(section.payload));
+    }
+    writer.add_section(storage::SectionId::TrainingRows,
+                       storage::detail::encode_training_rows_section(narrow));
+    return writer.encode();
+  };
   {
+    reset_files();
+    spit(state_path, with_narrow_rows(base_bytes));
+    expect_load_error(storage::LoadError::Malformed, "3-wide rows in the base");
+  }
+  {
+    reset_files();
     storage::DeltaChainInfo info;
     storage::LoadStatus local;
     ASSERT_TRUE(storage::read_delta_chain(chain_path, info, &local));
-    ASSERT_GE(info.frames.size(), 1u);
-    std::optional<storage::DeltaFrame> frame =
-        storage::decode_delta_frame(info.frames[0].payload, &local);
-    ASSERT_TRUE(frame);
-    api::Detector detector = make_pretrained();
-    frame->training_rows.cc_cols = 3;  // impossible row width
-    frame->training_rows.cc = {1.0, 2.0, 3.0};
-    frame->training_rows.cc_labels = {1.0};
-    EXPECT_FALSE(detector.apply_state_delta(*frame, &local));
-    EXPECT_EQ(local.error, storage::LoadError::Malformed);
+    ASSERT_EQ(info.frames.size(), 2u);
+    std::filesystem::remove(chain_path);
+    ASSERT_TRUE(storage::append_delta_frame(chain_path, info.frames[0].payload));
+    ASSERT_TRUE(storage::append_delta_frame(
+        chain_path, with_narrow_rows(info.frames[1].payload)));
+    storage::ChainLoadReport report;
+    api::Detector detector = make_detector();
+    ASSERT_TRUE(detector.load_state(state_path, &report, &local))
+        << local.detail;
+    EXPECT_TRUE(report.degraded);
+    EXPECT_EQ(report.frames_applied, 1u);
+    EXPECT_EQ(report.frames_dropped, 1u);
+    EXPECT_NE(report.detail.find("3 wide"), std::string::npos)
+        << report.detail;
+    EXPECT_EQ(detector.days_operated(), 2u);
+    EXPECT_EQ(detector.pipeline().cc_training_rows(), 0u);
   }
 }
 
@@ -446,8 +483,10 @@ TEST_F(DeltaChainTest, FrameRoundTripCarriesEverySection) {
   incidents.ingest_community(400, inc_domains, inc_hosts);
 
   storage::TrainingRows rows;
-  rows.cc_cols = 2;
-  rows.cc = {0.5, 1.5, 2.5, 3.5};
+  rows.cc_cols = features::kCcFeatureCount;
+  for (std::size_t i = 0; i < 2 * features::kCcFeatureCount; ++i) {
+    rows.cc.push_back(0.5 + static_cast<double>(i));
+  }
   rows.cc_labels = {1.0, 0.0};
 
   storage::DeltaInputs inputs;
@@ -508,7 +547,7 @@ TEST_F(DeltaChainTest, FrameRoundTripCarriesEverySection) {
   EXPECT_TRUE(mozilla->hosts.empty());
   EXPECT_TRUE(frame->training.models_ready);
   EXPECT_EQ(frame->counters.days_operated, 5u);
-  EXPECT_EQ(frame->training_rows.cc_cols, 2u);
+  EXPECT_EQ(frame->training_rows.cc_cols, features::kCcFeatureCount);
   EXPECT_EQ(frame->training_rows.cc, rows.cc);
   EXPECT_EQ(frame->training_rows.cc_labels, rows.cc_labels);
   EXPECT_TRUE(frame->has_intel);
@@ -565,6 +604,146 @@ TEST_F(DeltaChainTest, FailedAppendFallsBackToFullRewrite) {
   EXPECT_FALSE(report.degraded);
   EXPECT_EQ(report.frames_applied, 0u);
   EXPECT_EQ(resumed.days_operated(), 2u);
+}
+
+TEST_F(DeltaChainTest, PlainSaveRemovesAnotherDetectorsChain) {
+  const auto state_path = dir_ / "state.bin";
+  const auto chain_path = storage::delta_chain_path(state_path);
+  api::CheckpointPolicy policy;
+  policy.full_every = 10;
+  storage::LoadStatus status;
+  api::Detector writer = make_pretrained();
+  run_operation_day(writer, 0);
+  ASSERT_TRUE(writer.save_state_delta(state_path, policy, &status));
+  run_operation_day(writer, 1);
+  ASSERT_TRUE(writer.save_state_delta(state_path, policy, &status));
+  ASSERT_TRUE(std::filesystem::exists(chain_path));
+
+  // A detector that never tracked this path's chain overwrites the base:
+  // the chain goes with it, so the next load is clean.
+  api::Detector other = make_detector();
+  other.set_intel_domains({"other-ioc.example"});
+  ASSERT_TRUE(other.save_state(state_path, &status)) << status.detail;
+  EXPECT_FALSE(std::filesystem::exists(chain_path));
+
+  storage::ChainLoadReport report;
+  api::Detector resumed = make_detector();
+  ASSERT_TRUE(resumed.load_state(state_path, &report, &status));
+  EXPECT_FALSE(report.degraded) << report.detail;
+  EXPECT_EQ(report.frames_applied, 0u);
+  EXPECT_EQ(resumed.intel_domains(),
+            std::vector<std::string>{"other-ioc.example"});
+  EXPECT_EQ(resumed.days_operated(), 0u);
+}
+
+TEST_F(DeltaChainTest, BaseBindingSeesPayloadBytes) {
+  const auto path_a = dir_ / "a.bin";
+  const auto path_b = dir_ / "b.bin";
+  storage::LoadStatus status;
+  api::Detector a = make_detector();
+  a.set_intel_domains({"a.example"});
+  ASSERT_TRUE(a.save_state(path_a, &status)) << status.detail;
+  api::Detector b = make_detector();
+  b.set_intel_domains({"b.example"});
+  ASSERT_TRUE(b.save_state(path_b, &status)) << status.detail;
+
+  // Same section ids and sizes, one payload byte apart: a CRC-32 of the
+  // whole file cannot tell them apart, the binding must.
+  const std::string bytes_a = slurp(path_a);
+  const std::string bytes_b = slurp(path_b);
+  ASSERT_EQ(bytes_a.size(), bytes_b.size());
+  ASSERT_NE(bytes_a, bytes_b);
+  EXPECT_EQ(util::crc32(bytes_a), util::crc32(bytes_b));
+  EXPECT_NE(storage::base_binding(bytes_a), storage::base_binding(bytes_b));
+
+  // A chain written against base A, copied back beside the same-shape
+  // base B, must not apply.
+  const auto state_path = dir_ / "state.bin";
+  const auto chain_path = storage::delta_chain_path(state_path);
+  api::CheckpointPolicy policy;
+  policy.full_every = 10;
+  ASSERT_TRUE(a.save_state_delta(state_path, policy, &status));
+  a.set_intel_domains({"c.example"});
+  ASSERT_TRUE(a.save_state_delta(state_path, policy, &status));
+  const std::string chain_bytes = slurp(chain_path);
+  ASSERT_FALSE(chain_bytes.empty());
+  ASSERT_TRUE(b.save_state(state_path, &status)) << status.detail;
+  spit(chain_path, chain_bytes);
+
+  storage::ChainLoadReport report;
+  api::Detector resumed = make_detector();
+  ASSERT_TRUE(resumed.load_state(state_path, &report, &status));
+  EXPECT_TRUE(report.degraded);
+  EXPECT_EQ(report.frames_applied, 0u);
+  EXPECT_EQ(report.frames_dropped, 1u);
+  EXPECT_NE(report.detail.find("different base"), std::string::npos)
+      << report.detail;
+  EXPECT_EQ(resumed.intel_domains(), std::vector<std::string>{"b.example"});
+}
+
+TEST_F(DeltaChainTest, ChainOnTheLegacyBindingLoadsAndIsCompacted) {
+  const std::vector<std::string> baseline = baseline_reports();
+  const auto state_path = dir_ / "state.bin";
+  const auto chain_path = storage::delta_chain_path(state_path);
+  api::Detector primary = make_pretrained();
+  const api::CheckpointPolicy policy{10};
+  storage::LoadStatus status;
+  for (int d = 0; d < kOperationDays; ++d) {
+    run_operation_day(primary, d);
+    ASSERT_TRUE(primary.save_state_delta(state_path, policy, &status))
+        << status.detail;
+  }
+
+  // Rebind every frame the way older chains were bound: the CRC-32 of
+  // the whole base file, in the first four bytes of the delta header.
+  const std::uint32_t legacy = util::crc32(slurp(state_path));
+  storage::DeltaChainInfo info;
+  ASSERT_TRUE(storage::read_delta_chain(chain_path, info, &status));
+  ASSERT_EQ(info.frames.size(), 2u);
+  std::filesystem::remove(chain_path);
+  for (const storage::DeltaChainInfo::Frame& frame : info.frames) {
+    const auto reader = storage::ContainerReader::parse(frame.payload);
+    ASSERT_TRUE(reader.has_value());
+    storage::ContainerWriter writer;
+    for (const storage::Section& section : reader->sections()) {
+      std::string payload(section.payload);
+      if (section.id ==
+          static_cast<std::uint64_t>(storage::SectionId::DeltaHeader)) {
+        for (int i = 0; i < 4; ++i) {
+          payload[i] = static_cast<char>((legacy >> (8 * i)) & 0xffu);
+        }
+      }
+      writer.add_section(static_cast<storage::SectionId>(section.id),
+                         std::move(payload));
+    }
+    ASSERT_TRUE(storage::append_delta_frame(chain_path, writer.encode()));
+  }
+
+  // The upgrade keeps the chain's history...
+  storage::ChainLoadReport report;
+  api::Detector resumed = make_detector();
+  ASSERT_TRUE(resumed.load_state(state_path, &report, &status))
+      << status.detail;
+  EXPECT_FALSE(report.degraded) << report.detail;
+  EXPECT_TRUE(report.legacy_binding);
+  EXPECT_EQ(report.frames_applied, 2u);
+  EXPECT_EQ(resumed.days_operated(),
+            static_cast<std::size_t>(kOperationDays));
+  EXPECT_EQ(
+      core::day_report_to_json(run_operation_day(resumed, kOperationDays)),
+      baseline[kOperationDays]);
+
+  // ...and the next delta save compacts it instead of appending to it.
+  ASSERT_TRUE(resumed.save_state_delta(state_path, policy, &status))
+      << status.detail;
+  EXPECT_FALSE(std::filesystem::exists(chain_path));
+  storage::ChainLoadReport after;
+  api::Detector reloaded = make_detector();
+  ASSERT_TRUE(reloaded.load_state(state_path, &after, &status));
+  EXPECT_FALSE(after.legacy_binding);
+  EXPECT_EQ(after.frames_applied, 0u);
+  EXPECT_EQ(reloaded.days_operated(),
+            static_cast<std::size_t>(kOperationDays + 1));
 }
 
 }  // namespace
