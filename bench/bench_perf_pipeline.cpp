@@ -1,6 +1,7 @@
 // Throughput benchmarks (google-benchmark) for the stages that must keep
 // up with terabyte-scale daily log volume (§II-C): domain folding, proxy
-// line tokenizing, DNS and proxy reduction, a proxy day file through
+// line tokenizing, DNS and proxy reduction (also on a canonical-world day
+// and on one whose destinations never repeat), a proxy day file through
 // api::TsvFileSource (parse + reduce fused), graph construction, periodicity testing, rare
 // extraction, belief propagation, and the streaming api::Detector facade
 // (chunk-size sweep: throughput must be flat in the chunking).
@@ -29,6 +30,7 @@
 #include "logs/io.h"
 #include "logs/reduction.h"
 #include "obs/metrics.h"
+#include "sim/ac.h"
 #include "sim/enterprise.h"
 #include "timing/periodicity.h"
 
@@ -104,6 +106,50 @@ void BM_ProxyReduction(benchmark::State& state) {
                           static_cast<std::int64_t>(logs.proxy.size()));
 }
 BENCHMARK(BM_ProxyReduction);
+
+/// One February day of the canonical AC world (bench::ac_config(), the
+/// world of bench/e2e's nightly files): ~40k proxy records over ~850
+/// distinct raw destinations and ~720 source addresses, ~80% of them
+/// without a hostname (DHCP-resolved). `distinct` is the same day with a
+/// label of its own ("r<i>.") in front of every record's destination, so
+/// no destination repeats: the destination memo's worst case.
+struct CanonicalProxyDay {
+  std::vector<logs::ProxyRecord> records;
+  std::vector<logs::ProxyRecord> distinct;
+  logs::DhcpTable leases;
+  logs::ProxyReductionConfig config;
+};
+
+const CanonicalProxyDay& canonical_proxy_day() {
+  static const CanonicalProxyDay day = [] {
+    sim::AcScenario scenario(bench::ac_config());
+    sim::EnterpriseSimulator& simulator = scenario.simulator();
+    CanonicalProxyDay out;
+    out.records = simulator.simulate_day(scenario.operation_begin()).proxy;
+    out.distinct = out.records;
+    for (std::size_t i = 0; i < out.distinct.size(); ++i) {
+      std::string& domain = out.distinct[i].domain;
+      if (!domain.empty()) domain = "r" + std::to_string(i) + "." + domain;
+    }
+    out.leases = simulator.dhcp();
+    out.config = simulator.proxy_reduction_config();
+    return out;
+  }();
+  return day;
+}
+
+void BM_ReduceProxy(benchmark::State& state) {
+  // reduce_proxy over the canonical day (arg 0) or its all-distinct
+  // destinations twin (arg 1). Items are records.
+  const CanonicalProxyDay& day = canonical_proxy_day();
+  const auto& records = state.range(0) == 1 ? day.distinct : day.records;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(logs::reduce_proxy(records, day.leases, day.config));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(records.size()));
+}
+BENCHMARK(BM_ReduceProxy)->Arg(0)->Arg(1);
 
 void BM_TsvFileSourceProxyDay(benchmark::State& state) {
   // A simulated proxy day file read end to end through the fused path:

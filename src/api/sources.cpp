@@ -1,6 +1,7 @@
 #include "api/sources.h"
 
 #include <algorithm>
+#include <cstring>
 #include <string>
 #include <utility>
 
@@ -57,8 +58,7 @@ TsvFileSource::TsvFileSource(std::filesystem::path path, util::Day day,
     : path_(std::move(path)),
       day_(day),
       format_(Format::Proxy),
-      leases_(&leases),
-      proxy_reduction_(std::move(reduction)),
+      proxy_(std::in_place, leases, std::move(reduction)),
       chunk_records_(chunk_records == 0 ? kDefaultChunkEvents : chunk_records) {
   open();
 }
@@ -80,8 +80,9 @@ void TsvFileSource::open() {
     stats_.opened = false;
     return;
   }
-  file_.open(path_);
+  file_.open(path_, std::ios::binary);
   stats_.opened = static_cast<bool>(file_);
+  positioned_ = false;
   identity_known_ = false;
 #ifndef _WIN32
   if (stats_.opened) {
@@ -93,6 +94,44 @@ void TsvFileSource::open() {
     }
   }
 #endif
+}
+
+bool TsvFileSource::read_line(std::string_view& line, bool& complete) {
+  if (!positioned_) {
+    file_.clear();
+    file_.seekg(static_cast<std::streamoff>(stats_.byte_offset));
+    block_begin_ = block_end_ = 0;
+    positioned_ = true;
+  }
+  for (;;) {
+    const std::size_t held = block_end_ - block_begin_;
+    const char* begin = block_.data() + block_begin_;
+    if (const void* newline = held == 0 ? nullptr
+                                        : std::memchr(begin, '\n', held)) {
+      line = std::string_view(begin, static_cast<const char*>(newline) - begin);
+      block_begin_ += line.size() + 1;
+      complete = true;
+      return true;
+    }
+    // No newline in the held bytes: move them to the front and read the
+    // next block behind them (a line longer than a block grows the buffer).
+    std::copy(block_.begin() + static_cast<std::ptrdiff_t>(block_begin_),
+              block_.begin() + static_cast<std::ptrdiff_t>(block_end_),
+              block_.begin());
+    block_begin_ = 0;
+    block_end_ = held;
+    if (block_.size() < held + kBlockBytes) block_.resize(held + kBlockBytes);
+    // Clear a previous read's eof: a tailed file may have grown since.
+    file_.clear();
+    file_.read(block_.data() + held, static_cast<std::streamsize>(kBlockBytes));
+    const auto got = static_cast<std::size_t>(file_.gcount());
+    block_end_ += got;
+    if (got == 0) {
+      line = std::string_view(block_.data(), held);
+      complete = false;
+      return held > 0;
+    }
+  }
 }
 
 void TsvFileSource::publish_stats() {
@@ -191,34 +230,29 @@ std::optional<EventChunk> TsvFileSource::next_chunk() {
       }
     }
     backoff_polls_ = 0;  // reachable and readable: full retry speed again
-    // Clear a previous pass's eof and resume at the last complete line.
-    // A partially written trailing line left there is re-read whole once
-    // its newline lands.
-    file_.clear();
-    file_.seekg(static_cast<std::streamoff>(stats_.byte_offset));
   }
-  std::optional<logs::ProxyReducer> proxy;
-  if (format_ == Format::Proxy) proxy.emplace(*leases_, proxy_reduction_);
   const logs::DnsReducer dns(dns_reduction_);
-  std::string line;
   // A chunk of lines can reduce to zero events (all dropped); keep
   // reading until something survives or the file is exhausted.
-  while (file_) {
+  for (;;) {
     std::size_t parsed = 0;
     std::size_t kept = 0;
-    while (parsed < chunk_records_ && std::getline(file_, line)) {
-      if (file_.eof()) {
-        // Successful getline that hit eof = final line with no trailing
-        // newline. In tail mode it may still be mid-write: leave it (and
-        // the offset) for the next poll. Batch mode takes it as-is.
+    std::string_view line;
+    bool complete = false;
+    while (parsed < chunk_records_ && read_line(line, complete)) {
+      if (complete) {
+        stats_.byte_offset += line.size() + 1;
+        stats_.partial_line_bytes = 0;
+      } else {
+        // The final line has no trailing newline. In tail mode it may
+        // still be mid-write: leave it (and the offset) for the next poll.
+        // Batch mode takes it as-is.
         if (tail_) {
           stats_.partial_line_bytes = line.size();
           break;
         }
+        take_partial_line();
         stats_.byte_offset += line.size();
-      } else {
-        stats_.byte_offset += line.size() + 1;
-        stats_.partial_line_bytes = 0;
       }
       if (line.empty()) continue;
       ++stats_.lines;
@@ -240,7 +274,7 @@ std::optional<EventChunk> TsvFileSource::next_chunk() {
           ++stats_.malformed;
           continue;
         }
-        keep = logs::is_kept(proxy->reduce(fields, slot));
+        keep = logs::is_kept(proxy_->reduce(fields, slot));
       }
       ++parsed;
       ++stats_.parsed;
@@ -272,6 +306,7 @@ bool TsvFileSource::reset() {
   stats_ = Stats{};
   published_ = Stats{};  // a replay's counts are new fleet-total increments
   buffer_.clear();
+  block_begin_ = block_end_ = 0;
   empty_marker_sent_ = false;
   backoff_polls_ = 0;
   backoff_remaining_ = 0;

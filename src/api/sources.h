@@ -20,6 +20,7 @@
 #include <filesystem>
 #include <fstream>
 #include <optional>
+#include <string_view>
 #include <vector>
 
 #include "api/event_source.h"
@@ -31,15 +32,21 @@
 namespace eid::api {
 
 /// Streams one day's TSV log file (DNS or proxy flavor) as reduced events.
-/// Each line is split into field views (logs::parse_dns_fields /
+/// The file is read in kBlockBytes blocks and split into lines in place
+/// (memchr), in batch and tail mode alike; no line is copied. Each line is
+/// split into field views (logs::parse_dns_fields /
 /// logs::parse_proxy_fields) and reduced by logs::DnsReducer /
 /// logs::ProxyReducer directly into a reused ConnEvent slot; no owning
-/// record is built. A chunk closes after `chunk_records` parsed lines and
-/// is then sorted by timestamp (logs::sort_by_time), so it equals
-/// logs::reduce_* over the same lines' parse_*_line records. With an
-/// unsorted file the concatenated stream is only chunk-locally ordered —
-/// all downstream analysis is order-independent (edge timestamps are
-/// re-sorted at finalize), so results do not depend on the chunking.
+/// record is built. The proxy reducer lives as long as the source, so its
+/// memos of destinations and leases span the whole file. A chunk closes
+/// after `chunk_records` parsed lines and is then sorted by timestamp
+/// (logs::sort_by_time), so it equals logs::reduce_* over the same lines'
+/// parse_*_line records. With an unsorted file the concatenated stream is
+/// only chunk-locally ordered. Detections do not depend on that order
+/// (edge timestamps are re-sorted at finalize), but report bytes may:
+/// cc_domains[].period_seconds is taken from one host's edge, picked in
+/// the order the day graph interned the hosts, which is arrival order, so
+/// a different chunking can change it.
 class TsvFileSource final : public EventSource {
  public:
   /// Per-file ingestion accounting, surfaced to operators (a deployment
@@ -80,6 +87,9 @@ class TsvFileSource final : public EventSource {
                 logs::DnsReductionConfig reduction,
                 std::size_t chunk_records = kDefaultChunkEvents);
 
+  /// Bytes the line reader asks the file for at a time.
+  static constexpr std::size_t kBlockBytes = std::size_t{1} << 20;
+
   std::optional<EventChunk> next_chunk() override;
   bool reset() override;
 
@@ -113,6 +123,14 @@ class TsvFileSource final : public EventSource {
   enum class Format { Dns, Proxy };
 
   void open();
+  /// The next line of the file, without its newline, in `line` (a view
+  /// into the block, valid until the next call); false once the file
+  /// holds no more bytes for now. `complete` is false for trailing bytes
+  /// with no newline after them (yet): they stay buffered, so a tail poll
+  /// that finds the rest of the line appended reads it whole.
+  bool read_line(std::string_view& line, bool& complete);
+  /// Consume the bytes read_line last returned as an incomplete line.
+  void take_partial_line() { block_begin_ = block_end_; }
   void publish_stats();
   /// Tail mode: did the file under `path_` rotate (new inode/device) or
   /// shrink below the cursor? Detecting it resets the cursor to 0.
@@ -125,12 +143,18 @@ class TsvFileSource final : public EventSource {
   std::filesystem::path path_;
   util::Day day_;
   Format format_;
-  const logs::DhcpTable* leases_ = nullptr;
-  logs::ProxyReductionConfig proxy_reduction_;
+  std::optional<logs::ProxyReducer> proxy_;  ///< proxy flavor only
   logs::DnsReductionConfig dns_reduction_;
   std::size_t chunk_records_;
 
   std::ifstream file_;
+  /// Line reader: bytes [block_begin_, block_end_) of `block_` are read
+  /// and not yet consumed; they start at file offset stats_.byte_offset.
+  std::vector<char> block_;
+  std::size_t block_begin_ = 0;
+  std::size_t block_end_ = 0;
+  /// False after open(): the next read first seeks to stats_.byte_offset.
+  bool positioned_ = false;
   Stats stats_;
   Stats published_;  ///< registry counters already cover these amounts
   /// Event slots, reused chunk after chunk (strings keep their capacity);

@@ -1,6 +1,7 @@
 #include "logs/reduction.h"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 #include <unordered_set>
 
@@ -60,14 +61,62 @@ DnsOutcome DnsReducer::reduce(const DnsFields& rec, ConnEvent& out) const {
   return DnsOutcome::Kept;
 }
 
-ProxyOutcome ProxyReducer::reduce(const ProxyFields& rec, ConnEvent& out) const {
-  // The paper drops destinations that are raw IP addresses.
-  if (rec.domain.empty() || util::parse_ipv4(rec.domain).has_value()) {
-    return ProxyOutcome::IpLiteral;
+ProxyReducer::ProxyReducer(const DhcpTable& leases,
+                           ProxyReductionConfig config)
+    : leases_(&leases), config_(std::move(config)) {
+  destinations_.keys.reserve(kMemoReserve);
+  destinations_.values.reserve(kMemoReserve);
+  sources_.keys.reserve(kMemoReserve);
+  sources_.values.reserve(kMemoReserve);
+}
+
+template <typename Value>
+Value& ProxyReducer::Memo<Value>::at(std::string_view key, bool& fresh) {
+  if (keys.size() == kMemoCap) {
+    keys = util::Interner();
+    values.clear();
   }
+  const util::InternId id = keys.intern(key);
+  fresh = id == values.size();
+  if (fresh) values.emplace_back();
+  return values[id];
+}
+
+const ProxyReducer::Destination& ProxyReducer::destination(
+    std::string_view raw) {
+  bool fresh = false;
+  Destination& dest = destinations_.at(raw, fresh);
+  if (fresh) {
+    dest.ip_literal = util::parse_ipv4(raw).has_value();
+    if (!dest.ip_literal) fold_domain_into(raw, config_.fold_level, dest.folded);
+  }
+  return dest;
+}
+
+const ProxyReducer::Lease& ProxyReducer::lease(std::string_view src_ip,
+                                               util::TimePoint ts) {
+  bool fresh = false;
+  Lease& entry = sources_.at(src_ip, fresh);
+  if (fresh || entry.version != leases_->version() || ts < entry.start ||
+      ts >= entry.until) {
+    const LeaseAnswer answer = leases_->find_interval(src_ip, ts);
+    entry.version = leases_->version();
+    entry.start = answer.start;
+    entry.until = answer.until;
+    entry.found = answer.hostname != nullptr;
+    if (entry.found) entry.hostname.assign(*answer.hostname);
+  }
+  return entry;
+}
+
+ProxyOutcome ProxyReducer::reduce(const ProxyFields& rec, ConnEvent& out) {
+  // The paper drops destinations that are raw IP addresses.
+  if (rec.domain.empty()) return ProxyOutcome::IpLiteral;
+  const Destination& dest = destination(rec.domain);
+  if (dest.ip_literal) return ProxyOutcome::IpLiteral;
   util::TimePoint ts = rec.ts;
   // A collector listed twice takes its first offset.
-  for (const auto& [collector, offset] : config_->collector_utc_offsets) {
+  for (const auto& [collector, offset] : config_.collector_utc_offsets) {
     if (collector == rec.collector) {
       ts = subtract_saturating(ts, offset);
       break;
@@ -76,15 +125,15 @@ ProxyOutcome ProxyReducer::reduce(const ProxyFields& rec, ConnEvent& out) const 
   ProxyOutcome outcome = ProxyOutcome::KeptResolved;
   if (!rec.hostname.empty()) {
     out.host.assign(rec.hostname);
-  } else if (const std::string* leased = leases_->find(rec.src_ip, ts)) {
-    out.host.assign(*leased);
+  } else if (const Lease& leased = lease(rec.src_ip, ts); leased.found) {
+    out.host.assign(leased.hostname);
   } else {
-    if (!config_->keep_unresolved_sources) return ProxyOutcome::Unresolved;
+    if (!config_.keep_unresolved_sources) return ProxyOutcome::Unresolved;
     out.host.assign(rec.src_ip);
     outcome = ProxyOutcome::KeptUnresolved;
   }
   out.ts = ts;
-  fold_domain_into(rec.domain, config_->fold_level, out.domain);
+  out.domain.assign(dest.folded);
   out.dest_ip = rec.dest_ip;
   out.user_agent.assign(rec.user_agent);
   out.has_referer = !rec.referer.empty();
@@ -93,30 +142,66 @@ ProxyOutcome ProxyReducer::reduce(const ProxyFields& rec, ConnEvent& out) const 
 }
 
 void sort_by_time(std::span<ConnEvent> events, std::vector<TimeKey>& keys) {
-  if (std::is_sorted(events.begin(), events.end(),
-                     [](const ConnEvent& a, const ConnEvent& b) {
-                       return a.ts < b.ts;
-                     })) {
-    return;
+  const std::size_t n = events.size();
+  if (n < 2) return;
+  // One pass finds the span and whether the events are already in order.
+  util::TimePoint min = events[0].ts;
+  util::TimePoint max = min;
+  bool sorted = true;
+  for (std::size_t i = 1; i < n; ++i) {
+    const util::TimePoint ts = events[i].ts;
+    sorted = sorted && events[i - 1].ts <= ts;
+    min = std::min(min, ts);
+    max = std::max(max, ts);
   }
-  keys.resize(events.size());
-  for (std::size_t i = 0; i < events.size(); ++i) keys[i] = {events[i].ts, i};
-  std::sort(keys.begin(), keys.end());  // the index breaks ties: stable
-  // Position i takes the event at keys[i].second. Follow each cycle of
+  if (sorted) return;
+  // LSD counting sort on the digits of ts - min, which fits 64 unsigned
+  // bits for any pair of timestamps. Each pass is stable, so equal
+  // timestamps keep their order; the keys ping-pong between the two
+  // halves of `keys`.
+  constexpr unsigned kDigitBits = 11;
+  constexpr std::uint64_t kDigitMask = (std::uint64_t{1} << kDigitBits) - 1;
+  const auto offset = [min](util::TimePoint ts) {
+    return static_cast<std::uint64_t>(ts) - static_cast<std::uint64_t>(min);
+  };
+  const std::uint64_t span = offset(max);
+  keys.resize(2 * n);
+  std::span<TimeKey> from(keys.data(), n);
+  std::span<TimeKey> to(keys.data() + n, n);
+  for (std::size_t i = 0; i < n; ++i) from[i] = {events[i].ts, i};
+  std::array<std::size_t, kDigitMask + 1> counts;
+  for (unsigned shift = 0; shift < 64 && (span >> shift) != 0;
+       shift += kDigitBits) {
+    counts.fill(0);
+    for (const TimeKey& key : from) {
+      ++counts[(offset(key.first) >> shift) & kDigitMask];
+    }
+    std::size_t at = 0;
+    for (std::size_t& count : counts) {
+      const std::size_t digit_count = count;
+      count = at;
+      at += digit_count;
+    }
+    for (const TimeKey& key : from) {
+      to[counts[(offset(key.first) >> shift) & kDigitMask]++] = key;
+    }
+    std::swap(from, to);
+  }
+  // Position i takes the event at from[i].second. Follow each cycle of
   // that permutation once, marking a placed position by pointing its key
   // at itself.
-  for (std::size_t start = 0; start < keys.size(); ++start) {
-    if (keys[start].second == start) continue;
+  for (std::size_t start = 0; start < n; ++start) {
+    if (from[start].second == start) continue;
     ConnEvent held = std::move(events[start]);
     std::size_t at = start;
-    while (keys[at].second != start) {
-      const std::size_t from = keys[at].second;
-      events[at] = std::move(events[from]);
-      keys[at].second = at;
-      at = from;
+    while (from[at].second != start) {
+      const std::size_t source = from[at].second;
+      events[at] = std::move(events[source]);
+      from[at].second = at;
+      at = source;
     }
     events[at] = std::move(held);
-    keys[at].second = at;
+    from[at].second = at;
   }
 }
 
@@ -175,7 +260,7 @@ std::vector<ConnEvent> reduce_proxy(std::span<const ProxyRecord> records,
   std::unordered_set<std::string> domains;
   std::unordered_set<std::string> hosts;
 
-  const ProxyReducer reducer(leases, config);
+  ProxyReducer reducer(leases, config);
   std::vector<ConnEvent> out(records.size());
   std::size_t kept = 0;
   for (const ProxyRecord& rec : records) {

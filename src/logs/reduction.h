@@ -118,20 +118,63 @@ constexpr bool is_kept(ProxyOutcome outcome) {
          outcome == ProxyOutcome::KeptResolved;
 }
 
-/// Per-record proxy normalization + reduction. The leases and the config
-/// must outlive the reducer.
+/// Per-record proxy normalization + reduction. The leases must outlive
+/// the reducer; the config is copied.
+///
+/// A day's lines repeat a few hundred destinations and source addresses,
+/// so the reducer does the per-value work once per distinct value and
+/// memoizes it:
+///  * each raw destination's IP-literal verdict and folded form;
+///  * each source address's last lease answer with the interval it holds
+///    for (DhcpTable::find_interval), reused while `ts` stays inside it and
+///    the table's version() is unchanged.
+/// A memo that holds kMemoCap keys is emptied at its next lookup, so its
+/// memory stays bounded on any input. Both are sized for
+/// kMemoReserve keys on construction, more than a day file of the
+/// canonical world holds (~850 destinations, ~720 sources): tables that
+/// grew while a chunk's event strings were being allocated fragmented the
+/// heap and raised bench/e2e's peak RSS by a fifth.
 class ProxyReducer {
  public:
-  ProxyReducer(const DhcpTable& leases, const ProxyReductionConfig& config)
-      : leases_(&leases), config_(&config) {}
+  static constexpr std::size_t kMemoCap = std::size_t{1} << 16;
+  static constexpr std::size_t kMemoReserve = 2048;
+
+  ProxyReducer(const DhcpTable& leases, ProxyReductionConfig config);
 
   /// Reduce `rec` into `out`; a kept outcome writes every field of `out`.
   /// Strings are assigned, so a reused `out` keeps its capacity.
-  ProxyOutcome reduce(const ProxyFields& rec, ConnEvent& out) const;
+  ProxyOutcome reduce(const ProxyFields& rec, ConnEvent& out);
 
  private:
+  struct Destination {
+    bool ip_literal = false;
+    std::string folded;  ///< fold_domain of the raw name; "" if ip_literal
+  };
+  struct Lease {
+    std::uint64_t version = 0;  ///< DhcpTable::version() when looked up
+    util::TimePoint start = 0;  ///< the answer holds over [start, until)
+    util::TimePoint until = 0;
+    bool found = false;
+    std::string hostname;
+  };
+
+  /// Values keyed by distinct strings, emptied once full (kMemoCap keys).
+  template <typename Value>
+  struct Memo {
+    util::Interner keys;
+    std::vector<Value> values;
+
+    /// The value for `key`, default-constructed (`fresh`) on first sight.
+    Value& at(std::string_view key, bool& fresh);
+  };
+
+  const Destination& destination(std::string_view raw);
+  const Lease& lease(std::string_view src_ip, util::TimePoint ts);
+
   const DhcpTable* leases_;
-  const ProxyReductionConfig* config_;
+  ProxyReductionConfig config_;
+  Memo<Destination> destinations_;
+  Memo<Lease> sources_;
 };
 
 /// Normalize and reduce one day of proxy records, in timestamp order. The
@@ -146,9 +189,11 @@ std::vector<ConnEvent> reduce_proxy(std::span<const ProxyRecord> records,
 using TimeKey = std::pair<util::TimePoint, std::size_t>;
 
 /// Stable sort by timestamp (equal timestamps keep their order). Returns
-/// at once when `events` is already sorted; otherwise sorts one key per
-/// event and moves each event once to its place. `keys` is scratch a
-/// caller may reuse across calls.
+/// at once when `events` is already sorted; otherwise orders one key per
+/// event with a stable LSD counting sort over ts - min(ts), 11 bits per
+/// pass and as many passes as the span max - min needs (two for a day),
+/// then moves each event once to its place. `keys` is scratch a caller may
+/// reuse across calls.
 void sort_by_time(std::span<ConnEvent> events, std::vector<TimeKey>& keys);
 
 }  // namespace eid::logs

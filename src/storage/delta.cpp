@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 
+#include "obs/trace.h"
 #include "storage/encoding.h"
 #include "util/binary.h"
 #include "util/crc32.h"
@@ -33,10 +34,11 @@ std::string encode_domain_delta(const DeltaInputs& inputs,
   util::ByteWriter out;
   out.reserve(inputs.new_domains->size() * 3 + 20);
   out.varint(inputs.days_ingested);
-  out.varint(inputs.new_domains->size());
-  std::vector<std::string_view> views(inputs.new_domains->begin(),
-                                      inputs.new_domains->end());
-  encode_id_run(out, sorted_ids(index, views));
+  const std::vector<std::string_view> views(inputs.new_domains->begin(),
+                                            inputs.new_domains->end());
+  const std::vector<std::uint64_t> ids = sorted_ids(index, views);
+  out.varint(ids.size());
+  encode_id_run(out, ids);
   return out.take();
 }
 
@@ -96,12 +98,12 @@ std::string encode_incidents_section(const core::IncidentStore& store,
     out.varint(incident.days_active);
     out.varint(static_cast<std::uint64_t>(incident.first_evidence));
     out.varint(static_cast<std::uint64_t>(incident.last_evidence));
-    views.assign(incident.domains.begin(), incident.domains.end());
-    out.varint(views.size());
-    encode_id_run(out, sorted_ids(index, views));
-    views.assign(incident.hosts.begin(), incident.hosts.end());
-    out.varint(views.size());
-    encode_id_run(out, sorted_ids(index, views));
+    for (const auto* set : {&incident.domains, &incident.hosts}) {
+      views.assign(set->begin(), set->end());
+      const std::vector<std::uint64_t> ids = sorted_ids(index, views);
+      out.varint(ids.size());
+      encode_id_run(out, ids);
+    }
   }
   return out.take();
 }
@@ -612,13 +614,19 @@ void apply_delta_frame(DetectorState& state, const DeltaFrame& frame) {
 
 // ---- Chain-aware load ----
 
-std::optional<DetectorState> load_detector_state_chain(
-    const std::filesystem::path& path, ChainLoadReport* report,
-    LoadStatus* status) {
+namespace {
+
+/// load_detector_state_chain without the metrics; `bytes_read` counts the
+/// base and chain bytes read.
+std::optional<DetectorState> load_chain(const std::filesystem::path& path,
+                                        ChainLoadReport* report,
+                                        LoadStatus* status,
+                                        std::uint64_t& bytes_read) {
   const auto bytes = read_file(path, status);
   if (!bytes) return std::nullopt;
   auto state = decode_detector_state(*bytes, status);
   if (!state) return std::nullopt;
+  bytes_read = bytes->size();
 
   ChainLoadReport local;
   ChainLoadReport& out = report != nullptr ? *report : local;
@@ -637,6 +645,7 @@ std::optional<DetectorState> load_detector_state_chain(
     out.detail = chain_status.detail;
     return state;
   }
+  bytes_read += info.file_bytes;
   out.torn_tail = info.torn_tail;
   if (info.torn_tail && out.detail.empty()) out.detail = info.tail_detail;
 
@@ -681,6 +690,19 @@ std::optional<DetectorState> load_detector_state_chain(
       out.incidents = frame->incidents;
     }
   }
+  return state;
+}
+
+}  // namespace
+
+std::optional<DetectorState> load_detector_state_chain(
+    const std::filesystem::path& path, ChainLoadReport* report,
+    LoadStatus* status) {
+  const obs::TraceSpan span("state_load", "storage");
+  const auto start = std::chrono::steady_clock::now();
+  std::uint64_t bytes_read = 0;
+  auto state = load_chain(path, report, status, bytes_read);
+  detail::record_state_load(state.has_value(), bytes_read, start);
   return state;
 }
 

@@ -168,7 +168,10 @@ struct ChainLoadReport {
 /// out, stopping (degraded, not failed) at the first frame that does not.
 /// nullopt only when the base itself cannot be loaded. This is the one
 /// restore path: restart, resume and the hot standby all go through it
-/// (api::Detector::load_state).
+/// (api::Detector::load_state). Traced and counted like
+/// load_detector_state: a `state_load` span, and the eid_state_loads_total,
+/// eid_state_loaded_bytes_total (base plus chain file) and
+/// eid_state_load_seconds series.
 std::optional<DetectorState> load_detector_state_chain(
     const std::filesystem::path& path, ChainLoadReport* report = nullptr,
     LoadStatus* status = nullptr);

@@ -5,6 +5,7 @@
 // storage API — include storage/state.h or storage/delta.h instead.
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -119,6 +120,12 @@ bool decode_training_rows_section(std::string_view payload, TrainingRows& rows,
 
 const Section* require_section(const ContainerReader& reader, SectionId id,
                                const char* what, LoadStatus* status);
+
+/// Count one checkpoint load on the process registry: eid_state_loads_total
+/// and eid_state_loaded_bytes_total (`bytes` read) when `ok`, and the time
+/// since `start` in eid_state_load_seconds either way.
+void record_state_load(bool ok, std::uint64_t bytes,
+                       std::chrono::steady_clock::time_point start);
 
 /// Parse a container and decode its string table — the common prologue of
 /// every load path.

@@ -167,9 +167,12 @@ bool decode_id_run(util::ByteReader& in, std::uint64_t count,
   return true;
 }
 
-/// Table ids of `strings`, ascending. Sorting the integer ids gives the
-/// same order the old sort-strings-then-look-up did (ids are assigned in
-/// table sort order) without any string comparisons.
+/// Table ids of `strings`, ascending and unique. Sorting the integer ids
+/// gives the same order the old sort-strings-then-look-up did (ids are
+/// assigned in table sort order) without any string comparisons. A string
+/// listed twice yields one id: decode_id_run rejects a repeated id, so a
+/// set a writer encodes must not carry one. Callers write the returned
+/// size as the set's count.
 std::vector<std::uint64_t> sorted_ids(const TableIndex& index,
                                       const std::vector<std::string_view>& strings) {
   std::vector<std::uint64_t> ids;
@@ -178,6 +181,7 @@ std::vector<std::uint64_t> sorted_ids(const TableIndex& index,
     ids.push_back(index.id(text));
   }
   std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
   return ids;
 }
 
@@ -196,8 +200,10 @@ std::string encode_domain_history_section(const profile::DomainHistory& history,
   util::ByteWriter out;
   out.reserve(history.size() * 3 + 20);
   out.varint(history.days_ingested());
-  out.varint(history.size());
-  encode_id_run(out, sorted_ids(index, domain_views(history)));
+  const std::vector<std::uint64_t> ids =
+      sorted_ids(index, domain_views(history));
+  out.varint(ids.size());
+  encode_id_run(out, ids);
   return out.take();
 }
 
@@ -374,8 +380,9 @@ std::string encode_string_set_section(const std::vector<std::string_view>& strin
                                       const TableIndex& index) {
   util::ByteWriter out;
   out.reserve(strings.size() * 3 + 10);
-  out.varint(strings.size());
-  encode_id_run(out, sorted_ids(index, strings));
+  const std::vector<std::uint64_t> ids = sorted_ids(index, strings);
+  out.varint(ids.size());
+  encode_id_run(out, ids);
   return out.take();
 }
 
@@ -898,6 +905,18 @@ bool save_detector_state(const DetectorStateView& state,
   return ok;
 }
 
+void detail::record_state_load(bool ok, std::uint64_t bytes,
+                               std::chrono::steady_clock::time_point start) {
+  StateMetrics& metrics = state_metrics();
+  if (ok) {
+    metrics.loads.add(1);
+    metrics.loaded_bytes.add(bytes);
+  }
+  metrics.load_seconds.observe(
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count());
+}
+
 std::optional<DetectorState> load_detector_state(
     const std::filesystem::path& path, LoadStatus* status) {
   const obs::TraceSpan span("state_load", "storage");
@@ -905,14 +924,7 @@ std::optional<DetectorState> load_detector_state(
   const auto bytes = read_file(path, status);
   if (!bytes) return std::nullopt;
   auto state = decode_detector_state(*bytes, status);
-  StateMetrics& metrics = state_metrics();
-  if (state) {
-    metrics.loads.add(1);
-    metrics.loaded_bytes.add(bytes->size());
-  }
-  metrics.load_seconds.observe(
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count());
+  detail::record_state_load(state.has_value(), bytes->size(), start);
   return state;
 }
 

@@ -545,6 +545,89 @@ TEST_F(TsvFileSourceTest, TailChunksMatchTheOwningPathAroundATornLine) {
   }
 }
 
+/// Over two blocks of proxy lines for the reader: block boundaries fall
+/// mid-line, one malformed line is longer than a block, and the last line
+/// (valid) has no trailing newline. Destinations mix case and IP literals;
+/// sources are named, leased (proxy_leases) or unresolved; a few lines are
+/// empty.
+std::string block_corpus() {
+  util::Rng rng(0xb10c);
+  constexpr std::array<const char*, 9> kDomains = {
+      "News.BBC.CO.UK", "www.Example.com",  "10.9.8.7",
+      "",               "CDN.Shop.com.au",  "a.b.c.evil.ru",
+      "192.168.0.1",    "WWW.EXAMPLE.COM",  "mail.example.COM"};
+  constexpr std::array<const char*, 3> kCollectors = {"px-eu", "px-us", ""};
+  const auto line = [&](int i) {
+    logs::ProxyRecord rec;
+    rec.ts = rng.uniform_int(-1000, 40000);
+    rec.collector = kCollectors[rng.index(kCollectors.size())];
+    rec.src_ip = "10.0.0." + std::to_string(1 + rng.index(12));
+    if (rng.chance(0.1)) rec.hostname = "WS-Named.Corp";
+    rec.domain = kDomains[rng.index(kDomains.size())];
+    if (rng.chance(0.5)) rec.dest_ip = util::Ipv4::from_octets(93, 184, 216, 34);
+    rec.url_path = "/p" + std::to_string(i);
+    rec.user_agent = rng.chance(0.7) ? "Mozilla/5.0 (X11; Linux x86_64)" : "";
+    rec.referer = rng.chance(0.5) ? "start.example.com" : "";
+    return logs::format_proxy_line(rec);
+  };
+  std::string text;
+  int i = 0;
+  while (text.size() < TsvFileSource::kBlockBytes / 2) text += line(i++) + '\n';
+  text += std::string(TsvFileSource::kBlockBytes + 100, 'x') + '\n';
+  while (text.size() < 2 * TsvFileSource::kBlockBytes + 300000) {
+    text += line(i++) + '\n';
+    if (i % 211 == 0) text += '\n';
+  }
+  return text + line(i);
+}
+
+TEST_F(TsvFileSourceTest, BlockReaderMatchesTheOwningPathOverBlockBoundaries) {
+  const std::string text = block_corpus();
+  // The giant line holds the first boundary; a regular line the second.
+  ASSERT_GT(text.size(), 2 * TsvFileSource::kBlockBytes);
+  ASSERT_NE(text[2 * TsvFileSource::kBlockBytes - 1], '\n');
+  ASSERT_NE(text.back(), '\n');
+  const auto path = dir_ / "proxy-blocks.tsv";
+  { std::ofstream(path, std::ios::binary) << text; }
+  const logs::DhcpTable leases = proxy_leases();
+  const logs::ProxyReductionConfig config = proxy_config(true);
+  const auto reduce = [&](std::span<const logs::ProxyRecord> records) {
+    return logs::reduce_proxy(records, leases, config);
+  };
+
+  for (const std::size_t chunk : {std::size_t{1000}, std::size_t{4096}}) {
+    SCOPED_TRACE("chunk " + std::to_string(chunk));
+    const OwningPath expected =
+        owning_path<logs::ProxyRecord>(text, chunk, logs::parse_proxy_line, reduce);
+    TsvFileSource source(path, 3, leases, config, chunk);
+    expect_same_chunks(chunks_of(source), expected.chunks);
+    expect_stats(source.stats(), expected);
+    EXPECT_EQ(source.stats().malformed, 1u);  // the giant line
+    EXPECT_EQ(source.stats().byte_offset, text.size());
+  }
+
+  // Tail mode leaves the unterminated last line until its newline lands.
+  const std::size_t last = text.rfind('\n') + 1;
+  const std::string complete = text.substr(0, last);
+  const std::string partial = text.substr(last);
+  TsvFileSource tail(path, 3, leases, config);
+  tail.set_tail(true);
+  const OwningPath before = owning_path<logs::ProxyRecord>(
+      complete, kDefaultChunkEvents, logs::parse_proxy_line, reduce);
+  expect_same_chunks(chunks_of(tail), before.chunks);
+  expect_stats(tail.stats(), before);
+  EXPECT_EQ(tail.stats().byte_offset, complete.size());
+  EXPECT_EQ(tail.stats().partial_line_bytes, partial.size());
+  { std::ofstream(path, std::ios::binary | std::ios::app) << '\n'; }
+  const OwningPath after = owning_path<logs::ProxyRecord>(
+      partial, kDefaultChunkEvents, logs::parse_proxy_line, reduce);
+  ASSERT_EQ(after.parsed, 1u);
+  expect_same_chunks(chunks_of(tail), after.chunks);
+  EXPECT_EQ(tail.stats().parsed, before.parsed + 1);
+  EXPECT_EQ(tail.stats().byte_offset, text.size() + 1);
+  EXPECT_EQ(tail.stats().partial_line_bytes, 0u);
+}
+
 // ---- SimSource ----
 
 TEST(SimSourceTest, MatchesReducedDayAcrossTheRange) {

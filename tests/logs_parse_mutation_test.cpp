@@ -6,11 +6,14 @@
 // parsers (logs::parse_*_fields, util::parse_ipv4, logs::fold_domain and
 // the DHCP reader) must then agree with an oracle: the split-based parsers
 // they replaced, copied below. Both must accept exactly the same lines,
-// with equal fields. Run under ASan + UBSan in CI.
+// with equal fields. The proxy mutants also go through api::TsvFileSource
+// as one file, whose chunks must equal the oracle's lines reduced one by
+// one. Run under ASan + UBSan in CI.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <charconv>
@@ -21,6 +24,7 @@
 #include <string_view>
 #include <vector>
 
+#include "api/sources.h"
 #include "logs/dhcp.h"
 #include "logs/files.h"
 #include "logs/folding.h"
@@ -349,6 +353,73 @@ void expect_field_helpers_agree(const std::string& line) {
   }
 }
 
+/// The mutants as one file through api::TsvFileSource (block reads, the
+/// memoized reducer, the counting-sort chunk order) against the oracle:
+/// each newline-separated line parsed by oracle::parse_proxy_line and
+/// reduced by a fresh ProxyReducer (no memo carried over), cut into chunks
+/// of kDefaultChunkEvents parsed lines, each stable-sorted by ts.
+void expect_source_matches_oracle(const std::string& text,
+                                  const DhcpTable& leases,
+                                  const ProxyReductionConfig& config) {
+  std::vector<std::vector<ConnEvent>> expected;
+  std::vector<ConnEvent> chunk;
+  std::size_t parsed = 0;
+  std::size_t malformed = 0;
+  const auto flush = [&] {
+    std::stable_sort(chunk.begin(), chunk.end(),
+                     [](const ConnEvent& a, const ConnEvent& b) {
+                       return a.ts < b.ts;
+                     });
+    if (!chunk.empty()) expected.push_back(std::move(chunk));
+    chunk.clear();
+  };
+  for (const std::string_view line : oracle::split(text, '\n')) {
+    if (line.empty()) continue;
+    const std::optional<ProxyRecord> rec = oracle::parse_proxy_line(line);
+    if (!rec) {
+      ++malformed;
+      continue;
+    }
+    const ProxyFields fields{rec->ts,       rec->collector, rec->src_ip,
+                             rec->hostname, rec->domain,    rec->dest_ip,
+                             rec->url_path, rec->method,    rec->status,
+                             rec->user_agent, rec->referer};
+    ConnEvent event;
+    if (is_kept(ProxyReducer(leases, config).reduce(fields, event))) {
+      chunk.push_back(std::move(event));
+    }
+    if (++parsed % api::kDefaultChunkEvents == 0) flush();
+  }
+  flush();
+
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() /
+      ("eid-proxy-mutants-" + std::to_string(::getpid()) + ".tsv");
+  { std::ofstream(path, std::ios::binary) << text; }
+  api::TsvFileSource source(path, 0, leases, config);
+  std::vector<std::vector<ConnEvent>> actual;
+  while (const auto got = source.next_chunk()) {
+    actual.emplace_back(got->events.begin(), got->events.end());
+  }
+  std::filesystem::remove(path);
+  EXPECT_EQ(source.stats().parsed, parsed);
+  EXPECT_EQ(source.stats().malformed, malformed);
+  EXPECT_EQ(source.stats().byte_offset, text.size());
+  ASSERT_EQ(actual.size(), expected.size());
+  for (std::size_t c = 0; c < expected.size(); ++c) {
+    ASSERT_EQ(actual[c].size(), expected[c].size()) << "chunk " << c;
+    for (std::size_t i = 0; i < expected[c].size(); ++i) {
+      const ConnEvent& a = actual[c][i];
+      const ConnEvent& e = expected[c][i];
+      ASSERT_TRUE(a.ts == e.ts && a.host == e.host && a.domain == e.domain &&
+                  a.dest_ip == e.dest_ip && a.user_agent == e.user_agent &&
+                  a.has_referer == e.has_referer &&
+                  a.has_http_context == e.has_http_context)
+          << "chunk " << c << " event " << i;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 
 TEST(ParseMutationTest, ProxyLinesMatchTheOracle) {
@@ -356,10 +427,12 @@ TEST(ParseMutationTest, ProxyLinesMatchTheOracle) {
   const DhcpTable leases;
   ProxyReductionConfig config;
   config.collector_utc_offsets = {{"px-eu", 3600}, {"px-us", -18000}};
-  const ProxyReducer reducer(leases, config);
+  ProxyReducer reducer(leases, config);
   std::size_t accepted = 0;
+  std::string file;
   for (int i = 0; i < kMutantsPerParser; ++i) {
     const std::string line = mutant(format_proxy_line(random_proxy(rng)), rng);
+    file += line + '\n';
     const std::optional<ProxyRecord> expected = oracle::parse_proxy_line(line);
     const std::optional<ProxyRecord> record = parse_proxy_line(line);
     ProxyFields fields;
@@ -398,6 +471,7 @@ TEST(ParseMutationTest, ProxyLinesMatchTheOracle) {
   // The mutations reach both sides of the accept/reject line.
   EXPECT_GT(accepted, static_cast<std::size_t>(kMutantsPerParser / 20));
   EXPECT_LT(accepted, static_cast<std::size_t>(kMutantsPerParser * 3 / 4));
+  expect_source_matches_oracle(file, leases, config);
 }
 
 TEST(ParseMutationTest, DnsLinesMatchTheOracle) {

@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <string>
+#include <vector>
+
+#include "util/rng.h"
 
 namespace eid::logs {
 namespace {
@@ -175,6 +180,67 @@ TEST(ProxyReductionTest, ResolvesDhcpSources) {
   EXPECT_EQ(events[0].host, "ws-7.corp");
 }
 
+TEST(ProxyReductionTest, MemoizedLeasesFollowTimeAndNewLeases) {
+  // One reducer, so each probe may reuse the source's remembered lease
+  // answer; every answer must still be the table's at that moment.
+  DhcpTable leases;
+  leases.add_lease({"10.0.0.1", 100, 200, "ws-a.corp"});
+  leases.add_lease({"10.0.0.1", 300, 400, "ws-b.corp"});
+  ProxyReducer reducer(leases, ProxyReductionConfig{});
+  ProxyFields fields;
+  fields.src_ip = "10.0.0.1";
+  fields.domain = "Example.COM";
+  ConnEvent slot;
+  const auto host_at = [&](util::TimePoint ts) {
+    fields.ts = ts;
+    EXPECT_TRUE(is_kept(reducer.reduce(fields, slot)));
+    EXPECT_EQ(slot.domain, "example.com");
+    return slot.host;
+  };
+  EXPECT_EQ(host_at(150), "ws-a.corp");
+  EXPECT_EQ(host_at(199), "ws-a.corp");
+  EXPECT_EQ(host_at(200), "10.0.0.1");  // the gap
+  EXPECT_EQ(host_at(299), "10.0.0.1");
+  EXPECT_EQ(host_at(300), "ws-b.corp");
+  EXPECT_EQ(host_at(99), "10.0.0.1");   // back before the first lease
+  EXPECT_EQ(host_at(150), "ws-a.corp");
+  // A lease added between probes, inside the remembered answer's span.
+  leases.add_lease({"10.0.0.1", 140, 160, "ws-c.corp"});
+  EXPECT_EQ(host_at(150), "ws-c.corp");
+  leases.add_lease({"10.0.0.1", 220, 260, "ws-d.corp"});
+  EXPECT_EQ(host_at(230), "ws-d.corp");
+  EXPECT_EQ(host_at(210), "10.0.0.1");
+}
+
+TEST(ProxyReductionTest, MemoPastItsCapKeepsReducing) {
+  // More distinct destinations and sources than a memo holds: the full
+  // memo is emptied and refilled, and every answer stays right.
+  DhcpTable leases;
+  leases.add_lease({"10.0.0.7", 0, 1000, "ws-7.corp"});
+  ProxyReducer reducer(leases, ProxyReductionConfig{});
+  ProxyFields fields;
+  ConnEvent slot;
+  for (std::size_t i = 0; i < ProxyReducer::kMemoCap + 50; ++i) {
+    const std::string domain = "a.Site" + std::to_string(i) + ".COM";
+    const std::string src = "10.1." + std::to_string(i / 250) + "." +
+                            std::to_string(i % 250);
+    fields.ts = static_cast<util::TimePoint>(i % 1000);
+    fields.domain = domain;
+    fields.src_ip = i % 3 == 0 ? std::string_view("10.0.0.7") : src;
+    ASSERT_TRUE(is_kept(reducer.reduce(fields, slot))) << i;
+    ASSERT_EQ(slot.domain, "site" + std::to_string(i) + ".com") << i;
+    ASSERT_EQ(slot.host, i % 3 == 0 ? "ws-7.corp" : src) << i;
+  }
+  fields.domain = "a.Site0.COM";
+  fields.src_ip = "10.0.0.7";
+  fields.ts = 5;
+  ASSERT_TRUE(is_kept(reducer.reduce(fields, slot)));
+  EXPECT_EQ(slot.domain, "site0.com");
+  EXPECT_EQ(slot.host, "ws-7.corp");
+  fields.domain = "1.2.3.4";
+  EXPECT_EQ(reducer.reduce(fields, slot), ProxyOutcome::IpLiteral);
+}
+
 TEST(ProxyReductionTest, PrefilledHostnameWins) {
   DhcpTable leases;
   ProxyRecord rec = proxy(50, "10.0.0.1", "example.com");
@@ -219,7 +285,7 @@ TEST(ProxyReductionTest, CarriesHttpContext) {
 TEST(ProxyReductionTest, ReducerOverwritesEveryFieldOfAReusedSlot) {
   DhcpTable leases;
   const ProxyReductionConfig config;
-  const ProxyReducer reducer(leases, config);
+  ProxyReducer reducer(leases, config);
   ConnEvent slot;
   slot.ts = 99;
   slot.host = "stale-host-with-a-long-name.corp";
@@ -277,6 +343,78 @@ TEST(SortByTimeTest, StableAndReusesItsKeys) {
   sort_by_time(two, keys);
   EXPECT_EQ(two[0].host, "h1");
   EXPECT_EQ(two[1].host, "h0");
+}
+
+/// sort_by_time against std::stable_sort by ts on a copy; each event's
+/// host names its input position, so a tie out of order shows.
+void expect_stable_sorted(std::vector<util::TimePoint> stamps,
+                          std::vector<TimeKey>& keys) {
+  std::vector<ConnEvent> events;
+  for (std::size_t i = 0; i < stamps.size(); ++i) {
+    events.push_back(at(stamps[i], static_cast<int>(i)));
+  }
+  std::vector<ConnEvent> expected = events;
+  std::stable_sort(expected.begin(), expected.end(),
+                   [](const ConnEvent& a, const ConnEvent& b) {
+                     return a.ts < b.ts;
+                   });
+  sort_by_time(events, keys);
+  ASSERT_EQ(events.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(events[i].ts, expected[i].ts) << i;
+    ASSERT_EQ(events[i].host, expected[i].host) << i;
+  }
+}
+
+TEST(SortByTimeTest, MatchesStableSortOnEverySpan) {
+  using Limits = std::numeric_limits<util::TimePoint>;
+  util::Rng rng(0x5027);
+  std::vector<TimeKey> keys;  // reused across every case
+  // Spans of one digit, a day, just under and over two digits (2^22 s),
+  // and three to six digits; offsets put some below zero.
+  const std::vector<std::int64_t> spans = {
+      0,        1,        2047,          2048,          86400,
+      4194303,  4194304,  40000000,      std::int64_t{1} << 40,
+      std::int64_t{1} << 55, std::int64_t{1} << 61};
+  for (const std::int64_t span : spans) {
+    for (const std::int64_t base : {std::int64_t{1391212800}, -span / 2 - 7}) {
+      for (const std::size_t n : {std::size_t{2}, std::size_t{17},
+                                  std::size_t{4096}}) {
+        SCOPED_TRACE("span " + std::to_string(span) + " base " +
+                     std::to_string(base) + " n " + std::to_string(n));
+        std::vector<util::TimePoint> stamps(n);
+        for (auto& ts : stamps) ts = base + rng.uniform_int(0, span);
+        expect_stable_sorted(stamps, keys);
+        // Few distinct values: long runs of ties.
+        for (auto& ts : stamps) ts = base + span * rng.uniform_int(0, 3) / 3;
+        expect_stable_sorted(stamps, keys);
+      }
+    }
+  }
+
+  // The whole 64-bit range, with its two ends.
+  std::vector<util::TimePoint> extremes(3000);
+  for (auto& ts : extremes) ts = static_cast<util::TimePoint>(rng.next_u64());
+  for (std::size_t i = 0; i < extremes.size(); i += 97) {
+    extremes[i] = i % 2 == 0 ? Limits::min() : Limits::max();
+  }
+  expect_stable_sorted(extremes, keys);
+  expect_stable_sorted({Limits::max(), Limits::min(), Limits::max(), 0,
+                        Limits::min(), -1, 1},
+                       keys);
+
+  // All-equal and already-sorted chunks (the early return), and one
+  // sorted chunk with a single event out of place.
+  expect_stable_sorted(std::vector<util::TimePoint>(500, -42), keys);
+  std::vector<util::TimePoint> sorted(1000);
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    sorted[i] = static_cast<util::TimePoint>(i / 3) - 100;
+  }
+  expect_stable_sorted(sorted, keys);
+  std::swap(sorted[10], sorted[900]);
+  expect_stable_sorted(sorted, keys);
+  expect_stable_sorted({}, keys);
+  expect_stable_sorted({5}, keys);
 }
 
 }  // namespace

@@ -22,6 +22,7 @@
 #include "core/incidents.h"
 #include "core/report_json.h"
 #include "features/cc_features.h"
+#include "obs/metrics.h"
 #include "profile/top_sites.h"
 #include "sim/ac.h"
 #include "storage/container.h"
@@ -569,6 +570,43 @@ TEST_F(DeltaChainTest, FrameRoundTripCarriesEverySection) {
       storage::decode_delta_frame(storage::encode_delta_frame(inputs), &status);
   EXPECT_FALSE(zero);
   EXPECT_EQ(status.error, storage::LoadError::Malformed);
+}
+
+TEST_F(DeltaChainTest, UaEntryListingAHostTwiceRoundTripsWithItOnce) {
+  api::Detector trained = make_pretrained();
+  const std::vector<std::string> new_domains;
+  storage::DeltaInputs inputs;
+  inputs.seq = 1;
+  inputs.new_domains = &new_domains;
+  storage::DeltaUaEntryView ua;
+  ua.ua = "curl/8.0";
+  ua.hosts = {"10.0.0.9", "10.0.0.7", "10.0.0.9"};
+  inputs.ua_entries.push_back(ua);
+  const core::PipelineConfig config = trained.pipeline().config();
+  inputs.config = &config;
+  inputs.cc_model = &trained.pipeline().cc_model();
+  inputs.sim_model = &trained.pipeline().sim_model();
+
+  storage::LoadStatus status;
+  const std::optional<storage::DeltaFrame> frame =
+      storage::decode_delta_frame(storage::encode_delta_frame(inputs), &status);
+  ASSERT_TRUE(frame) << status.detail;
+  ASSERT_EQ(frame->ua_entries.size(), 1u);
+  EXPECT_EQ(frame->ua_entries[0].hosts,
+            (std::vector<std::string>{"10.0.0.7", "10.0.0.9"}));
+}
+
+TEST_F(DeltaChainTest, LoadStateCountsOneStateLoad) {
+  obs::Counter& loads = obs::metrics().counter("eid_state_loads_total");
+  obs::Counter& bytes = obs::metrics().counter("eid_state_loaded_bytes_total");
+  const std::uint64_t loads_before = loads.value();
+  const std::uint64_t bytes_before = bytes.value();
+  api::Detector detector = make_detector();
+  storage::LoadStatus status;
+  ASSERT_TRUE(detector.load_state(pretrain_, &status)) << status.detail;
+  EXPECT_EQ(loads.value() - loads_before, 1u);
+  EXPECT_EQ(bytes.value() - bytes_before,
+            std::filesystem::file_size(pretrain_));
 }
 
 TEST_F(DeltaChainTest, FailedAppendFallsBackToFullRewrite) {
