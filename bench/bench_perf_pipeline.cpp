@@ -3,8 +3,9 @@
 // line tokenizing, DNS and proxy reduction (also on a canonical-world day
 // and on one whose destinations never repeat), a proxy day file through
 // api::TsvFileSource (parse + reduce fused), graph construction, periodicity testing, rare
-// extraction, belief propagation, and the streaming api::Detector facade
-// (chunk-size sweep: throughput must be flat in the chunking).
+// extraction, belief propagation, one rt tick's window seal + filtered
+// assembly, and the streaming api::Detector facade (chunk-size sweep:
+// throughput must be flat in the chunking).
 //
 // Pass --json[=path] to also record the results as the "micro" section of
 // BENCH_perf.json at the repo root, so perf is tracked across PRs
@@ -17,6 +18,7 @@
 #include <filesystem>
 #include <fstream>
 #include <iomanip>
+#include <set>
 #include <span>
 #include <sstream>
 
@@ -30,6 +32,8 @@
 #include "logs/io.h"
 #include "logs/reduction.h"
 #include "obs/metrics.h"
+#include "profile/domain_history.h"
+#include "rt/window.h"
 #include "sim/ac.h"
 #include "sim/enterprise.h"
 #include "timing/periodicity.h"
@@ -198,6 +202,98 @@ void BM_DayGraphBuild(benchmark::State& state) {
                           static_cast<std::int64_t>(events.size()));
 }
 BENCHMARK(BM_DayGraphBuild);
+
+/// The canonical AC world (bench::ac_config()) cut into 300 s buckets by
+/// arrival tick (the tick of the running high-water mark, as the rt
+/// engine's clock assigns them): February 1 fills a day-long window and
+/// February 2 is replayed after it. `history` holds the domains of
+/// January (training) and February 1, as after that day's close.
+struct RtTickWorld {
+  util::Day fill_day = 0;
+  std::vector<std::vector<logs::ConnEvent>> fill;    ///< by tick of the day
+  std::vector<std::vector<logs::ConnEvent>> replay;  ///< the next day
+  profile::DomainHistory history;
+};
+
+const RtTickWorld& rt_tick_world() {
+  static const RtTickWorld world = [] {
+    sim::AcScenario scenario(bench::ac_config());
+    sim::EnterpriseSimulator& simulator = scenario.simulator();
+    RtTickWorld out;
+    out.fill_day = scenario.operation_begin();
+    const auto commit = [&out](const std::vector<logs::ConnEvent>& events) {
+      std::set<std::string> domains;
+      for (const auto& ev : events) domains.insert(ev.domain);
+      out.history.update({domains.begin(), domains.end()});
+    };
+    for (util::Day day = scenario.training_begin();
+         day <= scenario.training_end(); ++day) {
+      commit(simulator.reduced_day(day));
+    }
+    const auto by_tick = [](util::Day day,
+                            std::vector<logs::ConnEvent> events) {
+      std::vector<std::vector<logs::ConnEvent>> ticks(util::kSecondsPerDay /
+                                                      300);
+      util::TimePoint high_water = util::day_start(day);
+      for (auto& ev : events) {
+        high_water = std::max(high_water, ev.ts);
+        const auto tick = std::min<std::size_t>(
+            ticks.size() - 1,
+            static_cast<std::size_t>((high_water - util::day_start(day)) / 300));
+        ticks[tick].push_back(std::move(ev));
+      }
+      return ticks;
+    };
+    std::vector<logs::ConnEvent> fill = simulator.reduced_day(out.fill_day);
+    commit(fill);
+    out.fill = by_tick(out.fill_day, std::move(fill));
+    out.replay =
+        by_tick(out.fill_day + 1, simulator.reduced_day(out.fill_day + 1));
+    return out;
+  }();
+  return world;
+}
+
+void BM_RtWindowTick(benchmark::State& state) {
+  // One rt tick's window work over a sliding day-long window of 300 s
+  // buckets: seal the tick's bucket and assemble the window restricted to
+  // the domains new to the history (the engine's tick filter). The replay
+  // day repeats, re-stamped one day later per lap, so the window keeps
+  // sliding; appends, day closes and expiry are not timed. Items are ticks.
+  const RtTickWorld& world = rt_tick_world();
+  const graph::DomainFilter filter{
+      world.history.generation(), [&world](std::string_view name) {
+        return world.history.is_new(name);
+      }};
+  rt::WindowAccumulator window(rt::WindowConfig{});
+  graph::DayGraph out;
+  const auto ticks_per_day = static_cast<std::int64_t>(world.fill.size());
+  const std::int64_t first_tick = util::day_start(world.fill_day) / 300;
+  for (std::int64_t t = 0; t < ticks_per_day; ++t) {
+    for (const auto& ev : world.fill[static_cast<std::size_t>(t)]) {
+      window.append(ev, first_tick + t, world.fill_day);
+    }
+    window.assemble_window(first_tick + t, out, &filter);
+  }
+  std::int64_t tick = first_tick + ticks_per_day;
+  for (auto _ : state) {
+    state.PauseTiming();
+    const std::int64_t lap = (tick - first_tick) / ticks_per_day;
+    const auto at = static_cast<std::size_t>((tick - first_tick) % ticks_per_day);
+    const util::Day day = world.fill_day + static_cast<util::Day>(lap);
+    if (at == 0) window.close_day(day - 1);
+    for (logs::ConnEvent ev : world.replay[at]) {
+      ev.ts += (lap - 1) * util::kSecondsPerDay;
+      window.append(ev, tick, day);
+    }
+    window.expire(tick);
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(window.assemble_window(tick, out, &filter));
+    ++tick;
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
+}
+BENCHMARK(BM_RtWindowTick);
 
 void BM_PeriodicityTest(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -69,6 +69,29 @@ void DayGraph::add_events(std::span<const logs::ConnEvent> events) {
   for (const logs::ConnEvent& event : events) add_event(event);
 }
 
+void DayGraph::clear() {
+  events_ = 0;
+  hosts_.clear();
+  domains_.clear();
+  uas_.clear();
+  // Emptied rows keep their capacity; add_event reads a row only once its
+  // domain id is interned again, and domain_ips() of an id past the
+  // domains is empty either way.
+  for (std::vector<util::Ipv4>& ips : ips_of_domain_) ips.clear();
+  edge_slots_.clear();
+  edges_.clear();
+  time_log_.clear();
+  ua_pairs_.clear();
+  host_offsets_.clear();
+  edge_index_.clear();
+  edge_data_.clear();
+  edge_times_.clear();
+  edge_uas_.clear();
+  domain_offsets_.clear();
+  domain_hosts_.clear();
+  finalized_ = false;
+}
+
 void DayGraph::lay_out_payloads(std::span<const std::uint32_t> row_of_slot,
                                 std::vector<std::uint32_t>& time_offsets,
                                 std::vector<util::TimePoint>& times,

@@ -82,6 +82,11 @@ class DayGraph {
 
   bool finalized() const { return finalized_; }
 
+  /// Back to the empty, unfinalized state, keeping every allocation for
+  /// the next ingest (the rt window seals each bucket through one
+  /// recycled graph).
+  void clear();
+
   /// Counts, names and id lookups are exact at any time, before
   /// finalize() too: ids are final on first sight.
   std::size_t host_count() const { return hosts_.size(); }

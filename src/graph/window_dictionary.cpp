@@ -53,8 +53,15 @@ void WindowDictionary::drop(std::span<const std::uint32_t> ids,
 
 SealedSegment WindowDictionary::seal(std::span<const logs::ConnEvent> events) {
   // The one ingest builder aggregates the slice under local ids, which are
-  // its first-appearance order; the segment translates them once.
-  DayGraph local;
+  // its first-appearance order; the segment translates them once. The
+  // graph is recycled across seals, unless a far larger slice (every event
+  // is one time-log entry) left it more than twice what this one needs.
+  DayGraph& local = seal_graph_;
+  if (local.time_log_.capacity() > 2 * events.size()) {
+    local = DayGraph();
+  } else {
+    local.clear();
+  }
   local.add_events(events);
   SealedSegment seg;
   seg.events_ = events.size();
@@ -154,7 +161,6 @@ void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
     keep_.resize(domains_.size(), kUnresolved);
   }
   const auto kept = [this, filter](DomainId id) {
-    if (filter == nullptr) return true;
     std::uint8_t& answer = keep_[id];
     if (answer == kUnresolved) {
       answer = filter->keep(domains_.name(id)) ? kKeep : kDrop;
@@ -162,60 +168,97 @@ void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
     return answer == kKeep;
   };
 
-  // 1. Window ids in concatenation first-appearance order. A segment
-  // lists an edge's host and domain, so both are numbered by the time the
-  // edge is first seen (a segment's hosts come first, and its edges are
-  // walked under their domain); each window edge also totals its time
-  // count and an upper bound on its UA count. Per-domain IP lists
-  // deduplicate in first-seen order across segments as the domains are
-  // numbered. Every host is numbered; a domain the filter drops is not,
-  // and its edges are skipped. Unfiltered, UAs are numbered here in
-  // first-appearance order; filtered, in the kept-edge walk of step 3.
+  // 1. Window ids in concatenation first-appearance order, and per window
+  // edge its dictionary host id, window domain id, time count and an
+  // upper bound on its UA count. Per-domain IP lists deduplicate in
+  // first-seen order across segments as the domains are numbered. A
+  // domain the filter drops is not numbered and its edges are skipped: a
+  // filtered walk reads only each segment's cached kept positions.
+  // Unfiltered, every host and UA is numbered here in first-appearance
+  // order; filtered, only the hosts of kept edges are numbered, by a
+  // second walk of the host lists, and the UAs in the kept-edge walk of
+  // step 3. Either way each edge's host then becomes its window id.
   window_hosts_.clear();
   window_domains_.clear();
   window_uas_.clear();
   window_edges_.clear();
   edge_sizes_.clear();
-  kept_runs_.clear();
+  // The positions of a segment's domains that are laid out: all of them,
+  // or the filter's cached kept positions.
+  const auto for_each_taken = [filter](const SealedSegment& seg, auto&& fn) {
+    if (filter == nullptr) {
+      for (std::uint32_t j = 0; j < seg.domains_.size(); ++j) fn(j);
+    } else {
+      for (const std::uint32_t j : seg.kept_) fn(j);
+    }
+  };
+  const auto take_domain = [&](const SealedSegment* seg, std::uint32_t j) {
+    const std::size_t known = window_domains_.size();
+    const std::uint32_t domain =
+        number(domain_marks_, seg->domains_[j], window_domains_);
+    if (domain == known) {
+      if (out.ips_of_domain_.size() <= domain) {
+        out.ips_of_domain_.resize(domain + 1);
+      }
+      out.ips_of_domain_[domain].clear();
+    }
+    for (std::uint32_t k = seg->ip_offsets_[j]; k < seg->ip_offsets_[j + 1];
+         ++k) {
+      push_unique(out.ips_of_domain_[domain], seg->ips_[k]);
+    }
+    for (std::uint32_t i = seg->domain_edges_[j]; i < seg->domain_edges_[j + 1];
+         ++i) {
+      const std::uint32_t e = seg->edges_[i];
+      const std::uint32_t w = number(edge_marks_, e, window_edges_);
+      if (w == edge_sizes_.size()) {
+        edge_sizes_.push_back(
+            WindowEdge{to_u32(edge_ids_.key(e) >> 32), domain, 0, 0});
+      }
+      edge_sizes_[w].times += seg->time_offsets_[i + 1] - seg->time_offsets_[i];
+      edge_sizes_[w].uas += seg->ua_offsets_[i + 1] - seg->ua_offsets_[i];
+    }
+  };
   std::uint64_t events = 0;
   for (const SealedSegment* seg : segments) {
     events += seg->events_;
-    for (const HostId host : seg->hosts_) {
-      number(host_marks_, host, window_hosts_);
-    }
     if (filter == nullptr) {
+      for (const HostId host : seg->hosts_) {
+        number(host_marks_, host, window_hosts_);
+      }
       for (const UaId ua : seg->uas_) number(ua_marks_, ua, window_uas_);
+    } else if (seg->kept_generation_ != filter->generation) {
+      seg->kept_.clear();
+      for (std::uint32_t j = 0; j < seg->domains_.size(); ++j) {
+        if (kept(seg->domains_[j])) seg->kept_.push_back(j);
+      }
+      seg->kept_generation_ = filter->generation;
     }
-    for (std::uint32_t j = 0; j < seg->domains_.size(); ++j) {
-      if (!kept(seg->domains_[j])) continue;
-      kept_runs_.push_back(KeptRun{seg, j});
-      const std::size_t known = window_domains_.size();
-      const std::uint32_t domain =
-          number(domain_marks_, seg->domains_[j], window_domains_);
-      if (domain == known) {
-        if (out.ips_of_domain_.size() <= domain) {
-          out.ips_of_domain_.resize(domain + 1);
-        }
-        out.ips_of_domain_[domain].clear();
+    for_each_taken(*seg, [&](std::uint32_t j) { take_domain(seg, j); });
+  }
+  if (filter != nullptr) {
+    // Number only the kept edges' hosts, in full-window first-appearance
+    // order (so their ids keep the full graph's relative order): mark
+    // them, then walk the segments' host lists until each is numbered.
+    std::size_t wanted = 0;
+    for (const WindowEdge& edge : edge_sizes_) {
+      Mark& mark = host_marks_[edge.host];
+      if (mark.stamp != epoch) {
+        mark = Mark{epoch, kNoId};
+        ++wanted;
       }
-      for (std::uint32_t k = seg->ip_offsets_[j]; k < seg->ip_offsets_[j + 1];
-           ++k) {
-        push_unique(out.ips_of_domain_[domain], seg->ips_[k]);
-      }
-      for (std::uint32_t i = seg->domain_edges_[j];
-           i < seg->domain_edges_[j + 1]; ++i) {
-        const std::uint32_t e = seg->edges_[i];
-        const std::uint32_t w = number(edge_marks_, e, window_edges_);
-        if (w == edge_sizes_.size()) {
-          const std::uint32_t host = host_marks_[edge_ids_.key(e) >> 32].value;
-          edge_sizes_.push_back(WindowEdge{host, domain, 0, 0});
+    }
+    for (const SealedSegment* seg : segments) {
+      if (window_hosts_.size() == wanted) break;
+      for (const HostId host : seg->hosts_) {
+        Mark& mark = host_marks_[host];
+        if (mark.stamp == epoch && mark.value == kNoId) {
+          mark.value = to_u32(window_hosts_.size());
+          window_hosts_.push_back(host);
         }
-        edge_sizes_[w].times +=
-            seg->time_offsets_[i + 1] - seg->time_offsets_[i];
-        edge_sizes_[w].uas += seg->ua_offsets_[i + 1] - seg->ua_offsets_[i];
       }
     }
   }
+  for (WindowEdge& edge : edge_sizes_) edge.host = host_marks_[edge.host].value;
   const std::size_t n_hosts = window_hosts_.size();
   const std::size_t n_domains = window_domains_.size();
   const std::size_t n_edges = window_edges_.size();
@@ -295,11 +338,13 @@ void WindowDictionary::assemble(std::span<const SealedSegment* const> segments,
       }
     }
   };
-  for (const auto& [seg, j] : kept_runs_) {
-    for (std::uint32_t i = seg->domain_edges_[j]; i < seg->domain_edges_[j + 1];
-         ++i) {
-      write(*seg, i);
-    }
+  for (const SealedSegment* seg : segments) {
+    for_each_taken(*seg, [&](std::uint32_t j) {
+      for (std::uint32_t i = seg->domain_edges_[j];
+           i < seg->domain_edges_[j + 1]; ++i) {
+        write(*seg, i);
+      }
+    });
   }
   // A run that started before its predecessor ended (a late timestamp
   // sealed into a later segment): sort that edge once.

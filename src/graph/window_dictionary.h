@@ -27,20 +27,27 @@
 //   * the CSR rows come from two counting passes over window ids.
 //
 // Given a DomainFilter, assemble() lays out only the kept domains — each
-// with all of its edges, times, UAs and IPs — so its cost follows the kept
-// evidence, not the window. The result is the full graph restricted to
-// the kept domains: every host keeps its full-graph id (hosts with no kept
-// edge included), kept domains keep their full-graph relative order, and
-// a kept domain's hosts, edges and payloads are exactly its full-graph
-// ones. Only UA ids differ: they are numbered in the kept-edge walk, and
-// UA names in each edge's list keep their order. The rt engine passes
-// "new to the domain history" at every tick: the tick's stages read
-// nothing else (see rt/engine.h).
+// with all of its edges, times, UAs and IPs — and only the hosts with a
+// kept edge, so its cost follows the kept evidence, not the window. The
+// result is the full graph restricted to the kept domains and their
+// hosts: kept domains and those hosts keep their full-graph relative
+// order (hosts with no kept edge are absent), and a kept domain's hosts,
+// edges and payloads are exactly its full-graph ones. Only UA ids differ:
+// they are numbered in the kept-edge walk, and UA names in each edge's
+// list keep their order. The rt engine passes "new to the domain history"
+// at every tick: the tick's stages read nothing else (see rt/engine.h).
 //
-// Per assembly the scratch is epoch-stamped flat arrays indexed by
-// dictionary id; no name is hashed except to renumber the recycled output
-// interners (util::Interner::assign) and to answer the filter once per
-// domain id and filter generation.
+// A filtered assembly walks, per segment, only the positions of the
+// domains the filter keeps, then the segments' host lists in order until
+// every host of a kept edge has been seen (a compare per entry, no
+// naming). A segment caches those positions for the filter's generation;
+// they are positions in its own lists, so compaction leaves them valid,
+// and a new generation recomputes them once. Per assembly the scratch is
+// epoch-stamped flat arrays indexed by dictionary id; no name is hashed
+// except to renumber the recycled output interners
+// (util::Interner::assign) and to answer the filter once per domain id
+// and filter generation. seal() ingests each slice through one recycled
+// DayGraph.
 //
 // The dictionary counts, per id, the segments still referencing it
 // (seal() takes a reference, release() drops one). Ids are never reused
@@ -51,6 +58,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -87,12 +95,18 @@ class SealedSegment {
   std::vector<std::uint32_t> ua_offsets_;    ///< edges_ + 1 spans of edge_uas_
   std::vector<UaId> edge_uas_;               ///< first-seen order per edge
   std::vector<std::uint8_t> flags_;          ///< per edge: DayGraph flags
+
+  // Filtered-assembly cache: positions in domains_ that the filter of
+  // generation kept_generation_ keeps (none computed yet: nullopt).
+  mutable std::vector<std::uint32_t> kept_;
+  mutable std::optional<std::uint64_t> kept_generation_;
 };
 
 /// Keep filter over dictionary domains for WindowDictionary::assemble.
 /// `keep(name)` is asked at most once per domain id, and the answer is
-/// cached until `generation` changes (or compaction renumbers the ids), so
-/// equal generations must mean equal answers.
+/// cached until `generation` changes (per dictionary id, dropped when
+/// compaction renumbers the ids; per segment, as kept positions), so equal
+/// generations must mean equal answers.
 struct DomainFilter {
   std::uint64_t generation = 0;
   std::function<bool(std::string_view)> keep;
@@ -102,9 +116,9 @@ struct DomainFilter {
 /// window assembly. Not thread-safe: owned and driven by one rt window.
 class WindowDictionary {
  public:
-  /// Ingest `events` (in arrival order) through DayGraph::add_events and
-  /// translate the result into a sealed segment holding a reference to
-  /// every id it uses.
+  /// Ingest `events` (in arrival order) through DayGraph::add_events into
+  /// the recycled seal graph and translate the result into a sealed
+  /// segment holding a reference to every id it uses.
   SealedSegment seal(std::span<const logs::ConnEvent> events);
 
   /// Drop the references `segment` holds (it left the window for good).
@@ -112,11 +126,11 @@ class WindowDictionary {
 
   /// Build into `out` the finalized graph of the concatenated `segments`,
   /// in order — bit-identical to ingesting their events sequentially and
-  /// finalizing. With a `filter`, only the domains it keeps are laid out
-  /// (the restriction described in the file comment). `out`'s previous
-  /// content is discarded; its allocations (rows and flat payload arrays)
-  /// are recycled, a flat array keeping at most twice the capacity this
-  /// window needs.
+  /// finalizing. With a `filter`, only the domains it keeps and the hosts
+  /// of their edges are laid out (the restriction described in the file
+  /// comment). `out`'s previous content is discarded; its allocations
+  /// (rows and flat payload arrays) are recycled, a flat array keeping at
+  /// most twice the capacity this window needs.
   void assemble(std::span<const SealedSegment* const> segments, DayGraph& out,
                 const DomainFilter* filter = nullptr);
 
@@ -167,6 +181,10 @@ class WindowDictionary {
   std::vector<std::uint32_t> edge_refs_;
   std::size_t live_ = 0;
 
+  // ---- seal scratch: the slice's graph, cleared and refilled per seal
+  // (released when far larger than the slice) ----
+  DayGraph seal_graph_;
+
   // ---- filter answers, per domain id, for keep_generation_ ----
   std::vector<std::uint8_t> keep_;
   std::uint64_t keep_generation_ = 0;
@@ -181,7 +199,7 @@ class WindowDictionary {
   std::vector<Mark> ua_marks_;
   std::vector<Mark> edge_marks_;
   struct WindowEdge {
-    std::uint32_t host = 0;
+    std::uint32_t host = 0;  ///< dictionary id during step 1, then window id
     std::uint32_t domain = 0;
     std::uint32_t times = 0;
     std::uint32_t uas = 0;  ///< upper bound before deduplication
@@ -199,13 +217,6 @@ class WindowDictionary {
   std::vector<UaId> window_uas_;
   std::vector<std::uint32_t> window_edges_;
   std::vector<WindowEdge> edge_sizes_;
-  /// A segment's domain that is laid out, in walk order: step 3 writes
-  /// the payloads of its edges.
-  struct KeptRun {
-    const SealedSegment* segment = nullptr;
-    std::uint32_t domain = 0;  ///< position in segment->domains_
-  };
-  std::vector<KeptRun> kept_runs_;
   std::vector<std::uint32_t> edge_order_;
   std::vector<std::uint32_t> cursor_;
   std::vector<RowFill> rows_;

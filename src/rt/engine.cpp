@@ -219,11 +219,12 @@ void ContinuousEngine::evaluate_tick(std::int64_t tick) {
   // similarity features read a rare domain's hosts and edges, BP expands
   // through hosts to rare domains only, and an emission's evidence time is
   // a detected (rare) domain's first contact. A kept domain keeps all of
-  // its hosts and edges, so the popularity cut is exact, and hosts keep
-  // their ids and kept domains their relative order, so every id-ordered
-  // walk and tie-break matches the full window graph's: the emissions are
-  // the same. The tick's DayAnalysis is not reportable, though — its
-  // total_domains / new_domains count the candidates only.
+  // its hosts and edges, so the popularity cut is exact; a host with no
+  // kept edge is left out, since no stage reaches it; and the kept hosts
+  // and domains keep their relative order, so every id-ordered walk and
+  // tie-break matches the full window graph's: the emissions are the
+  // same. The tick's DayAnalysis is not reportable, though — its
+  // total_domains / new_domains and host count cover the candidates only.
   core::Pipeline& pipeline = detector_.pipeline();
   const util::TimePoint close = config_.window.tick_end(tick);
   const util::Day day = util::day_of(close - 1);

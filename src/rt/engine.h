@@ -18,13 +18,16 @@
 //     (graph::WindowDictionary::assemble) restricted to the domains new
 //     to the history — the only domains those stages read, since every
 //     detection starts from rare (new AND unpopular) destinations. The
-//     restriction keeps each kept domain whole and every host and kept
-//     domain in its full-graph order, so the emissions are the ones the
-//     full window graph gives (tests/rt_incremental_test.cpp). A tick
-//     walks the in-window segments' id lists once and lays out only the
+//     restriction keeps each kept domain whole, drops the hosts with no
+//     kept edge (no stage reaches them) and keeps the remaining hosts
+//     and kept domains in their full-graph order, so the emissions are
+//     the ones the full window graph gives
+//     (tests/rt_incremental_test.cpp). A tick walks the segments' cached
+//     kept-domain positions and host lists and lays out only the
 //     candidates' edges, times, UAs and IPs (about 2% of the window's
-//     edges on the AC workload), plus the scoring stages over them,
-//     whether the window is still growing (the first day) or sliding;
+//     edges on the AC workload) and their hosts, plus the scoring stages
+//     over them, whether the window is still growing (the first day) or
+//     sliding;
 //   * domains never emitted before are announced immediately as
 //     provisional IncidentEmissions carrying event-time → emission-time
 //     latency (bounded by detection lag + one tick), and merged into the

@@ -27,11 +27,14 @@
 // window (the first day), the sliding one (every tick after it) and the
 // day close, which assembles the day's buckets. A tick evaluation passes
 // a domain filter (the engine's: "new to the domain history"), so it
-// walks the in-window segments' id lists once but lays out only the kept
-// domains' edges, times, UAs and IPs — the tick's cost follows the
+// walks only each segment's cached kept-domain positions, plus a
+// mark-only pass over the segments' host lists that ranks hosts by first
+// appearance, and lays out only the kept domains' edges, times, UAs and
+// IPs and the hosts of those edges — the tick's cost follows the
 // candidate evidence (a few percent of the window's edges and times on
-// the AC workload), while the day close assembles everything, unfiltered.
-// The events' hashing is paid once at seal time.
+// the AC workload) and its newest bucket, while the day close assembles
+// everything, unfiltered. The events' hashing is paid once at seal time,
+// through one recycled ingest graph.
 //
 // A bucket is dropped only when it has slid out of the window AND its day
 // has been closed; the window never truncates an open day. Dropping a
@@ -118,7 +121,7 @@ class WindowAccumulator {
   /// assemble the finalized graph of the window ending at `tick` into
   /// `out` (recycling its allocations) — bit-identical to ingesting the
   /// window's events sequentially and finalizing, or, with a `filter`,
-  /// that graph restricted to the kept domains
+  /// that graph restricted to the kept domains and their hosts
   /// (graph::WindowDictionary::assemble). Returns the number of events the
   /// window represents; 0 (and `out` untouched) when the window is empty.
   std::size_t assemble_window(std::int64_t tick, graph::DayGraph& out,

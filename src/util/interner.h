@@ -6,6 +6,7 @@
 // never allocates for already-seen names.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -127,6 +128,14 @@ class Interner {
       while (cells_[at].id != kInvalidInternId) at = (at + 1) & mask;
       cells_[at] = Cell{hashes[i], static_cast<InternId>(i)};
     }
+  }
+
+  /// Drop every name, keeping the table and the name storage: later
+  /// interns reuse both (the rt window's recycled seal graph).
+  void clear() {
+    released_.insert(released_.end(), names_.begin(), names_.end());
+    names_.clear();
+    std::fill(cells_.begin(), cells_.end(), Cell{});
   }
 
   /// Pre-size for n strings (bulk restore paths).

@@ -34,6 +34,12 @@ class KeyTable {
 
   std::size_t size() const { return keys_.size(); }
 
+  /// Drop every key, keeping both arrays' capacity.
+  void clear() {
+    std::fill(cells_.begin(), cells_.end(), 0u);
+    keys_.clear();
+  }
+
   /// Key of an id. Requires id < size().
   std::uint64_t key(std::uint32_t id) const { return keys_[id]; }
 

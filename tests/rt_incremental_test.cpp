@@ -7,13 +7,16 @@
 //     ingest of the same event sequence at every tick, across sealing,
 //     window growth and slide, empty-tick gaps, late timestamps sealed
 //     into later buckets, names / UAs / IPs whose first in-window
-//     occurrence expires, late appends into sealed buckets, and
-//     dictionary compaction over a many-day follow;
+//     occurrence expires, late appends into sealed buckets, a large
+//     bucket among small ones, and dictionary compaction over a many-day
+//     follow; filtered, it is that graph restricted to the kept domains
+//     and their hosts;
 //   * engine-level — a full continuous run produces the same day reports
 //     AND the same provisional/finalized emission sequence, field for
-//     field, as a batch reference that re-analyzes the arrival prefix with
-//     the pipeline's day verbs at every evaluated tick, for every tick
-//     size, and regardless of how chunks straddle tick boundaries.
+//     field, as a batch reference that re-analyzes the in-window events
+//     with the pipeline's day verbs at every evaluated tick, for every
+//     tick size, on a growing and on a sliding day, and regardless of how
+//     chunks straddle tick boundaries.
 #include "rt/window.h"
 
 #include <gtest/gtest.h>
@@ -50,18 +53,23 @@ constexpr util::Day kDay = 16100;
 /// Full structural serialization of a finalized graph — every id, name,
 /// edge payload and IP row in deterministic order. Two graphs with equal
 /// signatures are observably identical. With `keep`, the graph restricted
-/// to the kept domains: every host, and only the kept domains with their
-/// edges and IP rows, in the same order.
+/// to the kept domains: only the kept domains with their edges and IP
+/// rows and only the hosts with a kept edge, in the same order.
 std::string graph_signature(
     const graph::DayGraph& graph,
     const std::function<bool(const std::string&)>& keep = {}) {
   const auto kept = [&](graph::DomainId d) {
     return !keep || keep(graph.domain_name(d));
   };
+  std::vector<bool> has_kept_edge(graph.host_count(), false);
+  graph.for_each_edge(
+      [&](graph::HostId h, graph::DomainId d, const graph::EdgeData&) {
+        if (kept(d)) has_kept_edge[h] = true;
+      });
   std::ostringstream out;
   out << "hosts:";
   for (graph::HostId h = 0; h < graph.host_count(); ++h) {
-    out << graph.host_name(h) << ',';
+    if (!keep || has_kept_edge[h]) out << graph.host_name(h) << ',';
   }
   out << "\ndomains:";
   for (graph::DomainId d = 0; d < graph.domain_count(); ++d) {
@@ -86,12 +94,17 @@ std::string graph_signature(
   return out.str();
 }
 
-/// Sequential-ingest baseline over `events` in order.
-std::string sequential_signature(const std::vector<logs::ConnEvent>& events) {
+/// Sequential ingest of `events` in order, finalized.
+graph::DayGraph sequential_graph(const std::vector<logs::ConnEvent>& events) {
   graph::DayGraph graph;
   for (const auto& ev : events) graph.add_event(ev);
   graph.finalize();
-  return graph_signature(graph);
+  return graph;
+}
+
+/// Sequential-ingest baseline over `events` in order.
+std::string sequential_signature(const std::vector<logs::ConnEvent>& events) {
+  return graph_signature(sequential_graph(events));
 }
 
 /// A varied event mix inside one tick: repeat edges, distinct UAs, IPs,
@@ -434,15 +447,16 @@ TEST(RtIncrementalTest, WindowDictionaryStaysBoundedOverManyDays) {
 // The tick's candidate assembly: at every tick of a sliding many-day
 // follow, the graph assembled under a domain filter ("new to the history",
 // the engine's) must be the full window graph restricted to the kept
-// domains — the same host list (hosts with no kept edge included), kept
-// domains in their full-graph relative order, per kept edge the same
-// times, UA names and flags, and the same IP rows. The filter's answers
-// are cached per dictionary domain id, so the run also changes what they
-// must be: a history.update between ticks drops a recurring domain, a
-// smaller history move-assigned over the old one brings it back, and so
-// does a restore; dictionary compaction renumbers the cached ids; and a
-// late-stamped visit every tick makes the kept edge's runs concatenate
-// out of order.
+// domains — only the hosts with a kept edge, in their full-graph relative
+// order (a host that only contacts known domains is absent), kept domains
+// in their full-graph relative order, per kept edge the same times, UA
+// names and flags, and the same IP rows. The filter's answers are cached
+// per dictionary domain id and, as kept positions, per segment, so the run
+// also changes what they must be: a history.update between ticks drops a
+// recurring domain, a smaller history move-assigned over the old one
+// brings it back, and so does a restore; dictionary compaction renumbers
+// the cached ids; and a late-stamped visit every tick makes the kept
+// edge's runs concatenate out of order.
 TEST(RtIncrementalTest, FilteredAssemblyIsTheWindowRestrictedToKeptDomains) {
   WindowConfig config;
   config.tick_seconds = 3600;
@@ -516,7 +530,17 @@ TEST(RtIncrementalTest, FilteredAssemblyIsTheWindowRestrictedToKeptDomains) {
       EXPECT_EQ(window.assemble_window(tick, filtered, &filter), events);
       EXPECT_TRUE(filtered.finalized());
       EXPECT_EQ(graph_signature(filtered), graph_signature(full, is_new));
-      EXPECT_EQ(filtered.host_count(), full.host_count());
+      std::size_t kept_hosts = 0;
+      for (graph::HostId h = 0; h < full.host_count(); ++h) {
+        const auto domains = full.host_domains(h);
+        kept_hosts += std::any_of(domains.begin(), domains.end(),
+                                  [&](graph::DomainId d) {
+                                    return is_new(full.domain_name(d));
+                                  });
+      }
+      EXPECT_EQ(filtered.host_count(), kept_hosts);
+      EXPECT_NE(full.find_host("known-only"), graph::kNoId);
+      EXPECT_EQ(filtered.find_host("known-only"), graph::kNoId);
       EXPECT_LT(filtered.domain_count(), full.domain_count());
       if (filtered.find_domain("watch.com") == graph::kNoId) {
         ++ticks_watch_dropped;
@@ -532,6 +556,68 @@ TEST(RtIncrementalTest, FilteredAssemblyIsTheWindowRestrictedToKeptDomains) {
   // watch.com is known from day 1 06:00 to day 2 00:00 and from day 2
   // 12:00 to day 3 00:00.
   EXPECT_EQ(ticks_watch_dropped, 18u + 12u);
+}
+
+// One large bucket followed by small ones: the window seals every bucket
+// through one recycled graph, which the large bucket grows and the next
+// small one releases (far larger than it needs), and every later seal
+// clears and refills. At every tick, before and after the large bucket
+// slides out, the unfiltered assembly must equal sequential ingest of the
+// window and the filtered one that graph restricted to the kept domains.
+TEST(RtIncrementalTest, LargeBucketThenSmallOnesMatchSequentialEveryTick) {
+  const WindowConfig config = small_window();
+  WindowAccumulator window(config);
+  graph::DayGraph full;
+  graph::DayGraph filtered;
+  profile::DomainHistory history;
+  history.update({"shared.com", "d1.com", "bulk0.com", "bulk2.com"});
+  const auto is_new = [&history](const std::string& name) {
+    return history.is_new(name);
+  };
+  const graph::DomainFilter filter{
+      history.generation(),
+      [&history](std::string_view name) { return history.is_new(name); }};
+
+  const std::int64_t ticks = 3 * config.window_ticks();
+  std::vector<std::vector<logs::ConnEvent>> arrived(
+      static_cast<std::size_t>(ticks));
+  for (std::int64_t tick = 0; tick < ticks; ++tick) {
+    SCOPED_TRACE("tick " + std::to_string(tick));
+    std::vector<logs::ConnEvent>& bucket =
+        arrived[static_cast<std::size_t>(tick)];
+    if (tick == 1) {
+      DayBuilder big;
+      for (int i = 0; i < 12000; ++i) {
+        big.visit("bulk-host" + std::to_string(i % 611),
+                  "bulk" + std::to_string(i % 37) + ".com", 300 + i % 300,
+                  util::Ipv4::from_octets(10, 9, i % 7, i % 5),
+                  i % 4 == 0 ? "" : "BulkUA" + std::to_string(i % 13),
+                  i % 3 == 0);
+      }
+      bucket = big.events();
+    } else {
+      bucket = tick_events(tick, static_cast<int>(tick));
+    }
+    const util::Day tag = static_cast<util::Day>(tick);
+    for (const auto& ev : bucket) window.append(ev, tick, tag);
+    window.expire(tick);
+
+    std::vector<logs::ConnEvent> in_window;
+    for (std::int64_t t = std::max<std::int64_t>(
+             0, tick - config.window_ticks() + 1);
+         t <= tick; ++t) {
+      const auto& events = arrived[static_cast<std::size_t>(t)];
+      in_window.insert(in_window.end(), events.begin(), events.end());
+    }
+    const graph::DayGraph sequential = sequential_graph(in_window);
+    EXPECT_EQ(window.assemble_window(tick, full), in_window.size());
+    EXPECT_EQ(graph_signature(full), graph_signature(sequential));
+    EXPECT_EQ(window.assemble_window(tick, filtered, &filter),
+              in_window.size());
+    EXPECT_EQ(graph_signature(filtered), graph_signature(sequential, is_new));
+    window.close_day(tag);
+  }
+  EXPECT_EQ(window.stats().segments_sealed, static_cast<std::size_t>(ticks));
 }
 
 // ---------------------------------------------------------------------------
@@ -566,6 +652,32 @@ std::vector<logs::ConnEvent> campaign_day(util::Day day, MapWhois& whois) {
               util::Ipv4::from_octets(198, 51, 100, 20), "", false);
   extra.visit("h6", "related.ru", base + 3030,
               util::Ipv4::from_octets(198, 51, 100, 21), "", false);
+  for (const auto& ev : extra.events()) events.push_back(ev);
+  return events;
+}
+
+/// The day after campaign_day: h5 keeps beaconing evil-cc.ru (known to
+/// the history once that day closes) from before the morning browsing, and
+/// a second campaign puts h2 and h5 on a new C&C domain, h2 after a drop
+/// site. Once the first day's browsing slides out of the window, h5 first
+/// appears before h2, the reverse of their first-day order.
+std::vector<logs::ConnEvent> sliding_campaign_day(util::Day day,
+                                                  MapWhois& whois) {
+  const util::TimePoint base = util::day_start(day);
+  DayBuilder early;
+  early.beacon("h5", "evil-cc.ru", base + 400, 600, 40,
+               util::Ipv4::from_octets(198, 51, 100, 9), "");
+  std::vector<logs::ConnEvent> events = early.events();
+  for (const auto& ev : browsing_day(day)) events.push_back(ev);
+  DayBuilder extra;
+  whois.add("evil-cc2.ru", day - 2, day + 40);
+  whois.add("evil-drop2.ru", day - 3, day + 40);
+  extra.visit("h2", "evil-drop2.ru", base + 9000,
+              util::Ipv4::from_octets(198, 51, 100, 30), "", false);
+  extra.beacon("h2", "evil-cc2.ru", base + 9040, 600, 40,
+               util::Ipv4::from_octets(198, 51, 100, 31), "");
+  extra.beacon("h5", "evil-cc2.ru", base + 9100, 600, 40,
+               util::Ipv4::from_octets(198, 51, 100, 31), "");
   for (const auto& ev : extra.events()) events.push_back(ev);
   return events;
 }
@@ -707,65 +819,92 @@ class NoveltyFilter {
   std::set<std::string> emitted_;
 };
 
-/// What the continuous engine must produce for one day replayed through a
-/// ReplayClock at `tick` seconds: walk the events in arrival order, and
-/// whenever the high-water tick advances past a tick holding new events,
-/// analyze the arrival prefix from scratch with the batch day verbs
-/// (begin_day / add_chunk / finish_day → detect_cc → run_bp_nohint). The
-/// day-long window always covers the whole prefix. The day closes with
-/// batch run_day.
-ContinuousReport batch_reference(api::Detector& detector,
-                                 const std::vector<logs::ConnEvent>& events,
-                                 util::Day day, std::int64_t tick) {
+/// What the continuous engine must produce for `days` (day first_day + i)
+/// replayed through a ReplayClock at `tick` seconds: walk the events in
+/// arrival order, and whenever the high-water tick advances past a tick
+/// holding new events, analyze that tick's window from scratch with the
+/// batch day verbs (begin_day / add_chunk / finish_day → detect_cc →
+/// run_bp_nohint). An event belongs to the tick its arrival moved the
+/// high-water mark to, and the day-long window ending at tick T holds the
+/// events of its last window_ticks() ticks: on the first day the whole
+/// arrival prefix, after it a slid window whose hosts first appear in
+/// another order. Each day closes with batch run_day, committing the
+/// histories, when the next day's first event arrives (before that
+/// arrival's tick evaluation) or at the end.
+ContinuousReport batch_reference(
+    api::Detector& detector,
+    const std::vector<std::vector<logs::ConnEvent>>& days,
+    util::Day first_day, std::int64_t tick) {
   WindowConfig window;
   window.tick_seconds = tick;
   const core::Pipeline& pipeline = detector.pipeline();
   NoveltyFilter filter;
   ContinuousReport out;
+  const auto close_day = [&](std::size_t index) {
+    const util::Day day = first_day + static_cast<util::Day>(index);
+    api::VectorSource whole(day, &days[index]);
+    const core::DayAnalysis closing = detector.analyze_stream(whole, day);
+    whole.reset();
+    const core::DayReport report = detector.run_day(whole, day, soc_seeds());
+    std::vector<std::string> domains;
+    for (const auto& scored : report.cc_domains) domains.push_back(scored.name);
+    for (const auto& detected : report.nohint.domains)
+      domains.push_back(detected.name);
+    for (const auto& detected : report.sochints.domains)
+      domains.push_back(detected.name);
+    std::set<std::string> host_set(report.nohint.hosts.begin(),
+                                   report.nohint.hosts.end());
+    host_set.insert(report.sochints.hosts.begin(), report.sochints.hosts.end());
+    filter.emit(closing, domains, {host_set.begin(), host_set.end()},
+                /*provisional=*/false, util::day_start(day + 1), day,
+                out.emissions);
+    out.days.push_back(report);
+  };
+  const auto evaluate = [&](std::int64_t evaluated,
+                            const std::vector<logs::ConnEvent>& arrived,
+                            const std::vector<std::int64_t>& arrival_tick) {
+    const util::TimePoint close = window.tick_end(evaluated);
+    const util::Day tick_day = util::day_of(close - 1);
+    const std::int64_t first_live = evaluated - window.window_ticks() + 1;
+    std::vector<logs::ConnEvent> in_window;
+    for (std::size_t j = 0; j < arrived.size(); ++j) {
+      if (arrival_tick[j] >= first_live) in_window.push_back(arrived[j]);
+    }
+    core::DayAccumulator accumulator = pipeline.begin_day(tick_day);
+    accumulator.add_chunk(in_window);
+    const core::DayAnalysis analysis =
+        pipeline.finish_day(std::move(accumulator));
+    const std::vector<core::ScoredDomain> cc = pipeline.detect_cc(analysis);
+    std::vector<std::string> domains;
+    for (const auto& scored : cc) domains.push_back(scored.name);
+    std::vector<std::string> hosts;
+    if (!cc.empty()) {
+      const core::BpRunReport bp = pipeline.run_bp_nohint(analysis, cc);
+      for (const auto& detected : bp.domains) domains.push_back(detected.name);
+      hosts = bp.hosts;
+    }
+    filter.emit(analysis, domains, hosts, /*provisional=*/true, close,
+                tick_day, out.emissions);
+  };
+
+  std::vector<logs::ConnEvent> arrived;
+  std::vector<std::int64_t> arrival_tick;
   util::TimePoint high_water = 0;
   std::int64_t current = 0;
-  for (std::size_t i = 0; i < events.size(); ++i) {
-    high_water = std::max(high_water, events[i].ts);
-    const std::int64_t now = window.tick_of(high_water);
-    if (i > 0 && now > current) {
-      const util::TimePoint close = window.tick_end(current);
-      const util::Day tick_day = util::day_of(close - 1);
-      core::DayAccumulator accumulator = pipeline.begin_day(tick_day);
-      accumulator.add_chunk(std::span(events.data(), i));
-      const core::DayAnalysis analysis =
-          pipeline.finish_day(std::move(accumulator));
-      const std::vector<core::ScoredDomain> cc = pipeline.detect_cc(analysis);
-      std::vector<std::string> domains;
-      for (const auto& scored : cc) domains.push_back(scored.name);
-      std::vector<std::string> hosts;
-      if (!cc.empty()) {
-        const core::BpRunReport bp = pipeline.run_bp_nohint(analysis, cc);
-        for (const auto& detected : bp.domains) domains.push_back(detected.name);
-        hosts = bp.hosts;
+  for (std::size_t index = 0; index < days.size(); ++index) {
+    if (index > 0) close_day(index - 1);
+    for (const logs::ConnEvent& event : days[index]) {
+      high_water = std::max(high_water, event.ts);
+      const std::int64_t now = window.tick_of(high_water);
+      if (!arrived.empty() && now > current) {
+        evaluate(current, arrived, arrival_tick);
       }
-      filter.emit(analysis, domains, hosts, /*provisional=*/true, close,
-                  tick_day, out.emissions);
+      if (arrived.empty() || now > current) current = now;
+      arrived.push_back(event);
+      arrival_tick.push_back(now);
     }
-    if (i == 0 || now > current) current = now;
   }
-
-  api::VectorSource whole(day, &events);
-  const core::DayAnalysis closing = detector.analyze_stream(whole, day);
-  whole.reset();
-  const core::DayReport report = detector.run_day(whole, day, soc_seeds());
-  std::vector<std::string> domains;
-  for (const auto& scored : report.cc_domains) domains.push_back(scored.name);
-  for (const auto& detected : report.nohint.domains)
-    domains.push_back(detected.name);
-  for (const auto& detected : report.sochints.domains)
-    domains.push_back(detected.name);
-  std::set<std::string> host_set(report.nohint.hosts.begin(),
-                                 report.nohint.hosts.end());
-  host_set.insert(report.sochints.hosts.begin(), report.sochints.hosts.end());
-  filter.emit(closing, domains, {host_set.begin(), host_set.end()},
-              /*provisional=*/false, util::day_start(day + 1), day,
-              out.emissions);
-  out.days.push_back(report);
+  close_day(days.size() - 1);
   return out;
 }
 
@@ -787,7 +926,7 @@ TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicks) {
     SCOPED_TRACE("tick " + std::to_string(tick));
     api::Detector reference_detector = trained_detector(whois, intel, train);
     const ContinuousReport expected =
-        batch_reference(reference_detector, events, kDay, tick);
+        batch_reference(reference_detector, {events}, kDay, tick);
     const std::string reference = report_fingerprint(expected);
     ASSERT_NE(reference.find("evil-cc.ru"), std::string::npos);
     // Sub-day ticks must exercise the provisional path.
@@ -807,6 +946,44 @@ TEST(RtIncrementalTest, MatchesBatchReferenceAcrossTicks) {
       EXPECT_GT(report.stats.buckets_sealed, 0u);
       EXPECT_GT(report.stats.partial_absorbs, 0u);
     }
+  }
+}
+
+// The same contract over two days: every second-day tick evaluates a
+// window that has slid — the first day's events leave it tick by tick, so
+// hosts' first appearances move — scored against the histories the first
+// day's close committed.
+TEST(RtIncrementalTest, MatchesBatchReferenceAcrossSlidingDay) {
+  MapWhois whois;
+  std::set<std::string> reported;
+  const auto train = training_days(whois, reported);
+  const core::LabelFn intel = [&reported](const std::string& domain) {
+    return reported.contains(domain);
+  };
+  const std::vector<std::vector<logs::ConnEvent>> days = {
+      campaign_day(kDay, whois), sliding_campaign_day(kDay + 1, whois)};
+
+  for (const std::int64_t tick : {std::int64_t{300}, std::int64_t{3600}}) {
+    SCOPED_TRACE("tick " + std::to_string(tick));
+    api::Detector reference_detector = trained_detector(whois, intel, train);
+    const ContinuousReport expected =
+        batch_reference(reference_detector, days, kDay, tick);
+    ASSERT_EQ(expected.days.size(), 2u);
+    // The second day's new campaign surfaces at a tick, not at its close.
+    EXPECT_TRUE(std::any_of(
+        expected.emissions.begin(), expected.emissions.end(),
+        [](const IncidentEmission& e) {
+          return e.provisional && e.day == kDay + 1 &&
+                 std::find(e.domains.begin(), e.domains.end(),
+                           "evil-cc2.ru") != e.domains.end();
+        }));
+    api::Detector detector = trained_detector(whois, intel, train);
+    EngineConfig config;
+    config.window.tick_seconds = tick;
+    config.seeds = soc_seeds();
+    api::MultiDaySource source(kDay, &days);
+    const ContinuousReport report = detector.run_continuous(source, config);
+    EXPECT_EQ(report_fingerprint(report), report_fingerprint(expected));
   }
 }
 
