@@ -35,21 +35,21 @@ int main() {
   std::printf("campaign ground truth: %zu domains, %zu victims\n\n",
               target->answer_domains.size(), target->victim_hosts.size());
 
-  for (const core::BpEvent& event : result.trace) {
-    const std::string& domain = analysis.graph.domain_name(event.domain);
-    if (event.reason == core::LabelReason::CandC) {
-      const features::DomainAutomation* agg = analysis.automation.domain(event.domain);
+  for (const core::DetectedDomain& label : result.trace) {
+    if (label.reason == core::LabelReason::CandC) {
+      const features::DomainAutomation* agg =
+          analysis.automation.domain(analysis.graph.find_domain(label.name));
       std::printf("iter %zu: %-24s labeled C&C (beacon every ~%.0f s, %zu hosts)\n",
-                  event.iteration, domain.c_str(),
+                  label.iteration, label.name.c_str(),
                   agg != nullptr ? agg->dominant_period() : 0.0,
                   agg != nullptr ? agg->host_count() : 0);
-    } else if (event.reason == core::LabelReason::Similarity) {
+    } else if (label.reason == core::LabelReason::Similarity) {
       std::printf("iter %zu: %-24s labeled by similarity (score %.2f)\n",
-                  event.iteration, domain.c_str(), event.score);
+                  label.iteration, label.name.c_str(), label.score);
     }
-    for (const graph::HostId host : event.new_hosts) {
+    for (const std::string& host : label.new_hosts) {
       std::printf("          -> host %s added to compromised set\n",
-                  analysis.graph.host_name(host).c_str());
+                  host.c_str());
     }
   }
   std::printf("\nfinal: %zu domains labeled, %zu hosts compromised "

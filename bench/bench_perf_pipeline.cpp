@@ -369,8 +369,8 @@ void BM_DetectorIngestProfile(benchmark::State& state) {
 BENCHMARK(BM_DetectorIngestProfile);
 
 void BM_MetricsCounter(benchmark::State& state) {
-  // The raw cost of one enabled counter increment: a thread-shard lookup
-  // plus one uncontended relaxed fetch_add.
+  // The raw cost of one enabled counter increment: a relaxed load of the
+  // enabled flag plus one uncontended relaxed fetch_add.
   obs::metrics().set_enabled(true);
   obs::Counter& counter = obs::metrics().counter("bench_scratch_total");
   for (auto _ : state) {

@@ -30,6 +30,13 @@ class DomainScorer {
   /// Detect_C&C(dom): does the domain exhibit C&C-like behavior?
   virtual bool detect_cc(graph::DomainId domain) const = 0;
 
+  /// C&C score that the pipeline's sweep over rare automated domains
+  /// compares against Tc. A rule-based scorer's score is its verdict:
+  /// 1.0 when detect_cc holds, else 0.0.
+  virtual double cc_score(graph::DomainId domain) const {
+    return detect_cc(domain) ? 1.0 : 0.0;
+  }
+
   /// Compute_SimScore(dom): similarity of the domain to the labeled set.
   virtual double similarity_score(
       graph::DomainId domain, std::span<const graph::DomainId> labeled) const = 0;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -161,12 +162,6 @@ DayAnalysis Pipeline::finish_day_graph(util::Day day, graph::DayGraph&& graph,
   return analysis;
 }
 
-DayState Pipeline::make_state(const DayAnalysis& analysis) const {
-  return DayState{analysis.graph, analysis.rare,     analysis.automation,
-                  ua_history_,    whois_,            analysis.day,
-                  analysis.whois_defaults};
-}
-
 void Pipeline::train_from_analysis(const DayAnalysis& analysis,
                                    const LabelFn& intel) {
   const util::Day day = analysis.day;
@@ -280,34 +275,59 @@ void Pipeline::set_models(ScoredModel cc, ScoredModel sim) {
   models_ready_ = true;
 }
 
+std::unique_ptr<DomainScorer> Pipeline::make_scorer(
+    const DayAnalysis& analysis) const {
+  const DayState state{analysis.graph, analysis.rare,     analysis.automation,
+                       ua_history_,    whois_,            analysis.day,
+                       analysis.whois_defaults};
+  if (models_ready_) {
+    return std::make_unique<EnterpriseScorer>(state, cc_model_, sim_model_);
+  }
+  return std::make_unique<LanlScorer>(state);
+}
+
+std::vector<ScoredDomain> Pipeline::sweep_cc(const DayAnalysis& analysis,
+                                             double tc) const {
+  const std::unique_ptr<DomainScorer> scorer = make_scorer(analysis);
+  std::vector<ScoredDomain> out;
+  for (const graph::DomainId domain : analysis.automation.automated_domains()) {
+    if (!analysis.rare.contains(domain)) continue;
+    const double score = scorer->cc_score(domain);
+    if (score < tc) continue;
+    const features::DomainAutomation* agg = analysis.automation.domain(domain);
+    out.push_back(ScoredDomain{analysis.graph.domain_name(domain), score,
+                               agg != nullptr ? agg->dominant_period() : 0.0,
+                               agg != nullptr ? agg->host_count() : 0});
+  }
+  std::stable_sort(out.begin(), out.end(),
+                   [](const ScoredDomain& a, const ScoredDomain& b) {
+                     return a.score > b.score;
+                   });
+  return out;
+}
+
 std::vector<ScoredDomain> Pipeline::score_automated(
     const DayAnalysis& analysis) const {
-  const DayState state = make_state(analysis);
-  ScoredModel sweep = cc_model_;
-  sweep.threshold = -1e18;  // keep every automated rare domain
-  std::vector<ScoredDomain> out;
-  for (const CcDetection& det : detect_cc_domains(state, sweep)) {
-    out.push_back(ScoredDomain{analysis.graph.domain_name(det.domain), det.score,
-                               det.period, det.auto_hosts});
-  }
-  return out;
+  return sweep_cc(analysis, -std::numeric_limits<double>::infinity());
 }
 
 std::vector<ScoredDomain> Pipeline::detect_cc(const DayAnalysis& analysis,
                                               std::optional<double> tc) const {
-  const DayState state = make_state(analysis);
-  ScoredModel sweep = cc_model_;
-  sweep.threshold = tc.value_or(config_.cc_threshold);
-  std::vector<ScoredDomain> out;
-  for (const CcDetection& det : detect_cc_domains(state, sweep)) {
-    out.push_back(ScoredDomain{analysis.graph.domain_name(det.domain), det.score,
-                               det.period, det.auto_hosts});
-  }
-  return out;
+  return sweep_cc(analysis, tc.value_or(config_.cc_threshold));
 }
 
-BpRunReport Pipeline::report_from(const graph::DayGraph& graph,
-                                  const BpResult& result) const {
+BpRunReport Pipeline::run_bp(const DayAnalysis& analysis,
+                             std::span<const graph::HostId> seed_hosts,
+                             std::span<const graph::DomainId> seed_domains,
+                             std::optional<double> ts) const {
+  BpConfig bp;
+  bp.sim_threshold = ts.value_or(config_.sim_threshold);
+  bp.max_iterations = config_.bp_max_iterations;
+  const graph::DayGraph& graph = analysis.graph;
+  const BpResult result =
+      belief_propagation(graph, analysis.rare, seed_hosts, seed_domains,
+                         *make_scorer(analysis), bp);
+
   BpRunReport report;
   report.iterations = result.iterations;
   for (const BpEvent& event : result.trace) {
@@ -317,6 +337,9 @@ BpRunReport Pipeline::report_from(const graph::DayGraph& graph,
     det.score = event.score;
     det.reason = event.reason;
     det.iteration = event.iteration;
+    for (const graph::HostId host : event.new_hosts) {
+      det.new_hosts.push_back(graph.host_name(host));
+    }
     report.domains.push_back(std::move(det));
   }
   for (const graph::HostId host : result.hosts) {
@@ -328,32 +351,17 @@ BpRunReport Pipeline::report_from(const graph::DayGraph& graph,
 BpRunReport Pipeline::run_bp_nohint(const DayAnalysis& analysis,
                                     const std::vector<ScoredDomain>& cc_domains,
                                     std::optional<double> ts) const {
-  const DayState state = make_state(analysis);
-  ScoredModel sim = sim_model_;
-  sim.threshold = ts.value_or(config_.sim_threshold);
-  const EnterpriseScorer scorer(state, cc_model_, sim);
-
   std::vector<graph::DomainId> seeds;
   for (const ScoredDomain& det : cc_domains) {
     const graph::DomainId id = analysis.graph.find_domain(det.name);
     if (id != graph::kNoId) seeds.push_back(id);
   }
-  BpConfig bp;
-  bp.sim_threshold = sim.threshold;
-  bp.max_iterations = config_.bp_max_iterations;
-  const BpResult result =
-      belief_propagation(analysis.graph, analysis.rare, {}, seeds, scorer, bp);
-  return report_from(analysis.graph, result);
+  return run_bp(analysis, {}, seeds, ts);
 }
 
 BpRunReport Pipeline::run_bp_sochints(const DayAnalysis& analysis,
                                       const SocSeeds& seeds,
                                       std::optional<double> ts) const {
-  const DayState state = make_state(analysis);
-  ScoredModel sim = sim_model_;
-  sim.threshold = ts.value_or(config_.sim_threshold);
-  const EnterpriseScorer scorer(state, cc_model_, sim);
-
   std::vector<graph::HostId> seed_hosts;
   for (const std::string& host : seeds.hosts) {
     const graph::HostId id = analysis.graph.find_host(host);
@@ -364,12 +372,7 @@ BpRunReport Pipeline::run_bp_sochints(const DayAnalysis& analysis,
     const graph::DomainId id = analysis.graph.find_domain(domain);
     if (id != graph::kNoId) seed_domains.push_back(id);
   }
-  BpConfig bp;
-  bp.sim_threshold = sim.threshold;
-  bp.max_iterations = config_.bp_max_iterations;
-  const BpResult result = belief_propagation(analysis.graph, analysis.rare,
-                                             seed_hosts, seed_domains, scorer, bp);
-  return report_from(analysis.graph, result);
+  return run_bp(analysis, seed_hosts, seed_domains, ts);
 }
 
 DayReport Pipeline::report_day(const DayAnalysis& analysis,
@@ -387,7 +390,10 @@ DayReport Pipeline::report_day(const DayAnalysis& analysis,
   {
     const obs::TraceSpan span("score_automated");
     report.automated_scores = score_automated(analysis);
-    report.cc_domains = detect_cc(analysis);
+    for (const ScoredDomain& scored : report.automated_scores) {
+      if (scored.score < config_.cc_threshold) continue;
+      report.cc_domains.push_back(scored);
+    }
   }
   {
     const obs::TraceSpan span("bp_nohint");

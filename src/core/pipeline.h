@@ -23,6 +23,7 @@
 #pragma once
 
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -65,11 +66,14 @@ struct DetectedDomain {
   double score = 0.0;
   LabelReason reason = LabelReason::Similarity;
   std::size_t iteration = 0;
+  std::vector<std::string> new_hosts;  ///< hosts this label added to H
 };
 
 struct BpRunReport {
   std::vector<DetectedDomain> domains;  ///< newly labeled (seeds excluded)
-  std::vector<std::string> hosts;       ///< expanded compromised set
+  /// Expanded compromised set: the seed hosts, then each label's
+  /// new_hosts in label order.
+  std::vector<std::string> hosts;
   std::size_t iterations = 0;
 };
 
@@ -301,6 +305,11 @@ class Pipeline {
   }
 
   // ---- Operation ----
+  //
+  // Every scoring verb below scores with one scorer, chosen by
+  // models_ready(): the trained regressions (EnterpriseScorer) once
+  // finalize_training, set_models or a restore has installed models, the
+  // training-free DNS-log rules of §V-B (LanlScorer) before that.
 
   /// Start incremental analysis of one day (streaming ingestion).
   DayAccumulator begin_day(util::Day day) const { return DayAccumulator(day); }
@@ -319,11 +328,12 @@ class Pipeline {
   DayAnalysis finish_day_graph(util::Day day, graph::DayGraph&& graph,
                                std::size_t events) const;
 
-  /// All automated rare domains of the day with their scores, unthresholded
-  /// (the Fig. 5 / Fig. 6a series).
+  /// All automated rare domains of the day with their C&C scores,
+  /// unthresholded, by decreasing score (the Fig. 5 / Fig. 6a series).
   std::vector<ScoredDomain> score_automated(const DayAnalysis& analysis) const;
 
-  /// Step 3: C&C sweep at threshold Tc (config default when unset).
+  /// Step 3: C&C sweep at threshold Tc (config default when unset) —
+  /// score_automated() without the domains scoring below Tc.
   std::vector<ScoredDomain> detect_cc(
       const DayAnalysis& analysis,
       std::optional<double> tc = std::nullopt) const;
@@ -343,7 +353,8 @@ class Pipeline {
   void update_histories(const graph::DayGraph& graph);
 
   /// Thresholding + both BP modes over an already-computed analysis, no
-  /// history update.
+  /// history update. Each automated rare domain is scored once:
+  /// cc_domains is automated_scores above Tc.
   DayReport report_day(const DayAnalysis& analysis, const SocSeeds& seeds) const;
 
   const PipelineConfig& config() const { return config_; }
@@ -353,9 +364,16 @@ class Pipeline {
   const ScoredModel& sim_model() const { return sim_model_; }
 
  private:
-  DayState make_state(const DayAnalysis& analysis) const;
-  BpRunReport report_from(const graph::DayGraph& graph,
-                          const BpResult& result) const;
+  /// The one place a scorer is built (see "Operation" above).
+  std::unique_ptr<DomainScorer> make_scorer(const DayAnalysis& analysis) const;
+  /// Rare automated domains scoring at least `tc`, by decreasing score.
+  std::vector<ScoredDomain> sweep_cc(const DayAnalysis& analysis,
+                                     double tc) const;
+  /// Algorithm 1 from seeds already resolved to today's ids.
+  BpRunReport run_bp(const DayAnalysis& analysis,
+                     std::span<const graph::HostId> seed_hosts,
+                     std::span<const graph::DomainId> seed_domains,
+                     std::optional<double> ts) const;
 
   PipelineConfig config_;
   const features::WhoisSource& whois_;

@@ -4,6 +4,19 @@
 #include <cmath>
 
 namespace eid::core {
+namespace {
+
+// LanlScorer constants (§V-B).
+/// Two hosts beacon "at similar time periods" when their detected periods
+/// differ by at most this many seconds.
+constexpr double kPeriodMatchSeconds = 10.0;
+/// The timing-correlation component fires when the min first-visit gap to
+/// a labeled domain is at most this many seconds (Fig. 3 regime).
+constexpr double kTimingCloseSeconds = 160.0;
+/// The connectivity component saturates at this many hosts.
+constexpr double kConnectivityCap = 10.0;
+
+}  // namespace
 
 double EnterpriseScorer::cc_score(graph::DomainId domain) const {
   const features::CcFeatureRow row = features::extract_cc_features(
@@ -41,7 +54,7 @@ bool LanlScorer::detect_cc(graph::DomainId domain) const {
     for (std::size_t j = i + 1; j < agg->pairs.size(); ++j) {
       if (agg->pairs[i].host == agg->pairs[j].host) continue;
       if (std::abs(agg->pairs[i].period - agg->pairs[j].period) <=
-          params_.period_match_seconds) {
+          kPeriodMatchSeconds) {
         return true;
       }
     }
@@ -54,9 +67,9 @@ LanlScorer::Components LanlScorer::components(
   Components c;
   const double hosts =
       static_cast<double>(state_.graph.domain_hosts(domain).size());
-  c.connectivity = std::min(hosts, params_.connectivity_cap) / params_.connectivity_cap;
+  c.connectivity = std::min(hosts, kConnectivityCap) / kConnectivityCap;
   const double gap = features::min_visit_gap(state_.graph, domain, labeled);
-  c.timing = gap <= params_.timing_close_seconds ? 1.0 : 0.0;
+  c.timing = gap <= kTimingCloseSeconds ? 1.0 : 0.0;
   const features::IpProximity prox =
       features::ip_proximity(state_.graph, domain, labeled);
   if (prox.share24) {
@@ -73,31 +86,6 @@ double LanlScorer::similarity_score(graph::DomainId domain,
   // Sum of the three components, normalized by the maximum attainable value
   // (1 + 1 + 2), so scores live in [0, 1].
   return (c.connectivity + c.timing + c.ip) / 4.0;
-}
-
-std::vector<CcDetection> detect_cc_domains(const DayState& state,
-                                           const ScoredModel& cc_model) {
-  std::vector<CcDetection> out;
-  for (const graph::DomainId domain : state.automation.automated_domains()) {
-    if (!state.rare.contains(domain)) continue;
-    const features::CcFeatureRow row = features::extract_cc_features(
-        state.graph, domain, state.automation, state.ua_history, state.whois,
-        state.today, state.whois_defaults);
-    auto values = row.as_array();
-    const double score = cc_model.score(values);
-    if (score < cc_model.threshold) continue;
-    CcDetection det;
-    det.domain = domain;
-    det.score = score;
-    const features::DomainAutomation* agg = state.automation.domain(domain);
-    det.period = agg != nullptr ? agg->dominant_period() : 0.0;
-    det.auto_hosts = agg != nullptr ? agg->host_count() : 0;
-    out.push_back(det);
-  }
-  std::stable_sort(out.begin(), out.end(), [](const CcDetection& a, const CcDetection& b) {
-    return a.score > b.score;
-  });
-  return out;
 }
 
 }  // namespace eid::core

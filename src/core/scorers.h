@@ -7,10 +7,15 @@
 //   the paper's 0..1 thresholds.
 //
 // * LanlScorer (§V-B): the reduced-information variant for anonymized DNS
-//   data. Detect_C&C = automated + at least two distinct hosts beaconing
-//   with similar periods (within 10 s). Compute_SimScore = normalized
+//   data, which needs no training. Detect_C&C = automated + at least two
+//   distinct hosts beaconing with similar periods (within 10 s); its C&C
+//   score is that verdict, 1.0 or 0.0. Compute_SimScore = normalized
 //   additive score over connectivity, timing correlation and IP proximity
 //   (no registration or HTTP features exist in that dataset).
+//
+// core::Pipeline builds the one scorer its verbs use: EnterpriseScorer
+// once the models are trained (or installed, or restored), LanlScorer
+// before that.
 #pragma once
 
 #include <span>
@@ -63,7 +68,7 @@ class EnterpriseScorer final : public DomainScorer {
       : state_(state), cc_(std::move(cc_model)), sim_(std::move(sim_model)) {}
 
   /// Regression score over the C&C features (post-scaling).
-  double cc_score(graph::DomainId domain) const;
+  double cc_score(graph::DomainId domain) const override;
 
   /// Regression score over the similarity features (post-scaling).
   double sim_score(graph::DomainId domain,
@@ -79,22 +84,9 @@ class EnterpriseScorer final : public DomainScorer {
   ScoredModel sim_;
 };
 
-/// LANL scorer parameters.
-struct LanlScorerParams {
-  /// Two hosts beacon "at similar time periods" when their detected periods
-  /// differ by at most this many seconds.
-  double period_match_seconds = 10.0;
-  /// Timing-correlation component fires when the min first-visit gap to a
-  /// labeled domain is at most this many seconds (Fig. 3 regime).
-  double timing_close_seconds = 160.0;
-  /// Connectivity component saturates at this many hosts.
-  double connectivity_cap = 10.0;
-};
-
 class LanlScorer final : public DomainScorer {
  public:
-  LanlScorer(const DayState& state, LanlScorerParams params = {})
-      : state_(state), params_(params) {}
+  explicit LanlScorer(const DayState& state) : state_(state) {}
 
   bool detect_cc(graph::DomainId domain) const override;
   double similarity_score(graph::DomainId domain,
@@ -111,20 +103,6 @@ class LanlScorer final : public DomainScorer {
 
  private:
   DayState state_;
-  LanlScorerParams params_;
 };
-
-/// Standalone C&C sweep (operation step 3, Fig. 1): score every rare
-/// automated domain of the day and return those above the threshold,
-/// ordered by decreasing score.
-struct CcDetection {
-  graph::DomainId domain = 0;
-  double score = 0.0;
-  double period = 0.0;
-  std::size_t auto_hosts = 0;
-};
-
-std::vector<CcDetection> detect_cc_domains(const DayState& state,
-                                           const ScoredModel& cc_model);
 
 }  // namespace eid::core

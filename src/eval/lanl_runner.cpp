@@ -5,21 +5,16 @@
 #include "api/sources.h"
 
 namespace eid::eval {
-namespace {
 
-core::PipelineConfig pipeline_config(const LanlRunnerConfig& config) {
-  core::PipelineConfig out;
-  out.popularity_threshold = config.popularity_threshold;
-  out.periodicity = config.periodicity;
-  return out;
+core::PipelineConfig lanl_pipeline_config() {
+  core::PipelineConfig config;
+  config.sim_threshold = 0.25;
+  config.bp_max_iterations = 5;
+  return config;
 }
 
-}  // namespace
-
-LanlRunner::LanlRunner(sim::LanlScenario& scenario, LanlRunnerConfig config)
-    : scenario_(scenario),
-      config_(config),
-      detector_(pipeline_config(config), scenario.simulator().whois()) {}
+LanlRunner::LanlRunner(sim::LanlScenario& scenario, core::PipelineConfig config)
+    : scenario_(scenario), detector_(config, scenario.simulator().whois()) {}
 
 void LanlRunner::bootstrap() {
   api::SimSource source(scenario_.simulator(), scenario_.bootstrap_begin(),
@@ -45,45 +40,29 @@ LanlDayResult LanlRunner::run_case(const sim::LanlCase& challenge,
   result.rare_domains = analysis.rare.size();
   result.automated_pairs = analysis.automation.pair_count();
 
-  const core::DayState state{analysis.graph,  analysis.rare,
-                             analysis.automation,
-                             detector_.pipeline().ua_history(),
-                             scenario_.simulator().whois(), analysis.day,
-                             features::WhoisDefaults{}};
-  const core::LanlScorer scorer(state, config_.scorer);
-
-  std::vector<graph::HostId> seed_hosts;
-  for (const std::string& host : challenge.hint_hosts) {
-    const graph::HostId id = analysis.graph.find_host(host);
-    if (id != graph::kNoId) seed_hosts.push_back(id);
-  }
-
-  std::vector<graph::DomainId> seed_domains;
-  if (seed_hosts.empty()) {
-    // Case 4: no hints. Seed with the challenge C&C sweep — every rare
-    // automated domain with two hosts beaconing at matching periods.
-    for (const graph::DomainId domain : analysis.automation.automated_domains()) {
-      if (!analysis.rare.contains(domain)) continue;
-      if (scorer.detect_cc(domain)) seed_domains.push_back(domain);
+  const core::Pipeline& pipeline = detector_.pipeline();
+  const bool hinted = std::any_of(
+      challenge.hint_hosts.begin(), challenge.hint_hosts.end(),
+      [&](const std::string& host) {
+        return analysis.graph.find_host(host) != graph::kNoId;
+      });
+  core::BpRunReport bp;
+  if (hinted) {
+    // Hosts were given but domains were not, so every label is a detection.
+    bp = pipeline.run_bp_sochints(analysis, core::SocSeeds{challenge.hint_hosts, {}});
+  } else {
+    // Case 4: nothing was given, so the C&C sweep's seeds are detections too.
+    const std::vector<core::ScoredDomain> cc = pipeline.detect_cc(analysis);
+    for (const core::ScoredDomain& seed : cc) {
+      result.trace.push_back({seed.name, seed.score, core::LabelReason::Seed, 0, {}});
     }
+    bp = pipeline.run_bp_nohint(analysis, cc);
   }
-
-  core::BpConfig bp;
-  bp.sim_threshold = config_.sim_threshold;
-  bp.max_iterations = config_.max_iterations;
-  const core::BpResult bp_result = core::belief_propagation(
-      analysis.graph, analysis.rare, seed_hosts, seed_domains, scorer, bp);
-
-  result.trace = bp_result.trace;
-  // Case-4 seeds are themselves detections (nothing was given); in the
-  // hinted cases, hosts were given but domains were not, so every labeled
-  // domain counts as a detection either way.
-  for (const graph::DomainId domain : bp_result.domains) {
-    result.detected_domains.push_back(analysis.graph.domain_name(domain));
+  result.trace.insert(result.trace.end(), bp.domains.begin(), bp.domains.end());
+  for (const core::DetectedDomain& label : result.trace) {
+    result.detected_domains.push_back(label.name);
   }
-  for (const graph::HostId host : bp_result.hosts) {
-    result.detected_hosts.push_back(analysis.graph.host_name(host));
-  }
+  result.detected_hosts = std::move(bp.hosts);
   result.counts =
       score_detections(result.detected_domains, challenge.answer_domains);
   return result;

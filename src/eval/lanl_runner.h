@@ -1,28 +1,23 @@
 // End-to-end runner for the LANL challenge (§V): bootstraps the domain
 // history over February, walks March chronologically, and on each campaign
-// day runs belief propagation with the LANL scorer — seeded by the case's
-// hint hosts, or by the challenge-specific C&C sweep when no hints exist
-// (case 4). Produces the per-case counts of Table III.
+// day runs the detector's belief propagation — seeded by the case's hint
+// hosts (SOC-hints mode), or by the C&C sweep when no hint host is in the
+// day's graph (case 4, no-hint mode). The detector is never trained, so
+// its pipeline scores with the DNS-log rules of §V-B (core::LanlScorer).
+// Produces the per-case counts of Table III.
 #pragma once
 
-#include <unordered_set>
-
 #include "api/detector.h"
-#include "core/belief_propagation.h"
-#include "core/scorers.h"
 #include "eval/metrics.h"
 #include "profile/domain_history.h"
 #include "sim/lanl.h"
 
 namespace eid::eval {
 
-struct LanlRunnerConfig {
-  timing::PeriodicityDetector::Params periodicity{};  ///< W = 10 s, JT = 0.06
-  core::LanlScorerParams scorer{};
-  double sim_threshold = 0.25;  ///< Ts chosen on the training set (§V-B)
-  std::size_t max_iterations = 5;
-  std::size_t popularity_threshold = 10;
-};
+/// The LANL operating point: Ts = 0.25, chosen on the training set
+/// (§V-B), and 5 BP iterations; everything else at the PipelineConfig
+/// defaults (W = 10 s, JT = 0.06, popularity cap 10).
+core::PipelineConfig lanl_pipeline_config();
 
 /// Result of one challenge day.
 struct LanlDayResult {
@@ -30,7 +25,9 @@ struct LanlDayResult {
   std::vector<std::string> detected_domains;
   std::vector<std::string> detected_hosts;
   DetectionCounts counts;
-  std::vector<core::BpEvent> trace;  ///< Fig. 4-style walkthrough data
+  /// Fig. 4-style walkthrough: case-4 C&C seeds (reason Seed), then BP's
+  /// labels in order. Its names are detected_domains.
+  std::vector<core::DetectedDomain> trace;
   std::size_t rare_domains = 0;
   std::size_t automated_pairs = 0;
 };
@@ -46,7 +43,8 @@ struct LanlChallengeResult {
 
 class LanlRunner {
  public:
-  LanlRunner(sim::LanlScenario& scenario, LanlRunnerConfig config = {});
+  LanlRunner(sim::LanlScenario& scenario,
+             core::PipelineConfig config = lanl_pipeline_config());
 
   /// Ingest the February bootstrap month into the domain history.
   void bootstrap();
@@ -79,9 +77,6 @@ class LanlRunner {
 
  private:
   sim::LanlScenario& scenario_;
-  LanlRunnerConfig config_;
-  /// Streaming facade; only the history/analysis layers are exercised (the
-  /// LANL challenge scores with LanlScorer, not the trained regressions).
   api::Detector detector_;
 };
 

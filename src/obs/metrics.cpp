@@ -10,11 +10,6 @@ namespace eid::obs {
 
 namespace {
 
-/// Slots are handed out in first-touch order, so each of the first
-/// kMetricShards threads gets its own cell. Wrap-around beyond that is
-/// contention, not corruption.
-std::atomic<std::size_t> g_next_shard{0};
-
 /// Shortest round-trippable formatting: integers print without a
 /// fraction; everything else at the least %g precision that parses back
 /// bit-exact (so bucket edges read "0.0001", not 17 digits of noise,
@@ -36,21 +31,12 @@ std::string format_double(double value) {
 
 }  // namespace
 
-std::size_t thread_shard() {
-  thread_local const std::size_t slot =
-      g_next_shard.fetch_add(1, std::memory_order_relaxed) % kMetricShards;
-  return slot;
-}
-
 Histogram::Histogram(std::string name, std::span<const double> bounds,
                      const std::atomic<bool>* enabled)
     : name_(std::move(name)),
       enabled_(enabled),
-      bounds_(bounds.begin(), bounds.end()) {
-  for (auto& shard : shards_) {
-    shard = std::make_unique<ShardData>(bounds_.size() + 1);
-  }
-}
+      bounds_(bounds.begin(), bounds.end()),
+      buckets_(bounds_.size() + 1) {}
 
 Counter& MetricsRegistry::counter(std::string_view name) {
   std::lock_guard lock(mutex_);
@@ -100,14 +86,11 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
       HistogramSnapshot h;
       h.name = histogram->name();
       h.bounds = histogram->bounds();
-      h.buckets.assign(h.bounds.size() + 1, 0);
-      for (const auto& shard : histogram->shards_) {
-        for (std::size_t b = 0; b < h.buckets.size(); ++b) {
-          h.buckets[b] += shard->buckets[b].load(std::memory_order_relaxed);
-        }
-        h.sum += shard->sum.load(std::memory_order_relaxed);
+      for (const auto& bucket : histogram->buckets_) {
+        h.buckets.push_back(bucket.load(std::memory_order_relaxed));
+        h.count += h.buckets.back();
       }
-      for (const std::uint64_t c : h.buckets) h.count += c;
+      h.sum = histogram->sum_.load(std::memory_order_relaxed);
       snap.histograms.push_back(std::move(h));
     }
   }
@@ -123,20 +106,16 @@ MetricsSnapshot MetricsRegistry::snapshot() const {
 void MetricsRegistry::reset_values() {
   std::lock_guard lock(mutex_);
   for (const auto& counter : counters_) {
-    for (auto& cell : counter->cells_) {
-      cell.value.store(0, std::memory_order_relaxed);
-    }
+    counter->value_.store(0, std::memory_order_relaxed);
   }
   for (const auto& gauge : gauges_) {
     gauge->value_.store(0.0, std::memory_order_relaxed);
   }
   for (const auto& histogram : histograms_) {
-    for (const auto& shard : histogram->shards_) {
-      for (auto& bucket : shard->buckets) {
-        bucket.store(0, std::memory_order_relaxed);
-      }
-      shard->sum.store(0.0, std::memory_order_relaxed);
+    for (auto& bucket : histogram->buckets_) {
+      bucket.store(0, std::memory_order_relaxed);
     }
+    histogram->sum_.store(0.0, std::memory_order_relaxed);
   }
 }
 

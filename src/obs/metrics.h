@@ -4,11 +4,11 @@
 //
 // Design constraints, in order:
 //
-//   * Hot-path increments must be uncontended. Counter and histogram
-//     cells are sharded: every thread — the detector's driving thread,
-//     the rt tail's writer, any caller thread — owns a stable shard slot
-//     (assigned on first touch), so concurrent increments never bounce a
-//     cache line. A snapshot merges the shards.
+//   * Hot-path increments are one relaxed atomic add. The day path runs
+//     on one thread, so each counter and histogram cell is a single
+//     atomic: increments from another thread (the rt tail's writer, a
+//     test) stay correct and a snapshot read from any thread is
+//     race-free, merely without per-thread cache lines.
 //   * Disabled observability must cost (almost) nothing. Every mutation
 //     checks one relaxed atomic bool and branches away; no clock reads,
 //     no allocation, no locking on that path. bench_perf_pipeline's
@@ -19,8 +19,7 @@
 //     every DayReport stays bit-identical with metrics on or off
 //     (asserted in determinism_test and rt_continuous_test).
 //   * Snapshots are deterministic: metrics are reported sorted by name,
-//     shard merge is a plain sum, bucket order is the registration order
-//     of the bounds.
+//     bucket order is the registration order of the bounds.
 //
 // Like the Prometheus client-library default registry, there is one
 // process-wide instance (obs::metrics()); instrumented call sites cache
@@ -34,7 +33,6 @@
 // handle; a histogram's bounds are fixed by its first registration.
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -47,19 +45,7 @@
 
 namespace eid::obs {
 
-/// Shard slots available to hot-path cells. Threads beyond this share
-/// slots (correct, merely contended); a detector pool plus its driver is
-/// far below the cap.
-inline constexpr std::size_t kMetricShards = 16;
-
-/// Stable shard slot of the calling thread in [0, kMetricShards).
-std::size_t thread_shard();
-
 namespace detail {
-
-struct alignas(64) Cell {
-  std::atomic<std::uint64_t> value{0};
-};
 
 /// Add to an atomic double with a CAS loop (std::atomic<double>::fetch_add
 /// is C++20 but not yet universal across the toolchains we build on).
@@ -72,23 +58,17 @@ inline void atomic_add(std::atomic<double>& target, double delta) {
 
 }  // namespace detail
 
-/// Monotone event count, sharded per thread slot.
+/// Monotone event count.
 class Counter {
  public:
   void add(std::uint64_t n = 1) {
     if (!enabled_->load(std::memory_order_relaxed)) return;
-    cells_[thread_shard()].value.fetch_add(n, std::memory_order_relaxed);
+    value_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Merged value (sum over shards). Concurrent adds may or may not be
-  /// included — the usual race-free-but-approximate live read.
-  std::uint64_t value() const {
-    std::uint64_t total = 0;
-    for (const auto& cell : cells_) {
-      total += cell.value.load(std::memory_order_relaxed);
-    }
-    return total;
-  }
+  /// Concurrent adds may or may not be included — the usual
+  /// race-free-but-approximate live read.
+  std::uint64_t value() const { return value_.load(std::memory_order_relaxed); }
 
   const std::string& name() const { return name_; }
 
@@ -99,12 +79,11 @@ class Counter {
 
   std::string name_;
   const std::atomic<bool>* enabled_;
-  std::array<detail::Cell, kMetricShards> cells_{};
+  std::atomic<std::uint64_t> value_{0};
 };
 
 /// Last-writer-wins instantaneous value (queue depth, buffered events,
-/// partial-line bytes). Unsharded: sets race benignly and reads want the
-/// latest value, not a sum.
+/// partial-line bytes). Sets race benignly; reads want the latest value.
 class Gauge {
  public:
   void set(double value) {
@@ -133,8 +112,8 @@ class Gauge {
 
 /// Fixed-bucket histogram: `bounds` are inclusive upper edges in ascending
 /// order; a value v lands in the first bucket with v <= bound, or in the
-/// implicit +Inf overflow bucket. Counts and the running sum are sharded
-/// like Counter cells.
+/// implicit +Inf overflow bucket. Each bucket count and the running sum is
+/// one atomic.
 class Histogram {
  public:
   void observe(double value) {
@@ -146,9 +125,8 @@ class Histogram {
         break;
       }
     }
-    ShardData& shard = *shards_[thread_shard()];
-    shard.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
-    detail::atomic_add(shard.sum, value);
+    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
+    detail::atomic_add(sum_, value);
   }
 
   const std::vector<double>& bounds() const { return bounds_; }
@@ -156,30 +134,22 @@ class Histogram {
 
   std::uint64_t count() const {
     std::uint64_t total = 0;
-    for (const auto& shard : shards_) {
-      for (std::size_t b = 0; b <= bounds_.size(); ++b) {
-        total += shard->buckets[b].load(std::memory_order_relaxed);
-      }
+    for (const auto& bucket : buckets_) {
+      total += bucket.load(std::memory_order_relaxed);
     }
     return total;
   }
 
  private:
   friend class MetricsRegistry;
-  /// One heap allocation per shard (no false sharing between shards).
-  struct alignas(64) ShardData {
-    explicit ShardData(std::size_t n_buckets) : buckets(n_buckets) {}
-    std::vector<std::atomic<std::uint64_t>> buckets;
-    std::atomic<double> sum{0.0};
-  };
-
   Histogram(std::string name, std::span<const double> bounds,
             const std::atomic<bool>* enabled);
 
   std::string name_;
   const std::atomic<bool>* enabled_;
   std::vector<double> bounds_;
-  std::array<std::unique_ptr<ShardData>, kMetricShards> shards_;
+  std::vector<std::atomic<std::uint64_t>> buckets_;  ///< last = +Inf
+  std::atomic<double> sum_{0.0};
 };
 
 // ---- Snapshot (deterministic merge) ----

@@ -71,7 +71,11 @@ class EnterpriseSimulator {
   EnterpriseSimulator(SimConfig config, std::vector<CampaignSpec> campaigns);
 
   /// Generate the raw logs of one day. Must be called with non-decreasing
-  /// days (DHCP leases are appended chronologically).
+  /// days (DHCP leases are appended chronologically). Generating a day
+  /// twice gives a different day: each call registers that day's new tail
+  /// domains in the shared WHOIS database, and the next call redraws any
+  /// name already registered. Build a fresh simulator (or scenario) per
+  /// run that must see the same world.
   DayLogs simulate_day(util::Day day);
 
   /// Convenience: simulate + flavor-appropriate normalization/reduction.

@@ -196,6 +196,92 @@ TEST(PipelineTest, SocHintsModeExpandsFromSeeds) {
   for (const auto& det : report.domains) EXPECT_NE(det.name, "ioc-domain.ru");
 }
 
+ScoredModel no_ref_model(std::size_t n_features, std::size_t weighted) {
+  ScoredModel m;
+  m.model.weights.assign(n_features, 0.0);
+  if (weighted < n_features) m.model.weights[weighted] = 1.0;
+  // Identity scaler: fit on rows of 0 and 1 per column.
+  ml::Matrix fit_data(2, n_features);
+  for (std::size_t c = 0; c < n_features; ++c) fit_data.at(1, c) = 1.0;
+  m.scaler.fit(fit_data);
+  return m;
+}
+
+std::vector<std::pair<std::string, double>> named_scores(
+    const std::vector<ScoredDomain>& scored) {
+  std::vector<std::pair<std::string, double>> out;
+  for (const ScoredDomain& s : scored) out.emplace_back(s.name, s.score);
+  return out;
+}
+
+TEST(PipelineTest, CcSweepOrdersByScoreAndReportDayMatchesDetectCc) {
+  MapWhois whois;
+  api::Detector detector(PipelineConfig{}, whois);
+  // NoRef (feature 2) alone drives the score.
+  detector.set_models(no_ref_model(features::kCcFeatureCount, 2),
+                      no_ref_model(features::kSimFeatureCount,
+                                   features::kSimFeatureCount));
+  DayBuilder builder;
+  builder.beacon("h1", "high.com", 1000, 600, 50);
+  builder.beacon("h2", "low.com", 1000, 600, 50);
+  builder.visit("h3", "low.com", 5000, {0}, "UA", true);  // referer visit
+  const DayAnalysis analysis = analyze_events(detector, builder.events(), kDay);
+  Pipeline& pipeline = detector.pipeline();
+
+  const std::vector<ScoredDomain> scored = pipeline.score_automated(analysis);
+  ASSERT_EQ(scored.size(), 2u);
+  EXPECT_EQ(scored[0].name, "high.com");
+  EXPECT_GT(scored[0].score, scored[1].score);
+  EXPECT_NEAR(scored[0].period, 600.0, 1.0);
+  EXPECT_TRUE(pipeline.detect_cc(analysis, scored[0].score + 1.0).empty());
+  EXPECT_EQ(pipeline.detect_cc(analysis, scored[0].score).size(), 1u);
+
+  // report_day scores each domain once and keeps those at or above Tc:
+  // the same list detect_cc returns at that Tc, at every cut.
+  for (const double tc : {scored[0].score + 1.0, scored[0].score,
+                          scored[1].score, scored[1].score - 1.0}) {
+    PipelineConfig config = pipeline.config();
+    config.cc_threshold = tc;
+    pipeline.set_config(config);
+    const DayReport report = pipeline.report_day(analysis, {});
+    EXPECT_EQ(named_scores(report.automated_scores), named_scores(scored));
+    EXPECT_EQ(named_scores(report.cc_domains),
+              named_scores(pipeline.detect_cc(analysis, tc)));
+  }
+}
+
+TEST(PipelineTest, LabelHostsAndSeedHostsMakeTheCompromisedSet) {
+  MapWhois whois;
+  api::Detector detector(PipelineConfig{}, whois);  // untrained: §V-B rules
+  const util::Ipv4 cc_ip = util::Ipv4::from_octets(198, 51, 100, 9);
+  const util::Ipv4 drop_ip = util::Ipv4::from_octets(198, 51, 100, 7);
+  DayBuilder builder;
+  // h1 (the hint) and h2 beacon to cc.c3 at one period: a C&C label that
+  // adds h2. drop.c3 shares the C&C's /24 and was visited by h2 and h3
+  // just before the first beacon: a similarity label that adds h3.
+  builder.beacon("h1", "cc.c3", 1000, 600, 40, cc_ip);
+  builder.beacon("h2", "cc.c3", 1200, 600, 40, cc_ip);
+  builder.visit("h2", "drop.c3", 950, drop_ip);
+  builder.visit("h3", "drop.c3", 960, drop_ip);
+  const DayAnalysis analysis = analyze_events(detector, builder.events(), kDay);
+  SocSeeds seeds;
+  seeds.hosts = {"h1"};
+  const BpRunReport report = detector.pipeline().run_bp_sochints(analysis, seeds);
+
+  ASSERT_EQ(report.domains.size(), 2u);
+  EXPECT_EQ(report.domains[0].name, "cc.c3");
+  EXPECT_EQ(report.domains[0].reason, LabelReason::CandC);
+  EXPECT_EQ(report.domains[0].new_hosts, std::vector<std::string>{"h2"});
+  EXPECT_EQ(report.domains[1].name, "drop.c3");
+  EXPECT_EQ(report.domains[1].reason, LabelReason::Similarity);
+  EXPECT_EQ(report.domains[1].new_hosts, std::vector<std::string>{"h3"});
+  std::vector<std::string> hosts = seeds.hosts;
+  for (const DetectedDomain& label : report.domains) {
+    hosts.insert(hosts.end(), label.new_hosts.begin(), label.new_hosts.end());
+  }
+  EXPECT_EQ(hosts, report.hosts);
+}
+
 TEST(PipelineTest, SetModelsAllowsExternalModels) {
   MapWhois whois;
   Pipeline pipeline(PipelineConfig{}, whois);

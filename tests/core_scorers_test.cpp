@@ -52,6 +52,9 @@ TEST(LanlScorerTest, CcNeedsTwoHostsWithMatchingPeriods) {
   EXPECT_TRUE(scorer.detect_cc(fx.graph.find_domain("both.c3")));
   EXPECT_FALSE(scorer.detect_cc(fx.graph.find_domain("solo.c3")));
   EXPECT_FALSE(scorer.detect_cc(fx.graph.find_domain("mismatch.c3")));
+  // The rule is the C&C score: 1.0 when it holds, else 0.0.
+  EXPECT_DOUBLE_EQ(scorer.cc_score(fx.graph.find_domain("both.c3")), 1.0);
+  EXPECT_DOUBLE_EQ(scorer.cc_score(fx.graph.find_domain("solo.c3")), 0.0);
 }
 
 TEST(LanlScorerTest, PeriodMatchToleranceIsTenSeconds) {
@@ -162,38 +165,6 @@ TEST(EnterpriseScorerTest, NonRareDomainNeverCc) {
   const DayState state = fx.state();
   const EnterpriseScorer scorer(state, cc, sim);
   EXPECT_FALSE(scorer.detect_cc(fx.graph.find_domain("beacon.com")));
-}
-
-TEST(DetectCcDomainsTest, SweepsOrderedByScore) {
-  DayBuilder builder;
-  // Two beaconing rare domains with different NoRef profiles.
-  builder.beacon("h1", "high.com", 1000, 600, 50);
-  builder.beacon("h2", "low.com", 1000, 600, 50);
-  builder.visit("h3", "low.com", 5000, {0}, "UA", true);  // referer visit
-  Fixture fx(builder);
-  std::vector<double> cc_weights(features::kCcFeatureCount, 0.0);
-  cc_weights[2] = 1.0;  // NoRef fraction drives the score
-  const ScoredModel cc = hand_model(cc_weights, 0.0, 0.3,
-                                    features::kCcFeatureCount);
-  const DayState state = fx.state();
-  const auto detections = detect_cc_domains(state, cc);
-  ASSERT_EQ(detections.size(), 2u);
-  EXPECT_EQ(fx.graph.domain_name(detections[0].domain), "high.com");
-  EXPECT_GT(detections[0].score, detections[1].score);
-  EXPECT_NEAR(detections[0].period, 600.0, 1.0);
-}
-
-TEST(DetectCcDomainsTest, ThresholdFilters) {
-  DayBuilder builder;
-  builder.beacon("h1", "beacon.com", 1000, 600, 50);
-  Fixture fx(builder);
-  std::vector<double> cc_weights(features::kCcFeatureCount, 0.0);
-  cc_weights[2] = 1.0;
-  ScoredModel cc = hand_model(cc_weights, 0.0, 2.0, features::kCcFeatureCount);
-  const DayState state = fx.state();
-  EXPECT_TRUE(detect_cc_domains(state, cc).empty());
-  cc.threshold = 0.1;
-  EXPECT_EQ(detect_cc_domains(state, cc).size(), 1u);
 }
 
 }  // namespace

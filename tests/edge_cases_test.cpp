@@ -99,18 +99,27 @@ TEST(EdgeCaseTest, ValidationOfEmptyDetectionSet) {
   EXPECT_DOUBLE_EQ(counts.ndr(), 0.0);
 }
 
-TEST(EdgeCaseTest, PipelineWithoutTrainingStillRuns) {
-  // Models default to zero weights: scores are constant, nothing clears the
-  // thresholds, but nothing crashes either — a deployment that skipped
-  // finalize_training degrades to "no detections", not UB.
+TEST(EdgeCaseTest, PipelineWithoutTrainingScoresWithDnsLogRules) {
+  // Until finalize_training, set_models or a restore installs models, the
+  // pipeline scores with the training-free rules of §V-B: a rare automated
+  // domain is C&C when two hosts beacon to it at matching periods. One
+  // beaconing host is not enough.
   MapWhois whois;
   api::Detector detector(core::PipelineConfig{}, whois);
+  ASSERT_FALSE(detector.pipeline().models_ready());
   DayBuilder builder;
-  builder.beacon("h1", "beacon.com", 1000, 600, 50);
+  builder.beacon("h1", "shared.com", 1000, 600, 50);
+  builder.beacon("h2", "shared.com", 1300, 600, 50);
+  builder.beacon("h3", "solo.com", 1000, 600, 50);
   const core::DayAnalysis analysis =
       analyze_events(detector, builder.events(), 100);
-  EXPECT_EQ(analysis.automation.pair_count(), 1u);
-  EXPECT_TRUE(detector.pipeline().detect_cc(analysis).empty());
+  EXPECT_EQ(analysis.automation.pair_count(), 3u);
+  const std::vector<core::ScoredDomain> cc =
+      detector.pipeline().detect_cc(analysis);
+  ASSERT_EQ(cc.size(), 1u);
+  EXPECT_EQ(cc[0].name, "shared.com");
+  EXPECT_DOUBLE_EQ(cc[0].score, 1.0);
+  EXPECT_EQ(cc[0].auto_hosts, 2u);
 }
 
 TEST(EdgeCaseTest, TrainingWithTooFewRowsKeepsEmptyModel) {

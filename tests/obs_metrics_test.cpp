@@ -1,8 +1,8 @@
 // Unit tests for the observability layer (src/obs): registry semantics,
-// sharded-cell merge exactness under concurrency, histogram bucket edges,
+// atomic-cell exactness under concurrency, histogram bucket edges,
 // deterministic snapshot ordering, the disabled near-no-op path, and the
 // trace sink's Chrome trace-event JSON. Runs under the TSan matrix — the
-// concurrent cases are the data-race regression net for the sharded cells.
+// concurrent cases are the data-race regression net for the atomic cells.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -52,7 +52,7 @@ TEST_F(ObsMetricsTest, ConcurrentCounterIncrementsMergeExactly) {
     });
   }
   for (auto& thread : threads) thread.join();
-  // Sharded cells lose nothing: the merged value is the exact sum.
+  // Concurrent increments lose nothing: the value is the exact sum.
   EXPECT_EQ(counter.value(),
             before + static_cast<std::uint64_t>(kThreads) * kPerThread);
 }
@@ -97,7 +97,7 @@ TEST_F(ObsMetricsTest, ConcurrentHistogramObservationsAndSnapshots) {
       obs::metrics().histogram("test_histogram_mt", bounds);
   std::atomic<bool> stop{false};
   // Snapshot concurrently with observers: under TSan this is the race net
-  // for the sharded cells and the registry mutex.
+  // for the atomic cells and the registry mutex.
   std::thread snapshotter([&stop] {
     while (!stop.load(std::memory_order_relaxed)) {
       const obs::MetricsSnapshot snapshot = obs::metrics().snapshot();

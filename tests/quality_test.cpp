@@ -100,13 +100,8 @@ TEST(QualityTest, Fig4Walkthrough) {
 
   EXPECT_EQ(target->hint_hosts, std::vector<std::string>{"182.133.12.110"});
   std::vector<Label> labels;
-  for (const core::BpEvent& event : result.trace) {
-    Label label{analysis.graph.domain_name(event.domain), event.reason,
-                event.iteration, {}};
-    for (const graph::HostId host : event.new_hosts) {
-      label.new_hosts.push_back(analysis.graph.host_name(host));
-    }
-    labels.push_back(std::move(label));
+  for (const core::DetectedDomain& label : result.trace) {
+    labels.push_back({label.name, label.reason, label.iteration, label.new_hosts});
   }
   using core::LabelReason;
   const std::vector<Label> want = {
