@@ -1,6 +1,7 @@
 #include "eval/lanl_runner.h"
 
 #include <algorithm>
+#include <iterator>
 
 #include "api/sources.h"
 
@@ -49,16 +50,20 @@ LanlDayResult LanlRunner::run_case(const sim::LanlCase& challenge,
   core::BpRunReport bp;
   if (hinted) {
     // Hosts were given but domains were not, so every label is a detection.
-    bp = pipeline.run_bp_sochints(analysis, core::SocSeeds{challenge.hint_hosts, {}});
+    bp = pipeline.run_bp_sochints(analysis,
+                                  core::SocSeeds{challenge.hint_hosts, {}});
   } else {
     // Case 4: nothing was given, so the C&C sweep's seeds are detections too.
     const std::vector<core::ScoredDomain> cc = pipeline.detect_cc(analysis);
     for (const core::ScoredDomain& seed : cc) {
-      result.trace.push_back({seed.name, seed.score, core::LabelReason::Seed, 0, {}});
+      result.trace.push_back(
+          {seed.name, seed.score, core::LabelReason::Seed, 0, {}});
     }
     bp = pipeline.run_bp_nohint(analysis, cc);
   }
-  result.trace.insert(result.trace.end(), bp.domains.begin(), bp.domains.end());
+  result.trace.insert(result.trace.end(),
+                      std::make_move_iterator(bp.domains.begin()),
+                      std::make_move_iterator(bp.domains.end()));
   for (const core::DetectedDomain& label : result.trace) {
     result.detected_domains.push_back(label.name);
   }

@@ -196,7 +196,9 @@ TEST(PipelineTest, SocHintsModeExpandsFromSeeds) {
   for (const auto& det : report.domains) EXPECT_NE(det.name, "ioc-domain.ru");
 }
 
-ScoredModel no_ref_model(std::size_t n_features, std::size_t weighted) {
+/// A hand-built model scoring feature `weighted` alone (weight 1), or
+/// nothing when `weighted` is out of range.
+ScoredModel one_feature_model(std::size_t n_features, std::size_t weighted) {
   ScoredModel m;
   m.model.weights.assign(n_features, 0.0);
   if (weighted < n_features) m.model.weights[weighted] = 1.0;
@@ -217,10 +219,10 @@ std::vector<std::pair<std::string, double>> named_scores(
 TEST(PipelineTest, CcSweepOrdersByScoreAndReportDayMatchesDetectCc) {
   MapWhois whois;
   api::Detector detector(PipelineConfig{}, whois);
-  // NoRef (feature 2) alone drives the score.
-  detector.set_models(no_ref_model(features::kCcFeatureCount, 2),
-                      no_ref_model(features::kSimFeatureCount,
-                                   features::kSimFeatureCount));
+  // NoRef (C&C feature 2) alone drives the score.
+  detector.set_models(one_feature_model(features::kCcFeatureCount, 2),
+                      one_feature_model(features::kSimFeatureCount,
+                                        features::kSimFeatureCount));
   DayBuilder builder;
   builder.beacon("h1", "high.com", 1000, 600, 50);
   builder.beacon("h2", "low.com", 1000, 600, 50);
