@@ -1,11 +1,11 @@
 // State-persistence benchmark: the binary container (storage/state.h) on
 // a month-scale profile corpus — bytes on disk and save/load wall time for
-// the domain history, the UA history, the combined detector state, one
-// day's delta frame, and Detector::load_state of the base plus a 6-frame
-// chain (what a hot standby pays to catch up on each change). The paper's
-// system carries months of accumulated histories between daily batches
-// (§III-E); at enterprise scale that file is rewritten and re-read every
-// day, so both size and load latency are operational costs.
+// the detector state, one day's delta frame, and Detector::load_state of
+// the base plus a 6-frame chain (what a hot standby pays to catch up on
+// each change). The paper's system carries months of accumulated
+// histories between daily batches (§III-E); at enterprise scale that file
+// is rewritten and re-read every day, so both size and load latency are
+// operational costs.
 //
 // Pass --json[=path] to record the results as the "state_io" section of
 // BENCH_perf.json at the repo root (run from the repo root).
@@ -138,12 +138,6 @@ std::size_t file_bytes(const std::filesystem::path& path) {
   return ec ? 0 : static_cast<std::size_t>(size);
 }
 
-struct FormatResult {
-  std::size_t bytes = 0;
-  double save_seconds = 0.0;
-  double load_seconds = 0.0;
-};
-
 void abort_on(bool failed, const char* what) {
   if (!failed) return;
   std::fprintf(stderr, "bench_state_io: %s failed\n", what);
@@ -165,39 +159,7 @@ int main(int argc, char** argv) {
   const std::filesystem::path dir =
       std::filesystem::temp_directory_path() / "eid-bench-state-io";
   std::filesystem::create_directories(dir);
-  const auto dom_bin = dir / "domains.bin.hist";
-  const auto ua_bin = dir / "uas.bin.hist";
   const auto state_bin = dir / "detector.state";
-
-  FormatResult binary;
-  binary.save_seconds = seconds_of(
-      [&] {
-        abort_on(!storage::save_domain_history(corpus.domains, dom_bin),
-                 "binary domain save");
-        abort_on(!storage::save_ua_history(corpus.uas, ua_bin), "binary ua save");
-      },
-      5);
-  binary.bytes = file_bytes(dom_bin) + file_bytes(ua_bin);
-
-  // The previously loaded copy is destroyed outside the timed region.
-  std::optional<profile::DomainHistory> loaded_domains;
-  std::optional<profile::UaHistory> loaded_uas;
-  binary.load_seconds = 1e300;
-  for (int r = 0; r < 3; ++r) {
-    loaded_domains.reset();
-    loaded_uas.reset();
-    const double s = seconds_of(
-        [&] {
-          loaded_domains = storage::load_domain_history(dom_bin);
-          loaded_uas = storage::load_ua_history(ua_bin);
-        },
-        1);
-    abort_on(!loaded_domains.has_value() || !loaded_uas.has_value(), "load");
-    abort_on(loaded_domains->size() != corpus.n_domains ||
-                 loaded_uas->distinct_uas() != corpus.n_uas,
-             "load consistency check");
-    if (s < binary.load_seconds) binary.load_seconds = s;
-  }
 
   // Full detector-state checkpoint: absolute cost of the daily save a
   // durable deployment pays.
@@ -255,8 +217,7 @@ int main(int argc, char** argv) {
   for (const std::string& ua : day_uas) {
     storage::DeltaUaEntryView entry;
     entry.ua = ua;
-    // Distinct hosts, as a UaHistory entry holds them (a repeated host
-    // would encode a frame that does not decode).
+    // Distinct hosts, as a UaHistory entry holds them.
     const std::size_t n = 6 + delta_rng.uniform(4);
     while (entry.hosts.size() < n) {
       const std::string_view host =
@@ -335,9 +296,7 @@ int main(int argc, char** argv) {
   const double delta_vs_full_speedup =
       delta_save_seconds > 0 ? state_save_seconds / delta_save_seconds : 0.0;
 
-  std::printf("\nhistories: %zu bytes, save %.3fs, load %.3fs\n", binary.bytes,
-              binary.save_seconds, binary.load_seconds);
-  std::printf("full detector state: %zu bytes, save %.3fs, load %.3fs\n",
+  std::printf("\nfull detector state: %zu bytes, save %.3fs, load %.3fs\n",
               state_bytes, state_save_seconds, state_load_seconds);
   std::printf("delta frame (one day): %zu bytes, save %.5fs — %.1fx faster "
               "than the full rewrite\n",
@@ -370,9 +329,6 @@ int main(int argc, char** argv) {
          << "    \"corpus\": {\"domains\": " << corpus.n_domains
          << ", \"uas\": " << corpus.n_uas << ", \"hosts\": " << corpus.n_hosts
          << "},\n"
-         << "    \"binary\": {\"bytes\": " << binary.bytes
-         << ", \"save_seconds\": " << binary.save_seconds
-         << ", \"load_seconds\": " << binary.load_seconds << "},\n"
          << "    \"detector_state\": {\"bytes\": " << state_bytes
          << ", \"save_seconds\": " << state_save_seconds
          << ", \"load_seconds\": " << state_load_seconds << "},\n"

@@ -7,8 +7,8 @@
 // 3. Run one day in operation mode and print what the detector found.
 //
 // Everything flows through eid::api::Detector + EventSource — the same
-// chunked path that ingests replayed log files (see log_replay.cpp) and
-// NetFlow, so no day ever has to fit in memory as one vector.
+// chunked path that ingests replayed log files (see log_replay.cpp), so no
+// day ever has to fit in memory as one vector.
 //
 // Build & run:  ./build/examples/quickstart
 #include <cstdio>

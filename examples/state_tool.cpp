@@ -1,14 +1,16 @@
 // Operator tooling for eid state files: inspect what a checkpoint or
-// history file contains and verify its integrity (magic, structure, per-
+// delta chain contains and verify its integrity (magic, structure, per-
 // section CRC32).
 //
 // Usage:
 //   state_tool inspect <file>
 //   state_tool verify [--deep] <file>
 //
-// The input is either an EIDSTOR1 container (storage/container.h) or a
-// delta-chain file ("EIDDELT1" frames, storage/delta.h), told apart by
-// magic; anything else fails with bad-magic. Inspecting a full
+// The input is either a full checkpoint — an EIDSTOR1 container
+// (storage/container.h) — or a delta-chain file ("EIDDELT1" frames,
+// storage/delta.h), told apart by magic; anything else fails with
+// bad-magic, and a container that does not decode as a checkpoint (no
+// config section, say) fails as not a checkpoint. Inspecting a full
 // checkpoint also summarizes its companion <file>.delta chain.
 // verify --deep prints a per-section CRC/size/decode report (and a
 // per-frame report for delta chains) and exits nonzero on the first
@@ -32,8 +34,8 @@ int usage(const char* argv0) {
                "usage: %s inspect <file>\n"
                "       %s verify [--deep] <file>\n"
                "\n"
-               "inspect  describe a state/history/delta file (format, sections,\n"
-               "         counts; full checkpoints include their .delta chain)\n"
+               "inspect  describe a checkpoint or delta chain (format, sections,\n"
+               "         counts; checkpoints include their .delta chain)\n"
                "verify   check integrity (magic, structure, section CRC32s);\n"
                "         --deep adds a per-section (and per-delta-frame)\n"
                "         CRC/size/decode report, nonzero exit on first failure\n",
@@ -264,48 +266,6 @@ int deep_verify_chain(const std::filesystem::path& chain_path) {
   return 0;
 }
 
-int inspect_container(const std::string& bytes) {
-  storage::LoadStatus status;
-  const auto reader = storage::ContainerReader::parse(bytes, &status);
-  if (!reader) {
-    print_failure("inspect", status);
-    return 2;
-  }
-  std::printf("format: eid binary container (EIDSTOR1, version %llu)\n",
-              static_cast<unsigned long long>(storage::kFormatVersion));
-  std::printf("size: %zu bytes, %zu section(s)\n", bytes.size(),
-              reader->sections().size());
-  for (const storage::Section& section : reader->sections()) {
-    std::printf("  %-14s id=%-3llu %10zu bytes\n", section_name(section.id),
-                static_cast<unsigned long long>(section.id),
-                section.payload.size());
-  }
-  // Decoded summaries for the component sections we understand.
-  if (reader->find(storage::SectionId::DomainHistory) != nullptr) {
-    if (const auto history = storage::decode_domain_history(bytes)) {
-      std::printf("domain history: %zu domain(s), %zu day(s) ingested\n",
-                  history->size(), history->days_ingested());
-    }
-  }
-  if (reader->find(storage::SectionId::UaHistory) != nullptr) {
-    if (const auto history = storage::decode_ua_history(bytes)) {
-      std::printf("ua history: %zu distinct UA(s), rare threshold %zu\n",
-                  history->distinct_uas(), history->rare_threshold());
-    }
-  }
-  if (reader->find(storage::SectionId::Config) != nullptr) {
-    if (const auto state = storage::decode_detector_state(bytes)) {
-      std::printf("detector state: models %s, %llu operation day(s), "
-                  "%zu intel domain(s)%s\n",
-                  state->training.models_ready ? "trained" : "untrained",
-                  static_cast<unsigned long long>(state->counters.days_operated),
-                  state->intel_domains.size(),
-                  state->has_top_sites ? ", top-sites whitelist" : "");
-    }
-  }
-  return 0;
-}
-
 int cmd_inspect(const std::filesystem::path& path) {
   storage::LoadStatus status;
   const auto bytes = storage::read_file(path, &status);
@@ -317,17 +277,43 @@ int cmd_inspect(const std::filesystem::path& path) {
     std::printf("format: eid delta chain (EIDDELT1 frames)\n");
     return inspect_chain(path, -1);
   }
-  const int rc = inspect_container(*bytes);
-  if (rc != 0) return rc;
-  // A full checkpoint's companion chain, when present.
+  const auto reader = storage::ContainerReader::parse(*bytes, &status);
+  if (!reader) {
+    print_failure("inspect", status);
+    return 2;
+  }
+  std::printf("format: eid binary container (EIDSTOR1, version %llu)\n",
+              static_cast<unsigned long long>(storage::kFormatVersion));
+  std::printf("size: %zu bytes, %zu section(s)\n", bytes->size(),
+              reader->sections().size());
+  for (const storage::Section& section : reader->sections()) {
+    std::printf("  %-14s id=%-3llu %10zu bytes\n", section_name(section.id),
+                static_cast<unsigned long long>(section.id),
+                section.payload.size());
+  }
+  const auto state = storage::decode_detector_state(*bytes, &status);
+  if (!state) {
+    print_failure("inspect: not a detector checkpoint", status);
+    return 2;
+  }
+  std::printf("domain history: %zu domain(s), %zu day(s) ingested\n",
+              state->domain_history.size(),
+              state->domain_history.days_ingested());
+  std::printf("ua history: %zu distinct UA(s), rare threshold %zu\n",
+              state->ua_history.distinct_uas(),
+              state->ua_history.rare_threshold());
+  std::printf("detector state: models %s, %llu operation day(s), "
+              "%zu intel domain(s)%s\n",
+              state->training.models_ready ? "trained" : "untrained",
+              static_cast<unsigned long long>(state->counters.days_operated),
+              state->intel_domains.size(),
+              state->has_top_sites ? ", top-sites whitelist" : "");
+  // The checkpoint's companion chain, when present.
   const std::filesystem::path chain_path = storage::delta_chain_path(path);
   std::error_code ec;
   if (std::filesystem::exists(chain_path, ec)) {
-    long long base_day = -1;
-    if (const auto state = storage::decode_detector_state(*bytes)) {
-      base_day = static_cast<long long>(state->counters.days_operated);
-    }
-    return inspect_chain(chain_path, base_day);
+    return inspect_chain(chain_path,
+                         static_cast<long long>(state->counters.days_operated));
   }
   return 0;
 }
@@ -369,6 +355,12 @@ int cmd_verify(const std::filesystem::path& path, bool deep) {
     std::printf("deep verify %s:\n", path.string().c_str());
     const int rc = deep_verify_container(*bytes, "verify");
     if (rc != 0) return rc;
+    // Every section decodes on its own; the checkpoint must also have
+    // every section a restore needs.
+    if (!storage::decode_detector_state(*bytes, &status)) {
+      print_failure("verify: not a detector checkpoint", status);
+      return 2;
+    }
     // A full checkpoint's companion chain is part of its durability story:
     // verify it too when present.
     const std::filesystem::path chain_path = storage::delta_chain_path(path);
@@ -385,25 +377,12 @@ int cmd_verify(const std::filesystem::path& path, bool deep) {
     print_failure("verify", status);
     return 2;
   }
-  // Structure + CRCs are good; decode every section we understand so
-  // semantic corruption (bad ids, inconsistent dimensions) fails too.
-  const bool full_state = reader->find(storage::SectionId::Config) != nullptr;
-  if (full_state) {
-    if (!storage::decode_detector_state(*bytes, &status)) {
-      print_failure("verify", status);
-      return 2;
-    }
-  } else {
-    if (reader->find(storage::SectionId::DomainHistory) != nullptr &&
-        !storage::decode_domain_history(*bytes, &status)) {
-      print_failure("verify", status);
-      return 2;
-    }
-    if (reader->find(storage::SectionId::UaHistory) != nullptr &&
-        !storage::decode_ua_history(*bytes, &status)) {
-      print_failure("verify", status);
-      return 2;
-    }
+  // Structure + CRCs are good; decode the checkpoint so semantic
+  // corruption (bad ids, inconsistent dimensions, a missing section)
+  // fails too.
+  if (!storage::decode_detector_state(*bytes, &status)) {
+    print_failure("verify: not a detector checkpoint", status);
+    return 2;
   }
   std::printf("OK: container verified (%zu section(s), all checksums good)\n",
               reader->sections().size());

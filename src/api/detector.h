@@ -1,8 +1,8 @@
 // eid::api::Detector — the public facade over the Fig. 1 system, built
 // around streaming ingestion. Every verb consumes an EventSource instead
 // of a materialized event vector, so the same code path serves in-memory
-// days, replayed TSV log files, live simulation and NetFlow — and scales
-// to out-of-core datasets: a day is folded into the analysis chunk by
+// days, replayed TSV log files and live simulation — and scales to
+// out-of-core datasets: a day is folded into the analysis chunk by
 // chunk (graph/interner updates per chunk, profile lookups and feature
 // analysis once at day end), never holding the raw day in memory.
 //
@@ -118,7 +118,8 @@ class Detector {
     return pipeline_.finalize_training();
   }
 
-  /// Install externally-fit models (e.g. storage::load_scored_model).
+  /// Install externally-fit models (tests, ablations). Tc and Ts stay
+  /// config().cc_threshold / sim_threshold.
   void set_models(core::ScoredModel cc, core::ScoredModel sim) {
     pipeline_.set_models(std::move(cc), std::move(sim));
   }

@@ -1,11 +1,11 @@
 // Streaming ingestion API: a pull-based chunked iterator over reduced
-// ConnEvents. The pipeline mines months of web-proxy/DNS/NetFlow logs —
+// ConnEvents. The pipeline mines months of web-proxy/DNS logs —
 // terabytes per month at enterprise scale — so entry points must never
 // require a fully materialized per-day event vector. An EventSource hands
 // out bounded chunks instead; api::Detector drives the incremental
 // core::Pipeline path (DayAccumulator) from them, and concrete adapters
-// exist for in-memory vectors (below), TSV log files, simulated enterprise
-// traffic and NetFlow (api/sources.h).
+// exist for in-memory vectors (below), TSV log files and simulated
+// enterprise traffic (api/sources.h).
 #pragma once
 
 #include <algorithm>

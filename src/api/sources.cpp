@@ -34,11 +34,6 @@ struct SourceMetrics {
       obs::metrics().counter("eid_source_rotations_total");
   obs::Counter& transient_errors =
       obs::metrics().counter("eid_source_transient_errors_total");
-  obs::Counter& flows = obs::metrics().counter("eid_source_flows_total");
-  obs::Counter& flows_kept =
-      obs::metrics().counter("eid_source_flows_kept_total");
-  obs::Counter& flows_unattributed =
-      obs::metrics().counter("eid_source_flows_unattributed_total");
 };
 
 SourceMetrics& source_metrics() {
@@ -337,53 +332,6 @@ std::optional<EventChunk> SimSource::next_chunk() {
   EventChunk chunk{current_day_, std::span(buffer_.data() + pos_, count)};
   pos_ += count;
   return chunk;
-}
-
-// ---------------------------------------------------------------------------
-// NetflowSource
-
-NetflowSource::NetflowSource(util::Day day, std::vector<logs::FlowRecord> flows,
-                             const logs::PassiveDnsCache& pdns,
-                             logs::FlowReductionConfig reduction,
-                             std::size_t chunk_flows)
-    : day_(day),
-      flows_(std::move(flows)),
-      pdns_(&pdns),
-      reduction_(std::move(reduction)),
-      chunk_flows_(chunk_flows == 0 ? kDefaultChunkEvents : chunk_flows) {}
-
-std::optional<EventChunk> NetflowSource::next_chunk() {
-  while (pos_ < flows_.size()) {
-    const std::size_t count = std::min(chunk_flows_, flows_.size() - pos_);
-    logs::FlowReductionStats chunk_stats;
-    buffer_ = logs::reduce_flows(
-        std::span(flows_.data() + pos_, count), *pdns_, reduction_, &chunk_stats);
-    pos_ += count;
-    stats_.total_flows += chunk_stats.total_flows;
-    stats_.port_filtered += chunk_stats.port_filtered;
-    stats_.internal_destinations += chunk_stats.internal_destinations;
-    stats_.unattributed += chunk_stats.unattributed;
-    stats_.kept += chunk_stats.kept;
-    SourceMetrics& metrics = source_metrics();
-    metrics.flows.add(chunk_stats.total_flows);
-    metrics.flows_kept.add(chunk_stats.kept);
-    metrics.flows_unattributed.add(chunk_stats.unattributed);
-    if (!buffer_.empty()) return EventChunk{day_, buffer_};
-  }
-  // Day-boundary marker for a day where no flow survived attribution.
-  if (stats_.kept == 0 && !empty_marker_sent_) {
-    empty_marker_sent_ = true;
-    return EventChunk{day_, {}};
-  }
-  return std::nullopt;
-}
-
-bool NetflowSource::reset() {
-  pos_ = 0;
-  stats_ = logs::FlowReductionStats{};
-  buffer_.clear();
-  empty_marker_sent_ = false;
-  return true;
 }
 
 }  // namespace eid::api

@@ -9,8 +9,6 @@
 //                      aborting.
 //  * SimSource       — live simulated enterprise traffic over a day range
 //                      (sim::EnterpriseSimulator), day by day.
-//  * NetflowSource   — NetFlow records attributed through a passive-DNS
-//                      cache (logs/netflow.h), reduced chunk-by-chunk.
 //
 // All adapters emit the same reduced ConnEvent stream, so every workload
 // flows through one uniform api::Detector entry point.
@@ -25,7 +23,6 @@
 
 #include "api/event_source.h"
 #include "logs/dhcp.h"
-#include "logs/netflow.h"
 #include "logs/reduction.h"
 #include "sim/enterprise.h"
 
@@ -192,35 +189,6 @@ class SimSource final : public EventSource {
 
   std::vector<logs::ConnEvent> buffer_;
   std::size_t pos_ = 0;
-};
-
-/// Streams one day of NetFlow records, attributing each flow to a domain
-/// through the passive-DNS cache and reducing chunk-by-chunk. `pdns` must
-/// outlive the source.
-class NetflowSource final : public EventSource {
- public:
-  NetflowSource(util::Day day, std::vector<logs::FlowRecord> flows,
-                const logs::PassiveDnsCache& pdns,
-                logs::FlowReductionConfig reduction = {},
-                std::size_t chunk_flows = kDefaultChunkEvents);
-
-  std::optional<EventChunk> next_chunk() override;
-  bool reset() override;
-
-  /// Reduction accounting aggregated over the chunks handed out so far.
-  const logs::FlowReductionStats& stats() const { return stats_; }
-
- private:
-  util::Day day_;
-  std::vector<logs::FlowRecord> flows_;
-  const logs::PassiveDnsCache* pdns_;
-  logs::FlowReductionConfig reduction_;
-  std::size_t chunk_flows_;
-
-  std::size_t pos_ = 0;
-  logs::FlowReductionStats stats_;
-  std::vector<logs::ConnEvent> buffer_;
-  bool empty_marker_sent_ = false;
 };
 
 }  // namespace eid::api

@@ -59,10 +59,7 @@ ml::Matrix to_matrix_sim(
 Pipeline::Pipeline(PipelineConfig config, const features::WhoisSource& whois)
     : config_(config),
       whois_(whois),
-      ua_history_(config.ua_rare_threshold) {
-  cc_model_.threshold = config.cc_threshold;
-  sim_model_.threshold = config.sim_threshold;
-}
+      ua_history_(config.ua_rare_threshold) {}
 
 void Pipeline::finish_profile(ProfileAccumulator&& accumulator) {
   const obs::TraceSpan span("profile_commit");
@@ -281,7 +278,8 @@ std::unique_ptr<DomainScorer> Pipeline::make_scorer(
                        ua_history_,    whois_,            analysis.day,
                        analysis.whois_defaults};
   if (models_ready_) {
-    return std::make_unique<EnterpriseScorer>(state, cc_model_, sim_model_);
+    return std::make_unique<EnterpriseScorer>(state, cc_model_, sim_model_,
+                                              config_.cc_threshold);
   }
   return std::make_unique<LanlScorer>(state);
 }

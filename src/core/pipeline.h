@@ -202,8 +202,8 @@ class Pipeline {
   /// Fit the C&C and similarity regressions from the accumulated rows.
   TrainingReport finalize_training();
 
-  /// Install externally-fit models (tests, ablations, or models persisted
-  /// with storage::save_scored_model).
+  /// Install externally-fit models (tests, ablations). Tc and Ts stay
+  /// config().cc_threshold / sim_threshold.
   void set_models(ScoredModel cc, ScoredModel sim);
 
   /// Install a global-popularity whitelist (§II-A): rare destinations on

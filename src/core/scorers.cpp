@@ -38,7 +38,7 @@ double EnterpriseScorer::sim_score(graph::DomainId domain,
 bool EnterpriseScorer::detect_cc(graph::DomainId domain) const {
   if (!state_.rare.contains(domain)) return false;
   if (!state_.automation.is_automated(domain)) return false;
-  return cc_score(domain) >= cc_.threshold;
+  return cc_score(domain) >= cc_threshold_;
 }
 
 double EnterpriseScorer::similarity_score(

@@ -42,14 +42,13 @@ struct DayState {
   features::WhoisDefaults whois_defaults;
 };
 
-/// A trained model + scaler + decision threshold. Raw regression outputs
-/// are affinely normalized so the *training* scores span [0, 1]; the
-/// paper's thresholds (0.4..0.48 for C&C, 0.33..0.85 for similarity) are
-/// meaningful on that scale regardless of the training base rate.
+/// A trained model + scaler. Raw regression outputs are affinely
+/// normalized so the *training* scores span [0, 1]; the paper's thresholds
+/// (0.4..0.48 for C&C, 0.33..0.85 for similarity) are meaningful on that
+/// scale regardless of the training base rate.
 struct ScoredModel {
   ml::LinearModel model;
   ml::MinMaxScaler scaler;
-  double threshold = 0.4;
   double score_offset = 0.0;  ///< min raw training score
   double score_scale = 1.0;   ///< max - min raw training score
 
@@ -60,12 +59,16 @@ struct ScoredModel {
   }
 };
 
-/// Enterprise scorer: regression-weighted features.
+/// Enterprise scorer: regression-weighted features. detect_cc() keeps a
+/// rare automated domain whose C&C score reaches `cc_threshold` (Tc).
 class EnterpriseScorer final : public DomainScorer {
  public:
   EnterpriseScorer(const DayState& state, ScoredModel cc_model,
-                   ScoredModel sim_model)
-      : state_(state), cc_(std::move(cc_model)), sim_(std::move(sim_model)) {}
+                   ScoredModel sim_model, double cc_threshold)
+      : state_(state),
+        cc_(std::move(cc_model)),
+        sim_(std::move(sim_model)),
+        cc_threshold_(cc_threshold) {}
 
   /// Regression score over the C&C features (post-scaling).
   double cc_score(graph::DomainId domain) const override;
@@ -82,6 +85,7 @@ class EnterpriseScorer final : public DomainScorer {
   DayState state_;
   ScoredModel cc_;
   ScoredModel sim_;
+  double cc_threshold_;
 };
 
 class LanlScorer final : public DomainScorer {

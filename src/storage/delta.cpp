@@ -149,10 +149,12 @@ std::string encode_delta_frame(const DeltaInputs& inputs) {
                      encode_domain_delta(inputs, index));
   writer.add_section(SectionId::UaDelta, encode_ua_delta(inputs, index));
   writer.add_section(SectionId::Config, encode_config_section(*inputs.config));
-  writer.add_section(SectionId::CcModel,
-                     encode_model_section(*inputs.cc_model));
-  writer.add_section(SectionId::SimModel,
-                     encode_model_section(*inputs.sim_model));
+  writer.add_section(
+      SectionId::CcModel,
+      encode_model_section(*inputs.cc_model, inputs.config->cc_threshold));
+  writer.add_section(
+      SectionId::SimModel,
+      encode_model_section(*inputs.sim_model, inputs.config->sim_threshold));
   writer.add_section(SectionId::TrainingStats,
                      encode_training_section(inputs.training));
   writer.add_section(SectionId::Counters,

@@ -100,7 +100,11 @@ std::string encode_config_section(const core::PipelineConfig& config);
 bool decode_config_section(std::string_view payload,
                            core::PipelineConfig& config, LoadStatus* status);
 
-std::string encode_model_section(const core::ScoredModel& model);
+/// The section's first f64 is the model's decision threshold slot: written
+/// from the config's Tc (c&c) / Ts (similarity), skipped on decode — the
+/// thresholds in force are the config section's.
+std::string encode_model_section(const core::ScoredModel& model,
+                                 double threshold);
 bool decode_model_section(std::string_view payload, const char* what,
                           core::ScoredModel& model, LoadStatus* status);
 

@@ -455,9 +455,8 @@ bool decode_config_section(std::string_view payload,
     set_status(status, LoadError::Truncated, "config: section cut short");
     return false;
   }
-  // The same validity bounds core::parse_pipeline_config enforces. The
-  // reserved slots must be >= 1 and are otherwise ignored, so checkpoints
-  // written with any thread or shard count still load.
+  // The reserved slots must be >= 1 and are otherwise ignored, so
+  // checkpoints written with any thread or shard count still load.
   const double bin_width = config.periodicity.bin_width_seconds;
   const double jeffrey = config.periodicity.jeffrey_threshold;
   if (popularity == 0 || ua_rare == 0 || min_intervals == 0 || bp_iter == 0 ||
@@ -499,9 +498,10 @@ bool decode_doubles(util::ByteReader& in, std::vector<double>& out) {
   return true;
 }
 
-std::string encode_model_section(const core::ScoredModel& model) {
+std::string encode_model_section(const core::ScoredModel& model,
+                                 double threshold) {
   util::ByteWriter out;
-  out.f64(model.threshold);
+  out.f64(threshold);
   out.f64(model.score_offset);
   out.f64(model.score_scale);
   out.f64(model.model.intercept);
@@ -520,10 +520,11 @@ std::string encode_model_section(const core::ScoredModel& model) {
 bool decode_model_section(std::string_view payload, const char* what,
                           core::ScoredModel& model, LoadStatus* status) {
   util::ByteReader in(payload);
+  double threshold = 0.0;  // the config section's Tc/Ts is the one in force
   std::uint64_t n_samples = 0;
   std::vector<double> mins;
   std::vector<double> maxs;
-  if (!in.f64(model.threshold) || !in.f64(model.score_offset) ||
+  if (!in.f64(threshold) || !in.f64(model.score_offset) ||
       !in.f64(model.score_scale) || !in.f64(model.model.intercept) ||
       !in.f64(model.model.intercept_std_error) ||
       !in.f64(model.model.r_squared) || !in.f64(model.model.residual_variance) ||
@@ -535,7 +536,6 @@ bool decode_model_section(std::string_view payload, const char* what,
                std::string(what) + ": section cut short");
     return false;
   }
-  // The consistency bounds core::parse_scored_model enforces.
   if (model.score_scale == 0.0 || mins.size() != maxs.size() ||
       mins.size() != model.model.weights.size()) {
     set_status(status, LoadError::Malformed,
@@ -715,15 +715,6 @@ std::optional<ContainerReader> open_container(std::string_view bytes,
 
 using namespace detail;
 
-namespace {
-
-bool save_container(const ContainerWriter& writer,
-                    const std::filesystem::path& path, LoadStatus* status) {
-  return write_file_atomic(path, writer.encode(), status);
-}
-
-}  // namespace
-
 // ---- Full detector state ----
 
 DetectorStateView view_of(const DetectorState& state) {
@@ -775,9 +766,12 @@ std::string encode_detector_state(const DetectorStateView& state) {
         SectionId::TopSites,
         encode_string_set_section(top_site_views(*state.top_sites), index));
   }
-  writer.add_section(SectionId::CcModel, encode_model_section(*state.cc_model));
-  writer.add_section(SectionId::SimModel,
-                     encode_model_section(*state.sim_model));
+  writer.add_section(
+      SectionId::CcModel,
+      encode_model_section(*state.cc_model, state.config->cc_threshold));
+  writer.add_section(
+      SectionId::SimModel,
+      encode_model_section(*state.sim_model, state.config->sim_threshold));
   writer.add_section(SectionId::TrainingStats,
                      encode_training_section(state.training));
   if (has_intel) {
@@ -936,137 +930,6 @@ std::uint32_t base_binding(std::string_view bytes) {
     trailers.u32le(section.crc);
   }
   return util::crc32(trailers.data());
-}
-
-// ---- Per-component files ----
-
-bool save_domain_history(const profile::DomainHistory& history,
-                         const std::filesystem::path& path,
-                         LoadStatus* status) {
-  const StringTable table = sorted_unique(domain_views(history));
-  const TableIndex index(table);
-  ContainerWriter writer;
-  writer.add_section(SectionId::StringTable,
-                     encode_string_table(table));
-  writer.add_section(SectionId::DomainHistory,
-                     encode_domain_history_section(history, index));
-  return save_container(writer, path, status);
-}
-
-std::optional<profile::DomainHistory> decode_domain_history(
-    std::string_view bytes, LoadStatus* status) {
-  DecodedTable table;
-  const auto reader = open_container(bytes, table, status);
-  if (!reader) return std::nullopt;
-  const Section* section =
-      require_section(*reader, SectionId::DomainHistory, "domain history", status);
-  if (section == nullptr) return std::nullopt;
-  profile::DomainHistory history;
-  if (!decode_domain_history_section(section->payload, table, history, status)) {
-    return std::nullopt;
-  }
-  return history;
-}
-
-std::optional<profile::DomainHistory> load_domain_history(
-    const std::filesystem::path& path, LoadStatus* status) {
-  const auto bytes = read_file(path, status);
-  if (!bytes) return std::nullopt;
-  return decode_domain_history(*bytes, status);
-}
-
-bool save_ua_history(const profile::UaHistory& history,
-                     const std::filesystem::path& path, LoadStatus* status) {
-  const StringTable table = sorted_unique(ua_views(history));
-  const TableIndex index(table);
-  ContainerWriter writer;
-  writer.add_section(SectionId::StringTable,
-                     encode_string_table(table));
-  writer.add_section(SectionId::UaHistory,
-                     encode_ua_history_section(history, index));
-  return save_container(writer, path, status);
-}
-
-std::optional<profile::UaHistory> decode_ua_history(std::string_view bytes,
-                                                    LoadStatus* status) {
-  DecodedTable table;
-  const auto reader = open_container(bytes, table, status);
-  if (!reader) return std::nullopt;
-  const Section* section =
-      require_section(*reader, SectionId::UaHistory, "ua history", status);
-  if (section == nullptr) return std::nullopt;
-  std::optional<profile::UaHistory> history;
-  if (!decode_ua_history_section(section->payload, table, history, status)) {
-    return std::nullopt;
-  }
-  return history;
-}
-
-std::optional<profile::UaHistory> load_ua_history(
-    const std::filesystem::path& path, LoadStatus* status) {
-  const auto bytes = read_file(path, status);
-  if (!bytes) return std::nullopt;
-  return decode_ua_history(*bytes, status);
-}
-
-bool save_top_sites(const profile::TopSitesList& sites,
-                    const std::filesystem::path& path, LoadStatus* status) {
-  const StringTable table = sorted_unique(top_site_views(sites));
-  const TableIndex index(table);
-  ContainerWriter writer;
-  writer.add_section(SectionId::StringTable,
-                     encode_string_table(table));
-  writer.add_section(SectionId::TopSites,
-                     encode_string_set_section(top_site_views(sites), index));
-  return save_container(writer, path, status);
-}
-
-std::optional<profile::TopSitesList> load_top_sites(
-    const std::filesystem::path& path, LoadStatus* status) {
-  const auto bytes = read_file(path, status);
-  if (!bytes) return std::nullopt;
-  DecodedTable table;
-  const auto reader = open_container(*bytes, table, status);
-  if (!reader) return std::nullopt;
-  const Section* section =
-      require_section(*reader, SectionId::TopSites, "top sites", status);
-  if (section == nullptr) return std::nullopt;
-  std::vector<std::string> names;
-  if (!decode_string_set_section(section->payload, table, "top sites", names,
-                                 status)) {
-    return std::nullopt;
-  }
-  profile::TopSitesList sites;
-  for (const std::string& name : names) sites.add(name);
-  return sites;
-}
-
-bool save_scored_model(const core::ScoredModel& model,
-                       const std::filesystem::path& path, LoadStatus* status) {
-  ContainerWriter writer;
-  writer.add_section(SectionId::StringTable, encode_string_table({}));
-  writer.add_section(SectionId::CcModel, encode_model_section(model));
-  return save_container(writer, path, status);
-}
-
-std::optional<core::ScoredModel> load_scored_model(
-    const std::filesystem::path& path, LoadStatus* status) {
-  const auto bytes = read_file(path, status);
-  if (!bytes) return std::nullopt;
-  DecodedTable table;
-  const auto reader = open_container(*bytes, table, status);
-  if (!reader) return std::nullopt;
-  const Section* section = reader->find(SectionId::CcModel);
-  if (section == nullptr) section = reader->find(SectionId::SimModel);
-  if (section == nullptr) {
-    set_status(status, LoadError::MissingSection, "model section missing");
-    return std::nullopt;
-  }
-  core::ScoredModel model;
-  if (!decode_model_section(section->payload, "model", model, status)) {
-    return std::nullopt;
-  }
-  return model;
 }
 
 }  // namespace eid::storage

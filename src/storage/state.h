@@ -7,13 +7,9 @@
 // DayReports for day N+1 (tests/storage_checkpoint_test.cpp).
 //
 // All sections share one interned string table (sorted, front-coded), so
-// a host name that
-// appears in a thousand UA entries is written once and referenced by a
-// 1-3 byte varint id — the compact on-disk interned format for month-scale
-// histories the ROADMAP calls for.
-//
-// Per-component save/load free functions write the same container with a
-// subset of sections, so a deployment can checkpoint just a history.
+// a host name that appears in a thousand UA entries is written once and
+// referenced by a 1-3 byte varint id — the compact on-disk interned format
+// for month-scale histories the ROADMAP calls for.
 #pragma once
 
 #include <cstdint>
@@ -130,35 +126,5 @@ std::optional<DetectorState> load_detector_state(
 /// and sizes would share one value). `bytes` is a container that parses;
 /// anything else yields 0.
 std::uint32_t base_binding(std::string_view bytes);
-
-// ---- Per-component binary files (string table + one section) ----
-
-bool save_domain_history(const profile::DomainHistory& history,
-                         const std::filesystem::path& path,
-                         LoadStatus* status = nullptr);
-std::optional<profile::DomainHistory> decode_domain_history(
-    std::string_view bytes, LoadStatus* status = nullptr);
-std::optional<profile::DomainHistory> load_domain_history(
-    const std::filesystem::path& path, LoadStatus* status = nullptr);
-
-bool save_ua_history(const profile::UaHistory& history,
-                     const std::filesystem::path& path,
-                     LoadStatus* status = nullptr);
-std::optional<profile::UaHistory> decode_ua_history(std::string_view bytes,
-                                                    LoadStatus* status = nullptr);
-std::optional<profile::UaHistory> load_ua_history(
-    const std::filesystem::path& path, LoadStatus* status = nullptr);
-
-bool save_top_sites(const profile::TopSitesList& sites,
-                    const std::filesystem::path& path,
-                    LoadStatus* status = nullptr);
-std::optional<profile::TopSitesList> load_top_sites(
-    const std::filesystem::path& path, LoadStatus* status = nullptr);
-
-bool save_scored_model(const core::ScoredModel& model,
-                       const std::filesystem::path& path,
-                       LoadStatus* status = nullptr);
-std::optional<core::ScoredModel> load_scored_model(
-    const std::filesystem::path& path, LoadStatus* status = nullptr);
 
 }  // namespace eid::storage

@@ -1,9 +1,8 @@
-// Load-failure reporting for every persistence path (full checkpoints,
-// per-component files and delta chains). Loaders return std::optional for the
-// value and, through an optional out-param, a machine-checkable reason plus
-// a human-oriented detail string — a SOC deployment restoring month-scale
-// state at 6am needs "ua history: section checksum mismatch", not a bare
-// nullopt.
+// Load-failure reporting for every persistence path (full checkpoints and
+// delta chains). Loaders return std::optional for the value and, through
+// an optional out-param, a machine-checkable reason plus a human-oriented
+// detail string — a SOC deployment restoring month-scale state at 6am
+// needs "ua history: section checksum mismatch", not a bare nullopt.
 #pragma once
 
 #include <cstdint>

@@ -1,6 +1,6 @@
 // CRC-32 (IEEE 802.3, polynomial 0xEDB88320) — the per-section integrity
 // check of the storage container format. Month-scale profile checkpoints
-// are rewritten daily on commodity disks; a flipped bit in a history file
+// are rewritten daily on commodity disks; a flipped bit in a checkpoint
 // must surface as a clean load failure, never as a silently poisoned
 // detector state.
 #pragma once

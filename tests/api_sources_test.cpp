@@ -681,56 +681,5 @@ TEST(SimSourceTest, MatchesReducedDayAcrossTheRange) {
   EXPECT_FALSE(source.reset());
 }
 
-// ---- NetflowSource ----
-
-TEST(NetflowSourceTest, MatchesBatchFlowReductionAndAggregatesStats) {
-  logs::PassiveDnsCache pdns;
-  const auto ip = [](int last) {
-    return util::Ipv4::from_octets(203, 0, 113, static_cast<std::uint8_t>(last));
-  };
-  pdns.observe("alpha.example.com", ip(10), 100);
-  pdns.observe("beta.example.com", ip(20), 100);
-
-  std::vector<logs::FlowRecord> flows;
-  for (int i = 0; i < 6; ++i) {
-    logs::FlowRecord flow;
-    flow.ts = 200 + i;
-    flow.src = "h" + std::to_string(i % 2);
-    flow.dst_ip = i % 2 == 0 ? ip(10) : ip(20);
-    flow.dst_port = 443;
-    flows.push_back(flow);
-  }
-  flows[5].dst_port = 25;  // filtered: not a web port
-  logs::FlowRecord orphan;  // unattributed: IP never seen in passive DNS
-  orphan.ts = 300;
-  orphan.src = "h9";
-  orphan.dst_ip = ip(99);
-  orphan.dst_port = 80;
-  flows.push_back(orphan);
-
-  const logs::FlowReductionConfig reduction;
-  logs::FlowReductionStats batch_stats;
-  const auto batch = logs::reduce_flows(flows, pdns, reduction, &batch_stats);
-  ASSERT_FALSE(batch.empty());
-
-  NetflowSource source(17, flows, pdns, reduction, 2);
-  std::vector<util::Day> days;
-  const auto streamed = drain(source, nullptr, &days);
-
-  ASSERT_EQ(streamed.size(), batch.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_TRUE(same_event(batch[i], streamed[i])) << i;
-  }
-  for (const util::Day day : days) EXPECT_EQ(day, 17);
-  EXPECT_EQ(source.stats().total_flows, batch_stats.total_flows);
-  EXPECT_EQ(source.stats().port_filtered, batch_stats.port_filtered);
-  EXPECT_EQ(source.stats().unattributed, batch_stats.unattributed);
-  EXPECT_EQ(source.stats().kept, batch_stats.kept);
-
-  EXPECT_TRUE(source.reset());
-  EXPECT_EQ(source.stats().kept, 0u);
-  EXPECT_EQ(drain(source).size(), batch.size());
-}
-
 }  // namespace
 }  // namespace eid::api

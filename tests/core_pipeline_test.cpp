@@ -284,16 +284,43 @@ TEST(PipelineTest, LabelHostsAndSeedHostsMakeTheCompromisedSet) {
   EXPECT_EQ(hosts, report.hosts);
 }
 
-TEST(PipelineTest, SetModelsAllowsExternalModels) {
+// Tc has one home, config().cc_threshold: raising it through set_config
+// moves BP's C&C pass as well as the sweep, on a detector whose models
+// were installed at the old Tc.
+TEST(PipelineTest, SetConfigMovesTcForBpCcLabels) {
   MapWhois whois;
-  Pipeline pipeline(PipelineConfig{}, whois);
-  ScoredModel cc;
-  cc.threshold = 0.7;
-  ScoredModel sim;
-  sim.threshold = 0.2;
-  pipeline.set_models(cc, sim);
-  EXPECT_DOUBLE_EQ(pipeline.cc_model().threshold, 0.7);
-  EXPECT_DOUBLE_EQ(pipeline.sim_model().threshold, 0.2);
+  api::Detector detector(PipelineConfig{}, whois);
+  detector.set_models(one_feature_model(features::kCcFeatureCount, 2),
+                      one_feature_model(features::kSimFeatureCount,
+                                        features::kSimFeatureCount));
+  // h1 beacons to both domains; a referer visit by h3 halves mid.com's
+  // NoRef score, so it sits between the default Tc and seed.com.
+  DayBuilder builder;
+  builder.beacon("h1", "seed.com", 1000, 600, 50);
+  builder.beacon("h1", "mid.com", 1300, 600, 50);
+  builder.visit("h3", "mid.com", 5000, {0}, "UA", true);
+  const DayAnalysis analysis = analyze_events(detector, builder.events(), kDay);
+  Pipeline& pipeline = detector.pipeline();
+
+  const std::vector<ScoredDomain> scored = pipeline.score_automated(analysis);
+  ASSERT_EQ(scored.size(), 2u);
+  ASSERT_EQ(scored[0].name, "seed.com");
+  ASSERT_EQ(scored[1].name, "mid.com");
+  ASSERT_GE(scored[1].score, pipeline.config().cc_threshold);
+  const std::vector<ScoredDomain> seed = {scored[0]};
+  const auto cc_label = [&](const BpRunReport& report) {
+    for (const DetectedDomain& label : report.domains) {
+      if (label.name == "mid.com") return label.reason == LabelReason::CandC;
+    }
+    return false;
+  };
+  EXPECT_TRUE(cc_label(pipeline.run_bp_nohint(analysis, seed)));
+
+  PipelineConfig config = pipeline.config();
+  config.cc_threshold = (scored[0].score + scored[1].score) / 2.0;
+  pipeline.set_config(config);
+  EXPECT_EQ(named_scores(pipeline.detect_cc(analysis)), named_scores(seed));
+  EXPECT_FALSE(cc_label(pipeline.run_bp_nohint(analysis, seed)));
 }
 
 }  // namespace

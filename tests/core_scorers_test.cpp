@@ -116,11 +116,10 @@ TEST(LanlScorerTest, TimingComponentRespectsThreshold) {
 }
 
 ScoredModel hand_model(std::vector<double> weights, double intercept,
-                       double threshold, std::size_t n_features) {
+                       std::size_t n_features) {
   ScoredModel m;
   m.model.weights = std::move(weights);
   m.model.intercept = intercept;
-  m.threshold = threshold;
   // Identity-ish scaler: fit on rows of 0 and 1 per column.
   ml::Matrix fit_data(2, n_features);
   for (std::size_t c = 0; c < n_features; ++c) {
@@ -140,13 +139,12 @@ TEST(EnterpriseScorerTest, DetectCcRequiresRareAutomatedAndScore) {
   // so both clear the 0.4 threshold; only the automated one is C&C.
   std::vector<double> cc_weights(features::kCcFeatureCount, 0.0);
   cc_weights[2] = 1.0;  // NoRef
-  const ScoredModel cc =
-      hand_model(cc_weights, 0.0, 0.4, features::kCcFeatureCount);
+  const ScoredModel cc = hand_model(cc_weights, 0.0, features::kCcFeatureCount);
   const ScoredModel sim =
-      hand_model(std::vector<double>(features::kSimFeatureCount, 0.0), 0.0, 0.4,
+      hand_model(std::vector<double>(features::kSimFeatureCount, 0.0), 0.0,
                  features::kSimFeatureCount);
   const DayState state = fx.state();
-  const EnterpriseScorer scorer(state, cc, sim);
+  const EnterpriseScorer scorer(state, cc, sim, /*cc_threshold=*/0.4);
   EXPECT_TRUE(scorer.detect_cc(fx.graph.find_domain("beacon.com")));
   EXPECT_FALSE(scorer.detect_cc(fx.graph.find_domain("single.com")));
 }
@@ -157,13 +155,12 @@ TEST(EnterpriseScorerTest, NonRareDomainNeverCc) {
   Fixture fx(builder);
   fx.rare.clear();  // nothing is rare today
   std::vector<double> cc_weights(features::kCcFeatureCount, 1.0);
-  const ScoredModel cc =
-      hand_model(cc_weights, 10.0, 0.0, features::kCcFeatureCount);
-  const ScoredModel sim = hand_model(
-      std::vector<double>(features::kSimFeatureCount, 0.0), 0.0, 0.4,
-      features::kSimFeatureCount);
+  const ScoredModel cc = hand_model(cc_weights, 10.0, features::kCcFeatureCount);
+  const ScoredModel sim =
+      hand_model(std::vector<double>(features::kSimFeatureCount, 0.0), 0.0,
+                 features::kSimFeatureCount);
   const DayState state = fx.state();
-  const EnterpriseScorer scorer(state, cc, sim);
+  const EnterpriseScorer scorer(state, cc, sim, /*cc_threshold=*/0.0);
   EXPECT_FALSE(scorer.detect_cc(fx.graph.find_domain("beacon.com")));
 }
 

@@ -1,14 +1,18 @@
 // Detection-quality gate on the canonical LANL world (bench::lanl_config(),
 // the world the Table III and Fig. 4 benches print): the per-day counts of
 // the 20 challenge days, the totals and rates, and the 2013-03-19 belief
-// propagation walkthrough. A change that moves any pinned value re-pins it
-// in the same change and states the move.
+// propagation walkthrough; and on the canonical AC world
+// (bench::ac_config()), the two ends of the Fig. 6a C&C threshold sweep.
+// A change that moves any pinned value re-pins it in the same change and
+// states the move.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "../bench/bench_common.h"
+#include "eval/ac_runner.h"
 #include "eval/lanl_runner.h"
 
 namespace eid::eval {
@@ -116,6 +120,50 @@ TEST(QualityTest, Fig4Walkthrough) {
   EXPECT_EQ(result.counts.tp, 4u);
   EXPECT_EQ(result.counts.fp, 0u);
   EXPECT_EQ(result.counts.fn, 0u);
+}
+
+// Fig. 6a (bench_fig6a_cc_sweep): one operation pass over the AC month,
+// each automated rare domain at its highest C&C score of the month, then
+// the domains at or above Tc validated against the oracle.
+TEST(QualityTest, AcFig6aCcSweep) {
+  sim::AcScenario scenario(bench::ac_config());
+  AcRunner runner(scenario);
+  runner.train();
+  std::map<std::string, double> best_score;
+  runner.run_operation([&](util::Day, const core::DayAnalysis& analysis) {
+    for (const auto& scored : runner.pipeline().score_automated(analysis)) {
+      auto [it, inserted] = best_score.emplace(scored.name, scored.score);
+      if (!inserted && scored.score > it->second) it->second = scored.score;
+    }
+  });
+  const auto sweep = [&](double tc) {
+    std::vector<std::string> detected;
+    for (const auto& [name, score] : best_score) {
+      if (score >= tc) detected.push_back(name);
+    }
+    return validate_detections(detected, scenario.oracle());
+  };
+
+  // Known gap: the paper detects 114 domains at Tc 0.40 and 19 at 0.48,
+  // TDR 85.08% -> 94.7%. Here the legitimate band shrinks with Tc, but all
+  // malicious and suspicious domains except one VT+SOC domain score above
+  // 0.48, so the count falls far less (118 -> 100) and TDR stays lower
+  // (71.19% -> 83.00%).
+  const ValidationCounts low = sweep(0.40);
+  EXPECT_EQ(low.total(), 118u);
+  EXPECT_EQ(low.known_malicious, 36u);
+  EXPECT_EQ(low.new_malicious, 8u);
+  EXPECT_EQ(low.suspicious, 40u);
+  EXPECT_EQ(low.legitimate, 34u);
+  EXPECT_NEAR(100.0 * low.tdr(), 71.19, 0.005);
+
+  const ValidationCounts high = sweep(0.48);
+  EXPECT_EQ(high.total(), 100u);
+  EXPECT_EQ(high.known_malicious, 35u);
+  EXPECT_EQ(high.new_malicious, 8u);
+  EXPECT_EQ(high.suspicious, 40u);
+  EXPECT_EQ(high.legitimate, 17u);
+  EXPECT_NEAR(100.0 * high.tdr(), 83.00, 0.005);
 }
 
 }  // namespace

@@ -34,6 +34,15 @@ class StorageStateTest : public ::testing::Test {
 
   std::filesystem::path path(const char* name) const { return dir_ / name; }
 
+  /// `state` through save_detector_state and load_detector_state.
+  std::optional<DetectorState> round_trip(const DetectorState& state) const {
+    EXPECT_TRUE(storage::save_detector_state(state, path("s.bin")));
+    LoadStatus status;
+    auto loaded = storage::load_detector_state(path("s.bin"), &status);
+    EXPECT_TRUE(loaded.has_value()) << status.detail;
+    return loaded;
+  }
+
   std::filesystem::path dir_;
 };
 
@@ -50,136 +59,137 @@ void write_bytes(const std::filesystem::path& p, std::string_view bytes) {
 }
 
 // ---- Domain history ----
+//
+// Each component travels inside a full checkpoint, the only state file:
+// these cases put one component in an otherwise default DetectorState
+// and round-trip it through save_detector_state / load_detector_state.
 
 TEST_F(StorageStateTest, DomainHistoryRoundTripEmpty) {
-  profile::DomainHistory history;
-  ASSERT_TRUE(storage::save_domain_history(history, path("d.bin")));
-  LoadStatus status;
-  const auto loaded = storage::load_domain_history(path("d.bin"), &status);
-  ASSERT_TRUE(loaded.has_value()) << status.detail;
-  EXPECT_EQ(loaded->size(), 0u);
-  EXPECT_EQ(loaded->days_ingested(), 0u);
+  const DetectorState state;
+  const auto loaded = round_trip(state);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_EQ(loaded->domain_history.size(), 0u);
+  EXPECT_EQ(loaded->domain_history.days_ingested(), 0u);
 }
 
 TEST_F(StorageStateTest, DomainHistoryRoundTripUnicodeAndLongStrings) {
-  profile::DomainHistory history;
+  DetectorState state;
   const std::string long_domain(8000, 'x');
-  history.update({"xn--bcher-kva.example", "日本語ドメイン.example",
-                  "emoji-\xF0\x9F\x92\xBB.example", long_domain, "a.com"});
-  ASSERT_TRUE(storage::save_domain_history(history, path("d.bin")));
-  const auto loaded = storage::load_domain_history(path("d.bin"));
+  state.domain_history.update({"xn--bcher-kva.example", "日本語ドメイン.example",
+                               "emoji-\xF0\x9F\x92\xBB.example", long_domain,
+                               "a.com"});
+  const auto loaded = round_trip(state);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), 5u);
-  EXPECT_EQ(loaded->days_ingested(), 1u);
-  EXPECT_FALSE(loaded->is_new("日本語ドメイン.example"));
-  EXPECT_FALSE(loaded->is_new(long_domain));
-  EXPECT_TRUE(loaded->is_new("other.example"));
+  EXPECT_EQ(loaded->domain_history.size(), 5u);
+  EXPECT_EQ(loaded->domain_history.days_ingested(), 1u);
+  EXPECT_FALSE(loaded->domain_history.is_new("日本語ドメイン.example"));
+  EXPECT_FALSE(loaded->domain_history.is_new(long_domain));
+  EXPECT_TRUE(loaded->domain_history.is_new("other.example"));
 }
 
 TEST_F(StorageStateTest, DomainHistoryRoundTripLargeSet) {
-  profile::DomainHistory history;
+  DetectorState state;
   std::vector<std::string> domains;
   util::Rng rng(7);
   for (int i = 0; i < 20000; ++i) {
     domains.push_back("host-" + std::to_string(rng.next_u64()) + ".example-" +
                       std::to_string(i % 97) + ".com");
   }
-  history.update(domains);
-  ASSERT_TRUE(storage::save_domain_history(history, path("d.bin")));
-  const auto loaded = storage::load_domain_history(path("d.bin"));
+  state.domain_history.update(domains);
+  const auto loaded = round_trip(state);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->size(), history.size());
+  EXPECT_EQ(loaded->domain_history.size(), state.domain_history.size());
   for (int i = 0; i < 200; ++i) {
-    EXPECT_FALSE(loaded->is_new(domains[static_cast<std::size_t>(i) * 97]));
+    EXPECT_FALSE(
+        loaded->domain_history.is_new(domains[static_cast<std::size_t>(i) * 97]));
   }
 }
 
 TEST_F(StorageStateTest, DailyRestartContinuesAccumulating) {
   // Day 1 process: bootstrap, save.
   {
-    profile::DomainHistory domains;
-    domains.update({"seen-day1.com"});
-    profile::UaHistory uas(2);
-    uas.observe("UA", "h1");
-    ASSERT_TRUE(storage::save_domain_history(domains, path("d.bin")));
-    ASSERT_TRUE(storage::save_ua_history(uas, path("u.bin")));
+    DetectorState state;
+    state.domain_history.update({"seen-day1.com"});
+    state.ua_history = profile::UaHistory(2);
+    state.ua_history.observe("UA", "h1");
+    ASSERT_TRUE(storage::save_detector_state(state, path("s.bin")));
   }
   // Day 2 process: load, verify continuity, extend, save again.
   {
-    auto domains = storage::load_domain_history(path("d.bin"));
-    auto uas = storage::load_ua_history(path("u.bin"));
-    ASSERT_TRUE(domains && uas);
-    EXPECT_FALSE(domains->is_new("seen-day1.com"));
-    EXPECT_TRUE(uas->is_rare("UA"));
-    domains->update({"seen-day2.com"});
-    uas->observe("UA", "h2");  // second distinct host crosses the threshold
-    EXPECT_FALSE(uas->is_rare("UA"));
-    ASSERT_TRUE(storage::save_domain_history(*domains, path("d.bin")));
-    ASSERT_TRUE(storage::save_ua_history(*uas, path("u.bin")));
+    auto state = storage::load_detector_state(path("s.bin"));
+    ASSERT_TRUE(state.has_value());
+    EXPECT_FALSE(state->domain_history.is_new("seen-day1.com"));
+    EXPECT_TRUE(state->ua_history.is_rare("UA"));
+    state->domain_history.update({"seen-day2.com"});
+    // The second distinct host crosses the threshold.
+    state->ua_history.observe("UA", "h2");
+    EXPECT_FALSE(state->ua_history.is_rare("UA"));
+    ASSERT_TRUE(storage::save_detector_state(*state, path("s.bin")));
   }
   // Day 3 process: both days visible.
-  const auto domains = storage::load_domain_history(path("d.bin"));
-  const auto uas = storage::load_ua_history(path("u.bin"));
-  ASSERT_TRUE(domains && uas);
-  EXPECT_FALSE(domains->is_new("seen-day1.com"));
-  EXPECT_FALSE(domains->is_new("seen-day2.com"));
-  EXPECT_EQ(domains->days_ingested(), 2u);
-  EXPECT_FALSE(uas->is_rare("UA"));
+  const auto state = storage::load_detector_state(path("s.bin"));
+  ASSERT_TRUE(state.has_value());
+  EXPECT_FALSE(state->domain_history.is_new("seen-day1.com"));
+  EXPECT_FALSE(state->domain_history.is_new("seen-day2.com"));
+  EXPECT_EQ(state->domain_history.days_ingested(), 2u);
+  EXPECT_FALSE(state->ua_history.is_rare("UA"));
 }
 
 // ---- UA history ----
 
 TEST_F(StorageStateTest, UaHistoryRoundTripPreservesRarityAndHosts) {
-  profile::UaHistory history(3);
+  DetectorState state;
+  state.ua_history = profile::UaHistory(3);
+  profile::UaHistory& history = state.ua_history;
   history.observe("Popular/1.0", "h1");
   history.observe("Popular/1.0", "h2");
   history.observe("Popular/1.0", "h3");  // crosses the threshold
   history.observe("Rare/2.0", "h1");
   history.observe("Rare/2.0", "h9");
   history.observe("Unicode/\xE2\x98\x83", "h1");
-  ASSERT_TRUE(storage::save_ua_history(history, path("u.bin")));
-  LoadStatus status;
-  const auto loaded = storage::load_ua_history(path("u.bin"), &status);
-  ASSERT_TRUE(loaded.has_value()) << status.detail;
-  EXPECT_EQ(loaded->rare_threshold(), 3u);
-  EXPECT_EQ(loaded->distinct_uas(), 3u);
-  EXPECT_FALSE(loaded->is_rare("Popular/1.0"));
-  EXPECT_TRUE(loaded->is_rare("Rare/2.0"));
-  EXPECT_EQ(loaded->host_count("Rare/2.0"), 2u);
-  EXPECT_TRUE(loaded->is_rare("Unicode/\xE2\x98\x83"));
+  const auto loaded = round_trip(state);
+  ASSERT_TRUE(loaded.has_value());
+  const profile::UaHistory& uas = loaded->ua_history;
+  EXPECT_EQ(uas.rare_threshold(), 3u);
+  EXPECT_EQ(uas.distinct_uas(), 3u);
+  EXPECT_FALSE(uas.is_rare("Popular/1.0"));
+  EXPECT_TRUE(uas.is_rare("Rare/2.0"));
+  EXPECT_EQ(uas.host_count("Rare/2.0"), 2u);
+  EXPECT_TRUE(uas.is_rare("Unicode/\xE2\x98\x83"));
   // Restored histories keep accumulating with the same semantics.
-  auto continued = *loaded;
+  auto continued = uas;
   continued.observe("Rare/2.0", "h10");
   EXPECT_FALSE(continued.is_rare("Rare/2.0"));
 }
 
 TEST_F(StorageStateTest, UaHistoryCarriesTabsAndNewlines) {
-  profile::UaHistory history(5);
-  history.observe("Weird\tUA\nwith\rcontrols", "h1");
-  ASSERT_TRUE(storage::save_ua_history(history, path("u.bin")));
-  const auto loaded = storage::load_ua_history(path("u.bin"));
+  DetectorState state;
+  state.ua_history = profile::UaHistory(5);
+  state.ua_history.observe("Weird\tUA\nwith\rcontrols", "h1");
+  const auto loaded = round_trip(state);
   ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(loaded->host_count("Weird\tUA\nwith\rcontrols"), 1u);
+  EXPECT_EQ(loaded->ua_history.host_count("Weird\tUA\nwith\rcontrols"), 1u);
 }
 
 TEST_F(StorageStateTest, OverThresholdRareEntryNormalizesToPopular) {
   // A restored rare entry listing >= threshold hosts becomes popular — the
   // invariant observe() enforces — so it survives a save/load round trip
   // (the decoder rejects a rare entry at or above the threshold).
-  profile::UaHistory history(3);
+  DetectorState state;
+  state.ua_history = profile::UaHistory(3);
   const std::vector<std::string_view> hosts = {"h1", "h2", "h3", "h4"};
-  history.restore_entry("Big/1.0", false, hosts);
-  EXPECT_FALSE(history.is_rare("Big/1.0"));
-  EXPECT_EQ(history.host_count("Big/1.0"), 3u);  // saturated at threshold
-  ASSERT_TRUE(storage::save_ua_history(history, path("u.bin")));
-  LoadStatus status;
-  const auto loaded = storage::load_ua_history(path("u.bin"), &status);
-  ASSERT_TRUE(loaded.has_value()) << status.detail;
-  EXPECT_FALSE(loaded->is_rare("Big/1.0"));
+  state.ua_history.restore_entry("Big/1.0", false, hosts);
+  EXPECT_FALSE(state.ua_history.is_rare("Big/1.0"));
+  EXPECT_EQ(state.ua_history.host_count("Big/1.0"), 3u);  // saturated
+  const auto loaded = round_trip(state);
+  ASSERT_TRUE(loaded.has_value());
+  EXPECT_FALSE(loaded->ua_history.is_rare("Big/1.0"));
 }
 
 TEST_F(StorageStateTest, UaHistoryRoundTripLargeSharedHosts) {
-  profile::UaHistory history(10);
+  DetectorState state;
+  state.ua_history = profile::UaHistory(10);
+  profile::UaHistory& history = state.ua_history;
   std::vector<std::string> hosts;
   for (int h = 0; h < 500; ++h) hosts.push_back("ws-" + std::to_string(h));
   util::Rng rng(3);
@@ -190,15 +200,14 @@ TEST_F(StorageStateTest, UaHistoryRoundTripLargeSharedHosts) {
       history.observe(ua, hosts[rng.uniform(hosts.size())]);
     }
   }
-  ASSERT_TRUE(storage::save_ua_history(history, path("u.bin")));
-  const auto loaded = storage::load_ua_history(path("u.bin"));
+  const auto loaded = round_trip(state);
   ASSERT_TRUE(loaded.has_value());
-  ASSERT_EQ(loaded->distinct_uas(), history.distinct_uas());
+  const profile::UaHistory& uas = loaded->ua_history;
+  ASSERT_EQ(uas.distinct_uas(), history.distinct_uas());
   history.for_each_entry([&](const std::string& ua, bool popular,
                              std::span<const std::string_view> hosts_view) {
-    EXPECT_EQ(loaded->is_rare(ua), !popular) << ua;
-    EXPECT_EQ(loaded->host_count(ua),
-              popular ? 10u : hosts_view.size()) << ua;
+    EXPECT_EQ(uas.is_rare(ua), !popular) << ua;
+    EXPECT_EQ(uas.host_count(ua), popular ? 10u : hosts_view.size()) << ua;
   });
 }
 
@@ -206,7 +215,6 @@ TEST_F(StorageStateTest, UaHistoryRoundTripLargeSharedHosts) {
 
 core::ScoredModel exotic_model() {
   core::ScoredModel model;
-  model.threshold = 0.4375;
   model.score_offset = -1e-300;
   model.score_scale = 3.14159265358979;
   model.model.intercept = -0.0;
@@ -221,23 +229,57 @@ core::ScoredModel exotic_model() {
   return model;
 }
 
-TEST_F(StorageStateTest, ScoredModelRoundTripsBitExactly) {
-  const core::ScoredModel model = exotic_model();
-  ASSERT_TRUE(storage::save_scored_model(model, path("m.bin")));
-  const auto loaded = storage::load_scored_model(path("m.bin"));
-  ASSERT_TRUE(loaded.has_value());
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->threshold),
-            std::bit_cast<std::uint64_t>(model.threshold));
-  EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->score_offset),
-            std::bit_cast<std::uint64_t>(model.score_offset));
-  ASSERT_EQ(loaded->model.weights.size(), 3u);
+std::uint64_t bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+void expect_same_model(const core::ScoredModel& loaded,
+                       const core::ScoredModel& model) {
+  EXPECT_EQ(bits(loaded.score_offset), bits(model.score_offset));
+  EXPECT_EQ(bits(loaded.score_scale), bits(model.score_scale));
+  EXPECT_EQ(bits(loaded.model.intercept), bits(model.model.intercept));
+  EXPECT_EQ(bits(loaded.model.intercept_std_error),
+            bits(model.model.intercept_std_error));
+  EXPECT_EQ(bits(loaded.model.r_squared), bits(model.model.r_squared));
+  EXPECT_EQ(bits(loaded.model.residual_variance),
+            bits(model.model.residual_variance));
+  ASSERT_EQ(loaded.model.weights.size(), 3u);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(std::bit_cast<std::uint64_t>(loaded->model.weights[i]),
-              std::bit_cast<std::uint64_t>(model.model.weights[i]));
+    EXPECT_EQ(bits(loaded.model.weights[i]), bits(model.model.weights[i]));
+    EXPECT_EQ(bits(loaded.model.std_errors[i]), bits(model.model.std_errors[i]));
+    EXPECT_EQ(bits(loaded.model.t_stats[i]), bits(model.model.t_stats[i]));
   }
-  EXPECT_EQ(loaded->model.n_samples, 12345u);
-  EXPECT_EQ(loaded->scaler.mins(), model.scaler.mins());
-  EXPECT_EQ(loaded->scaler.maxs(), model.scaler.maxs());
+  EXPECT_EQ(loaded.model.n_samples, 12345u);
+  EXPECT_EQ(loaded.scaler.mins(), model.scaler.mins());
+  EXPECT_EQ(loaded.scaler.maxs(), model.scaler.maxs());
+}
+
+TEST_F(StorageStateTest, ScoredModelRoundTripsBitExactly) {
+  DetectorState state;
+  state.config.cc_threshold = 0.4375;
+  state.config.sim_threshold = 0.33;
+  state.cc_model = exotic_model();
+  state.sim_model = exotic_model();
+  const std::string bytes = encode_detector_state(state);
+  LoadStatus status;
+  const auto loaded = decode_detector_state(bytes, &status);
+  ASSERT_TRUE(loaded.has_value()) << status.detail;
+  expect_same_model(loaded->cc_model, state.cc_model);
+  expect_same_model(loaded->sim_model, state.sim_model);
+  EXPECT_EQ(bits(loaded->config.cc_threshold), bits(0.4375));
+  EXPECT_EQ(bits(loaded->config.sim_threshold), bits(0.33));
+
+  // Each model section still opens with a threshold f64, written from the
+  // config's Tc / Ts; decoding skips it.
+  const auto reader = ContainerReader::parse(bytes);
+  ASSERT_TRUE(reader.has_value());
+  for (const auto& [id, threshold] : {std::pair{SectionId::CcModel, 0.4375},
+                                      std::pair{SectionId::SimModel, 0.33}}) {
+    const Section* section = reader->find(id);
+    ASSERT_NE(section, nullptr);
+    util::ByteReader in(section->payload);
+    double slot = 0.0;
+    ASSERT_TRUE(in.f64(slot));
+    EXPECT_EQ(bits(slot), bits(threshold));
+  }
 }
 
 // ---- Full detector state ----
@@ -263,7 +305,6 @@ DetectorState sample_state() {
   state.top_sites.add("b.net");  // overlaps the history on purpose
   state.cc_model = exotic_model();
   state.sim_model = exotic_model();
-  state.sim_model.threshold = 0.33;
   state.training.whois_age_sum = 1234.5;
   state.training.whois_validity_sum = 6789.25;
   state.training.whois_samples = 42;
@@ -483,36 +524,21 @@ TEST_F(StorageStateTest, BadMagicAndMissingFileReported) {
   write_bytes(path("u.txt"), "eid-ua-history 1\nthreshold 3\nP\tCommon/1.0\n");
   write_bytes(path("m.txt"),
               "eid-scored-model 1\nthreshold 0x1p-1\nscore 0x0p+0 0x1p+0\n");
-  LoadStatus status;
-  EXPECT_FALSE(storage::load_detector_state(path("junk.bin"), &status).has_value());
-  EXPECT_EQ(status.error, LoadError::BadMagic);
-  for (const char* text : {"d.txt", "u.txt", "m.txt"}) {
-    SCOPED_TRACE(text);
-    status = {};
-    EXPECT_FALSE(storage::load_domain_history(path(text), &status).has_value());
-    EXPECT_EQ(status.error, LoadError::BadMagic);
-    status = {};
-    EXPECT_FALSE(storage::load_ua_history(path(text), &status).has_value());
-    EXPECT_EQ(status.error, LoadError::BadMagic);
-    status = {};
-    EXPECT_FALSE(storage::load_scored_model(path(text), &status).has_value());
+  for (const char* file : {"junk.bin", "d.txt", "u.txt", "m.txt"}) {
+    SCOPED_TRACE(file);
+    LoadStatus status;
+    EXPECT_FALSE(storage::load_detector_state(path(file), &status).has_value());
     EXPECT_EQ(status.error, LoadError::BadMagic);
 #ifdef EID_STATE_TOOL
-    const std::string file = path(text).string();
     for (const char* command : {"inspect ", "verify ", "verify --deep "}) {
       SCOPED_TRACE(command);
       // Exit 2 is a reported load failure; a crash is not an exit at all.
-      EXPECT_EQ(state_tool_status(command + file), 2);
+      EXPECT_EQ(state_tool_status(command + path(file).string()), 2);
     }
 #endif
   }
+  LoadStatus status;
   EXPECT_FALSE(storage::load_detector_state(path("missing.bin"), &status).has_value());
-  EXPECT_EQ(status.error, LoadError::FileNotFound);
-  EXPECT_FALSE(storage::load_domain_history(path("missing.bin"), &status).has_value());
-  EXPECT_EQ(status.error, LoadError::FileNotFound);
-  EXPECT_FALSE(storage::load_ua_history(path("missing.bin"), &status).has_value());
-  EXPECT_EQ(status.error, LoadError::FileNotFound);
-  EXPECT_FALSE(storage::load_scored_model(path("missing.bin"), &status).has_value());
   EXPECT_EQ(status.error, LoadError::FileNotFound);
 }
 
@@ -528,18 +554,37 @@ TEST_F(StorageStateTest, UnsupportedVersionReported) {
 }
 
 TEST_F(StorageStateTest, MissingSectionReported) {
-  // A valid container holding only a string table is not a detector state.
-  profile::DomainHistory history;
-  history.update({"a.com"});
-  ASSERT_TRUE(storage::save_domain_history(history, path("d.bin")));
-  LoadStatus status;
-  EXPECT_FALSE(storage::load_detector_state(path("d.bin"), &status).has_value());
-  EXPECT_EQ(status.error, LoadError::MissingSection);
-  // And the reverse: a full state is not rejected as a domain history
-  // (it has the section), but a ua-only file is.
-  ASSERT_TRUE(storage::save_ua_history(profile::UaHistory(5), path("u.bin")));
-  EXPECT_FALSE(storage::load_domain_history(path("u.bin"), &status).has_value());
-  EXPECT_EQ(status.error, LoadError::MissingSection);
+  // A valid container that lacks any section a restore needs is not a
+  // detector state: drop each required section from a full checkpoint in
+  // turn.
+  const std::string bytes = encode_detector_state(sample_state());
+  const auto reader = ContainerReader::parse(bytes);
+  ASSERT_TRUE(reader.has_value());
+  for (const SectionId dropped :
+       {SectionId::Config, SectionId::DomainHistory, SectionId::UaHistory,
+        SectionId::CcModel, SectionId::SimModel, SectionId::TrainingStats,
+        SectionId::Counters}) {
+    SCOPED_TRACE(static_cast<int>(dropped));
+    ContainerWriter writer;
+    for (const Section& section : reader->sections()) {
+      if (section.id == static_cast<std::uint64_t>(dropped)) continue;
+      writer.add_section(static_cast<SectionId>(section.id),
+                         std::string(section.payload));
+    }
+    write_bytes(path("partial.bin"), writer.encode());
+    LoadStatus status;
+    EXPECT_FALSE(
+        storage::load_detector_state(path("partial.bin"), &status).has_value());
+    EXPECT_EQ(status.error, LoadError::MissingSection);
+#ifdef EID_STATE_TOOL
+    // The container itself is sound, but it is not a checkpoint.
+    const std::string file = path("partial.bin").string();
+    for (const char* command : {"inspect ", "verify ", "verify --deep "}) {
+      SCOPED_TRACE(command);
+      EXPECT_EQ(state_tool_status(command + file), 2);
+    }
+#endif
+  }
 }
 
 }  // namespace
